@@ -16,6 +16,7 @@ byte-identical CSV and SVG output.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hydro_spectral, moment_reference, secularity
+from ._modal import MIN_GRID_SIZE
 from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
@@ -80,8 +82,8 @@ class RunConfig:
             raise UsageError(f"eps must be positive, got {self.eps}")
         if self.lambda02 >= 0:
             raise UsageError(f"lambda02 must be negative, got {self.lambda02}")
-        if self.grid_size < 8:
-            raise UsageError(f"grid size must be at least 8, got {self.grid_size}")
+        if self.grid_size < MIN_GRID_SIZE:
+            raise UsageError(f"grid size must be at least {MIN_GRID_SIZE}, got {self.grid_size}")
         if self.command in ("evolve", "compare", "secular"):
             if self.tmax <= 0:
                 raise UsageError(f"tmax must be positive, got {self.tmax}")
@@ -313,30 +315,20 @@ def _cmd_evolve(config: RunConfig) -> tuple[list[str], list[list[object]]]:
         raise UsageError("evolve takes exactly one --model")
     model = config.models[0]
     state = _initial_state(config)
-    x = state.x
-    rows: list[list[object]] = []
-
-    def snapshot(hydro: hydro_spectral.HydroState, t: float):
-        for j in range(hydro.grid_size):
-            rows.append([t, float(x[j]), float(hydro.u[j]), float(hydro.p[j]), float(hydro.s[j])])
-
     times = _output_times(config)
     if model is ModelId.MOMENT_REFERENCE:
         moments = moment_reference.from_hydro(state, config.eps)
-        snapshot(moment_reference.hydro_projection(moments).state, 0.0)
-        for previous, t in zip(times, times[1:]):
-            moments = moment_reference.evolve_moments(
-                moments, config.eigenvalues, float(t - previous)
-            )
-            snapshot(moment_reference.hydro_projection(moments).state, float(t))
+        evolved = moment_reference.evolve_moments(moments, config.eigenvalues, times[1:])
+        snapshots = (moment_reference.hydro_projection(m).state for m in [moments, *evolved])
     else:
         spec = hydro_spectral.to_modes(state)
-        snapshot(state, 0.0)
-        for previous, t in zip(times, times[1:]):
-            spec = hydro_spectral.evolve(
-                spec, model, config.eps, config.eigenvalues, float(t - previous)
-            )
-            snapshot(hydro_spectral.from_modes(spec), float(t))
+        evolved = hydro_spectral.evolve(spec, model, config.eps, config.eigenvalues, times[1:])
+        snapshots = itertools.chain([state], map(hydro_spectral.from_modes, evolved))
+    x = state.x.tolist()
+    rows: list[list[object]] = []
+    for t, hydro in zip(times.tolist(), snapshots):
+        columns = zip(x, hydro.u.tolist(), hydro.p.tolist(), hydro.s.tolist())
+        rows.extend([t, *cells] for cells in columns)
     return ["t", "x", "u", "p", "s"], rows
 
 
@@ -352,24 +344,22 @@ def _cmd_compare(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     if not models:
         raise UsageError("compare needs at least one hydrodynamic model")
     state = _initial_state(config)
-    specs = {model: hydro_spectral.to_modes(state) for model in models}
+    times = _output_times(config)[1:]
     moments = moment_reference.from_hydro(state, config.eps)
+    references = [
+        moment_reference.hydro_projection(later).state
+        for later in moment_reference.evolve_moments(moments, config.eigenvalues, times)
+    ]
+    spec = hydro_spectral.to_modes(state)
+
+    def gaps(model: ModelId) -> list[float]:
+        # One trajectory at a time: it is released before the next model's is built.
+        evolved = hydro_spectral.evolve(spec, model, config.eps, config.eigenvalues, times)
+        return [_l2_gap(hydro_spectral.from_modes(s), ref) for s, ref in zip(evolved, references)]
 
     header = ["t"] + [f"l2_error_{model.value}" for model in models]
-    rows: list[list[object]] = [[0.0] + [0.0 for _ in models]]
-    times = _output_times(config)
-    for previous, t in zip(times, times[1:]):
-        step = float(t - previous)
-        moments = moment_reference.evolve_moments(moments, config.eigenvalues, step)
-        reference = moment_reference.hydro_projection(moments).state
-        row: list[object] = [float(t)]
-        for model in models:
-            specs[model] = hydro_spectral.evolve(
-                specs[model], model, config.eps, config.eigenvalues, step
-            )
-            row.append(_l2_gap(hydro_spectral.from_modes(specs[model]), reference))
-        rows.append(row)
-    return header, rows
+    columns = [times.tolist()] + [gaps(model) for model in models]
+    return header, [[0.0] * len(header)] + [list(row) for row in zip(*columns)]
 
 
 def _cmd_secular(config: RunConfig) -> tuple[list[str], list[list[object]]]:

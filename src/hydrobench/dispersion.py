@@ -8,7 +8,8 @@ Riemann-decoupled form, and (n, u, p, Pi, q) for the kinetic moment reference.
 
 Branches of the growth rate sigma(k) are tracked across a k grid by
 nearest-neighbor continuation in the complex plane, seeded at the first grid
-point from the analytic small-k limits.
+point from the analytic small-k limits; the eigenvalues of the whole grid
+come from one symbol stack and one batched eigvals call.
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ def sigma_asymptotic(
     raise ValueError(f"no asymptotic form for branch {branch!r}")
 
 
-def symbol_matrix(
-    model: ModelId, k: float, eps: float, eigenvalues: EigenvalueSet
-) -> np.ndarray:
-    """Per-wavenumber generator M with d/dt(mode vector) = M(mode vector).
+def symbol_matrix(model: ModelId, k: float | np.ndarray, eps: float, eigenvalues: EigenvalueSet):
+    """Generator M with d/dt(mode vector) = M(mode vector), at wavenumber k.
 
-    eps is ignored for the Euler model (its symbol has no eps dependence) and
-    must be positive for the moment reference, whose collision terms carry
-    1/eps.  Mode ordering is documented in the module header.
+    A scalar k gives one (d, d) matrix, a 1-D array of N wavenumbers the
+    (N, d, d) stack.  eps is ignored for the Euler model (its symbol has no
+    eps dependence) and must be positive for the moment reference, whose
+    collision terms carry 1/eps.  Mode ordering is documented in the module
+    header.
     """
     if model is ModelId.MOMENT_REFERENCE:
         from . import moment_reference
@@ -130,44 +131,36 @@ def symbol_matrix(
 
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
+    scalar = np.ndim(k) == 0
+    k = np.atleast_1d(np.asarray(k, dtype=float))
     ik = 1j * k
-    matrix = np.zeros((3, 3), dtype=complex)
+    matrix = np.zeros((k.size, 3, 3), dtype=complex)
     if model is ModelId.EULER:
-        matrix[0, 1] = ik
-        matrix[1, 0] = (5.0 / 3.0) * ik
-        return matrix
+        matrix[:, 0, 1] = ik
+        matrix[:, 1, 0] = (5.0 / 3.0) * ik
+        return matrix[0] if scalar else matrix
 
     ns = transport_ns(eigenvalues)
     damp_sound = -eps * float(ns.sound_diffusivity) * k * k
-    damp_entropy = -eps * float(ns.entropy_diffusivity) * k * k
-
+    matrix[:, 2, 2] = -eps * float(ns.entropy_diffusivity) * k * k
     if model is ModelId.NAVIER_STOKES:
-        matrix[0, 1] = ik
-        matrix[1, 0] = (5.0 / 3.0) * ik
-        matrix[0, 0] = matrix[1, 1] = damp_sound
-        matrix[2, 2] = damp_entropy
-        return matrix
-
-    burnett = transport_burnett(eigenvalues)
-    beta_u = float(burnett.beta_u)
-    beta_p = float(burnett.beta_p)
-
-    if model is ModelId.BURNETT:
-        matrix[0, 1] = ik * (1.0 + eps * eps * beta_u * k * k)
-        matrix[1, 0] = ik * (5.0 / 3.0 + eps * eps * beta_p * k * k)
-        matrix[0, 0] = matrix[1, 1] = damp_sound
-        matrix[2, 2] = damp_entropy
-        return matrix
-
-    if model is ModelId.RIEMANN_DECOUPLED:
+        matrix[:, 0, 1] = ik
+        matrix[:, 1, 0] = (5.0 / 3.0) * ik
+        matrix[:, 0, 0] = matrix[:, 1, 1] = damp_sound
+    elif model is ModelId.BURNETT:
+        burnett = transport_burnett(eigenvalues)
+        matrix[:, 0, 1] = ik * (1.0 + eps * eps * float(burnett.beta_u) * k * k)
+        matrix[:, 1, 0] = ik * (5.0 / 3.0 + eps * eps * float(burnett.beta_p) * k * k)
+        matrix[:, 0, 0] = matrix[:, 1, 1] = damp_sound
+    elif model is ModelId.RIEMANN_DECOUPLED:
         # Diagonal by construction: (R+, R-, s).
+        beta_u = float(transport_burnett(eigenvalues).beta_u)
         dispersive = 1j * SOUND_SPEED * k * (1.0 + eps * eps * beta_u * k * k)
-        matrix[0, 0] = dispersive + damp_sound
-        matrix[1, 1] = -dispersive + damp_sound
-        matrix[2, 2] = damp_entropy
-        return matrix
-
-    raise ValueError(f"unknown model {model!r}")
+        matrix[:, 0, 0] = dispersive + damp_sound
+        matrix[:, 1, 1] = -dispersive + damp_sound
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return matrix[0] if scalar else matrix
 
 
 def _branch_labels(model: ModelId) -> tuple[Branch, ...]:
@@ -279,14 +272,9 @@ def branches(
         raise ValueError("k_grid must be strictly positive and ascending")
 
     labels = _branch_labels(model)
-    sigma = np.zeros((grid.size, len(labels)), dtype=complex)
-    current: dict[Branch, complex] | None = None
-    for row, k in enumerate(grid):
-        values = np.linalg.eigvals(symbol_matrix(model, float(k), eps, eigenvalues))
-        if current is None:
-            current = _assign_seeded(_seed_values(model, float(k), eps, eigenvalues), values)
-        else:
-            current = _assign_continued(current, values, float(k))
-        for col, label in enumerate(labels):
-            sigma[row, col] = current[label]
+    values = np.linalg.eigvals(symbol_matrix(model, grid, eps, eigenvalues))
+    matched = [_assign_seeded(_seed_values(model, float(grid[0]), eps, eigenvalues), values[0])]
+    for k, row in zip(grid[1:], values[1:]):
+        matched.append(_assign_continued(matched[-1], row, float(k)))
+    sigma = np.array([[match[label] for label in labels] for match in matched], dtype=complex)
     return DispersionTable(model=model, k_grid=grid, labels=labels, sigma=sigma)

@@ -4,7 +4,8 @@ Fields live on the uniform grid x_j = 2*pi*j/N of the domain [0, 2*pi);
 integer wavenumbers only.  The models are linear with constant coefficients,
 so each Fourier mode is advanced by the exact matrix exponential of its
 symbol: there is no time-stepping error, and the output cadence is purely a
-sampling choice.
+sampling choice.  evolve takes an array of output times and diagonalizes the
+symbol stack once for all of them.
 
 The hydrodynamic state stores (u, p, s).  Density and temperature
 perturbations are derived, never stored: n = (3p - 2s)/5 and T = (2/5)(p + s),
@@ -39,8 +40,9 @@ __all__ = [
     "to_modes",
 ]
 
-#: Disagreement beyond this between the two flux routes is a build error.
-FLUX_CONSISTENCY_TOL = 1e-10
+#: Relative disagreement beyond this between two independent routes to one
+#: result (h1 fluxes, the secular propagator) is a build error.
+ROUTE_CONSISTENCY_TOL = 1e-10
 
 FIELD_ORDER = ("u", "p", "s")
 
@@ -62,8 +64,8 @@ def _as_field(values, n: int | None = None) -> np.ndarray:
 class HydroState:
     """Real (u, p, s) samples on the periodic grid, plus the current time.
 
-    Any N >= 4 works with the FFT backend; powers of two are the fast path
-    and the documented default.
+    Any N >= MIN_GRID_SIZE (8) works with the FFT backend; powers of two are
+    the fast path and the documented default.
     """
 
     u: np.ndarray
@@ -76,8 +78,8 @@ class HydroState:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "p", _as_field(self.p, u.size))
         object.__setattr__(self, "s", _as_field(self.s, u.size))
-        if u.size < 4:
-            raise ValueError(f"grid size must be at least 4, got {u.size}")
+        if u.size < _modal.MIN_GRID_SIZE:
+            raise ValueError(f"grid size must be at least {_modal.MIN_GRID_SIZE}, got {u.size}")
 
     @property
     def grid_size(self) -> int:
@@ -146,24 +148,21 @@ def evolve(
     model: ModelId,
     eps: float,
     eigenvalues: EigenvalueSet,
-    dt: float,
-) -> SpectralState:
+    dt: float | np.ndarray,
+) -> SpectralState | list[SpectralState]:
     """Advance every mode by the exact exponential of its model symbol.
 
-    The moment reference has its own state and solver; asking for it here is
-    an error.  Spatial means (the k = 0 modes) are invariant for every model
-    because all terms are x-derivatives.
+    A positive step dt gives one state; a 1-D ascending array of elapsed
+    times gives one state per time.  The moment reference has its own state
+    and solver; asking for it here is an error.  Spatial means (the k = 0
+    modes) are invariant for every model because all terms are x-derivatives.
     """
     if model is ModelId.MOMENT_REFERENCE:
         raise ValueError("use moment_reference.evolve_moments for the kinetic system")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    advanced = _modal.propagate(
-        spec.modes,
-        lambda kappa: symbol_matrix(model, kappa, eps, eigenvalues),
-        dt,
+    advanced = _modal.mode_propagators(
+        lambda kappa: symbol_matrix(model, kappa, eps, eigenvalues), spec.grid_size, dt, spec.modes
     )
-    return SpectralState(modes=advanced, time=spec.time + dt)
+    return _modal.per_time(dt, advanced, lambda m, t: SpectralState(modes=m, time=spec.time + t))
 
 
 def riemann_split(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +232,7 @@ def h1_fluxes(
     Each flux is computed twice: once from the closed form above and once as
     the Gaussian inner product of the correction against psi02 and psi11,
     which routes the normalization constants 4/3 and 5/2 through the exact
-    eigenfunction algebra.  The two routes must agree to FLUX_CONSISTENCY_TOL
+    eigenfunction algebra.  The two routes must agree to ROUTE_CONSISTENCY_TOL
     or the build is internally inconsistent and an error is raised.
     """
     if eps <= 0:
@@ -263,7 +262,7 @@ def h1_fluxes(
         float(np.max(np.abs(stress_closed - stress_bridge))),
         float(np.max(np.abs(heat_closed - heat_bridge))),
     )
-    if worst > FLUX_CONSISTENCY_TOL * scale:
+    if worst > ROUTE_CONSISTENCY_TOL * scale:
         raise InternalConsistencyError(
             f"closed-form and inner-product flux routes disagree by {worst:.3e}"
         )

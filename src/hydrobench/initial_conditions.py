@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._modal import MIN_GRID_SIZE
+
 __all__ = ["ICParseError", "ICSpec", "ICTerm", "parse_initial_condition", "realize"]
 
 FIELDS = ("u", "p", "s")
@@ -95,8 +97,8 @@ def parse_initial_condition(text: str, grid_size: int | None = None) -> ICSpec:
 
 def realize(spec: ICSpec, grid_size: int) -> dict[str, np.ndarray]:
     """Sample the initial condition on the grid x_j = 2*pi*j/grid_size."""
-    if grid_size < 8:
-        raise ValueError(f"grid size must be at least 8, got {grid_size}")
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid size must be at least {MIN_GRID_SIZE}, got {grid_size}")
     x = 2.0 * np.pi * np.arange(grid_size) / grid_size
     fields = {name: np.zeros(grid_size) for name in FIELDS}
     for term in spec.terms:

@@ -15,6 +15,8 @@ lambda11/eps on q.  The system in flux form:
 
 Its three slow eigenvalue branches converge to the Burnett-level dispersion
 relation at rate O(k (eps k)^3), which is the module's central validation.
+moment_symbol builds one wavenumber or a whole (N, 5, 5) stack, and
+evolve_moments reaches every requested time from one diagonalization.
 """
 
 from __future__ import annotations
@@ -73,25 +75,25 @@ class HydroProjection:
     heat_flux: np.ndarray
 
 
-def moment_symbol(k: float, eps: float, eigenvalues: EigenvalueSet) -> np.ndarray:
-    """Per-wavenumber generator of the five-field system, d/dx -> -ik."""
+def moment_symbol(k: float | np.ndarray, eps: float, eigenvalues: EigenvalueSet) -> np.ndarray:
+    """Generator of the five-field system, d/dx -> -ik: (5, 5), or (N, 5, 5) for N k's."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    ik = 1j * k
-    matrix = np.zeros((5, 5), dtype=complex)
-    matrix[0, 1] = ik
-    matrix[1, 2] = ik
-    matrix[1, 3] = ik
-    matrix[2, 1] = (5.0 / 3.0) * ik
-    matrix[2, 4] = (2.0 / 3.0) * ik
-    matrix[3, 1] = (4.0 / 3.0) * ik
-    matrix[3, 4] = (8.0 / 15.0) * ik
-    matrix[3, 3] = float(eigenvalues.lambda02) / eps
-    matrix[4, 3] = ik
-    matrix[4, 2] = (5.0 / 2.0) * ik
-    matrix[4, 0] = -(5.0 / 2.0) * ik
-    matrix[4, 4] = float(eigenvalues.lambda11) / eps
-    return matrix
+    ik = 1j * np.atleast_1d(np.asarray(k, dtype=float))
+    matrix = np.zeros((ik.size, 5, 5), dtype=complex)
+    matrix[:, 0, 1] = ik
+    matrix[:, 1, 2] = ik
+    matrix[:, 1, 3] = ik
+    matrix[:, 2, 1] = (5.0 / 3.0) * ik
+    matrix[:, 2, 4] = (2.0 / 3.0) * ik
+    matrix[:, 3, 1] = (4.0 / 3.0) * ik
+    matrix[:, 3, 4] = (8.0 / 15.0) * ik
+    matrix[:, 3, 3] = float(eigenvalues.lambda02) / eps
+    matrix[:, 4, 3] = ik
+    matrix[:, 4, 2] = (5.0 / 2.0) * ik
+    matrix[:, 4, 0] = -(5.0 / 2.0) * ik
+    matrix[:, 4, 4] = float(eigenvalues.lambda11) / eps
+    return matrix[0] if np.ndim(k) == 0 else matrix
 
 
 def from_hydro(state: HydroState, eps: float) -> MomentState:
@@ -106,23 +108,18 @@ def from_hydro(state: HydroState, eps: float) -> MomentState:
     return MomentState(modes=_modal.forward_modes(stacked), eps=eps, time=state.time)
 
 
-def evolve_moments(
-    state: MomentState, eigenvalues: EigenvalueSet, dt: float
-) -> MomentState:
+def evolve_moments(state: MomentState, eigenvalues: EigenvalueSet, dt: float | np.ndarray):
     """Advance each mode by the exact exponential of the moment symbol.
 
-    Exact propagation makes the stiffness knob lambda/eps harmless; the
-    semigroup property holds to roundoff and the k = 0 rows of n, u, p are
-    conserved identically.
+    A positive step dt gives one state; a 1-D ascending array of elapsed
+    times gives one state per time.  Exact propagation makes the stiffness
+    knob lambda/eps harmless; the semigroup property holds to roundoff and
+    the k = 0 rows of n, u, p are conserved identically.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    advanced = _modal.propagate(
-        state.modes,
-        lambda kappa: moment_symbol(kappa, state.eps, eigenvalues),
-        dt,
+    advanced = _modal.mode_propagators(
+        lambda kappa: moment_symbol(kappa, state.eps, eigenvalues), state.grid_size, dt, state.modes
     )
-    return MomentState(modes=advanced, eps=state.eps, time=state.time + dt)
+    return _modal.per_time(dt, advanced, lambda m, t: MomentState(m, state.eps, state.time + t))
 
 
 def hydro_projection(state: MomentState) -> HydroProjection:
@@ -168,19 +165,13 @@ def burnett_deviation_rms(
     sample_times = time - period + period * np.arange(1, n_samples + 1) / n_samples
     dx = 2.0 * np.pi / initial.grid_size
 
-    hydro = to_modes(initial)
-    moments = from_hydro(initial, eps)
-    previous = initial.time
+    elapsed = sample_times - initial.time
+    hydro = evolve(to_modes(initial), ModelId.BURNETT, eps, eigenvalues, elapsed)
+    moments = evolve_moments(from_hydro(initial, eps), eigenvalues, elapsed)
     total = 0.0
-    for t in sample_times:
-        step = float(t - previous)
-        hydro = evolve(hydro, ModelId.BURNETT, eps, eigenvalues, step)
-        moments = evolve_moments(moments, eigenvalues, step)
-        previous = t
-        s_modes = 1.5 * moments.field_modes("p") - 2.5 * moments.field_modes("n")
-        ref = np.stack([moments.field_modes("u"), moments.field_modes("p"), s_modes])
-        diff = hydro.modes - ref
+    for spec, state in zip(hydro, moments):
+        s_modes = 1.5 * state.field_modes("p") - 2.5 * state.field_modes("n")
+        ref = np.stack([state.field_modes("u"), state.field_modes("p"), s_modes])
         # Parseval: sum over modes of N*|diff|^2*dx equals the grid L2 norm squared.
-        l2_sq = float(np.sum(np.abs(diff) ** 2)) * initial.grid_size * dx
-        total += l2_sq
+        total += float(np.sum(np.abs(spec.modes - ref) ** 2)) * initial.grid_size * dx
     return float(np.sqrt(total / n_samples))

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import hydro_spectral, moment_reference, secularity, velocity_space
+from . import _modal, hydro_spectral, moment_reference, secularity, velocity_space
 from .coefficients import eigenvalue_set, transport_burnett, transport_ns
 from .dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
 from .initial_conditions import parse_initial_condition, realize
@@ -326,16 +326,10 @@ def _check_moment_hygiene() -> CheckResult:
     if projection.state.grid_size != n:
         return CheckResult("moment hygiene", False, "projection grid mismatch")
     herm = max(
-        _modal_violation(evolved.modes),
-        _modal_violation(hydro_spectral.to_modes(projection.state).modes),
+        _modal.hermitian_violation(evolved.modes),
+        _modal.hermitian_violation(hydro_spectral.to_modes(projection.state).modes),
     )
     return CheckResult("moment hygiene", herm <= 1e-9, f"hermitian violation {herm:.2e}")
-
-
-def _modal_violation(modes: np.ndarray) -> float:
-    from . import _modal
-
-    return _modal.hermitian_violation(modes)
 
 
 def _check_uniform_error() -> CheckResult:

@@ -252,6 +252,25 @@ class TestCompareCommand:
         assert all(float(r["l2_error_burnett"]) >= 0.0 for r in rows)
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="compare feeds (u, p, s) modes to the (R+, R-, s) Riemann symbol without "
+        "riemann_split; the benchmark reference pins that behaviour until both are fixed",
+    )
+    def test_riemann_gap_equals_burnett_gap(self, tmp_path):
+        # Split into Riemann invariants and joined back, the Riemann-decoupled
+        # evolution is the Burnett evolution exactly, so the two gaps must agree.
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--model", "burnett,riemann", "--ic", "u:1:1,p:3:0.5"]
+        argv += ["--eps", "0.1", "--tmax", "4", "--dt-out", "1", "--grid-size", "16"]
+        assert main(argv + ["--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        burnett = np.array([float(r["l2_error_burnett"]) for r in rows])
+        riemann = np.array([float(r["l2_error_riemann_decoupled"]) for r in rows])
+        assert np.allclose(riemann, burnett, rtol=1e-8, atol=1e-12)
+
+
 class TestSecularCommand:
     def test_series_columns(self, tmp_path):
         out = tmp_path / "sec.csv"
@@ -385,6 +404,40 @@ class TestSvgShapes:
         svg = (tmp_path / "disp.svg").read_text()
         # 3 branches x (re, im) = 6 polylines
         assert svg.count("<polyline") == 6
+
+
+class TestMinimumGridSize:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_small_grids_rejected_everywhere_with_one_message(self, n, tmp_path):
+        from hydrobench.hydro_spectral import HydroState
+
+        message = f"grid size must be at least 8, got {n}"
+        with pytest.raises(ValueError) as field_error:
+            HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
+        with pytest.raises(ValueError) as ic_error:
+            realize(parse_initial_condition("u:1:1"), n)
+        with pytest.raises(cli.UsageError) as config_error:
+            RunConfig(
+                command="evolve",
+                models=(cli.ModelId.EULER,),
+                grid_size=n,
+                ic=parse_initial_condition("u:1:1"),
+                out_path=tmp_path / "x.csv",
+            )
+        assert str(field_error.value) == str(ic_error.value) == str(config_error.value) == message
+
+    def test_eight_accepted_everywhere(self, tmp_path):
+        from hydrobench.hydro_spectral import HydroState
+
+        HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
+        realize(parse_initial_condition("u:1:1"), 8)
+        RunConfig(
+            command="evolve",
+            models=(cli.ModelId.EULER,),
+            grid_size=8,
+            ic=parse_initial_condition("u:1:1"),
+            out_path=tmp_path / "x.csv",
+        )
 
 
 class TestExitCodes:

@@ -12,6 +12,7 @@ from hydrobench.hydro_spectral import (
     HermitianSymmetryError,
     HydroState,
     InternalConsistencyError,
+    SpectralState,
     evolve,
     first_order_correction,
     from_modes,
@@ -219,10 +220,18 @@ class TestModalMachinery:
         from hydrobench._modal import mode_propagators
 
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # defective
-        props = mode_propagators(lambda kappa: jordan, 5, 0.5)
+
+        def stack(kappa):
+            return np.broadcast_to(jordan, (kappa.size, 2, 2))
+
+        # Column j of every per-mode propagator is the image of basis vector j.
+        props = np.stack(
+            [mode_propagators(stack, 5, 0.5, np.outer(e, np.ones(5)))[0] for e in np.eye(2)],
+            axis=-1,
+        )
         expected = scipy.linalg.expm(jordan * 0.5)
-        for prop in props:
-            assert np.allclose(prop, expected, atol=1e-12)
+        for m in range(5):
+            assert np.allclose(props[:, m, :], expected, atol=1e-12)
 
     def test_nyquist_mode_evolves_as_aliased_pair(self):
         # cos(N/2 x) sampled on the grid is pure Nyquist content; the exact
@@ -236,6 +245,43 @@ class TestModalMachinery:
         expected = np.cos(SOUND_SPEED * (n // 2) * t) * np.cos((n // 2) * x)
         assert np.max(np.abs(out.u - expected)) <= 1e-12
         assert np.max(np.abs(out.p)) <= 1e-12
+
+
+class TestHermitianCheck:
+    def test_one_sided_tiny_spectrum_rejected(self):
+        # A 1e-12 mode without its conjugate partner is all asymmetry, however small.
+        modes = np.zeros((3, 16), dtype=complex)
+        modes[0, 3] = 1e-12
+        with pytest.raises(HermitianSymmetryError):
+            from_modes(SpectralState(modes=modes))
+
+    def test_zero_spectrum_has_no_violation(self):
+        from hydrobench._modal import hermitian_violation
+
+        assert hermitian_violation(np.zeros((3, 16), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-316, 1e-320, 5e-324])
+    def test_tiny_real_fields_synthesize_before_and_after_evolve(self, scale):
+        # Subnormal values carry no relative precision, so evolution breaks the
+        # symmetry by a few ulps of the smallest double; that is not an error.
+        from hydrobench.moment_reference import evolve_moments, from_hydro, hydro_projection
+
+        n = 16
+        fields = np.random.default_rng(13).normal(size=(3, n)) * scale
+        state = make_state(n, u=fields[0], p=fields[1], s=fields[2])
+        spec = to_modes(state)
+        from_modes(spec)
+        times = np.array([0.1, 1.0, 5.0])
+        for model in (
+            ModelId.EULER,
+            ModelId.NAVIER_STOKES,
+            ModelId.BURNETT,
+            ModelId.RIEMANN_DECOUPLED,
+        ):
+            for later in evolve(spec, model, 0.1, EV, times):
+                from_modes(later)
+        for later in evolve_moments(from_hydro(state, 0.1), EV, times):
+            hydro_projection(later)
 
 
 class TestRiemann:

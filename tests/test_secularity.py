@@ -127,6 +127,50 @@ class TestRatioSeries:
             secular_ratio_series(IC, 0.1, EV, np.array([5.0, 2.0]))
 
 
+class TestSeriesRoutes:
+    def test_naive_series_equals_scalar_envelopes_bitwise(self):
+        eps = 0.05
+        ic = parse_initial_condition("u:2:0.7")
+        times = np.linspace(0.5, 100.0, 37)
+        series = secular_ratio_series(ic, eps, EV, times)
+        scalar = [eps * naive_correction_envelope(ic, eps, EV, float(t)) / 0.7 for t in times]
+        assert np.array_equal(series.naive_ratio, scalar)
+
+    def test_multiscale_matches_composed_expm_steps(self):
+        import scipy.linalg
+
+        from hydrobench.coefficients import SOUND_SPEED
+        from hydrobench.secularity import _augmented_matrix
+
+        eps = 0.05
+        times = np.linspace(0.0, 40.0, 81)
+        generator = _augmented_matrix(1, eps, EV)
+        state = np.array([0.5, 0.0, 0.0, 0.0], dtype=complex)
+        step = scipy.linalg.expm(generator * (times[1] - times[0]))
+        expected = []
+        for _ in times:
+            lead = np.hypot(SOUND_SPEED * abs(state[0]), abs(state[1]))
+            corr = np.hypot(SOUND_SPEED * abs(state[2]), abs(state[3]))
+            expected.append(eps * corr / lead)
+            state = step @ state
+        got = secular_ratio_series(IC, eps, EV, times).multiscale_ratio
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(expected)
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        import hydrobench.secularity as sec
+        from hydrobench.hydro_spectral import InternalConsistencyError
+
+        real = sec.exp_action
+
+        def skewed(mats, vectors, times):
+            for rows, block in real(mats, vectors, times):
+                yield rows, block * (1.0 + 1e-8)
+
+        monkeypatch.setattr(sec, "exp_action", skewed)
+        with pytest.raises(InternalConsistencyError):
+            sec.secular_ratio_series(IC, 0.05, EV, np.linspace(1.0, 10.0, 20))
+
+
 class TestCrossingTime:
     @staticmethod
     def crossing_time(eps: float) -> float:
