@@ -1,0 +1,411 @@
+"""The check registry: every acceptance criterion and invariant, computed once.
+
+A check returns its Measurements, each a measured value against its bound; a
+check passes when every measurement holds, and a check that raises has
+failed.  The first PAPER_CRITERIA entries are the paper's acceptance criteria
+1-8, the rest are supporting invariants.  `hydrobench selftest` prints the
+registry and tests/test_acceptance.py asserts it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+import numpy as np
+
+from . import _modal, hydro_spectral, moment_reference, secularity, velocity_space
+from .coefficients import eigenvalue_set, transport_burnett, transport_ns
+from .dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
+from .initial_conditions import parse_initial_condition, realize
+from .velocity_space import EigenfunctionId, Recursion
+
+__all__ = ["PAPER_CRITERIA", "REGISTRY", "Check", "Measurement"]
+
+#: The first this-many registry entries are the paper's acceptance criteria.
+PAPER_CRITERIA = 8
+
+EV = eigenvalue_set(-1)
+
+_RELATIONS = {
+    "==": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "in": lambda value, bound: bound[0] <= value <= bound[1],
+}
+
+
+def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(_fmt, value)) + "]"
+    return format(value, ".4g") if isinstance(value, float) else str(value)
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """A measured quantity and the bound it must meet; "in" takes (lo, hi)."""
+
+    quantity: str
+    value: object
+    relation: str
+    bound: object
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+    def __str__(self) -> str:
+        relation = self.relation if self.passed else f"violates {self.relation}"
+        return f"{self.quantity} {_fmt(self.value)} {relation} {_fmt(self.bound)}"
+
+
+@dataclass(frozen=True)
+class Check:
+    number: int
+    name: str
+    description: str
+    measure: Callable[[], list[Measurement]]
+
+
+REGISTRY: list[Check] = []
+
+
+def _check(description: str):
+    def register(measure: Callable[[], list[Measurement]]):
+        REGISTRY.append(Check(len(REGISTRY) + 1, measure.__name__, description, measure))
+        return measure
+
+    return register
+
+
+def _state(ic_text: str, n: int) -> hydro_spectral.HydroState:
+    fields = realize(parse_initial_condition(ic_text), n)
+    return hydro_spectral.HydroState(u=fields["u"], p=fields["p"], s=fields["s"])
+
+
+def _energy(spec: hydro_spectral.SpectralState) -> float:
+    state = hydro_spectral.from_modes(spec)
+    dx = 2.0 * np.pi / state.grid_size
+    return float(dx * np.sum((5.0 / 3.0) * state.u**2 + state.p**2))
+
+
+def _max_gap(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+# The paper's acceptance criteria ----------------------------------------------
+
+
+@_check("eigenfunction algebra exact")
+def eigenfunction_algebra() -> list[Measurement]:
+    norms = {
+        EigenfunctionId.PSI02: Fraction(4, 3),
+        EigenfunctionId.PSI11: Fraction(5, 2),
+        EigenfunctionId.PSI12: Fraction(14, 3),
+        EigenfunctionId.PSI20: Fraction(15, 2),
+        EigenfunctionId.PSI03: Fraction(12, 5),
+    }
+    found = []
+    for eid, value in norms.items():
+        poly = velocity_space.psi_poly(eid)
+        found.append(Measurement(f"|{eid.value}|^2", velocity_space.inner(poly, poly), "==", value))
+    for which in Recursion:
+        residual = velocity_space.recursion_residual(which)
+        terms = len(residual.terms)
+        found.append(Measurement(f"{which.value} recursion residual terms", terms, "==", 0))
+    return found
+
+
+@_check("coefficient identities exact")
+def coefficient_identities() -> list[Measurement]:
+    ns, burnett = transport_ns(EV), transport_burnett(EV)
+    return [
+        Measurement("NS sound diffusivity", ns.sound_diffusivity, "==", Fraction(7, 6)),
+        Measurement("NS entropy diffusivity", ns.entropy_diffusivity, "==", Fraction(3, 2)),
+        Measurement("beta_u", burnett.beta_u, "==", Fraction(19, 120)),
+        Measurement("beta_p", burnett.beta_p, "==", Fraction(19, 72)),
+        Measurement("(5/3) beta_u", Fraction(5, 3) * burnett.beta_u, "==", burnett.beta_p),
+    ]
+
+
+@_check("Burnett/Riemann dispersion exact")
+def dispersion_exactness() -> list[Measurement]:
+    worst = 0.0
+    for model, k, eps in itertools.product(
+        (ModelId.BURNETT, ModelId.RIEMANN_DECOUPLED), (0.5, 1.0, 2.0, 4.0, 8.0), (0.05, 0.1, 0.2)
+    ):
+        eig = np.linalg.eigvals(symbol_matrix(model, k, eps, EV))
+        for branch in (Branch.SOUND_PLUS, Branch.SOUND_MINUS, Branch.ENTROPY):
+            target = sigma_asymptotic(k, eps, EV, branch)
+            worst = max(worst, float(np.min(np.abs(eig - target))))
+    return [Measurement("worst eigenvalue gap", worst, "<=", 1e-12)]
+
+
+@_check("moment-reference convergence to closed-form dispersion")
+def moment_reference_convergence() -> list[Measurement]:
+    errors: dict[Branch, list[float]] = {Branch.SOUND_PLUS: [], Branch.ENTROPY: []}
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        table = branches(ModelId.MOMENT_REFERENCE, [1.0], eps, EV)
+        for branch, errs in errors.items():
+            errs.append(abs(table.branch(branch)[0] - sigma_asymptotic(1.0, eps, EV, branch)))
+    # Each halving of eps divides the error by 2**order.
+    sound, entropy = ([a / b for a, b in zip(e, e[1:])] for e in errors.values())
+    return [
+        Measurement("min sound error ratio", min(sound), ">=", 6.5),
+        Measurement("max sound error ratio", max(sound), "<=", 9.5),
+        Measurement("min sound order", float(np.log2(min(sound))), ">=", 2.7),
+        Measurement("min entropy order", float(np.log2(min(entropy))), ">=", 1.8),
+    ]
+
+
+@_check("first-order uniform accuracy at t = 1/eps")
+def uniform_error_scaling() -> list[Measurement]:
+    state = _state("u:1:1", 64)
+    coarse = moment_reference.burnett_deviation_rms(state, 0.1, EV, time=1.0 / 0.1)
+    fine = moment_reference.burnett_deviation_rms(state, 0.05, EV, time=1.0 / 0.05)
+    return [Measurement("L2-deviation ratio eps 0.1/0.05", coarse / fine, "in", (1.5, 2.5))]
+
+
+@_check("secular growth vs multiscale boundedness")
+def secularity_demonstration() -> list[Measurement]:
+    ic, eps = parse_initial_condition("u:1:1"), 0.05
+    times = np.linspace(10.0, 100.0, 91)
+    naive = secularity.secular_ratio_series(ic, eps, EV, times).naive_ratio
+    coeffs, residuals, *_ = np.polyfit(times, naive, 1, full=True)
+    ss_tot = float(np.sum((naive - naive.mean()) ** 2))
+    r_squared = 1.0 - (float(residuals[0]) if residuals.size else 0.0) / ss_tot
+
+    def crossing(eps_value: float) -> float:
+        # First time the naive ratio reaches 0.5, interpolated on the series.
+        grid_t = np.linspace(1.0, 1.0 / eps_value**2, 4000)
+        ratio = secularity.secular_ratio_series(ic, eps_value, EV, grid_t).naive_ratio
+        i = int(np.nonzero(ratio >= 0.5)[0][0])
+        t0, t1 = grid_t[i - 1], grid_t[i]
+        r0, r1 = ratio[i - 1], ratio[i]
+        return float(t0 + (0.5 - r0) * (t1 - t0) / (r1 - r0))
+
+    late = secularity.multiscale_bound(ic, eps, EV, tmax=1.0 / eps**2)
+    early = secularity.multiscale_bound(ic, eps, EV, tmax=10.0)
+    factor = crossing(eps / 2.0) / crossing(eps)
+    return [
+        Measurement("naive slope", float(coeffs[0]), ">", 0.0),
+        Measurement("naive R^2", r_squared, ">=", 0.99),
+        Measurement("crossing factor eps/2 : eps", factor, "in", (1.6, 2.4)),
+        Measurement("multiscale bound to 1/eps^2", late.value, "<=", 2.0 * early.value),
+        Measurement("1/eps^2 beyond validity", late.beyond_validity, "==", False),
+    ]
+
+
+@_check("solver hygiene")
+def solver_hygiene() -> list[Measurement]:
+    evolve = hydro_spectral.evolve
+    state = _state("u:1:1,p:2:0.5:0.3,s:3:0.25", 16)
+    spec = hydro_spectral.to_modes(state)
+    back = hydro_spectral.from_modes(spec)
+    round_trip = max(_max_gap(getattr(back, f), getattr(state, f)) for f in "ups")
+
+    one = evolve(spec, ModelId.BURNETT, 0.1, EV, 1.9)
+    two = evolve(evolve(spec, ModelId.BURNETT, 0.1, EV, 1.2), ModelId.BURNETT, 0.1, EV, 0.7)
+
+    cur, e0, drift = spec, _energy(spec), 0.0
+    for _ in range(1000):
+        cur = evolve(cur, ModelId.EULER, 0.0, EV, 0.05)
+        drift = max(drift, abs(_energy(cur) - e0) / e0)
+    s_drift = _max_gap(hydro_spectral.from_modes(cur).s, state.s)
+
+    offset = hydro_spectral.HydroState(u=state.u + 0.5, p=state.p - 0.25, s=state.s + 1.0)
+    offset_spec = hydro_spectral.to_modes(offset)
+    mean_drift = max(
+        _max_gap(evolve(offset_spec, model, 0.1, EV, 2.0).modes[:, 0], offset_spec.modes[:, 0])
+        for model in ModelId
+        if model is not ModelId.MOMENT_REFERENCE
+    )
+    moments = moment_reference.from_hydro(offset, 0.1)
+    moved = moment_reference.evolve_moments(moments, EV, 2.0).modes[:3, 0]
+    mean_drift = max(mean_drift, _max_gap(moved, moments.modes[:3, 0]))
+
+    growth = -np.inf
+    for model in (ModelId.NAVIER_STOKES, ModelId.BURNETT):
+        cur, previous = spec, _energy(spec)
+        for _ in range(100):
+            cur = evolve(cur, model, 0.1, EV, 0.1)
+            now = _energy(cur)
+            growth, previous = max(growth, (now - previous) / previous), now
+    return [
+        Measurement("spectral round trip", round_trip, "<=", 1e-12),
+        Measurement("semigroup gap 1.9 = 1.2 + 0.7", _max_gap(one.modes, two.modes), "<=", 1e-11),
+        Measurement("Euler energy drift, 1000 steps", drift, "<=", 1e-10),
+        Measurement("Euler s drift, 1000 steps", s_drift, "<=", 1e-10),
+        Measurement("k = 0 mean drift, all models", mean_drift, "==", 0.0),
+        Measurement("NS/Burnett energy growth per step, 100 steps", float(growth), "<=", 1e-12),
+    ]
+
+
+@_check("first-correction flux bridge")
+def h1_flux_bridge() -> list[Measurement]:
+    # The two routes inside h1_fluxes agree to 1e-10 or it raises.
+    n = 64
+    x = 2.0 * np.pi * np.arange(n) / n
+    state_u = hydro_spectral.HydroState(u=np.sin(x), p=np.zeros(n), s=np.zeros(n))
+    stress, heat = hydro_spectral.h1_fluxes(state_u, EV, 0.1)
+    # T = sin x needs p + s = (5/2) sin x.
+    state_t = hydro_spectral.HydroState(u=np.zeros(n), p=2.5 * np.sin(x), s=np.zeros(n))
+    _, heat_t = hydro_spectral.h1_fluxes(state_t, EV, 0.1)
+    stress_gap = _max_gap(stress, (-4.0 / 3.0) * np.cos(x))
+    temperature_gap = _max_gap(state_t.temperature, np.sin(x))
+    heat_gap = _max_gap(heat_t, (-15.0 / 4.0) * np.cos(x))
+    return [
+        Measurement("stress gap to -(4/3) cos x", stress_gap, "<=", 1e-10),
+        Measurement("heat flux of u-only state", float(np.max(np.abs(heat))), "<=", 1e-10),
+        Measurement("temperature gap to sin x", temperature_gap, "<=", 1e-12),
+        Measurement("heat gap to -(15/4) cos x", heat_gap, "<=", 1e-10),
+    ]
+
+
+# Supporting invariants --------------------------------------------------------
+
+# (k, l) labels; two eigenfunctions that differ in both labels are orthogonal.
+_LABELS = {
+    EigenfunctionId.ONE: (0, 0),
+    EigenfunctionId.CX: (1, 0),
+    EigenfunctionId.CSQ_HALF: (0, 1),
+    EigenfunctionId.PSI02: (0, 2),
+    EigenfunctionId.PSI11: (1, 1),
+    EigenfunctionId.PSI03: (0, 3),
+    EigenfunctionId.PSI20: (2, 0),
+    EigenfunctionId.PSI12: (1, 2),
+}
+
+
+@_check("eigenfunction orthogonality")
+def orthogonality() -> list[Measurement]:
+    psi = velocity_space.psi_poly
+    worst = max(
+        abs(velocity_space.inner(psi(a), psi(b)))
+        for a, b in itertools.combinations(_LABELS, 2)
+        if _LABELS[a][0] != _LABELS[b][0] and _LABELS[a][1] != _LABELS[b][1]
+    )
+    return [Measurement("max |<a,b>| over declared pairs", worst, "==", 0)]
+
+
+@_check("inner product bilinearity")
+def bilinearity() -> list[Measurement]:
+    inner, rng = velocity_space.inner, np.random.default_rng(7)
+
+    def poly() -> velocity_space.VelocityPolynomial:
+        return velocity_space.VelocityPolynomial(
+            {
+                (int(rng.integers(0, 3)), int(rng.integers(0, 3))): Fraction(
+                    int(rng.integers(-5, 6)), int(rng.integers(1, 5))
+                )
+                for _ in range(3)
+            }
+        )
+
+    symmetry = linearity = Fraction(0)
+    for _ in range(10):
+        p, q, r = poly(), poly(), poly()
+        c = Fraction(int(rng.integers(-4, 5)), 3)
+        symmetry = max(symmetry, abs(inner(p, q) - inner(q, p)))
+        linearity = max(linearity, abs(inner(p, c * q + r) - c * inner(p, q) - inner(p, r)))
+    return [
+        Measurement("symmetry defect", symmetry, "==", 0),
+        Measurement("linearity defect", linearity, "==", 0),
+    ]
+
+
+@_check("coefficient scale covariance")
+def scale_covariance() -> list[Measurement]:
+    scaled = eigenvalue_set(-3)
+    ns0, ns1 = transport_ns(EV), transport_ns(scaled)
+    b0, b1 = transport_burnett(EV), transport_burnett(scaled)
+    # Diffusivities scale as 1/c and Burnett coefficients as 1/c^2 when the
+    # eigenvalues scale by c = 3.
+    return [
+        Measurement("NS sound ratio", ns0.sound_diffusivity / ns1.sound_diffusivity, "==", 3),
+        Measurement("NS entropy ratio", ns0.entropy_diffusivity / ns1.entropy_diffusivity, "==", 3),
+        Measurement("beta_u ratio", b0.beta_u / b1.beta_u, "==", 9),
+        Measurement("beta_p ratio", b0.beta_p / b1.beta_p, "==", 9),
+    ]
+
+
+@_check("spectral stability")
+def spectral_stability() -> list[Measurement]:
+    worst, euler = -np.inf, 0.0
+    for model, eps in itertools.product(ModelId, (0.02, 0.1, 0.3)):
+        for k in np.linspace(0.05, 12.0, 40):
+            eig = np.linalg.eigvals(symbol_matrix(model, float(k), eps, EV))
+            worst = max(worst, float(eig.real.max()))
+            if model is ModelId.EULER:
+                euler = max(euler, float(np.max(np.abs(eig.real))))
+    return [
+        Measurement("max Re sigma", worst, "<=", 1e-10),
+        Measurement("max |Re sigma|, Euler", euler, "<=", 1e-12),
+    ]
+
+
+@_check("conjugate sound symmetry")
+def conjugate_symmetry() -> list[Measurement]:
+    worst = 0.0
+    for k, eps in itertools.product((0.3, 1.0, 3.0), (0.05, 0.15)):
+        plus = sigma_asymptotic(k, eps, EV, Branch.SOUND_PLUS)
+        minus = sigma_asymptotic(k, eps, EV, Branch.SOUND_MINUS)
+        worst = max(worst, abs(plus - np.conj(minus)))
+    return [Measurement("|sigma+ - conj(sigma-)|", worst, "==", 0.0)]
+
+
+@_check("moment NS closure")
+def ns_closure() -> list[Measurement]:
+    k, eps = 1.3, 0.07
+    m = moment_reference.moment_symbol(k, eps, EV)
+    # Quasi-steady stress Pi = (4 eps/(3 lambda02)) (-ik) u and heat flux
+    # q = (5 eps/(2 lambda11)) (-ik) (p - n).
+    stress = 4.0 * eps / (3.0 * float(EV.lambda02)) * (-1j * k)
+    heat = 5.0 * eps / (2.0 * float(EV.lambda11)) * (-1j * k)
+    return [
+        Measurement("stress gain gap", abs(-m[3, 1] / m[3, 3] - stress), "<", 1e-14),
+        Measurement("heat gain gap (p)", abs(-m[4, 2] / m[4, 4] - heat), "<", 1e-14),
+        Measurement("heat gain gap (n)", abs(-m[4, 0] / m[4, 4] + heat), "<", 1e-14),
+    ]
+
+
+@_check("Riemann decoupling equivalence")
+def riemann_decoupling() -> list[Measurement]:
+    n, eps, t = 32, 0.1, 3.0
+    state = _state("u:1:1,p:2:0.4", n)
+    evolved = hydro_spectral.from_modes(
+        hydro_spectral.evolve(hydro_spectral.to_modes(state), ModelId.BURNETT, eps, EV, t)
+    )
+    rp_after, rm_after = hydro_spectral.riemann_split(evolved.u, evolved.p)
+    rp0, rm0 = hydro_spectral.riemann_split(state.u, state.p)
+    riemann_state = hydro_spectral.HydroState(u=rp0, p=rm0, s=np.zeros(n))
+    riemann_evolved = hydro_spectral.from_modes(
+        hydro_spectral.evolve(
+            hydro_spectral.to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, t
+        )
+    )
+    gap = max(_max_gap(riemann_evolved.u, rp_after), _max_gap(riemann_evolved.p, rm_after))
+    return [Measurement("gap to split Burnett", gap, "<=", 1e-10)]
+
+
+@_check("moment hygiene")
+def moment_hygiene() -> list[Measurement]:
+    n = 16
+    moments = moment_reference.from_hydro(_state("u:1:1,p:2:0.3", n), eps=0.1)
+    evolved = moment_reference.evolve_moments(moments, EV, 2.5)
+    projection = moment_reference.hydro_projection(evolved)
+    herm = max(
+        _modal.hermitian_violation(evolved.modes),
+        _modal.hermitian_violation(hydro_spectral.to_modes(projection.state).modes),
+    )
+    drift = _max_gap(evolved.modes[:3, 0], moments.modes[:3, 0])
+    return [
+        Measurement("k = 0 n, u, p drift", drift, "<=", 1e-14),
+        Measurement("projection grid size", projection.state.grid_size, "==", n),
+        Measurement("hermitian violation", herm, "<=", 1e-9),
+    ]

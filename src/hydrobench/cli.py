@@ -19,6 +19,7 @@ import argparse
 import itertools
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +31,6 @@ from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
 from .initial_conditions import ICParseError, ICSpec, ICTerm, parse_initial_condition, realize
-from .selftest import run_selftest
 
 __all__ = [
     "ICSpec",
@@ -306,7 +306,13 @@ def _initial_state(config: RunConfig) -> hydro_spectral.HydroState:
 
 
 def _output_times(config: RunConfig) -> np.ndarray:
-    count = int(np.floor(config.tmax / config.dt_out + 1e-9))
+    """i * dt_out for every integer i >= 0 with i * dt_out <= tmax.
+
+    The count is decided exactly on the shortest decimal form of each value,
+    so tmax 0.3 and dt-out 0.1 give three steps although the doubles divide
+    to 2.9999999999999996.
+    """
+    count = Fraction(repr(float(config.tmax))) // Fraction(repr(float(config.dt_out)))
     return config.dt_out * np.arange(count + 1)
 
 
@@ -379,17 +385,29 @@ def _cmd_secular(config: RunConfig) -> tuple[list[str], list[list[object]]]:
     return ["t", "naive_ratio", "multiscale_ratio"], rows
 
 
+def _selftest() -> int:
+    """Print every registered check, value against bound; exit 2 if any fails."""
+    from . import checks  # the data commands never need the registry's imports
+
+    failed = 0
+    for check in checks.REGISTRY:
+        try:
+            measurements = check.measure()
+            passed = bool(measurements) and all(m.passed for m in measurements)
+            detail = "; ".join(map(str, measurements))
+        except Exception as exc:  # a crashed check is a failed check
+            passed, detail = False, f"raised {exc!r}"
+        failed += not passed
+        print(f"{'ok  ' if passed else 'FAIL'} {check.number:2d} {check.description}: {detail}")
+    print(f"{len(checks.REGISTRY) - failed}/{len(checks.REGISTRY)} checks passed")
+    return 2 if failed else 0
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     try:
         if config.command == "selftest":
-            results = run_selftest()
-            for result in results:
-                status = "ok " if result.passed else "FAIL"
-                print(f"{status} {result.name}: {result.detail}")
-            failed = [r for r in results if not r.passed]
-            print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-            return 0 if not failed else 2
+            return _selftest()
         builders = {
             "dispersion": _cmd_dispersion,
             "evolve": _cmd_evolve,

@@ -316,6 +316,33 @@ class TestSecularCommand:
         assert code == 1
 
 
+class TestOutputTimes:
+    @pytest.mark.parametrize(
+        "tmax, dt_out, steps",
+        [
+            (0.3, 0.1, 3),  # the doubles divide to 2.9999999999999996
+            (0.7, 0.1, 7),  # and to 6.999999999999999
+            (0.29999999995, 0.1, 2),  # 0.3 would lie past tmax
+            (10.0, 0.1, 100),
+            (10.0, 0.5, 20),
+            (10000.0, 0.5, 20000),
+            (4.8669344111683355, 4.8669344111683355, 1),
+            (20.0, 0.5, 40),
+            (400.0, 0.5, 800),
+        ],
+    )
+    def test_exact_step_count(self, tmp_path, tmax, dt_out, steps):
+        config = RunConfig(
+            command="secular",
+            tmax=tmax,
+            dt_out=dt_out,
+            ic=parse_initial_condition("u:1:1"),
+            out_path=tmp_path / "x.csv",
+        )
+        times = cli._output_times(config)
+        assert np.array_equal(times, dt_out * np.arange(steps + 1))
+
+
 class TestDeterminismAndConfig:
     def test_identical_config_identical_bytes(self, tmp_path):
         args = [
@@ -567,3 +594,39 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "dispersion" in out and "selftest" in out
+
+
+class TestSelftestCommand:
+    def test_every_check_passes(self, capsys):
+        from hydrobench import checks
+
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        total = len(checks.REGISTRY)
+        assert lines[-1] == f"{total}/{total} checks passed"
+        assert len(lines) == total + 1
+        assert all(line.startswith("ok  ") for line in lines[:-1])
+
+    def test_failures_are_reported_not_raised(self, monkeypatch, capsys):
+        import dataclasses
+
+        from hydrobench import checks
+
+        def over_bound():
+            return [checks.Measurement("worst eigenvalue gap", 3e-12, "<=", 1e-12)]
+
+        def crash():
+            raise RuntimeError("synthetic crash")
+
+        registry = list(checks.REGISTRY)
+        registry[2] = dataclasses.replace(registry[2], measure=over_bound)
+        registry[3] = dataclasses.replace(registry[3], measure=crash)
+        monkeypatch.setattr(checks, "REGISTRY", registry)
+        assert main(["selftest"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 2
+        assert "worst eigenvalue gap 3e-12 violates <= 1e-12" in failed[0]
+        assert "synthetic crash" in failed[1]
+        total = len(checks.REGISTRY)
+        assert lines[-1] == f"{total - 2}/{total} checks passed"

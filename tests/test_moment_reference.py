@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic
 from hydrobench.hydro_spectral import HydroState, evolve, to_modes
@@ -131,6 +135,39 @@ class TestEvolveMoments:
         state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
         with pytest.raises(ValueError):
             evolve_moments(from_hydro(state, 0.1), EV, 0.0)
+
+
+@st.composite
+def moment_states(draw):
+    """Moment state from small random real (u, p, s) fields at a random eps."""
+    n = draw(st.integers(MIN_GRID_SIZE, 32))
+    values = draw(arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
+    eps = draw(st.floats(0.01, 1.0))
+    return from_hydro(HydroState(u=values[0], p=values[1], s=values[2]), eps)
+
+
+class TestEvolveMomentsProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(moments=moment_states(), t1=st.floats(0.01, 5.0), t2=st.floats(0.01, 5.0))
+    def test_semigroup(self, moments, t1, t2):
+        direct = evolve_moments(moments, EV, t1 + t2)
+        composed = evolve_moments(evolve_moments(moments, EV, t1), EV, t2)
+        # The Nyquist mode of an even grid takes the real part of its
+        # propagator at every time, which does not compose; skip it.
+        others = 2 * np.arange(moments.grid_size) != moments.grid_size
+        gap = np.max(np.abs(direct.modes - composed.modes)[:, others])
+        assert gap <= 1e-11 * max(float(np.max(np.abs(moments.modes))), np.finfo(float).tiny)
+
+    @settings(max_examples=40, deadline=None)
+    @given(moments=moment_states(), t=st.floats(0.01, 10.0))
+    def test_hermitian_preserved(self, moments, t):
+        assert hermitian_violation(evolve_moments(moments, EV, t).modes) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(moments=moment_states(), t=st.floats(0.01, 10.0))
+    def test_conserved_rows_exact_at_zero_k(self, moments, t):
+        out = evolve_moments(moments, EV, t)
+        assert np.array_equal(out.modes[:3, 0], moments.modes[:3, 0])
 
 
 class TestHydroProjection:
