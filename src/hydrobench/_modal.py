@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "HermitianSymmetryError",
@@ -101,6 +100,8 @@ def exp_action(
         conds = np.linalg.cond(eigvecs)
     coeffs = np.einsum("mij,jm->mi", np.linalg.inv(eigvecs), vectors)
     defective = np.nonzero(~np.isfinite(conds) | (conds > 1.0 / DEFECT_RCOND))[0]
+    if defective.size:
+        import scipy.linalg  # deferred: slow to import, and only defective symbols need it
     step = max(1, EVAL_BLOCK // eigvals.size)
     for lo in range(0, times.size, step):
         rows = slice(lo, lo + step)

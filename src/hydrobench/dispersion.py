@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,12 +84,6 @@ class DispersionTable:
 
     def branch(self, label: Branch) -> np.ndarray:
         return self.sigma[:, self.labels.index(label)]
-
-    def iter_rows(self) -> Iterator[tuple[float, Branch, complex]]:
-        """Rows in (k, branch, sigma) order, branches in label order."""
-        for i, k in enumerate(self.k_grid):
-            for j, label in enumerate(self.labels):
-                yield float(k), label, complex(self.sigma[i, j])
 
 
 def sigma_asymptotic(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from ._modal import exp_action
 from .coefficients import SOUND_SPEED, EigenvalueSet
@@ -159,6 +158,7 @@ def _multiscale_ratios(
     for rows, block in exp_action(generator[None], start[:, None], times):
         leading = _acoustic_amplitude(block[:, 0, 0], block[:, 1, 0])
         ratios[rows] = eps * _acoustic_amplitude(block[:, 2, 0], block[:, 3, 0]) / leading
+    import scipy.linalg  # deferred, so the CLI's other commands never pay for its import
     direct = scipy.linalg.expm(generator * times[-1]) @ start
     gap = float(np.max(np.abs(block[-1, :, 0] - direct)))
     if gap > ROUTE_CONSISTENCY_TOL * float(np.max(np.abs(direct))):

@@ -2,11 +2,16 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hydrobench
 from hydrobench import cli
 from hydrobench.cli import RunConfig, emit_outputs, main
 from hydrobench.initial_conditions import ICParseError, parse_initial_condition, realize
@@ -73,31 +78,46 @@ class TestICGrammar:
 class TestEmitOutputs:
     def test_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_outputs(["a", "b"], [[1.5, "x"]], path)
+        emit_outputs(cli._table({"a": [1.5], "b": ["x"]}), path)
         assert path.read_text() == "a,b\n1.5,x\n"
 
     def test_reals_round_trip(self, tmp_path):
         values = [math.pi, 1.0 / 3.0, 2e-15, -7.123456789012345e100]
         path = tmp_path / "floats.csv"
-        emit_outputs(["v"], [[v] for v in values], path)
+        emit_outputs(cli._table({"v": values}), path)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         for value, row in zip(values, rows):
             assert float(row["v"]) == value
 
-    def test_rejects_empty_and_ragged(self, tmp_path):
+    def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_outputs(["a"], [], tmp_path / "no.csv")
-        with pytest.raises(ValueError):
-            emit_outputs(["a", "b"], [[1, 2], [3]], tmp_path / "no.csv")
+            emit_outputs(cli._table({"a": np.empty(0)}), tmp_path / "no.csv")
+        assert not (tmp_path / "no.csv").exists()
+
+    def test_blocks_match_per_value_format(self, tmp_path):
+        # Tricky doubles across two write-block boundaries: every value must
+        # come out exactly as format(v, ".17g"), every label as str(v).
+        tricky = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 2.0**53 + 2]
+        tricky += [math.nan, math.inf, -math.inf]
+        count = 2 * cli.WRITE_BLOCK + 1
+        labels = [f"row{i}" for i in range(count)]
+        a = [tricky[i % len(tricky)] for i in range(count)]
+        b = [tricky[(i * 5 + 3) % len(tricky)] for i in range(count)]
+        path = tmp_path / "oracle.csv"
+        emit_outputs(cli._table({"a": a, "label": labels, "b": b}), path)
+        lines = ["a,label,b"]
+        lines += [
+            f"{format(x, '.17g')},{name},{format(y, '.17g')}" for x, name, y in zip(a, labels, b)
+        ]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_svg_deterministic_and_well_formed(self, tmp_path):
-        header = ["t", "y"]
-        rows = [[float(i), math.sin(i / 3.0)] for i in range(20)]
+        rows = cli._table({"t": np.arange(20.0), "y": np.sin(np.arange(20) / 3.0)})
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        emit_outputs(header, rows, first, emit_svg=True, title="chart")
-        emit_outputs(header, rows, second, emit_svg=True, title="chart")
+        emit_outputs(rows, first, emit_svg=True, title="chart")
+        emit_outputs(rows, second, emit_svg=True, title="chart")
         svg_a = (tmp_path / "a.svg").read_bytes()
         svg_b = (tmp_path / "b.svg").read_bytes()
         assert svg_a == svg_b
@@ -252,6 +272,15 @@ class TestCompareCommand:
         assert all(float(r["l2_error_burnett"]) >= 0.0 for r in rows)
 
 
+    def test_repeated_models_written_once_in_first_seen_order(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--model", "burnett,burnett,riemann,riemann_decoupled"]
+        argv += ["--ic", "u:1:1", "--tmax", "1", "--dt-out", "0.5", "--grid-size", "16"]
+        assert main(argv + ["--out", str(out)]) == 0
+        with open(out) as fh:
+            header = next(csv.reader(fh))
+        assert header == ["t", "l2_error_burnett", "l2_error_riemann_decoupled"]
+
     @pytest.mark.xfail(
         strict=True,
         reason="compare feeds (u, p, s) modes to the (R+, R-, s) Riemann symbol without "
@@ -379,6 +408,25 @@ class TestDeterminismAndConfig:
         assert len(rows) == 4 * 3  # flag wins over the config value of 8
 
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=burnett\ngridsize=4096\n")
+        argv = ["evolve", "--config", str(config), "--ic", "u:1:1", "--tmax", "1"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}:2" in err and "'gridsize'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_key_of_another_command_accepted(self, tmp_path):
+        # One file may serve several commands; dispersion ignores the evolve keys.
+        config = tmp_path / "run.cfg"
+        config.write_text("model=euler\nkmin=0.5\nkmax=1\nsamples=4\nic=u:1:1\ntmax=2\n")
+        out = tmp_path / "d.csv"
+        assert main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 4 * 3
+
+
 class TestSvgShapes:
     def test_evolve_svg_charts_snapshot_against_x(self, tmp_path):
         out = tmp_path / "evo.csv"
@@ -431,6 +479,58 @@ class TestSvgShapes:
         svg = (tmp_path / "disp.svg").read_text()
         # 3 branches x (re, im) = 6 polylines
         assert svg.count("<polyline") == 6
+
+    def test_polylines_match_per_point_arithmetic(self, tmp_path):
+        # Groups in sorted label order, each ordered by x with ties kept in
+        # table order, and every point computed as scalar Python arithmetic.
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 6, 40) * 0.3
+        rows = cli._table(
+            {"g": rng.choice(["b", "a"], 40), "x": x, "y": rng.normal(size=40), "z": x * x}
+        )
+        emit_outputs(rows, tmp_path / "c.csv", emit_svg=True)
+        x_lo, x_hi = min(rows["x"].tolist()), max(rows["x"].tolist())
+        ys = rows["y"].tolist() + rows["z"].tolist()
+        y_lo, y_hi = min(ys), max(ys)
+        expected = []
+        for label in ("a", "b"):
+            group = sorted((r for r in rows.tolist() if r[0] == label), key=lambda r: r[1])
+            for col in (2, 3):
+                expected.append(
+                    " ".join(
+                        f"{70 + (r[1] - x_lo) / (x_hi - x_lo) * 710:.3f},"
+                        f"{550 - (r[col] - y_lo) / (y_hi - y_lo) * 510:.3f}"
+                        for r in group
+                    )
+                )
+        root = ET.fromstring((tmp_path / "c.svg").read_text())
+        got = [el.attrib["points"] for el in root if el.tag.endswith("polyline")]
+        assert got == expected
+        names = [el.text for el in root if el.tag.endswith("text")][-4:]
+        assert names == ["y[a]", "z[a]", "y[b]", "z[b]"]
+
+
+class TestImportCost:
+    def test_data_commands_leave_scipy_unloaded(self, tmp_path):
+        # Importing scipy.linalg takes longer than most whole CLI calls; only
+        # the secular command and defective symbols need it.
+        script = """
+import sys
+from hydrobench.cli import main
+common = ["--ic", "u:1:1,p:2:0.5", "--tmax", "1", "--dt-out", "0.5", "--grid-size", "16"]
+assert main(["evolve", "--model", "burnett", *common, "--out", "e.csv", "--svg"]) == 0
+assert main(["evolve", "--model", "moment", *common, "--out", "m.csv"]) == 0
+assert main(["compare", "--model", "euler,riemann", *common, "--out", "c.csv"]) == 0
+assert main(["dispersion", "--model", "ns,moment", "--kmax", "2", "--out", "d.csv", "--svg"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+        src = str(Path(hydrobench.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestMinimumGridSize:
