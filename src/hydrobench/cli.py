@@ -78,6 +78,10 @@ class RunConfig:
     emit_svg: bool = False
 
     def __post_init__(self):
+        for flag in ("eps", "lambda02", "kmin", "kmax", "tmax", "dt_out"):
+            value = getattr(self, flag)
+            if not np.isfinite(value):
+                raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
         if self.eps <= 0:
             raise UsageError(f"eps must be positive, got {self.eps}")
         if self.lambda02 >= 0:

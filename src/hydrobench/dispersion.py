@@ -9,7 +9,15 @@ Riemann-decoupled form, and (n, u, p, Pi, q) for the kinetic moment reference.
 Branches of the growth rate sigma(k) are tracked across a k grid by
 nearest-neighbor continuation in the complex plane, seeded at the first grid
 point from the analytic small-k limits; the eigenvalues of the whole grid
-come from one symbol stack and one batched eigvals call.
+come from one symbol stack and one batched eigvals call.  The greedy match
+between neighbouring grid points reads only their eigenvalues, so it runs
+for every step at once on one distance tensor: d rounds, each taking per
+step the free pair of least distance (lowest previous raw index, then lowest
+current one, on an exact tie).  A step is ambiguous, and BranchCollisionError
+names its k, when a pair tied for that least distance has a second free
+candidate within MATCH_AMBIGUITY_TOL, or two tied pairs want one candidate.
+The labels then follow by composing the per-step index maps from the seeded
+first point.
 """
 
 from __future__ import annotations
@@ -190,58 +198,62 @@ def _seed_values(
     return seeds
 
 
-def _assign_seeded(
-    seeds: dict[Branch, complex], values: np.ndarray
-) -> dict[Branch, complex]:
-    """Match eigenvalues to seed labels; ties broken by Im sign, then Re."""
+def _assign_seeded(seeds: Sequence[complex], values: np.ndarray) -> list[int]:
+    """Raw eigenvalue index for each seed, in seed order; ties broken by Im sign, then Re."""
     remaining = list(range(len(values)))
-    assigned: dict[Branch, complex] = {}
-    for label, seed in seeds.items():
+    assigned: list[int] = []
+    for seed in seeds:
         dists = [(abs(values[i] - seed), i) for i in remaining]
         dists.sort(key=lambda item: item[0])
-        best = dists[0]
-        if len(dists) > 1 and abs(dists[1][0] - best[0]) <= MATCH_AMBIGUITY_TOL:
-            tied = [i for d, i in dists if abs(d - best[0]) <= MATCH_AMBIGUITY_TOL]
+        best = dists[0][1]
+        if len(dists) > 1 and abs(dists[1][0] - dists[0][0]) <= MATCH_AMBIGUITY_TOL:
+            tied = [i for d, i in dists if abs(d - dists[0][0]) <= MATCH_AMBIGUITY_TOL]
             tied.sort(
                 key=lambda i: (
                     np.sign(values[i].imag) != np.sign(seed.imag),
                     abs(values[i].real - seed.real),
                 )
             )
-            best = (abs(values[tied[0]] - seed), tied[0])
-        assigned[label] = complex(values[best[1]])
-        remaining.remove(best[1])
+            best = tied[0]
+        assigned.append(best)
+        remaining.remove(best)
     return assigned
 
 
-def _assign_continued(
-    previous: dict[Branch, complex], values: np.ndarray, k: float
-) -> dict[Branch, complex]:
-    """Greedy nearest-neighbor continuation, most confident label first."""
-    remaining = list(range(len(values)))
-    pending = list(previous.keys())
-    assigned: dict[Branch, complex] = {}
-    while pending:
-        best_label = None
-        best_idx = -1
-        best_dist = np.inf
-        second_dist = np.inf
-        for label in pending:
-            dists = sorted((abs(values[i] - previous[label]), i) for i in remaining)
-            if dists[0][0] < best_dist:
-                best_label, best_idx, best_dist = label, dists[0][1], dists[0][0]
-                second_dist = dists[1][0] if len(dists) > 1 else np.inf
-        if second_dist - best_dist <= MATCH_AMBIGUITY_TOL:
-            raise BranchCollisionError(
-                f"ambiguous branch match at k = {k:g}: two eigenvalue candidates "
-                f"are equidistant within {MATCH_AMBIGUITY_TOL:g}; refine the k grid "
-                "(a collision that persists under refinement is a genuine eigenvalue "
-                "merge, past which these labels stop being meaningful)"
-            )
-        assigned[best_label] = complex(values[best_idx])
-        remaining.remove(best_idx)
-        pending.remove(best_label)
-    return assigned
+def _step_maps(values: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
+    """Greedy nearest-neighbor continuation of every grid step at once.
+
+    values[s] holds the raw eigenvalues at k_grid[s].  Row s of the result
+    maps each raw index at step s to the raw index it continues to at step
+    s + 1.  The tie and ambiguity rules are those of the module header; the
+    first ambiguous step raises BranchCollisionError at its k.
+    """
+    steps, d = values.shape[0] - 1, values.shape[1]
+    dist = np.abs(values[1:, None, :] - values[:-1, :, None])  # (step, previous, current)
+    maps = np.empty((steps, d), dtype=np.intp)
+    ambiguous = np.zeros(steps, dtype=bool)
+    pairs = dist.reshape(steps, d * d)  # a view: masking dist masks pairs
+    at = np.arange(steps)
+    for _ in range(d):
+        flat = pairs.argmin(axis=1)
+        best = pairs[at, flat][:, None]
+        nearest = np.partition(dist, 1, axis=2)
+        tied_rows = nearest[:, :, 0] == best
+        ambiguous |= np.any(tied_rows & (nearest[:, :, 1] - best <= MATCH_AMBIGUITY_TOL), axis=1)
+        ambiguous |= np.any(np.count_nonzero(dist == best[:, :, None], axis=1) > 1, axis=1)
+        previous, current = np.divmod(flat, d)
+        maps[at, previous] = current
+        dist[at, previous, :] = np.inf
+        dist[at, :, current] = np.inf
+    if ambiguous.any():
+        k = float(k_grid[int(ambiguous.argmax()) + 1])
+        raise BranchCollisionError(
+            f"ambiguous branch match at k = {k:g}: two eigenvalue candidates "
+            f"are equidistant within {MATCH_AMBIGUITY_TOL:g}; refine the k grid "
+            "(a collision that persists under refinement is a genuine eigenvalue "
+            "merge, past which these labels stop being meaningful)"
+        )
+    return maps
 
 
 def branches(
@@ -252,23 +264,36 @@ def branches(
 ) -> DispersionTable:
     """Numerical sigma(k) branches of a model symbol, matched across the grid.
 
-    The grid must be ascending and strictly positive.  For the moment
-    reference the first point should satisfy k0 <= 0.1*|lambda02|/eps so the
-    kinetic and hydrodynamic branches start well separated; that system also
-    has a real exceptional point near eps*k ~ 0.3*|lambda02| where the
-    entropy and kinetic-heat branches merge into a conjugate pair, and
-    continuation past it raises BranchCollisionError by construction.
+    The grid must be finite, ascending and strictly positive.  The first
+    point is labelled from the analytic seeds.  One batched greedy match over
+    all grid steps gives each step's raw-index map (least distance first;
+    exact ties go to the lowest previous, then current, index), and the
+    labels follow by composing those maps from the seeded indices.  A step
+    where a tied pair has a second candidate within MATCH_AMBIGUITY_TOL, or
+    where two tied pairs want one candidate, raises BranchCollisionError at
+    its k.
+
+    For the moment reference the first point should satisfy
+    k0 <= 0.1*|lambda02|/eps so the kinetic and hydrodynamic branches start
+    well separated; that system also has a real exceptional point near
+    eps*k ~ 0.3*|lambda02| where the entropy and kinetic-heat branches merge
+    into a conjugate pair, and continuation past it raises
+    BranchCollisionError by construction.
     """
     grid = np.asarray(k_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("k_grid must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("k_grid must be finite")
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("k_grid must be strictly positive and ascending")
 
     labels = _branch_labels(model)
     values = np.linalg.eigvals(symbol_matrix(model, grid, eps, eigenvalues))
-    matched = [_assign_seeded(_seed_values(model, float(grid[0]), eps, eigenvalues), values[0])]
-    for k, row in zip(grid[1:], values[1:]):
-        matched.append(_assign_continued(matched[-1], row, float(k)))
-    sigma = np.array([[match[label] for label in labels] for match in matched], dtype=complex)
+    seeds = _seed_values(model, float(grid[0]), eps, eigenvalues)
+    perm = np.empty(values.shape, dtype=np.intp)
+    perm[0] = _assign_seeded([seeds[label] for label in labels], values[0])
+    for s, step in enumerate(_step_maps(values, grid)):
+        perm[s + 1] = step[perm[s]]
+    sigma = np.take_along_axis(values, perm, axis=1)
     return DispersionTable(model=model, k_grid=grid, labels=labels, sigma=sigma)

@@ -628,6 +628,24 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--model", "euler", "--eps=nan"],
+            ["dispersion", "--model", "euler", "--kmin=nan"],
+            ["dispersion", "--model", "euler", "--kmax=inf"],
+            ["evolve", "--model", "euler", "--ic", "u:1:1", "--lambda02=nan"],
+            ["evolve", "--model", "euler", "--ic", "u:1:1", "--tmax=inf"],
+            ["compare", "--model", "euler", "--ic", "u:1:1", "--dt-out=nan"],
+            ["secular", "--ic", "u:1:1", "--eps=-inf"],
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, argv):
+        flag, value = argv[-1].split("=")
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_output_path(self, tmp_path):
         code = main(
             [

@@ -2,21 +2,92 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import (
+    MATCH_AMBIGUITY_TOL,
     Branch,
     BranchCollisionError,
     ModelId,
-    _assign_continued,
+    _branch_labels,
+    _seed_values,
+    _step_maps,
     branches,
     sigma_asymptotic,
     symbol_matrix,
 )
 
 EV = eigenvalue_set(-1)
+
+
+def _oracle_seeded(seeds, values):
+    """Sequential seeded match: one eigenvalue per label, in label order."""
+    remaining = list(range(len(values)))
+    assigned = {}
+    for label, seed in seeds.items():
+        dists = [(abs(values[i] - seed), i) for i in remaining]
+        dists.sort(key=lambda item: item[0])
+        best = dists[0]
+        if len(dists) > 1 and abs(dists[1][0] - best[0]) <= MATCH_AMBIGUITY_TOL:
+            tied = [i for d, i in dists if abs(d - best[0]) <= MATCH_AMBIGUITY_TOL]
+            tied.sort(
+                key=lambda i: (
+                    np.sign(values[i].imag) != np.sign(seed.imag),
+                    abs(values[i].real - seed.real),
+                )
+            )
+            best = (abs(values[tied[0]] - seed), tied[0])
+        assigned[label] = complex(values[best[1]])
+        remaining.remove(best[1])
+    return assigned
+
+
+def _oracle_continued(previous, values, k):
+    """Sequential greedy continuation at one k, most confident label first."""
+    remaining = list(range(len(values)))
+    pending = list(previous.keys())
+    assigned = {}
+    while pending:
+        best_label = None
+        best_idx = -1
+        best_dist = np.inf
+        second_dist = np.inf
+        for label in pending:
+            dists = sorted((abs(values[i] - previous[label]), i) for i in remaining)
+            if dists[0][0] < best_dist:
+                best_label, best_idx, best_dist = label, dists[0][1], dists[0][0]
+                second_dist = dists[1][0] if len(dists) > 1 else np.inf
+        if second_dist - best_dist <= MATCH_AMBIGUITY_TOL:
+            raise BranchCollisionError(
+                f"ambiguous branch match at k = {k:g}: two eigenvalue candidates "
+                f"are equidistant within {MATCH_AMBIGUITY_TOL:g}; refine the k grid "
+                "(a collision that persists under refinement is a genuine eigenvalue "
+                "merge, past which these labels stop being meaningful)"
+            )
+        assigned[best_label] = complex(values[best_idx])
+        remaining.remove(best_idx)
+        pending.remove(best_label)
+    return assigned
+
+
+def _oracle_branches(model, grid, eps):
+    """The per-k continuation loop that the batched matcher replaced, as its oracle."""
+    values = np.linalg.eigvals(symbol_matrix(model, grid, eps, EV))
+    matched = [_oracle_seeded(_seed_values(model, float(grid[0]), eps, EV), values[0])]
+    for k, row in zip(grid[1:], values[1:]):
+        matched.append(_oracle_continued(matched[-1], row, float(k)))
+    labels = _branch_labels(model)
+    return np.array([[match[label] for label in labels] for match in matched], dtype=complex)
+
+
+def _outcome(route):
+    """(sigma, None) from a matching route, or (None, message) when it refuses."""
+    try:
+        return route(), None
+    except BranchCollisionError as exc:
+        return None, str(exc)
 
 
 class TestSigmaAsymptotic:
@@ -181,6 +252,13 @@ class TestBranches:
         with pytest.raises(BranchCollisionError, match="refine"):
             branches(ModelId.MOMENT_REFERENCE, grid, 0.1, EV)
 
+    @pytest.mark.parametrize(
+        "grid", [[np.nan], [np.inf], [0.1, np.inf], [0.1, np.nan, 0.3], [-np.inf, 0.1]]
+    )
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            branches(ModelId.EULER, grid, 0.1, EV)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             branches(ModelId.EULER, [2.0, 1.0], 0.1, EV)
@@ -202,15 +280,50 @@ class TestBranches:
 
 
 class TestBranchCollision:
+    # Two grid points: values[0] holds (sound_plus, sound_minus) at the previous k.
+    K = np.array([0.5, 1.0])
+
     def test_ambiguous_candidates_raise(self):
-        previous = {Branch.SOUND_PLUS: 1.0 + 0j, Branch.SOUND_MINUS: -1.0 + 0j}
-        values = np.array([0.0 + 0j, 0.0 + 0j])  # equidistant twins
+        values = np.array([[1.0 + 0j, -1.0 + 0j], [0.0 + 0j, 0.0 + 0j]])  # equidistant twins
         with pytest.raises(BranchCollisionError, match="refine"):
-            _assign_continued(previous, values, k=1.0)
+            _step_maps(values, self.K)
 
     def test_distinct_candidates_do_not_raise(self):
-        previous = {Branch.SOUND_PLUS: 1.0 + 0j, Branch.SOUND_MINUS: -1.0 + 0j}
-        values = np.array([0.9 + 0j, -1.1 + 0j])
-        assigned = _assign_continued(previous, values, k=1.0)
-        assert assigned[Branch.SOUND_PLUS] == 0.9 + 0j
-        assert assigned[Branch.SOUND_MINUS] == -1.1 + 0j
+        values = np.array([[1.0 + 0j, -1.0 + 0j], [0.9 + 0j, -1.1 + 0j]])
+        (step,) = _step_maps(values, self.K)
+        assert values[1, step[0]] == 0.9 + 0j
+        assert values[1, step[1]] == -1.1 + 0j
+
+    def test_tied_previous_branches_wanting_one_candidate_raise(self):
+        # Both previous branches lie at distance 1 from the candidate 0, and
+        # each has its second candidate far away; whichever branch took 0,
+        # the other would be continued to 5 on the order of the labels alone.
+        values = np.array([[1.0 + 0j, -1.0 + 0j], [0.0 + 0j, 5.0 + 0j]])
+        with pytest.raises(BranchCollisionError, match="k = 1:"):
+            _step_maps(values, self.K)
+
+
+class TestTwoRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelId)),
+        eps=st.floats(0.01, 1.0),
+        kmin=st.floats(0.02, 0.5),
+        span=st.floats(1e-3, 8.0),
+        samples=st.integers(1, 300),
+    )
+    # The one-point grids of the moment-convergence check, and the grid of
+    # the CLI's exit-2 example, which crosses the exceptional point.
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=1.0, span=1.0, samples=1)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.05, kmin=1.0, span=1.0, samples=1)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.025, kmin=1.0, span=1.0, samples=1)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.0125, kmin=1.0, span=1.0, samples=1)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=0.5, span=3.5, samples=60)
+    def test_batched_matches_sequential(self, model, eps, kmin, span, samples):
+        # Either bitwise-equal sigma, or a collision at the same k from both.
+        grid = np.linspace(kmin, kmin + span, samples)
+        batched, batched_error = _outcome(lambda: branches(model, grid, eps, EV).sigma)
+        sequential, sequential_error = _outcome(lambda: _oracle_branches(model, grid, eps))
+        assert batched_error == sequential_error
+        if batched_error is None:
+            assert batched.tobytes() == sequential.tobytes()
