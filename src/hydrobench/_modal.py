@@ -1,16 +1,23 @@
 """Shared per-mode machinery: DFT conventions and exact modal propagation.
 
-Mode arrays follow the numpy FFT layout with coefficients normalized as
-fft(x)/N, so a real field synthesizes as u(x) = sum_k u_hat[k] exp(+i k x).
-Under the traveling-wave sign convention exp(sigma*t - i*k*x) used by the
-symbol matrices, DFT index m therefore carries plane wavenumber -k_m, and the
-propagator for index m is the matrix exponential of the symbol at -k_m.  The
-(N, d, d) symbol stack of a run is diagonalized once and evaluated at every
-requested time as V exp(Lambda t) V^-1 x.
+Every field is real, so mode arrays keep only the N//2 + 1 coefficients of
+the numpy rfft layout, normalized as rfft(x)/N; the field synthesizes as
+u(x) = sum_k c_k exp(+i k x) over |k| <= N//2, with c_{-k} = conj(c_k)
+implied and the even-grid Nyquist term counted once.  The column count
+cannot tell an even N from an odd one, so synthesis and propagation take
+the grid size N alongside the modes.  Under the traveling-wave sign
+convention exp(sigma*t - i*k*x) used by the symbol matrices, column
+m = 0, 1, ..., N//2 carries plane wavenumber -m, and its propagator is the
+matrix exponential of the symbol at -m.  The (N//2 + 1, d, d) symbol stack
+of a run is diagonalized once and evaluated at every requested time as
+V exp(Lambda t) V^-1 x.
 
-For even N the Nyquist index has no conjugate partner; its content is the
-aliased sum of the +-N/2 pair, and the exact band-limited propagator sampled
-on the grid is the real part of the +N/2 propagator.
+The only coefficients with no conjugate partner are k = 0 and, for even N,
+the Nyquist column k = N/2; both are real for a real field, and their
+imaginary parts are the one non-physical content a half spectrum can hold.
+The Nyquist coefficient is the aliased sum of the +-N/2 pair, and the exact
+band-limited propagator sampled on the grid is the real part of the N/2
+propagator, so that column is advanced as Re(P x) and stays real.
 """
 
 from __future__ import annotations
@@ -40,49 +47,51 @@ DEFECT_RCOND = 1e-10
 #: Entries per block of times evaluated together by exp_action.
 EVAL_BLOCK = 1 << 12
 
-#: Relative Hermitian-symmetry violation tolerated when synthesizing real fields.
+#: Relative imaginary part of the k = 0 and Nyquist coefficients tolerated when
+#: synthesizing real fields.
 HERMITIAN_TOL = 1e-9
 
 
 class HermitianSymmetryError(ValueError):
-    """A spectrum meant to describe real fields was not conjugate-symmetric."""
+    """A half spectrum meant to describe real fields had a complex k = 0 or Nyquist mode."""
 
 
 def wavenumbers(n: int) -> np.ndarray:
-    """Integer wavenumbers in numpy FFT order: 0..n/2-1, -n/2..-1."""
-    return np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    """Integer wavenumbers of the n//2 + 1 rfft columns: 0, 1, ..., n//2."""
+    return np.arange(n // 2 + 1)
 
 
 def forward_modes(values: np.ndarray) -> np.ndarray:
-    """Real samples (..., n) to normalized mode coefficients fft(x)/n."""
+    """Real samples (..., n) to normalized half-spectrum coefficients rfft(x)/n."""
     values = np.asarray(values, dtype=float)
-    return np.fft.fft(values, axis=-1) / values.shape[-1]
+    return np.fft.rfft(values, axis=-1) / values.shape[-1]
 
 
-def hermitian_violation(modes: np.ndarray) -> float:
-    """Worst-case |mode(-k) - conj(mode(k))|, relative to max |mode|.
+def hermitian_violation(modes: np.ndarray, n: int) -> float:
+    """Worst |Im| of the k = 0 and (even n) Nyquist modes, relative to max |mode|.
 
-    The scale is floored at the smallest normal double, since subnormal
-    values carry no relative precision; an all-zero spectrum gives 0.
+    Those are the coefficients a real field of n samples keeps real.  The
+    scale is floored at the smallest normal double, since subnormal values
+    carry no relative precision; an all-zero spectrum gives 0.
     """
     modes = np.asarray(modes, dtype=complex)
-    n = modes.shape[-1]
-    mirrored = np.conj(modes[..., (-np.arange(n)) % n])
-    scale = max(float(np.max(np.abs(modes))), np.finfo(float).tiny)
-    return float(np.max(np.abs(modes - mirrored))) / scale
+    if modes.shape[-1] != n // 2 + 1:
+        raise ValueError(f"{modes.shape[-1]} mode columns do not fit grid size {n}")
+    self_conjugate = modes[..., [0, n // 2] if n % 2 == 0 else [0]]
+    scale = max(float(np.abs(modes).max()), np.finfo(float).tiny)
+    return float(np.abs(self_conjugate.imag).max()) / scale
 
 
-def inverse_modes(modes: np.ndarray) -> np.ndarray:
-    """Mode coefficients back to real samples; rejects non-Hermitian input."""
+def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
+    """Half-spectrum coefficients back to n real samples; rejects complex k = 0 or Nyquist."""
     modes = np.asarray(modes, dtype=complex)
-    violation = hermitian_violation(modes)
+    violation = hermitian_violation(modes, n)
     if violation > HERMITIAN_TOL:
         raise HermitianSymmetryError(
-            f"spectrum is not conjugate-symmetric (violation {violation:.3e}); "
+            f"k = 0 or Nyquist mode is not real (violation {violation:.3e}); "
             "cannot synthesize a real field"
         )
-    n = modes.shape[-1]
-    return np.fft.ifft(modes * n, axis=-1).real
+    return np.fft.irfft(modes * n, n, axis=-1)
 
 
 def exp_action(
@@ -120,25 +129,22 @@ def mode_propagators(
     times: float | np.ndarray,
     modes: np.ndarray,
 ) -> np.ndarray:
-    """Field modes (d, n) carried exactly to every time, shape (T, d, n).
+    """Half-spectrum field modes (d, n//2 + 1) carried exactly to every time.
 
-    times is one positive step or a 1-D ascending array of positive elapsed
-    times.  symbol_stack maps the array of plane wavenumbers -k_m to the
-    (n, d, d) symbol stack.  The Nyquist propagator Re(P) is applied as
-    (P x + conj(P conj(x))) / 2, so it shares the single decomposition.
+    Returns shape (T, d, n//2 + 1).  times is one positive step or a 1-D
+    ascending array of positive elapsed times.  symbol_stack maps the array of
+    plane wavenumbers -k = 0, -1, ..., -(n//2) to the (n//2 + 1, d, d) symbol
+    stack.  For even n the real Nyquist coefficient is advanced as Re(P x).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise ValueError(f"times must be positive and ascending, got {times}")
     mats = symbol_stack(-wavenumbers(n).astype(float))
-    if n % 2 == 0:
-        mats = np.concatenate([mats, mats[n // 2, None]])
-        modes = np.concatenate([modes, np.conj(modes[:, n // 2, None])], axis=1)
-    out = np.empty((times.size, len(modes), n), dtype=complex)
+    out = np.empty((times.size, len(modes), n // 2 + 1), dtype=complex)
     for rows, block in exp_action(mats, modes, times):
-        if n % 2 == 0:
-            block[:, :, n // 2] = 0.5 * (block[:, :, n // 2] + np.conj(block[:, :, n]))
-        out[rows] = block[:, :, :n]
+        out[rows] = block
+    if n % 2 == 0:
+        out[:, :, -1] = out[:, :, -1].real
     return out
 
 

@@ -400,8 +400,8 @@ def moment_hygiene() -> list[Measurement]:
     evolved = moment_reference.evolve_moments(moments, EV, 2.5)
     projection = moment_reference.hydro_projection(evolved)
     herm = max(
-        _modal.hermitian_violation(evolved.modes),
-        _modal.hermitian_violation(hydro_spectral.to_modes(projection.state).modes),
+        _modal.hermitian_violation(evolved.modes, n),
+        _modal.hermitian_violation(hydro_spectral.to_modes(projection.state).modes, n),
     )
     drift = _max_gap(evolved.modes[:3, 0], moments.modes[:3, 0])
     return [

@@ -22,6 +22,7 @@ first point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -105,8 +106,8 @@ def sigma_asymptotic(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if branch is Branch.ENTROPY:
         return complex(eps * k * k / float(eigenvalues.lambda11))
     if branch in (Branch.SOUND_PLUS, Branch.SOUND_MINUS):
@@ -131,8 +132,8 @@ def symbol_matrix(model: ModelId, k: float | np.ndarray, eps: float, eigenvalues
 
         return moment_reference.moment_symbol(k, eps, eigenvalues)
 
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     scalar = np.ndim(k) == 0
     k = np.atleast_1d(np.asarray(k, dtype=float))
     ik = 1j * k

@@ -14,6 +14,7 @@ equivalent to s = (3/2)p - (5/2)n and T = p - n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,25 +104,27 @@ class HydroState:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Mode coefficients of (u, p, s), shape (3, N), numpy FFT layout.
+    """Half-spectrum coefficients of (u, p, s) on a grid of grid_size points.
 
-    Coefficients are normalized so u(x) = sum_k modes[0, k] exp(+i k x);
-    conjugate symmetry mode(-k) = conj(mode(k)) holds whenever the state
-    describes real fields.
+    modes has shape (3, grid_size//2 + 1) in numpy rfft layout, normalized
+    so u(x) = sum_k modes[0, k] exp(+i k x) + c.c. over k = 1..grid_size//2
+    (the k = 0 and even-grid Nyquist terms counted once).  grid_size is
+    stored because the column count cannot tell an even grid from an odd
+    one.  A state describing real fields has real k = 0 and Nyquist modes.
     """
 
     modes: np.ndarray
+    grid_size: int
     time: float = 0.0
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=complex)
-        if modes.ndim != 2 or modes.shape[0] != 3:
-            raise ValueError(f"modes must have shape (3, N), got {modes.shape}")
+        if modes.shape != (3, self.grid_size // 2 + 1):
+            raise ValueError(
+                f"modes must have shape (3, {self.grid_size // 2 + 1}) for grid size "
+                f"{self.grid_size}, got {modes.shape}"
+            )
         object.__setattr__(self, "modes", modes)
-
-    @property
-    def grid_size(self) -> int:
-        return self.modes.shape[1]
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -134,12 +137,12 @@ class SpectralState:
 def to_modes(state: HydroState) -> SpectralState:
     """Discrete Fourier analysis of a hydro state."""
     stacked = np.stack([state.u, state.p, state.s])
-    return SpectralState(modes=_modal.forward_modes(stacked), time=state.time)
+    return SpectralState(_modal.forward_modes(stacked), state.grid_size, state.time)
 
 
 def from_modes(spec: SpectralState) -> HydroState:
-    """Synthesis back to real fields; raises on a non-Hermitian spectrum."""
-    fields = _modal.inverse_modes(spec.modes)
+    """Synthesis back to real fields; raises on a complex k = 0 or Nyquist mode."""
+    fields = _modal.inverse_modes(spec.modes, spec.grid_size)
     return HydroState(u=fields[0], p=fields[1], s=fields[2], time=spec.time)
 
 
@@ -162,7 +165,9 @@ def evolve(
     advanced = _modal.mode_propagators(
         lambda kappa: symbol_matrix(model, kappa, eps, eigenvalues), spec.grid_size, dt, spec.modes
     )
-    return _modal.per_time(dt, advanced, lambda m, t: SpectralState(modes=m, time=spec.time + t))
+    return _modal.per_time(
+        dt, advanced, lambda m, t: SpectralState(m, spec.grid_size, spec.time + t)
+    )
 
 
 def riemann_split(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +196,8 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     n = values.size
     k = _modal.wavenumbers(n).astype(float)
     if n % 2 == 0:
-        k[n // 2] = 0.0
-    return np.fft.ifft(1j * k * np.fft.fft(values)).real
+        k[-1] = 0.0
+    return np.fft.irfft(1j * k * np.fft.rfft(values), n)
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,8 @@ def h1_fluxes(
     eigenfunction algebra.  The two routes must agree to ROUTE_CONSISTENCY_TOL
     or the build is internally inconsistent and an error is raised.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     correction = first_order_correction(state, eigenvalues)
     du_dx = spectral_derivative(state.u)
     dt_dx = spectral_derivative(state.temperature)

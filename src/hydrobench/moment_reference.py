@@ -21,6 +21,7 @@ evolve_moments reaches every requested time from one diagonalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,23 +45,29 @@ MOMENT_ORDER = ("n", "u", "p", "stress", "heat_flux")
 
 @dataclass(frozen=True)
 class MomentState:
-    """Per-wavenumber coefficients of (n, u, p, Pi, q), numpy FFT layout."""
+    """Half-spectrum coefficients of (n, u, p, Pi, q) on a grid of grid_size points.
+
+    modes has shape (5, grid_size//2 + 1) in the numpy rfft layout of
+    hydro_spectral.SpectralState; grid_size is stored because the column
+    count cannot tell an even grid from an odd one.  A state describing real
+    fields has real k = 0 and Nyquist modes.
+    """
 
     modes: np.ndarray
+    grid_size: int
     eps: float
     time: float = 0.0
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=complex)
-        if modes.ndim != 2 or modes.shape[0] != 5:
-            raise ValueError(f"modes must have shape (5, N), got {modes.shape}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if modes.shape != (5, self.grid_size // 2 + 1):
+            raise ValueError(
+                f"modes must have shape (5, {self.grid_size // 2 + 1}) for grid size "
+                f"{self.grid_size}, got {modes.shape}"
+            )
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         object.__setattr__(self, "modes", modes)
-
-    @property
-    def grid_size(self) -> int:
-        return self.modes.shape[1]
 
     def field_modes(self, name: str) -> np.ndarray:
         return self.modes[MOMENT_ORDER.index(name)]
@@ -77,8 +84,8 @@ class HydroProjection:
 
 def moment_symbol(k: float | np.ndarray, eps: float, eigenvalues: EigenvalueSet) -> np.ndarray:
     """Generator of the five-field system, d/dx -> -ik: (5, 5), or (N, 5, 5) for N k's."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     ik = 1j * np.atleast_1d(np.asarray(k, dtype=float))
     matrix = np.zeros((ik.size, 5, 5), dtype=complex)
     matrix[:, 0, 1] = ik
@@ -105,7 +112,7 @@ def from_hydro(state: HydroState, eps: float) -> MomentState:
     stacked = np.stack(
         [state.n, state.u, state.p, np.zeros(state.grid_size), np.zeros(state.grid_size)]
     )
-    return MomentState(modes=_modal.forward_modes(stacked), eps=eps, time=state.time)
+    return MomentState(_modal.forward_modes(stacked), state.grid_size, eps, state.time)
 
 
 def evolve_moments(state: MomentState, eigenvalues: EigenvalueSet, dt: float | np.ndarray):
@@ -119,16 +126,18 @@ def evolve_moments(state: MomentState, eigenvalues: EigenvalueSet, dt: float | n
     advanced = _modal.mode_propagators(
         lambda kappa: moment_symbol(kappa, state.eps, eigenvalues), state.grid_size, dt, state.modes
     )
-    return _modal.per_time(dt, advanced, lambda m, t: MomentState(m, state.eps, state.time + t))
+    return _modal.per_time(
+        dt, advanced, lambda m, t: MomentState(m, state.grid_size, state.eps, state.time + t)
+    )
 
 
 def hydro_projection(state: MomentState) -> HydroProjection:
     """Project onto (u, p, s) with s = (3/2)p - (5/2)n; keep Pi, q as residuals."""
     s_modes = 1.5 * state.field_modes("p") - 2.5 * state.field_modes("n")
     hydro_modes = np.stack([state.field_modes("u"), state.field_modes("p"), s_modes])
-    fields = _modal.inverse_modes(hydro_modes)
+    fields = _modal.inverse_modes(hydro_modes, state.grid_size)
     residuals = _modal.inverse_modes(
-        np.stack([state.field_modes("stress"), state.field_modes("heat_flux")])
+        np.stack([state.field_modes("stress"), state.field_modes("heat_flux")]), state.grid_size
     )
     return HydroProjection(
         state=HydroState(u=fields[0], p=fields[1], s=fields[2], time=state.time),
@@ -163,7 +172,15 @@ def burnett_deviation_rms(
     if time <= period:
         raise ValueError(f"need time > one period ({period:g}), got {time}")
     sample_times = time - period + period * np.arange(1, n_samples + 1) / n_samples
-    dx = 2.0 * np.pi / initial.grid_size
+    n = initial.grid_size
+    # Parseval over the half spectrum: interior modes stand for a conjugate
+    # pair, k = 0 and the even-grid Nyquist mode for themselves, so the grid
+    # L2 norm squared dx * sum_j |x_j|^2 is N * dx * sum_k weight_k |c_k|^2.
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    dx = 2.0 * np.pi / n
 
     elapsed = sample_times - initial.time
     hydro = evolve(to_modes(initial), ModelId.BURNETT, eps, eigenvalues, elapsed)
@@ -172,6 +189,5 @@ def burnett_deviation_rms(
     for spec, state in zip(hydro, moments):
         s_modes = 1.5 * state.field_modes("p") - 2.5 * state.field_modes("n")
         ref = np.stack([state.field_modes("u"), state.field_modes("p"), s_modes])
-        # Parseval: sum over modes of N*|diff|^2*dx equals the grid L2 norm squared.
-        total += float(np.sum(np.abs(spec.modes - ref) ** 2)) * initial.grid_size * dx
+        total += float(np.sum(weights * np.abs(spec.modes - ref) ** 2)) * n * dx
     return float(np.sqrt(total / n_samples))

@@ -22,6 +22,7 @@ for the whole time series, and the final time is checked against expm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,8 +113,8 @@ def naive_correction_envelope(
     Closed form, no time stepping; the envelope is the correction itself, per
     unit eps, so it does not depend on eps.  t may be an array of times.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     mode, amplitude = _single_u_mode(ic)
     coefficient = abs(_resonant_coefficient(eigenvalues))
     return 0.5 * coefficient * mode * mode * amplitude * np.abs(t)
@@ -178,8 +179,8 @@ def secular_ratio_series(
     ratio is measured from the augmented propagator.  Times beyond 1/eps^2
     are outside the validity horizon and rejected.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
@@ -209,8 +210,8 @@ def multiscale_bound(
     period, at least 256 overall).  A horizon beyond 1/eps^2 is measured
     anyway but flagged, since the uniform-error claim stops there.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if tmax <= 0:
         raise ValueError(f"tmax must be positive, got {tmax}")
     mode, _ = _single_u_mode(ic)

@@ -120,6 +120,11 @@ class TestSigmaAsymptotic:
         with pytest.raises(ValueError):
             sigma_asymptotic(1.0, -0.1, EV, Branch.ENTROPY)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            sigma_asymptotic(1.0, eps, EV, Branch.ENTROPY)
+
 
 class TestSymbolMatrix:
     def test_euler_entries(self):
@@ -167,6 +172,14 @@ class TestSymbolMatrix:
             symbol_matrix(ModelId.BURNETT, 1.0, -0.1, EV)
         with pytest.raises(ValueError):
             symbol_matrix(ModelId.MOMENT_REFERENCE, 1.0, 0.0, EV)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        for model in ModelId:
+            with pytest.raises(ValueError, match="eps"):
+                symbol_matrix(model, 1.0, eps, EV)
+        with pytest.raises(ValueError, match="eps"):
+            branches(ModelId.BURNETT, [0.1, 0.2], eps, EV)
 
 
 class TestExactness:

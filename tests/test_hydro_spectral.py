@@ -51,9 +51,9 @@ class TestTransforms:
         state = make_state(n, u=np.sin(grid(n)))
         spec = to_modes(state)
         u_modes = spec.field_modes("u")
+        assert u_modes.shape == (n // 2 + 1,)
         assert u_modes[1] == pytest.approx(-0.5j, abs=1e-15)
-        assert u_modes[-1] == pytest.approx(+0.5j, abs=1e-15)
-        others = np.delete(u_modes, [1, n - 1])
+        others = np.delete(u_modes, 1)
         assert np.max(np.abs(others)) < 1e-15
 
     def test_zero_field_zero_modes(self):
@@ -85,11 +85,13 @@ class TestTransforms:
         assert np.max(np.abs(back.s - state.s)) <= 1e-12 * scale
 
     def test_non_hermitian_rejected(self):
+        # Only the k = 0 and Nyquist coefficients have no conjugate partner.
         spec = to_modes(make_state(16, u=np.sin(grid(16))))
-        broken = spec.modes.copy()
-        broken[0, 1] += 0.1
-        with pytest.raises(HermitianSymmetryError):
-            from_modes(type(spec)(modes=broken, time=0.0))
+        for column in (0, -1):
+            broken = spec.modes.copy()
+            broken[0, column] += 0.1j
+            with pytest.raises(HermitianSymmetryError):
+                from_modes(SpectralState(broken, spec.grid_size))
 
     def test_derived_fields(self):
         n = 8
@@ -206,8 +208,8 @@ class TestEvolve:
         dt=st.floats(0.01, 5.0),
     )
     def test_evolution_keeps_fields_real(self, values, model, dt):
-        # Hermitian symmetry survives propagation for arbitrary real data,
-        # Nyquist content included; from_modes would reject otherwise.
+        # The k = 0 and Nyquist modes stay real under propagation for
+        # arbitrary real data; from_modes would reject otherwise.
         state = make_state(16, u=values[0], p=values[1], s=values[2])
         out = from_modes(evolve(to_modes(state), model, 0.1, EV, dt))
         assert out.grid_size == 16
@@ -226,11 +228,11 @@ class TestModalMachinery:
 
         # Column j of every per-mode propagator is the image of basis vector j.
         props = np.stack(
-            [mode_propagators(stack, 5, 0.5, np.outer(e, np.ones(5)))[0] for e in np.eye(2)],
+            [mode_propagators(stack, 5, 0.5, np.outer(e, np.ones(3)))[0] for e in np.eye(2)],
             axis=-1,
         )
         expected = scipy.linalg.expm(jordan * 0.5)
-        for m in range(5):
+        for m in range(3):
             assert np.allclose(props[:, m, :], expected, atol=1e-12)
 
     def test_nyquist_mode_evolves_as_aliased_pair(self):
@@ -249,16 +251,27 @@ class TestModalMachinery:
 
 class TestHermitianCheck:
     def test_one_sided_tiny_spectrum_rejected(self):
-        # A 1e-12 mode without its conjugate partner is all asymmetry, however small.
-        modes = np.zeros((3, 16), dtype=complex)
-        modes[0, 3] = 1e-12
-        with pytest.raises(HermitianSymmetryError):
-            from_modes(SpectralState(modes=modes))
+        # A 1e-12 imaginary k = 0 or Nyquist mode is all violation, however small.
+        for column in (0, -1):
+            modes = np.zeros((3, 9), dtype=complex)
+            modes[0, column] = 1e-12j
+            with pytest.raises(HermitianSymmetryError):
+                from_modes(SpectralState(modes, 16))
 
     def test_zero_spectrum_has_no_violation(self):
         from hydrobench._modal import hermitian_violation
 
-        assert hermitian_violation(np.zeros((3, 16), dtype=complex)) == 0.0
+        assert hermitian_violation(np.zeros((3, 9), dtype=complex), 16) == 0.0
+
+    def test_column_count_must_fit_grid_size(self):
+        # Nine columns describe a grid of 16 or 17 points, never 15.
+        from hydrobench._modal import inverse_modes
+
+        assert from_modes(SpectralState(np.zeros((3, 9)), 17)).grid_size == 17
+        with pytest.raises(ValueError, match="grid size"):
+            SpectralState(np.zeros((3, 9)), 15)
+        with pytest.raises(ValueError, match="grid size"):
+            inverse_modes(np.zeros((3, 9)), 15)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-316, 1e-320, 5e-324])
     def test_tiny_real_fields_synthesize_before_and_after_evolve(self, scale):
@@ -343,6 +356,11 @@ class TestFluxBridge:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             h1_fluxes(make_state(16), EV, 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            h1_fluxes(make_state(16), EV, eps)
 
     def test_route_disagreement_raises(self, monkeypatch):
         import hydrobench.hydro_spectral as hs

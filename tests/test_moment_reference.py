@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation
+from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation, wavenumbers
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic
 from hydrobench.hydro_spectral import HydroState, evolve, to_modes
 from hydrobench.moment_reference import (
+    MomentState,
     burnett_deviation_rms,
     evolve_moments,
     from_hydro,
@@ -67,6 +68,11 @@ class TestMomentSymbol:
         with pytest.raises(ValueError):
             moment_symbol(1.0, 0.0, EV)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            moment_symbol(1.0, eps, EV)
+
     def test_spectral_stability_grid(self):
         worst = -np.inf
         for k in np.linspace(0.0, 15.0, 61):
@@ -84,7 +90,7 @@ class TestEvolveMoments:
         moments = from_hydro(state, eps)
         modes = moments.modes.copy()
         modes[3, 0] = 0.7  # uniform stress moment
-        moments = type(moments)(modes=modes, eps=eps, time=0.0)
+        moments = type(moments)(modes, n, eps)
         t = 0.42
         out = evolve_moments(moments, EV, t)
         assert out.modes[3, 0] == pytest.approx(0.7 * np.exp(-t / eps), rel=1e-12)
@@ -112,7 +118,7 @@ class TestEvolveMoments:
         x = grid(n)
         state = HydroState(u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x), s=0 * x)
         out = evolve_moments(from_hydro(state, 0.05), EV, 2.3)
-        assert hermitian_violation(out.modes) <= 1e-12
+        assert hermitian_violation(out.modes, n) <= 1e-12
 
     def test_relaxation_toward_ns_closure(self):
         # After the kinetic transient the stress moment tracks its quasi-steady
@@ -130,6 +136,16 @@ class TestEvolveMoments:
             closure = 4.0 * eps / (3.0 * -1.0) * du_dx
             residuals.append(float(np.max(np.abs(projection.stress - closure))))
         assert residuals[1] < residuals[0]
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+    def test_state_eps_validation(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            MomentState(np.zeros((5, 5), dtype=complex), 8, eps)
+
+    def test_state_shape_must_fit_grid_size(self):
+        # Nine columns describe a grid of 16 or 17 points, never 15.
+        with pytest.raises(ValueError, match="grid size"):
+            MomentState(np.zeros((5, 9), dtype=complex), 15, 0.1)
 
     def test_dt_validation(self):
         state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
@@ -154,14 +170,15 @@ class TestEvolveMomentsProperties:
         composed = evolve_moments(evolve_moments(moments, EV, t1), EV, t2)
         # The Nyquist mode of an even grid takes the real part of its
         # propagator at every time, which does not compose; skip it.
-        others = 2 * np.arange(moments.grid_size) != moments.grid_size
+        others = 2 * wavenumbers(moments.grid_size) != moments.grid_size
         gap = np.max(np.abs(direct.modes - composed.modes)[:, others])
         assert gap <= 1e-11 * max(float(np.max(np.abs(moments.modes))), np.finfo(float).tiny)
 
     @settings(max_examples=40, deadline=None)
     @given(moments=moment_states(), t=st.floats(0.01, 10.0))
     def test_hermitian_preserved(self, moments, t):
-        assert hermitian_violation(evolve_moments(moments, EV, t).modes) <= 1e-9
+        out = evolve_moments(moments, EV, t)
+        assert hermitian_violation(out.modes, out.grid_size) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(moments=moment_states(), t=st.floats(0.01, 10.0))
@@ -178,7 +195,7 @@ class TestHydroProjection:
         modes = moments.modes.copy()
         modes[0, 0] = 1.0  # uniform n
         modes[2, 0] = 1.0  # uniform p
-        projection = hydro_projection(type(moments)(modes=modes, eps=0.1, time=0.0))
+        projection = hydro_projection(type(moments)(modes, n, eps=0.1))
         assert projection.state.s == pytest.approx(np.full(n, -1.0))
         assert projection.state.temperature == pytest.approx(np.zeros(n), abs=1e-15)
 
@@ -236,26 +253,26 @@ class TestBurnettDeviation:
         assert large > small
 
     def test_matches_direct_comparison(self):
-        # One sample of the windowed RMS agrees with an independently
-        # assembled instantaneous comparison.
-        n = 32
-        x = grid(n)
-        state = HydroState(u=np.sin(x), p=np.zeros(n), s=np.zeros(n))
-        eps, t = 0.1, 6.0
-        hydro = evolve(to_modes(state), ModelId.BURNETT, eps, EV, t)
-        moments = evolve_moments(from_hydro(state, eps), EV, t)
-        projection = hydro_projection(moments).state
+        # One sample of the windowed RMS, a weighted Parseval sum over the
+        # half spectrum, agrees with the grid L2 gap of the synthesized
+        # fields.  Random fields put content on every mode, the Nyquist mode
+        # of the even grid and the last interior mode of the odd one included.
         from hydrobench.hydro_spectral import from_modes
 
-        direct = from_modes(hydro)
-        dx = 2.0 * np.pi / n
-        gap = np.sqrt(
-            dx
-            * np.sum(
-                (direct.u - projection.u) ** 2
-                + (direct.p - projection.p) ** 2
-                + (direct.s - projection.s) ** 2
+        eps, t = 0.1, 6.0
+        for n in (32, 31):
+            fields = np.random.default_rng(n).normal(size=(3, n))
+            state = HydroState(u=fields[0], p=fields[1], s=fields[2])
+            direct = from_modes(evolve(to_modes(state), ModelId.BURNETT, eps, EV, t))
+            projection = hydro_projection(evolve_moments(from_hydro(state, eps), EV, t)).state
+            dx = 2.0 * np.pi / n
+            gap = np.sqrt(
+                dx
+                * np.sum(
+                    (direct.u - projection.u) ** 2
+                    + (direct.p - projection.p) ** 2
+                    + (direct.s - projection.s) ** 2
+                )
             )
-        )
-        rms = burnett_deviation_rms(state, eps, EV, time=t, n_samples=1)
-        assert rms == pytest.approx(gap, rel=1e-10)
+            rms = burnett_deviation_rms(state, eps, EV, time=t, n_samples=1)
+            assert rms == pytest.approx(gap, rel=1e-10), n

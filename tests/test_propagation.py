@@ -1,11 +1,13 @@
 """Independent routes to the numbers of the diagonalize-once propagation engine.
 
 The engine evaluates exp(M t) x for a whole symbol stack at every output time
-from one eigendecomposition.  These tests reach the same numbers by three
-other routes: scipy's scaling-and-squaring expm per mode and time, an explicit
-DOP853 integration of dx/dt = M x, and the composition of single steps (the
-semigroup property).  All five models run over an eps grid that puts the
-k = 1 mode of the moment system on its exceptional point.
+from one eigendecomposition, on the N//2 + 1 columns of the rfft layout.
+These tests reach the same numbers by other routes: scipy's
+scaling-and-squaring expm per mode and time over all N indices of the full
+DFT layout, an explicit DOP853 integration of dx/dt = M x, and the
+composition of single steps (the semigroup property).  All five models run
+over an eps grid that puts the k = 1 mode of the moment system on its
+exceptional point.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from hydrobench._modal import mode_propagators, wavenumbers
+from hydrobench._modal import forward_modes, inverse_modes, mode_propagators, wavenumbers
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import ModelId, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, evolve, from_modes, to_modes
@@ -33,8 +35,9 @@ ODE_TOL = 1e-10
 
 
 def _random_modes(d: int, n: int, seed: int) -> np.ndarray:
+    """Complex coefficients for the n//2 + 1 columns of a grid of n points."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
+    return rng.normal(size=(d, n // 2 + 1)) + 1j * rng.normal(size=(d, n // 2 + 1))
 
 
 def _symbol_stack(model, eps):
@@ -43,21 +46,24 @@ def _symbol_stack(model, eps):
 
 @pytest.mark.parametrize("model,eps", CASES)
 def test_every_time_matches_expm_per_mode(model, eps):
-    # n = 16 includes the Nyquist index, whose propagator is Re exp(M t);
-    # complex modes make the real-part rule visible.
-    n = 16
-    x0 = _random_modes(model.dimension, n, seed=3)
-    got = mode_propagators(_symbol_stack(model, eps), n, TIMES, x0)
-    assert got.shape == (TIMES.size, model.dimension, n)
-    mats = symbol_matrix(model, -wavenumbers(n).astype(float), eps, EV)
-    for row, t in enumerate(TIMES):
-        for m in range(n):
-            prop = scipy.linalg.expm(mats[m] * t)
-            if m == n // 2:
-                prop = prop.real
-            want = prop @ x0[:, m]
+    # The reference keeps all N modes in numpy fft layout, where index m
+    # carries plane wavenumber -fftfreq(N)[m], and synthesizes with
+    # ifft(...).real.  That real part is the Nyquist rule Re exp(M t) of an
+    # even grid, since the Nyquist basis function is real.
+    d = model.dimension
+    for n in (16, 15):
+        fields = np.random.default_rng(3).normal(size=(d, n))
+        got = mode_propagators(_symbol_stack(model, eps), n, TIMES, forward_modes(fields))
+        assert got.shape == (TIMES.size, d, n // 2 + 1)
+        full = np.fft.fft(fields, axis=-1) / n
+        k_full = np.fft.fftfreq(n, d=1.0 / n)
+        mats = symbol_matrix(model, -k_full, eps, EV)
+        for row, t in enumerate(TIMES):
+            moved = np.stack([scipy.linalg.expm(mats[m] * t) @ full[:, m] for m in range(n)], 1)
+            want = np.fft.ifft(moved * n, axis=-1).real
             scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(got[row, :, m] - want)) <= EXPM_TOL * scale, (t, m)
+            gap = np.max(np.abs(inverse_modes(got[row], n) - want))
+            assert gap <= EXPM_TOL * scale, (n, t)
 
 
 @pytest.mark.parametrize("model,eps", CASES)
@@ -69,13 +75,13 @@ def test_every_time_matches_dop853(model, eps):
     mats = symbol_matrix(model, -wavenumbers(n).astype(float), eps, EV)
 
     def rhs(_t, y):
-        return np.einsum("mij,jm->im", mats, y.reshape(d, n)).ravel()
+        return np.einsum("mij,jm->im", mats, y.reshape(x0.shape)).ravel()
 
     sol = solve_ivp(
         rhs, (0.0, TIMES[-1]), x0.ravel(), method="DOP853", t_eval=TIMES, rtol=1e-13, atol=1e-13
     )
     assert sol.success
-    want = sol.y.T.reshape(TIMES.size, d, n)
+    want = sol.y.T.reshape(TIMES.size, *x0.shape)
     got = mode_propagators(_symbol_stack(model, eps), n, TIMES, x0)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= ODE_TOL * scale
@@ -122,7 +128,7 @@ def test_scalar_dt_is_the_one_time_case():
 
 def test_defective_symbol_falls_back_to_expm_at_every_time():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # defective
-    x0 = _random_modes(2, 5, seed=11)
+    x0 = _random_modes(2, 5, seed=11)  # 3 columns, no Nyquist
 
     def stack(kappa):
         return np.broadcast_to(jordan, (kappa.size, 2, 2))

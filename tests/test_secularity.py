@@ -95,6 +95,12 @@ class TestNaiveEnvelope:
             naive_correction_envelope(pressure_only, 0.05, EV, 1.0)
 
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            naive_correction_envelope(IC, eps, EV, 1.0)
+
+
 class TestRatioSeries:
     def test_naive_line_fit(self):
         eps = 0.05
@@ -125,6 +131,11 @@ class TestRatioSeries:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             secular_ratio_series(IC, 0.1, EV, np.array([5.0, 2.0]))
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            secular_ratio_series(IC, eps, EV, np.array([1.0, 2.0]))
 
 
 class TestSeriesRoutes:
@@ -250,3 +261,8 @@ class TestMultiscaleBound:
         bound = multiscale_bound(IC, 0.1, EV, tmax=200.0, n_samples=64)
         assert bound.beyond_validity
         assert float(bound) == bound.value
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            multiscale_bound(IC, eps, EV, tmax=10.0)
