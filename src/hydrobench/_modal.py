@@ -102,13 +102,16 @@ def exp_action(
     The (N, d, d) stack is diagonalized once; each block of about EVAL_BLOCK
     entries is evaluated as V exp(Lambda t) V^-1 x, so a caller reducing the
     blocks never holds all (T, d, N) values.  Eigenvectors conditioned worse
-    than 1/DEFECT_RCOND mark a defective matrix, evaluated by expm per time.
+    than 1/DEFECT_RCOND mark a defective matrix, evaluated by expm per time;
+    the screen reads d * ||V||_1 * ||V^-1||_1 >= cond_2(V), which needs no SVD.
     """
     eigvals, eigvecs = np.linalg.eig(mats)
+    inverses = np.linalg.inv(eigvecs)
+    coeffs = np.einsum("mij,jm->mi", inverses, vectors)
     with np.errstate(all="ignore"):
-        conds = np.linalg.cond(eigvecs)
-    coeffs = np.einsum("mij,jm->mi", np.linalg.inv(eigvecs), vectors)
-    defective = np.nonzero(~np.isfinite(conds) | (conds > 1.0 / DEFECT_RCOND))[0]
+        kappa = eigvecs.shape[-1] * np.linalg.norm(eigvecs, 1, axis=(-2, -1))
+        kappa *= np.linalg.norm(inverses, 1, axis=(-2, -1))
+    defective = np.nonzero(~np.isfinite(kappa) | (kappa > 1.0 / DEFECT_RCOND))[0]
     if defective.size:
         import scipy.linalg  # deferred: slow to import, and only defective symbols need it
     step = max(1, EVAL_BLOCK // eigvals.size)

@@ -127,14 +127,16 @@ def _parse_models(raw: Sequence[str]) -> tuple[ModelId, ...]:
     return tuple(models)
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
+def _load_config_file(path: Path) -> dict[str, object]:
     """Flat key=value file mirroring the flag names; '#' starts a comment.
 
     A key must name a flag of some data command, so a misspelt key is
-    refused instead of silently leaving its default in place.
+    refused instead of silently leaving its default in place.  Each value is
+    parsed as its flag's type here, so a bad one is refused naming the file,
+    line and key.
     """
-    known = {*_DEFAULTS, "model", "ic", "out", "svg"}
-    values: dict[str, str] = {}
+    known = sorted(_CONFIG_VALUES)
+    values: dict[str, object] = {}
     try:
         text = path.read_text()
     except OSError as exc:
@@ -148,8 +150,12 @@ def _load_config_file(path: Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         name = key.replace("-", "_")
         if name not in known:
-            raise UsageError(f"{path}:{lineno}: unknown key '{key}'; known keys: {sorted(known)}")
-        values[name] = value
+            raise UsageError(f"{path}:{lineno}: unknown key '{key}'; known keys: {known}")
+        parse, expected = _CONFIG_VALUES[name]
+        try:
+            values[name] = parse(value)
+        except (KeyError, ValueError):
+            raise UsageError(f"{path}:{lineno}: '{key}' expects {expected}, got '{value}'")
     return values
 
 
@@ -332,55 +338,30 @@ def _output_times(config: RunConfig) -> np.ndarray:
 def _cmd_evolve(config: RunConfig) -> np.ndarray:
     if len(config.models) != 1:
         raise UsageError("evolve takes exactly one --model")
-    model = config.models[0]
     state = _initial_state(config)
     times = _output_times(config)
-    if model is ModelId.MOMENT_REFERENCE:
-        moments = moment_reference.from_hydro(state, config.eps)
-        evolved = moment_reference.evolve_moments(moments, config.eigenvalues, times[1:])
-        snapshots = (moment_reference.hydro_projection(m).state for m in [moments, *evolved])
-    else:
-        spec = hydro_spectral.to_modes(state)
-        evolved = hydro_spectral.evolve(spec, model, config.eps, config.eigenvalues, times[1:])
-        snapshots = itertools.chain([state], map(hydro_spectral.from_modes, evolved))
+    evolved = moment_reference.trajectory(
+        state, config.models[0], config.eps, config.eigenvalues, times[1:]
+    )
     n = config.grid_size
     rows = np.empty(times.size * n, [(name, float) for name in ("t", "x", "u", "p", "s")])
-    for i, hydro in enumerate(snapshots):
+    for i, hydro in enumerate(itertools.chain([state], evolved)):
         block = rows[i * n : (i + 1) * n]
         block["t"], block["x"] = times[i], state.x
         block["u"], block["p"], block["s"] = hydro.u, hydro.p, hydro.s
     return rows
 
 
-def _l2_gap(a: hydro_spectral.HydroState, b: hydro_spectral.HydroState) -> float:
-    dx = 2.0 * np.pi / a.grid_size
-    return float(
-        np.sqrt(dx * np.sum((a.u - b.u) ** 2 + (a.p - b.p) ** 2 + (a.s - b.s) ** 2))
-    )
-
-
 def _cmd_compare(config: RunConfig) -> np.ndarray:
     models = [m for m in dict.fromkeys(config.models) if m is not ModelId.MOMENT_REFERENCE]
     if not models:
         raise UsageError("compare needs at least one hydrodynamic model")
-    state = _initial_state(config)
-    times = _output_times(config)[1:]
-    moments = moment_reference.from_hydro(state, config.eps)
-    references = [
-        moment_reference.hydro_projection(later).state
-        for later in moment_reference.evolve_moments(moments, config.eigenvalues, times)
-    ]
-    spec = hydro_spectral.to_modes(state)
-
-    def gaps(model: ModelId) -> list[float]:
-        # One trajectory at a time: it is released before the next model's is built.
-        evolved = hydro_spectral.evolve(spec, model, config.eps, config.eigenvalues, times)
-        return [0.0] + [
-            _l2_gap(hydro_spectral.from_modes(s), ref) for s, ref in zip(evolved, references)
-        ]
-
-    columns = {f"l2_error_{model.value}": gaps(model) for model in models}
-    return _table({"t": np.concatenate([[0.0], times]), **columns})
+    times = _output_times(config)
+    gaps = moment_reference.reference_gaps(
+        _initial_state(config), models, config.eps, config.eigenvalues, times[1:]
+    )
+    columns = {f"l2_error_{m.value}": np.concatenate([[0.0], g]) for m, g in zip(models, gaps.T)}
+    return _table({"t": times, **columns})
 
 
 def _cmd_secular(config: RunConfig) -> np.ndarray:
@@ -516,53 +497,48 @@ _DEFAULTS = {
     "dt_out": 1.0,
 }
 
+#: Spellings of the svg switch in a config file, matched in any case.
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+#: Config-file keys: the parser of each value and what a refusal says it expects.
+_CONFIG_VALUES = {
+    **{name: (type(value), type(value).__name__) for name, value in _DEFAULTS.items()},
+    "model": (lambda text: [text], "text"),  # read like one --model flag
+    "ic": (str, "text"),
+    "out": (Path, "path"),
+    "svg": (lambda text: _SWITCH[text.lower()], "1/true/yes or 0/false/no"),
+}
+
 
 def _resolve(namespace: argparse.Namespace) -> RunConfig:
     config_values = (
         _load_config_file(namespace.config) if getattr(namespace, "config", None) else {}
     )
 
-    def pick(key: str, cast):
+    def pick(key: str):
         flag = getattr(namespace, key, None)
         if flag is not None:
             return flag
-        if key in config_values:
-            return cast(config_values[key])
-        return _DEFAULTS.get(key)
+        return config_values.get(key, _DEFAULTS.get(key))
 
-    models: tuple[ModelId, ...] = ()
-    raw_models = getattr(namespace, "model", None)
-    if raw_models:
-        models = _parse_models(raw_models)
-    elif "model" in config_values:
-        models = _parse_models([config_values["model"]])
-
-    grid_size = int(pick("grid_size", int))
-    ic_text = pick("ic", str)
+    grid_size = pick("grid_size")
+    ic_text = pick("ic")
     ic = parse_initial_condition(ic_text, grid_size) if ic_text else None
-
-    out = getattr(namespace, "out", None)
-    if out is None and "out" in config_values:
-        out = Path(config_values["out"])
-
-    emit_svg = bool(getattr(namespace, "svg", False)) or config_values.get(
-        "svg", ""
-    ).lower() in ("1", "true", "yes")
 
     return RunConfig(
         command=namespace.command,
-        models=models,
-        eps=float(pick("eps", float)),
-        lambda02=float(pick("lambda02", float)),
+        models=_parse_models(pick("model") or ()),
+        eps=pick("eps"),
+        lambda02=pick("lambda02"),
         grid_size=grid_size,
-        kmin=float(pick("kmin", float)),
-        kmax=float(pick("kmax", float)),
-        samples=int(pick("samples", int)),
-        tmax=float(pick("tmax", float)),
-        dt_out=float(pick("dt_out", float)),
+        kmin=pick("kmin"),
+        kmax=pick("kmax"),
+        samples=pick("samples"),
+        tmax=pick("tmax"),
+        dt_out=pick("dt_out"),
         ic=ic,
-        out_path=Path(out) if out is not None else None,
-        emit_svg=emit_svg,
+        out_path=pick("out"),
+        emit_svg=bool(getattr(namespace, "svg", False)) or config_values.get("svg", False),
     )
 
 

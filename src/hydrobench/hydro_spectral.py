@@ -157,11 +157,12 @@ def evolve(
 
     A positive step dt gives one state; a 1-D ascending array of elapsed
     times gives one state per time.  The moment reference has its own state
-    and solver; asking for it here is an error.  Spatial means (the k = 0
-    modes) are invariant for every model because all terms are x-derivatives.
+    and solver, reached through moment_reference.trajectory; asking for it
+    here is an error.  Spatial means (the k = 0 modes) are invariant for
+    every model because all terms are x-derivatives.
     """
     if model is ModelId.MOMENT_REFERENCE:
-        raise ValueError("use moment_reference.evolve_moments for the kinetic system")
+        raise ValueError("use moment_reference.trajectory for the kinetic system")
     advanced = _modal.mode_propagators(
         lambda kappa: symbol_matrix(model, kappa, eps, eigenvalues), spec.grid_size, dt, spec.modes
     )

@@ -17,18 +17,23 @@ Its three slow eigenvalue branches converge to the Burnett-level dispersion
 relation at rate O(k (eps k)^3), which is the module's central validation.
 moment_symbol builds one wavenumber or a whole (N, 5, 5) stack, and
 evolve_moments reaches every requested time from one diagonalization.
+trajectory evolves a (u, p, s) state under any of the five models, and
+reference_gaps is the one comparison with the moment truth that compare,
+evolve and the Burnett-deviation criterion share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import _modal
 from .coefficients import SOUND_SPEED, EigenvalueSet
-from .hydro_spectral import HydroState
+from .dispersion import ModelId
+from .hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
 
 __all__ = [
     "HydroProjection",
@@ -38,6 +43,8 @@ __all__ = [
     "from_hydro",
     "hydro_projection",
     "moment_symbol",
+    "reference_gaps",
+    "trajectory",
 ]
 
 MOMENT_ORDER = ("n", "u", "p", "stress", "heat_flux")
@@ -131,19 +138,53 @@ def evolve_moments(state: MomentState, eigenvalues: EigenvalueSet, dt: float | n
     )
 
 
+def _hydro_state(state: MomentState) -> HydroState:
+    """Synthesized (u, p, s) of a moment state, with s = (3/2)p - (5/2)n."""
+    n, u, p = state.modes[:3]
+    modes = np.stack([u, p, 1.5 * p - 2.5 * n])
+    return from_modes(SpectralState(modes, state.grid_size, state.time))
+
+
 def hydro_projection(state: MomentState) -> HydroProjection:
-    """Project onto (u, p, s) with s = (3/2)p - (5/2)n; keep Pi, q as residuals."""
-    s_modes = 1.5 * state.field_modes("p") - 2.5 * state.field_modes("n")
-    hydro_modes = np.stack([state.field_modes("u"), state.field_modes("p"), s_modes])
-    fields = _modal.inverse_modes(hydro_modes, state.grid_size)
-    residuals = _modal.inverse_modes(
-        np.stack([state.field_modes("stress"), state.field_modes("heat_flux")]), state.grid_size
-    )
-    return HydroProjection(
-        state=HydroState(u=fields[0], p=fields[1], s=fields[2], time=state.time),
-        stress=residuals[0],
-        heat_flux=residuals[1],
-    )
+    """Project onto (u, p, s); keep Pi, q as residuals."""
+    residuals = _modal.inverse_modes(state.modes[3:], state.grid_size)
+    return HydroProjection(_hydro_state(state), stress=residuals[0], heat_flux=residuals[1])
+
+
+def trajectory(
+    initial: HydroState, model: ModelId, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
+) -> Iterator[HydroState]:
+    """HydroState of `initial` under `model` at each positive ascending elapsed time.
+
+    times is a 1-D array; each state is synthesized as it is read.
+    """
+    if model is ModelId.MOMENT_REFERENCE:
+        return map(_hydro_state, evolve_moments(from_hydro(initial, eps), eigenvalues, times))
+    return map(from_modes, evolve(to_modes(initial), model, eps, eigenvalues, times))
+
+
+def reference_gaps(
+    initial: HydroState,
+    models: Sequence[ModelId],
+    eps: float,
+    eigenvalues: EigenvalueSet,
+    times: np.ndarray,
+) -> np.ndarray:
+    """Grid L2 gap over (u, p, s) of each model from the moment truth: shape (T, M).
+
+    Both sides are synthesized, so each passes the Hermitian health check.
+    The truth is synthesized once; one model trajectory is alive at a time.
+    """
+    truth = list(trajectory(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times))
+    dx = 2.0 * np.pi / initial.grid_size
+    gaps = np.empty((len(truth), len(models)))
+    for j, model in enumerate(models):
+        evolved = trajectory(initial, model, eps, eigenvalues, times)
+        for i, (a, b) in enumerate(zip(evolved, truth)):
+            gaps[i, j] = np.sqrt(
+                dx * np.sum((a.u - b.u) ** 2 + (a.p - b.p) ** 2 + (a.s - b.s) ** 2)
+            )
+    return gaps
 
 
 def burnett_deviation_rms(
@@ -157,37 +198,18 @@ def burnett_deviation_rms(
     """Cycle-averaged deviation between Burnett evolution and the moment truth.
 
     Both systems start from `initial` (the moment state with Pi = q = 0) and
-    the full-state L2 difference over (u, p, s) is sampled at n_samples times
-    spanning one acoustic period that ends at `time`; the RMS over the window
-    is returned.  Averaging over a period removes the acoustic phase of the
+    the reference_gaps of Burnett is sampled at n_samples times spanning one
+    acoustic period that ends at `time`; the RMS over the window is
+    returned.  Averaging over a period removes the acoustic phase of the
     O(eps) entropy component from the measurement, so the returned number
     scales cleanly at first order in eps.  The default period is that of the
     k = 1 sound wave, 2*pi/a0.
     """
-    from .dispersion import ModelId
-    from .hydro_spectral import evolve, to_modes
-
     if period is None:
         period = 2.0 * np.pi / SOUND_SPEED
     if time <= period:
         raise ValueError(f"need time > one period ({period:g}), got {time}")
     sample_times = time - period + period * np.arange(1, n_samples + 1) / n_samples
-    n = initial.grid_size
-    # Parseval over the half spectrum: interior modes stand for a conjugate
-    # pair, k = 0 and the even-grid Nyquist mode for themselves, so the grid
-    # L2 norm squared dx * sum_j |x_j|^2 is N * dx * sum_k weight_k |c_k|^2.
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    dx = 2.0 * np.pi / n
-
     elapsed = sample_times - initial.time
-    hydro = evolve(to_modes(initial), ModelId.BURNETT, eps, eigenvalues, elapsed)
-    moments = evolve_moments(from_hydro(initial, eps), eigenvalues, elapsed)
-    total = 0.0
-    for spec, state in zip(hydro, moments):
-        s_modes = 1.5 * state.field_modes("p") - 2.5 * state.field_modes("n")
-        ref = np.stack([state.field_modes("u"), state.field_modes("p"), s_modes])
-        total += float(np.sum(weights * np.abs(spec.modes - ref) ** 2)) * n * dx
-    return float(np.sqrt(total / n_samples))
+    gaps = reference_gaps(initial, [ModelId.BURNETT], eps, eigenvalues, elapsed)
+    return float(np.sqrt(np.mean(gaps**2)))

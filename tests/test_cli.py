@@ -238,6 +238,20 @@ class TestEvolveCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 16
 
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_moment_reference_starts_at_the_initial_condition_exactly(self, tmp_path, n):
+        # The t = 0 rows are the realized fields, not their analysis and synthesis.
+        ic = "u:1:1,p:2:0.3:0.1,s:3:0.2"
+        out = tmp_path / "mom.csv"
+        argv = ["evolve", "--model", "moment_reference", "--ic", ic, "--eps", "0.1"]
+        argv += ["--tmax", "1", "--dt-out", "1", "--grid-size", str(n), "--out", str(out)]
+        assert main(argv) == 0
+        rows = np.genfromtxt(out, delimiter=",", names=True)
+        start = rows[rows["t"] == 0.0]
+        fields = realize(parse_initial_condition(ic, n), n)
+        for name in ("u", "p", "s"):
+            assert np.array_equal(start[name], fields[name]), name
+
 
 class TestCompareCommand:
     def test_columns_and_zero_start(self, tmp_path):
@@ -425,6 +439,48 @@ class TestDeterminismAndConfig:
         assert main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 4 * 3
+
+    @pytest.mark.parametrize(
+        "line, key, expected",
+        [
+            ("eps=abc", "eps", "float"),
+            ("grid_size=abc", "grid_size", "int"),
+            ("samples=4.5", "samples", "int"),
+            ("svg=on", "svg", "1/true/yes or 0/false/no"),
+        ],
+    )
+    def test_bad_config_value_is_one_line_usage_error(self, tmp_path, capsys, line, key, expected):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model=burnett\nic=u:1:1\ntmax=1\n{line}\n")
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+        value = line.split("=")[1]
+        assert capsys.readouterr().err == (
+            f"error: {config}:4: '{key}' expects {expected}, got '{value}'\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "word, svg",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_svg_config_switch_spellings(self, tmp_path, word, svg):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model=euler\nic=u:1:1\ntmax=1\ngrid_size=8\nsvg={word}\n")
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 0
+        assert (tmp_path / "x.csv").exists()
+        assert (tmp_path / "x.svg").exists() is svg
+
+    def test_config_file_matches_flags_byte_for_byte(self, tmp_path):
+        flags = ["--model", "burnett,navier_stokes", "--ic", "u:1:1,p:3:0.5:0.2", "--eps", "0.1"]
+        flags += ["--tmax", "4", "--dt-out", "0.5", "--grid-size", "15"]
+        assert main(["compare", *flags, "--out", str(tmp_path / "flags.csv")]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "model=burnett,navier_stokes\nic=u:1:1,p:3:0.5:0.2\neps=0.1\ntmax=4\n"
+            f"dt-out=0.5\ngrid-size=15\nout={tmp_path / 'config.csv'}\n"
+        )
+        assert main(["compare", "--config", str(config)]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
 
 class TestSvgShapes:

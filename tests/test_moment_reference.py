@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation, wavenumbers
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic
-from hydrobench.hydro_spectral import HydroState, evolve, to_modes
+from hydrobench.hydro_spectral import HydroState, evolve, from_modes, to_modes
 from hydrobench.moment_reference import (
     MomentState,
     burnett_deviation_rms,
@@ -17,9 +17,12 @@ from hydrobench.moment_reference import (
     from_hydro,
     hydro_projection,
     moment_symbol,
+    reference_gaps,
+    trajectory,
 )
 
 EV = eigenvalue_set(-1)
+HYDRO_MODELS = [model for model in ModelId if model is not ModelId.MOMENT_REFERENCE]
 
 
 def grid(n):
@@ -253,26 +256,68 @@ class TestBurnettDeviation:
         assert large > small
 
     def test_matches_direct_comparison(self):
-        # One sample of the windowed RMS, a weighted Parseval sum over the
-        # half spectrum, agrees with the grid L2 gap of the synthesized
-        # fields.  Random fields put content on every mode, the Nyquist mode
-        # of the even grid and the last interior mode of the odd one included.
-        from hydrobench.hydro_spectral import from_modes
-
+        # reference_gaps, and for Burnett one sample of the windowed RMS, agree
+        # with the grid L2 gap of fields evolved and synthesized by hand.
+        # Random fields put content on every mode, the Nyquist mode of the
+        # even grid and the last interior mode of the odd one included.
         eps, t = 0.1, 6.0
-        for n in (32, 31):
-            fields = np.random.default_rng(n).normal(size=(3, n))
-            state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-            direct = from_modes(evolve(to_modes(state), ModelId.BURNETT, eps, EV, t))
-            projection = hydro_projection(evolve_moments(from_hydro(state, eps), EV, t)).state
-            dx = 2.0 * np.pi / n
-            gap = np.sqrt(
-                dx
-                * np.sum(
-                    (direct.u - projection.u) ** 2
-                    + (direct.p - projection.p) ** 2
-                    + (direct.s - projection.s) ** 2
+        for model in HYDRO_MODELS:
+            for n in (32, 31):
+                fields = np.random.default_rng(n).normal(size=(3, n))
+                state = HydroState(u=fields[0], p=fields[1], s=fields[2])
+                direct = from_modes(evolve(to_modes(state), model, eps, EV, t))
+                projection = hydro_projection(evolve_moments(from_hydro(state, eps), EV, t)).state
+                dx = 2.0 * np.pi / n
+                gap = np.sqrt(
+                    dx
+                    * np.sum(
+                        (direct.u - projection.u) ** 2
+                        + (direct.p - projection.p) ** 2
+                        + (direct.s - projection.s) ** 2
+                    )
                 )
-            )
-            rms = burnett_deviation_rms(state, eps, EV, time=t, n_samples=1)
-            assert rms == pytest.approx(gap, rel=1e-10), n
+                gaps = reference_gaps(state, [model], eps, EV, np.array([t]))
+                assert gaps.shape == (1, 1)
+                assert gaps[0, 0] == pytest.approx(gap, rel=1e-10), (model, n)
+                if model is ModelId.BURNETT:
+                    rms = burnett_deviation_rms(state, eps, EV, time=t, n_samples=1)
+                    assert rms == pytest.approx(gap, rel=1e-10), n
+
+    def test_gap_columns_follow_model_order(self):
+        n = 16
+        fields = np.random.default_rng(3).normal(size=(3, n))
+        state = HydroState(u=fields[0], p=fields[1], s=fields[2])
+        times = np.array([0.5, 1.0, 2.0])
+        together = reference_gaps(state, HYDRO_MODELS, 0.1, EV, times)
+        assert together.shape == (3, len(HYDRO_MODELS))
+        for j, model in enumerate(HYDRO_MODELS):
+            alone = reference_gaps(state, [model], 0.1, EV, times)
+            assert np.array_equal(together[:, j], alone[:, 0])
+        truth = reference_gaps(state, [ModelId.MOMENT_REFERENCE], 0.1, EV, times)
+        assert np.all(truth == 0.0)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("n", [16, 15])
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_equals_direct_route(self, model, n):
+        eps = 0.1
+        fields = np.random.default_rng(n).normal(size=(3, n))
+        state = HydroState(u=fields[0], p=fields[1], s=fields[2], time=0.25)
+        times = np.array([0.1, 1.0, 3.5])
+        if model is ModelId.MOMENT_REFERENCE:
+            evolved = evolve_moments(from_hydro(state, eps), EV, times)
+            direct = [hydro_projection(later).state for later in evolved]
+        else:
+            direct = [from_modes(s) for s in evolve(to_modes(state), model, eps, EV, times)]
+        shared = list(trajectory(state, model, eps, EV, times))
+        assert len(shared) == len(direct) == times.size
+        for a, b, t in zip(shared, direct, times):
+            assert a.time == b.time == 0.25 + t
+            for name in ("u", "p", "s"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (name, t)
+
+    def test_moment_model_is_refused_by_hydro_evolve(self):
+        state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
+        with pytest.raises(ValueError, match="moment_reference.trajectory"):
+            evolve(to_modes(state), ModelId.MOMENT_REFERENCE, 0.1, EV, 1.0)
