@@ -51,7 +51,8 @@ from .moment_reference import (
     evolve_moments,
     from_hydro,
     hydro_projection,
-    moment_symbol,
+    reference_gaps,
+    trajectory,
 )
 from .secularity import (
     MultiscaleBound,
@@ -112,7 +113,6 @@ __all__ = [
     "hydro_projection",
     "inner",
     "moment_of",
-    "moment_symbol",
     "monomial_moment",
     "multiscale_bound",
     "naive_correction_envelope",
@@ -120,12 +120,14 @@ __all__ = [
     "psi_poly",
     "realize",
     "recursion_residual",
+    "reference_gaps",
     "riemann_join",
     "riemann_split",
     "secular_ratio_series",
     "sigma_asymptotic",
     "symbol_matrix",
     "to_modes",
+    "trajectory",
     "transport_burnett",
     "transport_ns",
     "__version__",

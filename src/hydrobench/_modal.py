@@ -83,8 +83,13 @@ def hermitian_violation(modes: np.ndarray, n: int) -> float:
 
 
 def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
-    """Half-spectrum coefficients back to n real samples; rejects complex k = 0 or Nyquist."""
+    """Half-spectrum coefficients back to n real samples.
+
+    Rejects a non-finite coefficient and a complex k = 0 or Nyquist mode.
+    """
     modes = np.asarray(modes, dtype=complex)
+    if not np.isfinite(modes).all():
+        raise FloatingPointError("non-finite spectrum; cannot synthesize a real field")
     violation = hermitian_violation(modes, n)
     if violation > HERMITIAN_TOL:
         raise HermitianSymmetryError(

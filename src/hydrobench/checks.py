@@ -135,14 +135,13 @@ def coefficient_identities() -> list[Measurement]:
 
 @_check("Burnett/Riemann dispersion exact")
 def dispersion_exactness() -> list[Measurement]:
-    worst = 0.0
-    for model, k, eps in itertools.product(
-        (ModelId.BURNETT, ModelId.RIEMANN_DECOUPLED), (0.5, 1.0, 2.0, 4.0, 8.0), (0.05, 0.1, 0.2)
-    ):
-        eig = np.linalg.eigvals(symbol_matrix(model, k, eps, EV))
-        for branch in (Branch.SOUND_PLUS, Branch.SOUND_MINUS, Branch.ENTROPY):
-            target = sigma_asymptotic(k, eps, EV, branch)
-            worst = max(worst, float(np.min(np.abs(eig - target))))
+    worst, ks = 0.0, (0.5, 1.0, 2.0, 4.0, 8.0)
+    models = (ModelId.BURNETT, ModelId.RIEMANN_DECOUPLED)
+    for model, eps in itertools.product(models, (0.05, 0.1, 0.2)):
+        for k, eig in zip(ks, np.linalg.eigvals(symbol_matrix(model, np.array(ks), eps, EV))):
+            for branch in (Branch.SOUND_PLUS, Branch.SOUND_MINUS, Branch.ENTROPY):
+                target = sigma_asymptotic(k, eps, EV, branch)
+                worst = max(worst, float(np.min(np.abs(eig - target))))
     return [Measurement("worst eigenvalue gap", worst, "<=", 1e-12)]
 
 
@@ -338,11 +337,10 @@ def scale_covariance() -> list[Measurement]:
 def spectral_stability() -> list[Measurement]:
     worst, euler = -np.inf, 0.0
     for model, eps in itertools.product(ModelId, (0.02, 0.1, 0.3)):
-        for k in np.linspace(0.05, 12.0, 40):
-            eig = np.linalg.eigvals(symbol_matrix(model, float(k), eps, EV))
-            worst = max(worst, float(eig.real.max()))
-            if model is ModelId.EULER:
-                euler = max(euler, float(np.max(np.abs(eig.real))))
+        eig = np.linalg.eigvals(symbol_matrix(model, np.linspace(0.05, 12.0, 40), eps, EV))
+        worst = max(worst, float(eig.real.max()))
+        if model is ModelId.EULER:
+            euler = max(euler, float(np.max(np.abs(eig.real))))
     return [
         Measurement("max Re sigma", worst, "<=", 1e-10),
         Measurement("max |Re sigma|, Euler", euler, "<=", 1e-12),
@@ -362,7 +360,7 @@ def conjugate_symmetry() -> list[Measurement]:
 @_check("moment NS closure")
 def ns_closure() -> list[Measurement]:
     k, eps = 1.3, 0.07
-    m = moment_reference.moment_symbol(k, eps, EV)
+    m = symbol_matrix(ModelId.MOMENT_REFERENCE, k, eps, EV)
     # Quasi-steady stress Pi = (4 eps/(3 lambda02)) (-ik) u and heat flux
     # q = (5 eps/(2 lambda11)) (-ik) (p - n).
     stress = 4.0 * eps / (3.0 * float(EV.lambda02)) * (-1j * k)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -109,6 +109,10 @@ class RunConfig:
     @property
     def eigenvalues(self) -> EigenvalueSet:
         return eigenvalue_set(self.lambda02)
+
+
+#: RunConfig's numeric defaults, taken by an option that no flag or config key sets.
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if type(f.default) in (int, float)}
 
 
 def _parse_models(raw: Sequence[str]) -> tuple[ModelId, ...]:
@@ -423,7 +427,7 @@ def run(config: RunConfig) -> int:
         for path in written:
             print(path)
         return 0
-    except UsageError as exc:
+    except (UsageError, secularity.UnsupportedInitialCondition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
@@ -461,10 +465,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="model name (repeatable or comma-separated): euler, navier_stokes, "
                 "burnett, riemann_decoupled, moment_reference",
             )
-        p.add_argument("--eps", type=float, default=None, help="Knudsen number (default 0.1)")
-        p.add_argument(
-            "--lambda02", type=float, default=None, help="anchor eigenvalue (default -1)"
-        )
+        for flag, meaning in (("eps", "Knudsen number"), ("lambda02", "anchor eigenvalue")):
+            default = f"(default {_DEFAULTS[flag]:g})"
+            p.add_argument(f"--{flag}", type=float, default=None, help=f"{meaning} {default}")
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
         p.add_argument("--svg", action="store_true", help="also write a sibling SVG chart")
 
@@ -485,17 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
 
-
-_DEFAULTS = {
-    "eps": 0.1,
-    "lambda02": -1.0,
-    "grid_size": 256,
-    "kmin": 0.1,
-    "kmax": 4.0,
-    "samples": 64,
-    "tmax": 10.0,
-    "dt_out": 1.0,
-}
 
 #: Spellings of the svg switch in a config file, matched in any case.
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

@@ -1,10 +1,11 @@
 """Plane-wave dispersion relations and per-wavenumber symbol matrices.
 
 Convention used throughout: plane waves are R * exp(sigma*t - i*k*x), so the
-substitutions are d/dx -> -ik, d2/dx2 -> -k^2, d3/dx3 -> +i*k^3.  Every model
-symbol M below generates d/dt(modes) = M(modes) for the per-wavenumber mode
-vector, ordered (u, p, s) for the hydrodynamic models, (R+, R-, s) for the
-Riemann-decoupled form, and (n, u, p, Pi, q) for the kinetic moment reference.
+substitutions are d/dx -> -ik, d2/dx2 -> -k^2, d3/dx3 -> +i*k^3.  symbol_matrix
+builds all five model symbols: M generates d/dt(modes) = M(modes) for the
+per-wavenumber mode vector, ordered (u, p, s) for the hydrodynamic models,
+(R+, R-, s) for the Riemann-decoupled form, and (n, u, p, Pi, q) for the
+kinetic moment reference (its equations are in moment_reference).
 
 Branches of the growth rate sigma(k) are tracked across a k grid by
 nearest-neighbor continuation in the complex plane, seeded at the first grid
@@ -65,7 +66,7 @@ class ModelId(Enum):
 
 
 class Branch(Enum):
-    """Persistent labels for sigma(k) branches."""
+    """Persistent labels for sigma(k) branches; a d-field model has the first d, in order."""
 
     ENTROPY = "entropy"
     SOUND_PLUS = "sound_plus"
@@ -121,61 +122,56 @@ def sigma_asymptotic(
 def symbol_matrix(model: ModelId, k: float | np.ndarray, eps: float, eigenvalues: EigenvalueSet):
     """Generator M with d/dt(mode vector) = M(mode vector), at wavenumber k.
 
-    A scalar k gives one (d, d) matrix, a 1-D array of N wavenumbers the
-    (N, d, d) stack.  eps is ignored for the Euler model (its symbol has no
-    eps dependence) and must be positive for the moment reference, whose
-    collision terms carry 1/eps.  Mode ordering is documented in the module
-    header.
+    The result has shape np.shape(k) + (d, d) with d = model.dimension: one
+    matrix for a scalar k, the (N, d, d) stack for N wavenumbers.  eps is
+    ignored for the Euler model (its symbol has no eps dependence) and must be
+    positive for the moment reference, whose collision terms carry 1/eps.
+    Mode ordering is documented in the module header.
     """
     if model is ModelId.MOMENT_REFERENCE:
-        from . import moment_reference
-
-        return moment_reference.moment_symbol(k, eps, eigenvalues)
-
-    if not (math.isfinite(eps) and eps >= 0):
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
+    elif not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be nonnegative and finite, got {eps}")
-    scalar = np.ndim(k) == 0
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k = np.asarray(k, dtype=float)
     ik = 1j * k
-    matrix = np.zeros((k.size, 3, 3), dtype=complex)
-    if model is ModelId.EULER:
-        matrix[:, 0, 1] = ik
-        matrix[:, 1, 0] = (5.0 / 3.0) * ik
-        return matrix[0] if scalar else matrix
+    matrix = np.zeros(k.shape + (model.dimension, model.dimension), dtype=complex)
+    if model is ModelId.MOMENT_REFERENCE:
+        matrix[..., 0, 1] = ik
+        matrix[..., 1, 2] = ik
+        matrix[..., 1, 3] = ik
+        matrix[..., 2, 1] = (5.0 / 3.0) * ik
+        matrix[..., 2, 4] = (2.0 / 3.0) * ik
+        matrix[..., 3, 1] = (4.0 / 3.0) * ik
+        matrix[..., 3, 4] = (8.0 / 15.0) * ik
+        matrix[..., 3, 3] = float(eigenvalues.lambda02) / eps
+        matrix[..., 4, 3] = ik
+        matrix[..., 4, 2] = (5.0 / 2.0) * ik
+        matrix[..., 4, 0] = -(5.0 / 2.0) * ik
+        matrix[..., 4, 4] = float(eigenvalues.lambda11) / eps
+        return matrix
+    if model in (ModelId.EULER, ModelId.NAVIER_STOKES):
+        matrix[..., 0, 1] = ik
+        matrix[..., 1, 0] = (5.0 / 3.0) * ik
+        if model is ModelId.EULER:
+            return matrix
 
     ns = transport_ns(eigenvalues)
     damp_sound = -eps * float(ns.sound_diffusivity) * k * k
-    matrix[:, 2, 2] = -eps * float(ns.entropy_diffusivity) * k * k
-    if model is ModelId.NAVIER_STOKES:
-        matrix[:, 0, 1] = ik
-        matrix[:, 1, 0] = (5.0 / 3.0) * ik
-        matrix[:, 0, 0] = matrix[:, 1, 1] = damp_sound
-    elif model is ModelId.BURNETT:
-        burnett = transport_burnett(eigenvalues)
-        matrix[:, 0, 1] = ik * (1.0 + eps * eps * float(burnett.beta_u) * k * k)
-        matrix[:, 1, 0] = ik * (5.0 / 3.0 + eps * eps * float(burnett.beta_p) * k * k)
-        matrix[:, 0, 0] = matrix[:, 1, 1] = damp_sound
-    elif model is ModelId.RIEMANN_DECOUPLED:
+    matrix[..., 2, 2] = -eps * float(ns.entropy_diffusivity) * k * k
+    if model is ModelId.RIEMANN_DECOUPLED:
         # Diagonal by construction: (R+, R-, s).
         beta_u = float(transport_burnett(eigenvalues).beta_u)
         dispersive = 1j * SOUND_SPEED * k * (1.0 + eps * eps * beta_u * k * k)
-        matrix[:, 0, 0] = dispersive + damp_sound
-        matrix[:, 1, 1] = -dispersive + damp_sound
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return matrix[0] if scalar else matrix
-
-
-def _branch_labels(model: ModelId) -> tuple[Branch, ...]:
-    if model is ModelId.MOMENT_REFERENCE:
-        return (
-            Branch.ENTROPY,
-            Branch.SOUND_PLUS,
-            Branch.SOUND_MINUS,
-            Branch.KINETIC_STRESS,
-            Branch.KINETIC_HEAT,
-        )
-    return (Branch.ENTROPY, Branch.SOUND_PLUS, Branch.SOUND_MINUS)
+        matrix[..., 0, 0] = dispersive + damp_sound
+        matrix[..., 1, 1] = -dispersive + damp_sound
+        return matrix
+    if model is ModelId.BURNETT:
+        burnett = transport_burnett(eigenvalues)
+        matrix[..., 0, 1] = ik * (1.0 + eps * eps * float(burnett.beta_u) * k * k)
+        matrix[..., 1, 0] = ik * (5.0 / 3.0 + eps * eps * float(burnett.beta_p) * k * k)
+    matrix[..., 0, 0] = matrix[..., 1, 1] = damp_sound
+    return matrix
 
 
 def _seed_values(
@@ -289,7 +285,7 @@ def branches(
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("k_grid must be strictly positive and ascending")
 
-    labels = _branch_labels(model)
+    labels = tuple(Branch)[: model.dimension]
     values = np.linalg.eigvals(symbol_matrix(model, grid, eps, eigenvalues))
     seeds = _seed_values(model, float(grid[0]), eps, eigenvalues)
     perm = np.empty(values.shape, dtype=np.intp)

@@ -2,12 +2,14 @@
 
 Textual form: term ("," term)* with term = field ":" mode ":" amplitude
 [":" phase].  Fields are u, p, or s; modes are positive integers below half
-the grid size; phases are radians and default to zero.  Each term contributes
-amplitude * sin(mode * x + phase) to its field.
+the grid size; amplitudes and phases are finite numbers, phases in radians
+and zero by default.  Each term contributes amplitude * sin(mode * x + phase)
+to its field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +83,21 @@ def parse_initial_condition(text: str, grid_size: int | None = None) -> ICSpec:
             raise ICParseError(
                 f"mode {mode} is not resolvable on a grid of size {grid_size}", position
             )
-        try:
-            amplitude = float(parts[2])
-        except ValueError:
-            raise ICParseError(f"amplitude '{parts[2]}' is not a number", position) from None
-        phase = 0.0
-        if len(parts) == 4:
-            try:
-                phase = float(parts[3])
-            except ValueError:
-                raise ICParseError(f"phase '{parts[3]}' is not a number", position) from None
+        amplitude = _finite(parts[2], "amplitude", position)
+        phase = _finite(parts[3], "phase", position) if len(parts) == 4 else 0.0
         terms.append(ICTerm(field=field, mode=mode, amplitude=amplitude, phase=phase))
     return ICSpec(terms=tuple(terms))
+
+
+def _finite(text: str, name: str, position: int) -> float:
+    """The number a term's amplitude or phase spells; nan and inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ICParseError(f"{name} '{text}' is not a number", position) from None
+    if not math.isfinite(value):
+        raise ICParseError(f"{name} must be finite, got '{text}'", position)
+    return value
 
 
 def realize(spec: ICSpec, grid_size: int) -> dict[str, np.ndarray]:

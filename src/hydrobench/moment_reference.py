@@ -15,7 +15,7 @@ lambda11/eps on q.  The system in flux form:
 
 Its three slow eigenvalue branches converge to the Burnett-level dispersion
 relation at rate O(k (eps k)^3), which is the module's central validation.
-moment_symbol builds one wavenumber or a whole (N, 5, 5) stack, and
+The generator is built, like every model's, by dispersion.symbol_matrix;
 evolve_moments reaches every requested time from one diagonalization.
 trajectory evolves a (u, p, s) state under any of the five models, and
 reference_gaps is the one comparison with the moment truth that compare,
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _modal
 from .coefficients import SOUND_SPEED, EigenvalueSet
-from .dispersion import ModelId
+from .dispersion import ModelId, symbol_matrix
 from .hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "evolve_moments",
     "from_hydro",
     "hydro_projection",
-    "moment_symbol",
     "reference_gaps",
     "trajectory",
 ]
@@ -89,27 +88,6 @@ class HydroProjection:
     heat_flux: np.ndarray
 
 
-def moment_symbol(k: float | np.ndarray, eps: float, eigenvalues: EigenvalueSet) -> np.ndarray:
-    """Generator of the five-field system, d/dx -> -ik: (5, 5), or (N, 5, 5) for N k's."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    ik = 1j * np.atleast_1d(np.asarray(k, dtype=float))
-    matrix = np.zeros((ik.size, 5, 5), dtype=complex)
-    matrix[:, 0, 1] = ik
-    matrix[:, 1, 2] = ik
-    matrix[:, 1, 3] = ik
-    matrix[:, 2, 1] = (5.0 / 3.0) * ik
-    matrix[:, 2, 4] = (2.0 / 3.0) * ik
-    matrix[:, 3, 1] = (4.0 / 3.0) * ik
-    matrix[:, 3, 4] = (8.0 / 15.0) * ik
-    matrix[:, 3, 3] = float(eigenvalues.lambda02) / eps
-    matrix[:, 4, 3] = ik
-    matrix[:, 4, 2] = (5.0 / 2.0) * ik
-    matrix[:, 4, 0] = -(5.0 / 2.0) * ik
-    matrix[:, 4, 4] = float(eigenvalues.lambda11) / eps
-    return matrix[0] if np.ndim(k) == 0 else matrix
-
-
 def from_hydro(state: HydroState, eps: float) -> MomentState:
     """Moment state with the hydro fields imposed and Pi = q = 0.
 
@@ -131,7 +109,10 @@ def evolve_moments(state: MomentState, eigenvalues: EigenvalueSet, dt: float | n
     the k = 0 rows of n, u, p are conserved identically.
     """
     advanced = _modal.mode_propagators(
-        lambda kappa: moment_symbol(kappa, state.eps, eigenvalues), state.grid_size, dt, state.modes
+        lambda kappa: symbol_matrix(ModelId.MOMENT_REFERENCE, kappa, state.eps, eigenvalues),
+        state.grid_size,
+        dt,
+        state.modes,
     )
     return _modal.per_time(
         dt, advanced, lambda m, t: MomentState(m, state.grid_size, state.eps, state.time + t)

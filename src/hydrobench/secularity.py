@@ -45,7 +45,7 @@ __all__ = [
 
 
 class UnsupportedInitialCondition(ValueError):
-    """The experiment needs a single-mode velocity standing wave."""
+    """The experiment needs a single-mode velocity standing wave of nonzero amplitude."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,10 @@ class MultiscaleBound:
 
 
 def _single_u_mode(ic: ICSpec) -> tuple[int, float]:
-    if len(ic.terms) != 1 or ic.terms[0].field != "u":
+    if len(ic.terms) != 1 or ic.terms[0].field != "u" or ic.terms[0].amplitude == 0:
         raise UnsupportedInitialCondition(
-            "secularity experiments need exactly one velocity term, e.g. u:1:1"
+            "secularity experiments need exactly one velocity term with a nonzero "
+            "amplitude, e.g. u:1:1"
         )
     term = ic.terms[0]
     return term.mode, abs(term.amplitude)

@@ -49,6 +49,15 @@ class TestICGrammar:
         with pytest.raises(ICParseError, match="integer"):
             parse_initial_condition("u:one:1.0")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "text, name", [("u:1:1,p:2:{}", "amplitude"), ("u:1:1,p:2:1:{}", "phase")]
+    )
+    def test_non_finite_amplitude_or_phase(self, text, name, value):
+        with pytest.raises(ICParseError, match=f"{name} must be finite") as info:
+            parse_initial_condition(text.format(value))
+        assert info.value.position == 6
+
     def test_mode_too_large_for_grid(self):
         with pytest.raises(ICParseError, match="grid"):
             parse_initial_condition("u:9:1.0", grid_size=16)
@@ -701,6 +710,37 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    @pytest.mark.parametrize("ic", ["u:1:nan", "u:1:inf", "u:1:1:inf"])
+    def test_non_finite_ic_is_usage_error(self, tmp_path, capsys, command, ic):
+        out = tmp_path / "x.csv"
+        argv = [command, "--model", "burnett", "--ic", ic, "--grid-size", "16", "--out", str(out)]
+        assert main([*argv, "--tmax", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    def test_overflowing_ic_is_numerical_failure(self, tmp_path, capsys, command):
+        # Each term is finite, but their sum overflows on the grid; synthesis
+        # refuses the non-finite spectrum instead of writing inf or nan rows.
+        out = tmp_path / "x.csv"
+        argv = [command, "--model", "burnett", "--ic", "u:1:1e308,u:1:1e308", "--tmax", "1"]
+        assert main([*argv, "--grid-size", "16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+        assert "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ic", ["p:1:1", "u:1:0", "u:1:1,u:2:1"])
+    def test_secular_refuses_unsupported_ic_as_usage_error(self, tmp_path, capsys, ic):
+        out = tmp_path / "x.csv"
+        assert main(["secular", "--ic", ic, "--tmax", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: secularity experiments need")
+        assert not out.exists()
 
     def test_unwritable_output_path(self, tmp_path):
         code = main(

@@ -11,7 +11,6 @@ from hydrobench.dispersion import (
     Branch,
     BranchCollisionError,
     ModelId,
-    _branch_labels,
     _seed_values,
     _step_maps,
     branches,
@@ -78,7 +77,7 @@ def _oracle_branches(model, grid, eps):
     matched = [_oracle_seeded(_seed_values(model, float(grid[0]), eps, EV), values[0])]
     for k, row in zip(grid[1:], values[1:]):
         matched.append(_oracle_continued(matched[-1], row, float(k)))
-    labels = _branch_labels(model)
+    labels = tuple(Branch)[: model.dimension]
     return np.array([[match[label] for label in labels] for match in matched], dtype=complex)
 
 

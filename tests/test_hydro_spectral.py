@@ -258,6 +258,15 @@ class TestHermitianCheck:
             with pytest.raises(HermitianSymmetryError):
                 from_modes(SpectralState(modes, 16))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_spectrum_rejected(self, value):
+        from hydrobench._modal import inverse_modes
+
+        modes = np.zeros((3, 9), dtype=complex)
+        modes[1, 3] = value
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            inverse_modes(modes, 16)
+
     def test_zero_spectrum_has_no_violation(self):
         from hydrobench._modal import hermitian_violation
 

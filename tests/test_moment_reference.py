@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation, wavenumbers
 from hydrobench.coefficients import eigenvalue_set
-from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic
+from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, evolve, from_modes, to_modes
 from hydrobench.moment_reference import (
     MomentState,
@@ -16,7 +16,6 @@ from hydrobench.moment_reference import (
     evolve_moments,
     from_hydro,
     hydro_projection,
-    moment_symbol,
     reference_gaps,
     trajectory,
 )
@@ -32,12 +31,12 @@ def grid(n):
 class TestMomentSymbol:
     def test_zero_k_pure_relaxation(self):
         eps = 0.25
-        m = moment_symbol(0.0, eps, EV)
+        m = symbol_matrix(ModelId.MOMENT_REFERENCE, 0.0, eps, EV)
         expected = np.diag([0.0, 0.0, 0.0, -1.0 / eps, (-2.0 / 3.0) / eps])
         assert np.allclose(m, expected, atol=0)
 
     def test_velocity_row_entries(self):
-        m = moment_symbol(1.0, 1.0, EV)
+        m = symbol_matrix(ModelId.MOMENT_REFERENCE, 1.0, 1.0, EV)
         assert m[1, 2] == 1j
         assert m[1, 3] == 1j
         assert m[1, 0] == 0
@@ -48,7 +47,7 @@ class TestMomentSymbol:
         # stress gain 4*eps/(3*lambda02) * d/dx and heat gain
         # 5*eps/(2*lambda11) * d/dx acting on (p - n).
         k, eps = 1.3, 0.07
-        m = moment_symbol(k, eps, EV)
+        m = symbol_matrix(ModelId.MOMENT_REFERENCE, k, eps, EV)
         d_dx = -1j * k
         stress_gain = -m[3, 1] / m[3, 3]
         assert stress_gain == pytest.approx(4.0 * eps / 3.0 / (-1.0) * d_dx)
@@ -61,7 +60,7 @@ class TestMomentSymbol:
     def test_conduction_coefficient_route(self):
         # Energy-row flux through the quasi-steady q gives (5/(3*lambda11)) eps T_xx.
         k, eps = 0.9, 0.1
-        m = moment_symbol(k, eps, EV)
+        m = symbol_matrix(ModelId.MOMENT_REFERENCE, k, eps, EV)
         gain = m[2, 4] * (-m[4, 2] / m[4, 4])  # dp/dt contribution per p mode
         expected = (2.0 / 3.0) * (1j * k) * (5.0 * eps / 2.0 / (-2.0 / 3.0)) * (-1j * k)
         assert gain == pytest.approx(expected)
@@ -69,18 +68,18 @@ class TestMomentSymbol:
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
-            moment_symbol(1.0, 0.0, EV)
+            symbol_matrix(ModelId.MOMENT_REFERENCE, 1.0, 0.0, EV)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps"):
-            moment_symbol(1.0, eps, EV)
+            symbol_matrix(ModelId.MOMENT_REFERENCE, 1.0, eps, EV)
 
     def test_spectral_stability_grid(self):
         worst = -np.inf
         for k in np.linspace(0.0, 15.0, 61):
             for eps in (0.02, 0.1, 0.4, 1.0):
-                eig = np.linalg.eigvals(moment_symbol(float(k), eps, EV))
+                eig = np.linalg.eigvals(symbol_matrix(ModelId.MOMENT_REFERENCE, float(k), eps, EV))
                 worst = max(worst, float(eig.real.max()))
         assert worst <= 1e-10
 
