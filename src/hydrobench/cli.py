@@ -197,7 +197,9 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
 
     The str fields group the rows into separate series; the first float
     field is the x axis and every remaining float field yields one polyline
-    per group, its points in ascending x.
+    per group.  Series come in sorted label-tuple order (first str field
+    first), and each series' points in stable ascending x: rows with equal x
+    keep their table order.
     """
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
@@ -215,21 +217,29 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
+    # Each label column as its rank among the column's sorted values; one
+    # stable lexsort (first label column most significant, x last) then puts
+    # every series in one contiguous run.
+    ranks = np.empty((len(labels), len(rows)), dtype=np.intp)
+    for rank, name in zip(ranks, labels):
+        rank[:] = np.unique(rows[name], return_inverse=True)[1]
+    order = np.lexsort((rows[x_name], *ranks[::-1]))
+    starts = np.flatnonzero(np.r_[True, np.diff(ranks[:, order]).any(axis=0)])
+    keys = zip(*(rows[name][order[starts]].tolist() for name in labels)) if labels else [()]
+    sx = margin_left + (rows[x_name][order] - x_lo) / (x_hi - x_lo) * (
+        width - margin_left - margin_right
+    )
+    sy = [
+        height
+        - margin_bottom
+        - (rows[name][order] - y_lo) / (y_hi - y_lo) * (height - margin_top - margin_bottom)
+        for name in y_names
+    ]
     series: list[tuple[str, np.ndarray, np.ndarray]] = []
-    for key in np.unique(rows[labels]).tolist() if labels else [()]:
-        mask = np.ones(len(rows), dtype=bool)
-        for name, value in zip(labels, key):
-            mask &= rows[name] == value
-        group = rows[mask][np.argsort(rows[x_name][mask], kind="stable")]
+    for lo, hi, key in zip(starts, [*starts[1:], len(rows)], keys):
         tag = "/".join(key)
-        sx = margin_left + (group[x_name] - x_lo) / (x_hi - x_lo) * (
-            width - margin_left - margin_right
-        )
-        for name in y_names:
-            sy = height - margin_bottom - (group[name] - y_lo) / (y_hi - y_lo) * (
-                height - margin_top - margin_bottom
-            )
-            series.append((f"{name}[{tag}]" if tag else name, sx, sy))
+        for name, y in zip(y_names, sy):
+            series.append((f"{name}[{tag}]" if tag else name, sx[lo:hi], y[lo:hi]))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -310,17 +320,25 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
     k_grid = np.linspace(config.kmin, config.kmax, config.samples)
     models = sorted(set(config.models), key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
+    # Labels travel as their rank among the sorted names, so the (model, k,
+    # branch) order is an integer lexsort and each name is written out once.
+    branch_names = sorted({label.value for t in tables for label in t.labels})
+    model_code = np.repeat(np.arange(len(tables)), [t.sigma.size for t in tables])
+    branch_code = np.concatenate(
+        [np.tile([branch_names.index(b.value) for b in t.labels], len(k_grid)) for t in tables]
+    )
+    k = np.concatenate([np.repeat(t.k_grid, len(t.labels)) for t in tables])
     sigma = np.concatenate([table.sigma.ravel() for table in tables])
-    rows = _table(
+    order = np.lexsort((branch_code, k, model_code))
+    return _table(
         {
-            "model": np.concatenate([[t.model.value] * t.sigma.size for t in tables]),
-            "k": np.concatenate([np.repeat(t.k_grid, len(t.labels)) for t in tables]),
-            "branch": np.concatenate([[b.value for b in t.labels] * len(k_grid) for t in tables]),
-            "re_sigma": sigma.real,
-            "im_sigma": sigma.imag,
+            "model": np.array([model.value for model in models])[model_code[order]],
+            "k": k[order],
+            "branch": np.array(branch_names)[branch_code[order]],
+            "re_sigma": sigma.real[order],
+            "im_sigma": sigma.imag[order],
         }
     )
-    return rows[np.lexsort((rows["branch"], rows["k"], rows["model"]))]
 
 
 def _initial_state(config: RunConfig) -> hydro_spectral.HydroState:
@@ -416,25 +434,30 @@ def run(config: RunConfig) -> int:
             "compare": _cmd_compare,
             "secular": _cmd_secular,
         }
-        rows = builders[config.command](config)
-        chart = None
-        if config.command == "evolve":
-            # Chart the final-time snapshot against x, not everything vs t.
-            chart = rows[["x", "u", "p", "s"]][rows["t"] == rows["t"][-1]]
-        written = emit_outputs(
-            rows, config.out_path, config.emit_svg, title=config.command, chart=chart
-        )
+        # Overflow, invalid and divide-by-zero stop a data command; damped
+        # modes legitimately decay to subnormals, so underflow does not.
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            rows = builders[config.command](config)
+            chart = None
+            if config.command == "evolve":
+                # Chart the final-time snapshot against x, not everything vs t.
+                chart = rows[["x", "u", "p", "s"]][rows["t"] == rows["t"][-1]]
+            written = emit_outputs(
+                rows, config.out_path, config.emit_svg, title=config.command, chart=chart
+            )
         for path in written:
             print(path)
         return 0
     except (UsageError, secularity.UnsupportedInitialCondition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:
+        print(f"numerical failure: non-finite value ({exc})", file=sys.stderr)
+        return 2
     except (
         BranchCollisionError,
         InternalConsistencyError,
         HermitianSymmetryError,
-        FloatingPointError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

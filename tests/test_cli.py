@@ -10,13 +10,122 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hydrobench
 from hydrobench import cli
 from hydrobench.cli import RunConfig, emit_outputs, main
+from hydrobench.dispersion import branches
 from hydrobench.initial_conditions import ICParseError, parse_initial_condition, realize
 
 ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
+
+
+def _svg_chart_by_masks(rows, title):
+    """Reference route for cli._svg_chart: one sort of the structured label
+    tuples, then a boolean mask and a stable x argsort per group."""
+    width, height = 800, 600
+    margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
+    labels = [name for name in rows.dtype.names if rows.dtype[name].kind == "U"]
+    numeric = [name for name in rows.dtype.names if name not in labels]
+    x_name, y_names = numeric[0], numeric[1:]
+    x_lo, x_hi = float(rows[x_name].min()), float(rows[x_name].max())
+    y_lo = min(float(rows[name].min()) for name in y_names)
+    y_hi = max(float(rows[name].max()) for name in y_names)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    series = []
+    for key in np.unique(rows[labels]).tolist() if labels else [()]:
+        mask = np.ones(len(rows), dtype=bool)
+        for name, value in zip(labels, key):
+            mask &= rows[name] == value
+        group = rows[mask][np.argsort(rows[x_name][mask], kind="stable")]
+        tag = "/".join(key)
+        sx = margin_left + (group[x_name] - x_lo) / (x_hi - x_lo) * (
+            width - margin_left - margin_right
+        )
+        for name in y_names:
+            sy = height - margin_bottom - (group[name] - y_lo) / (y_hi - y_lo) * (
+                height - margin_top - margin_bottom
+            )
+            series.append((f"{name}[{tag}]" if tag else name, sx, sy))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width // 2}" y="20" text-anchor="middle" font-family="monospace" '
+        f'font-size="14">{title}</text>',
+        f'<line x1="{margin_left}" y1="{height - margin_bottom}" x2="{width - margin_right}" '
+        f'y2="{height - margin_bottom}" stroke="black"/>',
+        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" '
+        f'y2="{height - margin_bottom}" stroke="black"/>',
+        f'<text x="{(margin_left + width - margin_right) // 2}" y="{height - 12}" '
+        f'text-anchor="middle" font-family="monospace" font-size="12">{x_name}</text>',
+        f'<text x="{margin_left}" y="{height - margin_bottom + 16}" text-anchor="middle" '
+        f'font-family="monospace" font-size="10">{format(x_lo, ".17g")[:10]}</text>',
+        f'<text x="{width - margin_right}" y="{height - margin_bottom + 16}" '
+        f'text-anchor="end" font-family="monospace" font-size="10">'
+        f'{format(x_hi, ".17g")[:10]}</text>',
+        f'<text x="{margin_left - 6}" y="{height - margin_bottom}" text-anchor="end" '
+        f'font-family="monospace" font-size="10">{format(y_lo, ".17g")[:10]}</text>',
+        f'<text x="{margin_left - 6}" y="{margin_top + 10}" text-anchor="end" '
+        f'font-family="monospace" font-size="10">{format(y_hi, ".17g")[:10]}</text>',
+    ]
+    for index, (name, sx, sy) in enumerate(series):
+        color = cli._SVG_PALETTE[index % len(cli._SVG_PALETTE)]
+        points = np.column_stack((sx, sy)).ravel().tolist()
+        path = " ".join(["%.3f,%.3f"] * len(sx)) % tuple(points)
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{path}"/>'
+        )
+        parts.append(
+            f'<text x="{width - margin_right - 4}" y="{margin_top + 14 * (index + 1)}" '
+            f'text-anchor="end" font-family="monospace" font-size="10" '
+            f'fill="{color}">{name}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@st.composite
+def _chart_tables(draw):
+    """Tables of 0-2 label columns and 2-3 float columns in a drawn field
+    order, with tied, unsorted and signed-zero x and absent label pairs."""
+    n = draw(st.integers(1, 14))
+    labels = st.text(alphabet="abé", max_size=2)
+    reals = st.floats(-1e3, 1e3, allow_subnormal=False)
+    columns = {
+        f"g{i}": draw(st.lists(labels, min_size=n, max_size=n))
+        for i in range(draw(st.integers(0, 2)))
+    }
+    xs = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, -1.25]), reals)
+    columns["x"] = draw(st.lists(xs, min_size=n, max_size=n))
+    for i in range(draw(st.integers(1, 2))):
+        columns[f"y{i}"] = draw(st.lists(reals, min_size=n, max_size=n))
+    order = draw(st.permutations(list(columns)))
+    return cli._table({name: columns[name] for name in order})
+
+
+def _dispersion_rows_by_string_sort(config):
+    """Reference route for cli._cmd_dispersion: per-row label strings ordered
+    by a lexsort over the Unicode model and branch columns."""
+    k_grid = np.linspace(config.kmin, config.kmax, config.samples)
+    models = sorted(set(config.models), key=lambda m: m.value)
+    tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
+    sigma = np.concatenate([table.sigma.ravel() for table in tables])
+    rows = cli._table(
+        {
+            "model": np.concatenate([[t.model.value] * t.sigma.size for t in tables]),
+            "k": np.concatenate([np.repeat(t.k_grid, len(t.labels)) for t in tables]),
+            "branch": np.concatenate([[b.value for b in t.labels] * len(k_grid) for t in tables]),
+            "re_sigma": sigma.real,
+            "im_sigma": sigma.imag,
+        }
+    )
+    return rows[np.lexsort((rows["branch"], rows["k"], rows["model"]))]
 
 
 class TestICGrammar:
@@ -135,6 +244,18 @@ class TestEmitOutputs:
         assert root.attrib["width"] == "800"
         assert root.attrib["height"] == "600"
 
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_chart_tables())
+    @example(rows=cli._table({"g": ["b", "a", "c"], "x": [0.0, -0.0, 1.0], "y": [1.0, 2.0, 3.0]}))
+    @example(rows=cli._table({"x": [0.0, -1.0, -0.0, 0.0], "y": [1.0, 2.0, 3.0, 4.0]}))
+    @example(
+        rows=cli._table(
+            {"a": ["q", "p", "q"], "x": [2.0, 1.0, 2.0], "b": ["s", "r", "r"], "y": [0.0, 1, 2]}
+        )
+    )
+    def test_svg_equals_mask_per_group_route(self, rows):
+        assert cli._svg_chart(rows, "t") == _svg_chart_by_masks(rows, "t")
+
 
 class TestDispersionCommand:
     def test_row_count_contract(self, tmp_path):
@@ -186,6 +307,27 @@ class TestDispersionCommand:
         keys = [(r["model"], float(r["k"]), r["branch"]) for r in rows]
         assert keys == sorted(keys)
         assert len(rows) == 4 * 3 + 4 * 5
+
+    @pytest.mark.parametrize(
+        "models",
+        [
+            ["burnett"],
+            ["euler", "ns", "burnett", "riemann", "moment"],
+            ["moment", "riemann", "burnett", "ns", "euler", "ns", "moment"],
+        ],
+    )
+    def test_rows_equal_string_sort_route(self, tmp_path, models):
+        config = RunConfig(
+            command="dispersion",
+            models=cli._parse_models(models),
+            kmin=0.1,
+            kmax=2.5,
+            samples=33,
+            out_path=tmp_path / "x.csv",
+        )
+        got, want = cli._cmd_dispersion(config), _dispersion_rows_by_string_sort(config)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEvolveCommand:
@@ -721,18 +863,42 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "must be finite" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["evolve", "compare"])
     def test_overflowing_ic_is_numerical_failure(self, tmp_path, capsys, command):
-        # Each term is finite, but their sum overflows on the grid; synthesis
-        # refuses the non-finite spectrum instead of writing inf or nan rows.
+        # Each term is finite, but their sum overflows on the grid; the
+        # command stops at the overflow instead of writing inf or nan rows.
         out = tmp_path / "x.csv"
         argv = [command, "--model", "burnett", "--ic", "u:1:1e308,u:1:1e308", "--tmax", "1"]
         assert main([*argv, "--grid-size", "16", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("numerical failure: ")
-        assert "non-finite" in err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: non-finite value (")
         assert not out.exists()
+
+    def test_overflowing_secular_amplitude_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["secular", "--ic", "u:1:1e308", "--tmax", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: non-finite value (")
+        assert not out.exists()
+
+    def test_overflow_in_a_real_process_prints_one_line(self, tmp_path):
+        # Outside pytest numpy would print each RuntimeWarning to stderr
+        # before the diagnostic; -W default shows every warning raised.
+        argv = ["evolve", "--model", "burnett", "--ic", "u:1:1e308,u:1:1e308", "--out", "x.csv"]
+        src = str(Path(hydrobench.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hydrobench.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numerical failure: non-finite value (")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("ic", ["p:1:1", "u:1:0", "u:1:1,u:2:1"])
     def test_secular_refuses_unsupported_ic_as_usage_error(self, tmp_path, capsys, ic):
