@@ -78,9 +78,9 @@ class RunConfig:
     emit_svg: bool = False
 
     def __post_init__(self):
-        for flag in ("eps", "lambda02", "kmin", "kmax", "tmax", "dt_out"):
+        for flag, default in _DEFAULTS.items():
             value = getattr(self, flag)
-            if not np.isfinite(value):
+            if type(default) is float and not np.isfinite(value):
                 raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
         if self.eps <= 0:
             raise UsageError(f"eps must be positive, got {self.eps}")
@@ -298,6 +298,9 @@ def emit_outputs(
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
     out_path = Path(out_path)
+    # The chart is drawn before any file is opened, so a fault in its
+    # arithmetic leaves no CSV behind.
+    svg = _svg_chart(rows if chart is None else chart, title or out_path.stem) if emit_svg else None
     names = rows.dtype.names
     line = ",".join("%s" if rows.dtype[name].kind == "U" else "%.17g" for name in names) + "\n"
     with open(out_path, "w") as fh:
@@ -305,12 +308,11 @@ def emit_outputs(
         for lo in range(0, len(rows), WRITE_BLOCK):
             block = rows[lo : lo + WRITE_BLOCK].tolist()
             fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
-    written = [out_path]
-    if emit_svg:
-        svg_path = out_path.with_suffix(".svg")
-        svg_path.write_text(_svg_chart(rows if chart is None else chart, title or out_path.stem))
-        written.append(svg_path)
-    return written
+    if svg is None:
+        return [out_path]
+    svg_path = out_path.with_suffix(".svg")
+    svg_path.write_text(svg)
+    return [out_path, svg_path]
 
 
 # Command implementations ---------------------------------------------------
@@ -387,10 +389,10 @@ def _cmd_compare(config: RunConfig) -> np.ndarray:
 
 
 def _cmd_secular(config: RunConfig) -> np.ndarray:
-    horizon = 1.0 / (config.eps * config.eps)
-    if config.tmax > horizon * (1.0 + 1e-12):
+    if secularity.beyond_horizon(config.tmax, config.eps):
         raise UsageError(
-            f"tmax {config.tmax:g} exceeds the validity horizon 1/eps^2 = {horizon:g}"
+            f"tmax {config.tmax:g} exceeds the validity horizon "
+            f"1/eps^2 = {1.0 / (config.eps * config.eps):g}"
         )
     times = _output_times(config)[1:]
     series = secularity.secular_ratio_series(
@@ -451,7 +453,7 @@ def run(config: RunConfig) -> int:
     except (UsageError, secularity.UnsupportedInitialCondition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # numpy's, or a Fraction's to float
         print(f"numerical failure: non-finite value ({exc})", file=sys.stderr)
         return 2
     except (
@@ -470,8 +472,15 @@ def run(config: RunConfig) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, so it costs one stderr line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hydrobench",
         description="Workbench for the hydrodynamic model hierarchy of the "
         "linearized 1-D kinetic equation.",
@@ -492,7 +501,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default = f"(default {_DEFAULTS[flag]:g})"
             p.add_argument(f"--{flag}", type=float, default=None, help=f"{meaning} {default}")
         p.add_argument("--out", type=Path, default=None, help="output CSV path")
-        p.add_argument("--svg", action="store_true", help="also write a sibling SVG chart")
+        p.add_argument(
+            "--svg", action="store_true", default=None, help="also write a sibling SVG chart"
+        )
 
     p_disp = sub.add_parser("dispersion", help="branch tables sigma(k)")
     add_common(p_disp)
@@ -525,49 +536,30 @@ _CONFIG_VALUES = {
 }
 
 
+#: Flags and config keys whose RunConfig field has another name.
+_FIELD_NAMES = {"model": "models", "out": "out_path", "svg": "emit_svg"}
+
+
 def _resolve(namespace: argparse.Namespace) -> RunConfig:
-    config_values = (
-        _load_config_file(namespace.config) if getattr(namespace, "config", None) else {}
-    )
-
-    def pick(key: str):
-        flag = getattr(namespace, key, None)
-        if flag is not None:
-            return flag
-        return config_values.get(key, _DEFAULTS.get(key))
-
-    grid_size = pick("grid_size")
-    ic_text = pick("ic")
-    ic = parse_initial_condition(ic_text, grid_size) if ic_text else None
-
-    return RunConfig(
-        command=namespace.command,
-        models=_parse_models(pick("model") or ()),
-        eps=pick("eps"),
-        lambda02=pick("lambda02"),
-        grid_size=grid_size,
-        kmin=pick("kmin"),
-        kmax=pick("kmax"),
-        samples=pick("samples"),
-        tmax=pick("tmax"),
-        dt_out=pick("dt_out"),
-        ic=ic,
-        out_path=pick("out"),
-        emit_svg=bool(getattr(namespace, "svg", False)) or config_values.get("svg", False),
-    )
+    """Defaults, then the config file, then every flag given; the last layer to set a key wins."""
+    flags = {key: value for key, value in vars(namespace).items() if value is not None}
+    config_path = flags.pop("config", None)
+    file_values = _load_config_file(config_path) if config_path else {}
+    values = {
+        _FIELD_NAMES.get(key, key): value
+        for key, value in {**_DEFAULTS, **file_values, **flags}.items()
+    }
+    values["models"] = _parse_models(values.get("models", ()))
+    ic = values.get("ic")
+    values["ic"] = parse_initial_condition(ic, values["grid_size"]) if ic else None
+    return RunConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad flags; remap to the documented usage code
-        return 0 if exc.code in (0, None) else 1
-    if namespace.command == "selftest":
-        return run(RunConfig(command="selftest"))
-    try:
-        config = _resolve(namespace)
+        config = _resolve(_build_parser().parse_args(argv))
+    except SystemExit:  # --help printed its text
+        return 0
     except (UsageError, ICParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,8 +45,6 @@ __all__ = [
 #: result (h1 fluxes, the secular propagator) is a build error.
 ROUTE_CONSISTENCY_TOL = 1e-10
 
-FIELD_ORDER = ("u", "p", "s")
-
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computation routes disagreed beyond tolerance."""
@@ -125,13 +123,6 @@ class SpectralState:
                 f"{self.grid_size}, got {modes.shape}"
             )
         object.__setattr__(self, "modes", modes)
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return _modal.wavenumbers(self.grid_size)
-
-    def field_modes(self, name: str) -> np.ndarray:
-        return self.modes[FIELD_ORDER.index(name)]
 
 
 def to_modes(state: HydroState) -> SpectralState:

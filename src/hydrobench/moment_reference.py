@@ -46,8 +46,6 @@ __all__ = [
     "trajectory",
 ]
 
-MOMENT_ORDER = ("n", "u", "p", "stress", "heat_flux")
-
 
 @dataclass(frozen=True)
 class MomentState:
@@ -74,9 +72,6 @@ class MomentState:
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         object.__setattr__(self, "modes", modes)
-
-    def field_modes(self, name: str) -> np.ndarray:
-        return self.modes[MOMENT_ORDER.index(name)]
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,6 @@ def burnett_deviation_rms(
     eps: float,
     eigenvalues: EigenvalueSet,
     time: float,
-    period: float | None = None,
     n_samples: int = 32,
 ) -> float:
     """Cycle-averaged deviation between Burnett evolution and the moment truth.
@@ -183,11 +177,10 @@ def burnett_deviation_rms(
     acoustic period that ends at `time`; the RMS over the window is
     returned.  Averaging over a period removes the acoustic phase of the
     O(eps) entropy component from the measurement, so the returned number
-    scales cleanly at first order in eps.  The default period is that of the
-    k = 1 sound wave, 2*pi/a0.
+    scales cleanly at first order in eps.  The period is that of the k = 1
+    sound wave, 2*pi/a0.
     """
-    if period is None:
-        period = 2.0 * np.pi / SOUND_SPEED
+    period = 2.0 * np.pi / SOUND_SPEED
     if time <= period:
         raise ValueError(f"need time > one period ({period:g}), got {time}")
     sample_times = time - period + period * np.arange(1, n_samples + 1) / n_samples

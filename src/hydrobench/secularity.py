@@ -38,6 +38,7 @@ __all__ = [
     "MultiscaleBound",
     "SecularSeries",
     "UnsupportedInitialCondition",
+    "beyond_horizon",
     "multiscale_bound",
     "naive_correction_envelope",
     "secular_ratio_series",
@@ -84,14 +85,22 @@ class MultiscaleBound:
         return self.value
 
 
-def _single_u_mode(ic: ICSpec) -> tuple[int, float]:
+def _single_u_mode(ic: ICSpec) -> int:
     if len(ic.terms) != 1 or ic.terms[0].field != "u" or ic.terms[0].amplitude == 0:
         raise UnsupportedInitialCondition(
             "secularity experiments need exactly one velocity term with a nonzero "
             "amplitude, e.g. u:1:1"
         )
-    term = ic.terms[0]
-    return term.mode, abs(term.amplitude)
+    return ic.terms[0].mode
+
+
+def beyond_horizon(t: float, eps: float) -> bool:
+    """Whether time t lies past 1/eps^2, where the uniform-error claim stops.
+
+    A relative slack of 1e-12 lets a t written as 1/eps^2 in decimal pass.
+    No division, so an eps whose square underflows has an infinite horizon.
+    """
+    return bool(t * eps * eps > 1.0 + 1e-12)
 
 
 def _resonant_coefficient(eigenvalues: EigenvalueSet) -> float:
@@ -100,6 +109,10 @@ def _resonant_coefficient(eigenvalues: EigenvalueSet) -> float:
     return float(
         Fraction(4, 3) / eigenvalues.lambda02 + Fraction(2, 3) / eigenvalues.lambda11
     )
+
+
+def _unit_envelope(mode: int, eigenvalues: EigenvalueSet, t) -> float | np.ndarray:
+    return 0.5 * abs(_resonant_coefficient(eigenvalues)) * mode * mode * np.abs(t)
 
 
 def naive_correction_envelope(
@@ -116,9 +129,7 @@ def naive_correction_envelope(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    mode, amplitude = _single_u_mode(ic)
-    coefficient = abs(_resonant_coefficient(eigenvalues))
-    return 0.5 * coefficient * mode * mode * amplitude * np.abs(t)
+    return abs(ic.terms[0].amplitude) * _unit_envelope(_single_u_mode(ic), eigenvalues, t)
 
 
 def _augmented_matrix(mode: int, eps: float, eigenvalues: EigenvalueSet) -> np.ndarray:
@@ -150,12 +161,15 @@ def _acoustic_amplitude(u_mode: np.ndarray, p_mode: np.ndarray) -> np.ndarray:
 
 
 def _multiscale_ratios(
-    ic: ICSpec, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
+    mode: int, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
 ) -> np.ndarray:
-    """eps*|correction|/|leading| at every time; the last is checked against expm."""
-    mode, amplitude = _single_u_mode(ic)
+    """eps*|correction|/|leading| at every time; the last is checked against expm.
+
+    The system is linear and the ratio homogeneous of degree 0 in the
+    start, so the standing wave of unit amplitude stands for every one.
+    """
     generator = _augmented_matrix(mode, eps, eigenvalues)
-    start = np.array([0.5 * amplitude, 0.0, 0.0, 0.0], dtype=complex)
+    start = np.array([0.5, 0.0, 0.0, 0.0], dtype=complex)
     ratios = np.empty(times.size)
     for rows, block in exp_action(generator[None], start[:, None], times):
         leading = _acoustic_amplitude(block[:, 0, 0], block[:, 1, 0])
@@ -177,8 +191,10 @@ def secular_ratio_series(
 
     The naive ratio compares the resonant envelope against the undamped
     acoustic leading order, so it is exactly linear in t.  The multiscale
-    ratio is measured from the augmented propagator.  Times beyond 1/eps^2
-    are outside the validity horizon and rejected.
+    ratio is measured from the augmented propagator.  Both ratios are those
+    of the unit-amplitude wave: they do not depend on the amplitude or phase
+    of the IC term.  Times beyond 1/eps^2 are outside the validity horizon
+    and rejected.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -187,14 +203,14 @@ def secular_ratio_series(
         raise ValueError("times must be a nonempty 1-D sequence")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be nonnegative and ascending")
-    horizon = 1.0 / (eps * eps)
-    if times[-1] > horizon * (1.0 + 1e-12):
+    if beyond_horizon(times[-1], eps):
         raise ValueError(
-            f"max(times) = {times[-1]:g} exceeds the validity horizon 1/eps^2 = {horizon:g}"
+            f"max(times) = {times[-1]:g} exceeds the validity horizon "
+            f"1/eps^2 = {1.0 / (eps * eps):g}"
         )
-    _, amplitude = _single_u_mode(ic)
-    naive = eps * naive_correction_envelope(ic, eps, eigenvalues, times) / amplitude
-    multiscale = _multiscale_ratios(ic, eps, eigenvalues, times)
+    mode = _single_u_mode(ic)
+    naive = eps * _unit_envelope(mode, eigenvalues, times)
+    multiscale = _multiscale_ratios(mode, eps, eigenvalues, times)
     return SecularSeries(times=times, naive_ratio=naive, multiscale_ratio=multiscale)
 
 
@@ -215,13 +231,10 @@ def multiscale_bound(
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if tmax <= 0:
         raise ValueError(f"tmax must be positive, got {tmax}")
-    mode, _ = _single_u_mode(ic)
+    mode = _single_u_mode(ic)
     period = 2.0 * np.pi / (SOUND_SPEED * mode)
     if n_samples is None:
         n_samples = max(256, int(np.ceil(8.0 * tmax / period)))
     times = tmax * np.arange(1, n_samples + 1) / n_samples
-    ratios = _multiscale_ratios(ic, eps, eigenvalues, times)
-    return MultiscaleBound(
-        value=float(np.max(ratios)),
-        beyond_validity=bool(tmax > 1.0 / (eps * eps) * (1.0 + 1e-12)),
-    )
+    ratios = _multiscale_ratios(mode, eps, eigenvalues, times)
+    return MultiscaleBound(value=float(np.max(ratios)), beyond_validity=beyond_horizon(tmax, eps))

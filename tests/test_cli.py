@@ -1,10 +1,14 @@
 """Initial-condition grammar, CSV/SVG emission, CLI commands, exit codes."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -107,6 +111,96 @@ def _chart_tables(draw):
         columns[f"y{i}"] = draw(st.lists(reals, min_size=n, max_size=n))
     order = draw(st.permutations(list(columns)))
     return cli._table({name: columns[name] for name in order})
+
+
+_MALFORMED = st.sampled_from(["", "abc", "1e", "0x10", "1,5"])
+_HOSTILE_FLOAT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-5e-324", "1e-200", "1e300", "-1e300"]),
+    st.floats().map(repr),
+    _MALFORMED,
+)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _ic_terms(fields, count, amplitude):
+    term = st.tuples(st.sampled_from(fields), st.integers(1, 3), amplitude, _reals(-7, 7))
+    terms = st.lists(term.map(lambda t: "%s:%d:%s:%s" % t), min_size=1, max_size=count)
+    return terms.map(",".join)
+
+
+_HOSTILE_IC = st.one_of(
+    _ic_terms("upsq", 2, st.one_of(_HOSTILE_FLOAT, st.sampled_from(["1e308", "-1e308"]))),
+    st.sampled_from(["u:0:1", "u:40:1", "u:1", "u:1:1:2:3", "x"]),
+    _MALFORMED,
+)
+_MODEL_NAMES = ["euler", "ns", "burnett", "riemann", "moment"]
+_HOSTILE_MODELS = st.lists(st.sampled_from([*_MODEL_NAMES, "bogus", ""]), max_size=3)
+
+#: (valid, hostile) values per option.  Only eps, lambda02, kmin, kmax and
+#: the IC amplitude and phase take huge or non-finite values.  Grid size,
+#: samples, tmax and dt-out stay small, so no example sizes an array beyond
+#: 64 points or about 50 output times.
+_OPTIONS = {
+    "eps": (_reals(0.01, 0.3), _HOSTILE_FLOAT),
+    "lambda02": (_reals(-5.0, -0.2), _HOSTILE_FLOAT),
+    "kmin": (_reals(0.05, 1.0), _HOSTILE_FLOAT),
+    "kmax": (_reals(1.0, 4.0), _HOSTILE_FLOAT),
+    "samples": (st.integers(2, 64).map(str), st.sampled_from(["-1", "0", "1", "4.5"])),
+    "grid-size": (st.integers(8, 64).map(str), st.sampled_from(["-1", "0", "7", "8.0"])),
+    "tmax": (_reals(3.0, 15.0), st.sampled_from(["nan", "inf", "-1", "0", "x"])),
+    "dt-out": (_reals(0.3, 3.0), st.sampled_from(["nan", "-inf", "-1", "0", "20"])),
+}
+
+#: The options each data command takes as flags; a config file may set any.
+_COMMAND_OPTIONS = {
+    "dispersion": ["model", "eps", "lambda02", "kmin", "kmax", "samples"],
+    "evolve": ["model", "eps", "lambda02", "ic", "tmax", "dt-out", "grid-size"],
+    "compare": ["model", "eps", "lambda02", "ic", "tmax", "dt-out", "grid-size"],
+    "secular": ["eps", "lambda02", "ic", "tmax", "dt-out", "grid-size"],
+}
+
+
+@st.composite
+def _invocations(draw):
+    """argv without --out, and config-file lines, for one data command.
+
+    A few options draw from their hostile values, the rest from their valid
+    ones.  Each option of the command is given as a flag, as a config key or
+    not at all; now and then a config key of another command rides along.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    models = st.lists(st.sampled_from(_MODEL_NAMES), min_size=1, max_size=3)
+    valid_ic = _ic_terms("ups", 2, _reals(-2, 2))
+    if command == "evolve":
+        models = st.sampled_from(_MODEL_NAMES).map(lambda name: [name])
+    if command == "secular":
+        valid_ic = _ic_terms("u", 1, _reals(-2, 2))
+    options = {
+        **_OPTIONS,
+        "model": (models.map(",".join), _HOSTILE_MODELS.map(",".join)),
+        "ic": (valid_ic, _HOSTILE_IC),
+    }
+    hostile = draw(st.sets(st.sampled_from(sorted(options)), max_size=3))
+    argv, lines = [command], []
+    for key in sorted(options):
+        if key not in _COMMAND_OPTIONS[command]:
+            where = draw(st.sampled_from(["absent", "absent", "absent", "config"]))
+        elif key in ("model", "ic"):  # required by every command that takes them
+            where = draw(st.sampled_from(["flag", "flag", "flag", "config", "absent"]))
+        else:
+            where = draw(st.sampled_from(["flag", "config", "absent"]))
+        value = draw(options[key][key in hostile])
+        if where == "flag":
+            argv.append(f"--{key}={value}")
+        elif where == "config":
+            lines.append(f"{key}={value}")
+    svg = draw(st.sampled_from(["flag", "on", "off", "absent"]))
+    argv += ["--svg"] if svg == "flag" else []
+    lines += {"on": ["svg=yes"], "off": ["svg=0"]}.get(svg, [])
+    return argv, lines
 
 
 def _dispersion_rows_by_string_sort(config):
@@ -794,8 +888,9 @@ class TestExitCodes:
         )
         assert code == 1
 
-    def test_usage_error_bad_flag(self):
+    def test_usage_error_bad_flag(self, capsys):
         assert main(["dispersion", "--nonsense"]) == 1
+        assert capsys.readouterr().err == "error: hydrobench: unrecognized arguments: --nonsense\n"
 
     def test_usage_error_two_models_for_evolve(self, tmp_path):
         code = main(
@@ -874,12 +969,38 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("numerical failure: non-finite value (")
         assert not out.exists()
 
-    def test_overflowing_secular_amplitude_is_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["secular"], ["evolve", "--model", "burnett"]])
+    def test_overflowing_rate_is_numerical_failure(self, tmp_path, capsys, command):
+        # A subnormal lambda02 makes the exact rates 1/lambda too large for a float.
         out = tmp_path / "x.csv"
-        assert main(["secular", "--ic", "u:1:1e308", "--tmax", "1", "--out", str(out)]) == 2
+        argv = [*command, "--ic", "u:1:1", "--tmax", "1", "--lambda02=-5e-324"]
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical failure: non-finite value (")
         assert not out.exists()
+
+    def test_secular_output_does_not_depend_on_amplitude_or_phase(self, tmp_path, capsys):
+        # The ratios are homogeneous of degree 0 in the amplitude, so even one
+        # whose square overflows gives the bytes of the unit wave.
+        flags = ["--eps", "0.1", "--tmax", "20", "--dt-out", "0.5", "--svg"]
+        assert main(["secular", "--ic", "u:1:1", *flags, "--out", str(tmp_path / "1.csv")]) == 0
+        for amplitude in ("1e308", "-3", "0.7", "1:2.5"):
+            out = tmp_path / f"{amplitude}.csv"
+            assert main(["secular", "--ic", f"u:1:{amplitude}", *flags, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "1.csv").read_bytes()
+            assert out.with_suffix(".svg").read_bytes() == (tmp_path / "1.svg").read_bytes()
+        assert capsys.readouterr().err == ""
+
+    def test_chart_fault_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def fault(rows, title):
+            raise FloatingPointError("overflow encountered in multiply")
+
+        monkeypatch.setattr(cli, "_svg_chart", fault)
+        out = tmp_path / "x.csv"
+        argv = ["dispersion", "--model", "euler", "--samples", "4", "--svg", "--out", str(out)]
+        assert main(argv) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists() and not out.with_suffix(".svg").exists()
 
     def test_overflow_in_a_real_process_prints_one_line(self, tmp_path):
         # Outside pytest numpy would print each RuntimeWarning to stderr
@@ -974,6 +1095,52 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "dispersion" in out and "selftest" in out
+
+
+class TestExitContract:
+    """Any argv of a data command exits 0, 1 or 2 and raises no warning.  A
+    failure prints one stderr line and leaves no file; a success writes only
+    finite reals, and running it again rewrites the same bytes."""
+
+    @staticmethod
+    def _call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        return code, err.getvalue(), caught
+
+    @settings(max_examples=200, deadline=None)
+    @given(invocation=_invocations(), target=st.sampled_from(["file", "none", "missing_dir"]))
+    def test_any_argv_keeps_the_exit_contract(self, invocation, target):
+        argv, lines = invocation
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            out = work / "missing" / "x.csv" if target == "missing_dir" else work / "x.csv"
+            if target != "none":
+                argv = [*argv, f"--out={out}"]
+            if lines:
+                (work / "run.cfg").write_text("\n".join(lines) + "\n")
+                argv = [*argv, f"--config={work / 'run.cfg'}"]
+            code, err, caught = self._call(argv)
+            assert code in (0, 1, 2)
+            assert not caught, [str(w.message) for w in caught]
+            written = sorted(p for p in work.rglob("*") if p.name != "run.cfg")
+            if code != 0:
+                assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+                assert written == []
+                return
+            assert err == ""
+            with open(out) as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1
+            labels = [i for i, name in enumerate(rows[0]) if name in ("model", "branch")]
+            reals = [float(v) for row in rows[1:] for i, v in enumerate(row) if i not in labels]
+            assert all(map(math.isfinite, reals))
+            first = {p: p.read_bytes() for p in written}
+            assert self._call(argv)[0] == 0
+            assert {p: p.read_bytes() for p in written} == first
 
 
 class TestSelftestCommand:

@@ -50,7 +50,7 @@ class TestTransforms:
         n = 8
         state = make_state(n, u=np.sin(grid(n)))
         spec = to_modes(state)
-        u_modes = spec.field_modes("u")
+        u_modes = spec.modes[0]
         assert u_modes.shape == (n // 2 + 1,)
         assert u_modes[1] == pytest.approx(-0.5j, abs=1e-15)
         others = np.delete(u_modes, 1)

@@ -8,6 +8,7 @@ from hydrobench.coefficients import eigenvalue_set
 from hydrobench.initial_conditions import parse_initial_condition
 from hydrobench.secularity import (
     UnsupportedInitialCondition,
+    beyond_horizon,
     multiscale_bound,
     naive_correction_envelope,
     secular_ratio_series,
@@ -128,6 +129,11 @@ class TestRatioSeries:
         with pytest.raises(ValueError, match="horizon"):
             secular_ratio_series(IC, 0.1, EV, np.array([50.0, 150.0]))
 
+    def test_horizon_rule(self):
+        assert not beyond_horizon(400.0, 0.05)
+        assert beyond_horizon(400.0 * (1.0 + 1e-9), 0.05)
+        assert not beyond_horizon(1e300, 1e-200)  # eps^2 underflows: no horizon
+
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             secular_ratio_series(IC, 0.1, EV, np.array([5.0, 2.0]))
@@ -140,11 +146,12 @@ class TestRatioSeries:
 
 class TestSeriesRoutes:
     def test_naive_series_equals_scalar_envelopes_bitwise(self):
+        # The series is that of the unit-amplitude wave of the same mode.
         eps = 0.05
-        ic = parse_initial_condition("u:2:0.7")
         times = np.linspace(0.5, 100.0, 37)
-        series = secular_ratio_series(ic, eps, EV, times)
-        scalar = [eps * naive_correction_envelope(ic, eps, EV, float(t)) / 0.7 for t in times]
+        series = secular_ratio_series(parse_initial_condition("u:2:0.7"), eps, EV, times)
+        unit = parse_initial_condition("u:2:1")
+        scalar = [eps * naive_correction_envelope(unit, eps, EV, float(t)) for t in times]
         assert np.array_equal(series.naive_ratio, scalar)
 
     def test_multiscale_matches_composed_expm_steps(self):
@@ -218,7 +225,7 @@ class TestMultiscaleClosedForm:
         d_bracket = abs(2.0 / (3.0 * -1.0) - 1.0 / (3.0 * -2.0 / 3.0))  # 1/6
         omega = SOUND_SPEED * mode
         times = np.linspace(0.3, 2.0 * np.pi / omega, 40)
-        ratios = _multiscale_ratios(IC, eps, EV, times)
+        ratios = _multiscale_ratios(mode, eps, EV, times)
         predicted = eps * d_bracket * mode / SOUND_SPEED * np.abs(np.sin(omega * times))
         assert np.max(np.abs(ratios - predicted)) <= 0.05 * eps
 
