@@ -3,11 +3,10 @@ of the linearized one-dimensional kinetic equation.
 
 Layers, bottom up: exact eigenfunction algebra (velocity_space), the Maxwell
 eigenvalue table and transport coefficients (coefficients), plane-wave
-dispersion relations (dispersion), spectral field evolution for the
-Euler/Navier-Stokes/Burnett/Riemann models (hydro_spectral), the five-field
-kinetic moment reference (moment_reference), and the secular-growth
-laboratory (secularity).  The cli module drives experiments and emits
-CSV/SVG.
+dispersion relations (dispersion), spectral field evolution of all five
+models (hydro_spectral), the five-field kinetic moment reference
+(moment_reference), and the secular-growth laboratory (secularity).  The
+cli module drives experiments and emits CSV/SVG.
 """
 
 from .coefficients import (
@@ -46,7 +45,6 @@ from .hydro_spectral import (
 from .initial_conditions import ICParseError, ICSpec, ICTerm, parse_initial_condition, realize
 from .moment_reference import (
     HydroProjection,
-    MomentState,
     burnett_deviation_rms,
     evolve_moments,
     from_hydro,
@@ -91,7 +89,6 @@ __all__ = [
     "ICTerm",
     "InternalConsistencyError",
     "ModelId",
-    "MomentState",
     "MultiscaleBound",
     "NsCoefficients",
     "Recursion",

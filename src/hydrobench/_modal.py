@@ -9,8 +9,8 @@ the grid size N alongside the modes.  Under the traveling-wave sign
 convention exp(sigma*t - i*k*x) used by the symbol matrices, column
 m = 0, 1, ..., N//2 carries plane wavenumber -m, and its propagator is the
 matrix exponential of the symbol at -m.  The (N//2 + 1, d, d) symbol stack
-of a run is diagonalized once and evaluated at every requested time as
-V exp(Lambda t) V^-1 x.
+of a run (d = 3 for a hydro model, 5 for the moment system) is diagonalized
+once and evaluated at every time of a 1-D array as V exp(Lambda t) V^-1 x.
 
 The only coefficients with no conjugate partner are k = 0 and, for even N,
 the Nyquist column k = N/2; both are real for a real field, and their
@@ -34,7 +34,6 @@ __all__ = [
     "hermitian_violation",
     "inverse_modes",
     "mode_propagators",
-    "per_time",
     "wavenumbers",
 ]
 
@@ -134,19 +133,20 @@ def exp_action(
 def mode_propagators(
     symbol_stack: Callable[[np.ndarray], np.ndarray],
     n: int,
-    times: float | np.ndarray,
+    times: np.ndarray,
     modes: np.ndarray,
 ) -> np.ndarray:
     """Half-spectrum field modes (d, n//2 + 1) carried exactly to every time.
 
-    Returns shape (T, d, n//2 + 1).  times is one positive step or a 1-D
-    ascending array of positive elapsed times.  symbol_stack maps the array of
-    plane wavenumbers -k = 0, -1, ..., -(n//2) to the (n//2 + 1, d, d) symbol
-    stack.  For even n the real Nyquist coefficient is advanced as Re(P x).
+    Returns shape (T, d, n//2 + 1).  times is a 1-D ascending array of
+    positive elapsed times; a scalar is refused.  symbol_stack maps the array
+    of plane wavenumbers -k = 0, -1, ..., -(n//2) to the (n//2 + 1, d, d)
+    symbol stack.  For even n the real Nyquist coefficient is advanced as
+    Re(P x).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
-        raise ValueError(f"times must be positive and ascending, got {times}")
+        raise ValueError(f"times must be a 1-D array of positive ascending times, got {times}")
     mats = symbol_stack(-wavenumbers(n).astype(float))
     out = np.empty((times.size, len(modes), n // 2 + 1), dtype=complex)
     for rows, block in exp_action(mats, modes, times):
@@ -155,8 +155,3 @@ def mode_propagators(
         out[:, :, -1] = out[:, :, -1].real
     return out
 
-
-def per_time(dt: float | np.ndarray, advanced: np.ndarray, state: Callable):
-    """state(modes, t) at each time of an array dt; the one state for a scalar step."""
-    states = [state(modes, t) for modes, t in zip(advanced, np.atleast_1d(dt).tolist())]
-    return states if np.ndim(dt) else states[0]

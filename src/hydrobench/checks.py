@@ -208,31 +208,29 @@ def solver_hygiene() -> list[Measurement]:
     back = hydro_spectral.from_modes(spec)
     round_trip = max(_max_gap(getattr(back, f), getattr(state, f)) for f in "ups")
 
-    one = evolve(spec, ModelId.BURNETT, 0.1, EV, 1.9)
-    two = evolve(evolve(spec, ModelId.BURNETT, 0.1, EV, 1.2), ModelId.BURNETT, 0.1, EV, 0.7)
+    (one,) = evolve(spec, ModelId.BURNETT, 0.1, EV, [1.9])
+    (half,) = evolve(spec, ModelId.BURNETT, 0.1, EV, [1.2])
+    (two,) = evolve(half, ModelId.BURNETT, 0.1, EV, [0.7])
 
     cur, e0, drift = spec, _energy(spec), 0.0
     for _ in range(1000):
-        cur = evolve(cur, ModelId.EULER, 0.0, EV, 0.05)
+        (cur,) = evolve(cur, ModelId.EULER, 0.0, EV, [0.05])
         drift = max(drift, abs(_energy(cur) - e0) / e0)
     s_drift = _max_gap(hydro_spectral.from_modes(cur).s, state.s)
 
     offset = hydro_spectral.HydroState(u=state.u + 0.5, p=state.p - 0.25, s=state.s + 1.0)
-    offset_spec = hydro_spectral.to_modes(offset)
-    mean_drift = max(
-        _max_gap(evolve(offset_spec, model, 0.1, EV, 2.0).modes[:, 0], offset_spec.modes[:, 0])
-        for model in ModelId
-        if model is not ModelId.MOMENT_REFERENCE
-    )
-    moments = moment_reference.from_hydro(offset, 0.1)
-    moved = moment_reference.evolve_moments(moments, EV, 2.0).modes[:3, 0]
-    mean_drift = max(mean_drift, _max_gap(moved, moments.modes[:3, 0]))
+    starts = {3: hydro_spectral.to_modes(offset), 5: moment_reference.from_hydro(offset)}
+    mean_drift = 0.0
+    for model in ModelId:  # the conserved rows: (u, p, s), or (n, u, p) of the moments
+        start = starts[model.dimension]
+        (moved,) = evolve(start, model, 0.1, EV, [2.0])
+        mean_drift = max(mean_drift, _max_gap(moved.modes[:3, 0], start.modes[:3, 0]))
 
     growth = -np.inf
     for model in (ModelId.NAVIER_STOKES, ModelId.BURNETT):
         cur, previous = spec, _energy(spec)
         for _ in range(100):
-            cur = evolve(cur, model, 0.1, EV, 0.1)
+            (cur,) = evolve(cur, model, 0.1, EV, [0.1])
             now = _energy(cur)
             growth, previous = max(growth, (now - previous) / previous), now
     return [
@@ -390,8 +388,8 @@ def riemann_decoupling() -> list[Measurement]:
 @_check("moment hygiene")
 def moment_hygiene() -> list[Measurement]:
     n = 16
-    moments = moment_reference.from_hydro(_state("u:1:1,p:2:0.3", n), eps=0.1)
-    evolved = moment_reference.evolve_moments(moments, EV, 2.5)
+    moments = moment_reference.from_hydro(_state("u:1:1,p:2:0.3", n))
+    (evolved,) = hydro_spectral.evolve(moments, ModelId.MOMENT_REFERENCE, 0.1, EV, [2.5])
     projection = moment_reference.hydro_projection(evolved)
     herm = max(
         _modal.hermitian_violation(evolved.modes, n),

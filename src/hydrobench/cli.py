@@ -20,6 +20,7 @@ import itertools
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +54,13 @@ _MODEL_ALIASES = {
     "moment_reference": ModelId.MOMENT_REFERENCE,
     "moment": ModelId.MOMENT_REFERENCE,
 }
+
+
+#: Most entries the flags may size an array to, checked before any exists:
+#: dispersion samples, secular output times, and output times times grid size
+#: for evolve and compare.  That evolve table would take 4 GB; an N = 65,536
+#: evolve with 101 output times sizes 6.6 million.
+MAX_ARRAY_ENTRIES = 10**8
 
 
 class UsageError(ValueError):
@@ -95,11 +103,21 @@ class RunConfig:
                 raise UsageError(f"dt-out must lie in (0, tmax], got {self.dt_out}")
             if self.ic is None:
                 raise UsageError("an initial condition is required (--ic)")
+            sizes, entries = "--tmax and --dt-out", self.output_steps + 1
+            if self.command != "secular":
+                sizes, entries = "--tmax, --dt-out and --grid-size", entries * self.grid_size
+            if entries > MAX_ARRAY_ENTRIES:
+                raise UsageError(f"{sizes} size more than {MAX_ARRAY_ENTRIES:,} array entries")
         if self.command == "dispersion":
             if not (0 < self.kmin < self.kmax):
                 raise UsageError(f"need 0 < kmin < kmax, got [{self.kmin}, {self.kmax}]")
-            if self.samples < 2:
-                raise UsageError(f"need at least two k samples, got {self.samples}")
+            if not (2 <= self.samples <= MAX_ARRAY_ENTRIES):
+                raise UsageError(f"need 2 to {MAX_ARRAY_ENTRIES:,} k samples, got {self.samples}")
+        for term in self.ic.terms if self.ic else ():
+            if term.mode >= self.grid_size // 2:
+                raise UsageError(
+                    f"mode {term.mode} is not resolvable on a grid of size {self.grid_size}"
+                )
         if self.command in ("dispersion", "evolve", "compare", "secular"):
             if not self.models and self.command in ("dispersion", "evolve", "compare"):
                 raise UsageError("at least one --model is required")
@@ -109,6 +127,16 @@ class RunConfig:
     @property
     def eigenvalues(self) -> EigenvalueSet:
         return eigenvalue_set(self.lambda02)
+
+    @cached_property
+    def output_steps(self) -> int:
+        """The largest integer i with i * dt_out <= tmax.
+
+        The count is decided exactly on the shortest decimal form of each
+        value, so tmax 0.3 and dt-out 0.1 give three steps although the
+        doubles divide to 2.9999999999999996.
+        """
+        return int(Fraction(repr(float(self.tmax))) // Fraction(repr(float(self.dt_out))))
 
 
 #: RunConfig's numeric defaults, taken by an option that no flag or config key sets.
@@ -349,14 +377,8 @@ def _initial_state(config: RunConfig) -> hydro_spectral.HydroState:
 
 
 def _output_times(config: RunConfig) -> np.ndarray:
-    """i * dt_out for every integer i >= 0 with i * dt_out <= tmax.
-
-    The count is decided exactly on the shortest decimal form of each value,
-    so tmax 0.3 and dt-out 0.1 give three steps although the doubles divide
-    to 2.9999999999999996.
-    """
-    count = Fraction(repr(float(config.tmax))) // Fraction(repr(float(config.dt_out)))
-    return config.dt_out * np.arange(count + 1)
+    """i * dt_out for i = 0, 1, ..., config.output_steps."""
+    return config.dt_out * np.arange(config.output_steps + 1)
 
 
 def _cmd_evolve(config: RunConfig) -> np.ndarray:
@@ -551,7 +573,7 @@ def _resolve(namespace: argparse.Namespace) -> RunConfig:
     }
     values["models"] = _parse_models(values.get("models", ()))
     ic = values.get("ic")
-    values["ic"] = parse_initial_condition(ic, values["grid_size"]) if ic else None
+    values["ic"] = parse_initial_condition(ic) if ic else None
     return RunConfig(**values)
 
 

@@ -1,15 +1,15 @@
-"""Periodic spectral fields and exact per-mode evolution of the hydro models.
+"""Periodic spectral fields and exact per-mode evolution of all five models.
 
 Fields live on the uniform grid x_j = 2*pi*j/N of the domain [0, 2*pi);
 integer wavenumbers only.  The models are linear with constant coefficients,
 so each Fourier mode is advanced by the exact matrix exponential of its
 symbol: there is no time-stepping error, and the output cadence is purely a
-sampling choice.  evolve takes an array of output times and diagonalizes the
-symbol stack once for all of them.
-
-The hydrodynamic state stores (u, p, s).  Density and temperature
-perturbations are derived, never stored: n = (3p - 2s)/5 and T = (2/5)(p + s),
-equivalent to s = (3/2)p - (5/2)n and T = p - n.
+sampling choice.  evolve takes a 1-D array of output times and diagonalizes
+the symbol stack once for all of them, for any model whose model.dimension
+is the row count of the state: 3 for (u, p, s), 5 for the moments (n, u, p,
+Pi, q).  Density and temperature perturbations of the hydro state are
+derived, never stored: n = (3p - 2s)/5 and T = (2/5)(p + s), equivalent to
+s = (3/2)p - (5/2)n and T = p - n.
 """
 
 from __future__ import annotations
@@ -102,13 +102,14 @@ class HydroState:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Half-spectrum coefficients of (u, p, s) on a grid of grid_size points.
+    """Half-spectrum coefficients of d fields on a grid of grid_size points.
 
-    modes has shape (3, grid_size//2 + 1) in numpy rfft layout, normalized
-    so u(x) = sum_k modes[0, k] exp(+i k x) + c.c. over k = 1..grid_size//2
-    (the k = 0 and even-grid Nyquist terms counted once).  grid_size is
-    stored because the column count cannot tell an even grid from an odd
-    one.  A state describing real fields has real k = 0 and Nyquist modes.
+    modes has shape (d, grid_size//2 + 1) in numpy rfft layout, with d = 3
+    for (u, p, s) and d = 5 for (n, u, p, Pi, q), normalized so u(x) =
+    sum_k modes[row, k] exp(+i k x) + c.c. over k = 1..grid_size//2 (the
+    k = 0 and even-grid Nyquist terms counted once).  grid_size is stored
+    because the column count cannot tell an even grid from an odd one.  A
+    state describing real fields has real k = 0 and Nyquist modes.
     """
 
     modes: np.ndarray
@@ -117,12 +118,18 @@ class SpectralState:
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=complex)
-        if modes.shape != (3, self.grid_size // 2 + 1):
+        columns = self.grid_size // 2 + 1
+        if modes.shape not in ((3, columns), (5, columns)):
             raise ValueError(
-                f"modes must have shape (3, {self.grid_size // 2 + 1}) for grid size "
+                f"modes must have shape (3 or 5, {columns}) for grid size "
                 f"{self.grid_size}, got {modes.shape}"
             )
         object.__setattr__(self, "modes", modes)
+
+
+def _require_rows(spec: SpectralState, rows: int, reader: str) -> None:
+    if len(spec.modes) != rows:
+        raise ValueError(f"{reader} needs a state of {rows} rows, got {len(spec.modes)}")
 
 
 def to_modes(state: HydroState) -> SpectralState:
@@ -132,7 +139,8 @@ def to_modes(state: HydroState) -> SpectralState:
 
 
 def from_modes(spec: SpectralState) -> HydroState:
-    """Synthesis back to real fields; raises on a complex k = 0 or Nyquist mode."""
+    """Synthesis of (u, p, s) back to real fields; raises on a complex k = 0 or Nyquist mode."""
+    _require_rows(spec, 3, "from_modes")
     fields = _modal.inverse_modes(spec.modes, spec.grid_size)
     return HydroState(u=fields[0], p=fields[1], s=fields[2], time=spec.time)
 
@@ -142,24 +150,21 @@ def evolve(
     model: ModelId,
     eps: float,
     eigenvalues: EigenvalueSet,
-    dt: float | np.ndarray,
-) -> SpectralState | list[SpectralState]:
+    times: np.ndarray,
+) -> list[SpectralState]:
     """Advance every mode by the exact exponential of its model symbol.
 
-    A positive step dt gives one state; a 1-D ascending array of elapsed
-    times gives one state per time.  The moment reference has its own state
-    and solver, reached through moment_reference.trajectory; asking for it
-    here is an error.  Spatial means (the k = 0 modes) are invariant for
-    every model because all terms are x-derivatives.
+    times is a 1-D ascending array of positive elapsed times; one state is
+    returned per time.  The state must have model.dimension rows.  Spatial
+    means (the k = 0 modes) are invariant for every model because all terms
+    are x-derivatives.
     """
-    if model is ModelId.MOMENT_REFERENCE:
-        raise ValueError("use moment_reference.trajectory for the kinetic system")
+    _require_rows(spec, model.dimension, model.value)
+    n, times = spec.grid_size, np.asarray(times, dtype=float)
     advanced = _modal.mode_propagators(
-        lambda kappa: symbol_matrix(model, kappa, eps, eigenvalues), spec.grid_size, dt, spec.modes
+        lambda k: symbol_matrix(model, k, eps, eigenvalues), n, times, spec.modes
     )
-    return _modal.per_time(
-        dt, advanced, lambda m, t: SpectralState(m, spec.grid_size, spec.time + t)
-    )
+    return [SpectralState(m, n, spec.time + t) for m, t in zip(advanced, times.tolist())]
 
 
 def riemann_split(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

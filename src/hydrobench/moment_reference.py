@@ -15,16 +15,16 @@ lambda11/eps on q.  The system in flux form:
 
 Its three slow eigenvalue branches converge to the Burnett-level dispersion
 relation at rate O(k (eps k)^3), which is the module's central validation.
-The generator is built, like every model's, by dispersion.symbol_matrix;
-evolve_moments reaches every requested time from one diagonalization.
-trajectory evolves a (u, p, s) state under any of the five models, and
-reference_gaps is the one comparison with the moment truth that compare,
-evolve and the Burnett-deviation criterion share.
+The generator is built, like every model's, by dispersion.symbol_matrix,
+and a moment state is a 5-row hydro_spectral.SpectralState that
+hydro_spectral.evolve advances like any other.  trajectory evolves a
+(u, p, s) state under any of the five models, and reference_gaps is the one
+comparison with the moment truth that compare, evolve and the
+Burnett-deviation criterion share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,12 +32,11 @@ import numpy as np
 
 from . import _modal
 from .coefficients import SOUND_SPEED, EigenvalueSet
-from .dispersion import ModelId, symbol_matrix
-from .hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
+from .dispersion import ModelId
+from .hydro_spectral import HydroState, SpectralState, _require_rows, evolve, from_modes, to_modes
 
 __all__ = [
     "HydroProjection",
-    "MomentState",
     "burnett_deviation_rms",
     "evolve_moments",
     "from_hydro",
@@ -45,33 +44,6 @@ __all__ = [
     "reference_gaps",
     "trajectory",
 ]
-
-
-@dataclass(frozen=True)
-class MomentState:
-    """Half-spectrum coefficients of (n, u, p, Pi, q) on a grid of grid_size points.
-
-    modes has shape (5, grid_size//2 + 1) in the numpy rfft layout of
-    hydro_spectral.SpectralState; grid_size is stored because the column
-    count cannot tell an even grid from an odd one.  A state describing real
-    fields has real k = 0 and Nyquist modes.
-    """
-
-    modes: np.ndarray
-    grid_size: int
-    eps: float
-    time: float = 0.0
-
-    def __post_init__(self):
-        modes = np.asarray(self.modes, dtype=complex)
-        if modes.shape != (5, self.grid_size // 2 + 1):
-            raise ValueError(
-                f"modes must have shape (5, {self.grid_size // 2 + 1}) for grid size "
-                f"{self.grid_size}, got {modes.shape}"
-            )
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        object.__setattr__(self, "modes", modes)
 
 
 @dataclass(frozen=True)
@@ -83,8 +55,8 @@ class HydroProjection:
     heat_flux: np.ndarray
 
 
-def from_hydro(state: HydroState, eps: float) -> MomentState:
-    """Moment state with the hydro fields imposed and Pi = q = 0.
+def from_hydro(state: HydroState) -> SpectralState:
+    """5-row moment state (n, u, p, Pi, q) with the hydro fields imposed and Pi = q = 0.
 
     The kinetic moments start on the equilibrium manifold; they relax toward
     their quasi-steady closures within a few collision times eps/|lambda|.
@@ -92,39 +64,36 @@ def from_hydro(state: HydroState, eps: float) -> MomentState:
     stacked = np.stack(
         [state.n, state.u, state.p, np.zeros(state.grid_size), np.zeros(state.grid_size)]
     )
-    return MomentState(_modal.forward_modes(stacked), state.grid_size, eps, state.time)
+    return SpectralState(_modal.forward_modes(stacked), state.grid_size, state.time)
 
 
-def evolve_moments(state: MomentState, eigenvalues: EigenvalueSet, dt: float | np.ndarray):
-    """Advance each mode by the exact exponential of the moment symbol.
+def evolve_moments(
+    state: SpectralState, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
+) -> list[SpectralState]:
+    """hydro_spectral.evolve under the moment model.
 
-    A positive step dt gives one state; a 1-D ascending array of elapsed
-    times gives one state per time.  Exact propagation makes the stiffness
-    knob lambda/eps harmless; the semigroup property holds to roundoff and
-    the k = 0 rows of n, u, p are conserved identically.
+    It exists only as the seam that the benchmark tracer counts moment
+    propagation by: perfbench/tracer.py wraps it by name, and
+    perfbench/test_tracer.py requires its count to be nonzero on the
+    reference_compare workload.  It goes when the tracer counts propagation
+    by row count instead.
     """
-    advanced = _modal.mode_propagators(
-        lambda kappa: symbol_matrix(ModelId.MOMENT_REFERENCE, kappa, state.eps, eigenvalues),
-        state.grid_size,
-        dt,
-        state.modes,
-    )
-    return _modal.per_time(
-        dt, advanced, lambda m, t: MomentState(m, state.grid_size, state.eps, state.time + t)
-    )
+    return evolve(state, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
 
 
-def _hydro_state(state: MomentState) -> HydroState:
+def _hydro_state(state: SpectralState) -> HydroState:
     """Synthesized (u, p, s) of a moment state, with s = (3/2)p - (5/2)n."""
+    _require_rows(state, 5, "the moment projection")
     n, u, p = state.modes[:3]
     modes = np.stack([u, p, 1.5 * p - 2.5 * n])
     return from_modes(SpectralState(modes, state.grid_size, state.time))
 
 
-def hydro_projection(state: MomentState) -> HydroProjection:
-    """Project onto (u, p, s); keep Pi, q as residuals."""
+def hydro_projection(state: SpectralState) -> HydroProjection:
+    """Project a 5-row moment state onto (u, p, s); keep Pi, q as residuals."""
+    hydro = _hydro_state(state)
     residuals = _modal.inverse_modes(state.modes[3:], state.grid_size)
-    return HydroProjection(_hydro_state(state), stress=residuals[0], heat_flux=residuals[1])
+    return HydroProjection(hydro, stress=residuals[0], heat_flux=residuals[1])
 
 
 def trajectory(
@@ -135,7 +104,7 @@ def trajectory(
     times is a 1-D array; each state is synthesized as it is read.
     """
     if model is ModelId.MOMENT_REFERENCE:
-        return map(_hydro_state, evolve_moments(from_hydro(initial, eps), eigenvalues, times))
+        return map(_hydro_state, evolve_moments(from_hydro(initial), eps, eigenvalues, times))
     return map(from_modes, evolve(to_modes(initial), model, eps, eigenvalues, times))
 
 

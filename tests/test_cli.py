@@ -1021,6 +1021,68 @@ class TestExitCodes:
         assert proc.stderr.startswith("numerical failure: non-finite value (")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_ic_mode_beyond_the_grid_is_usage_error(self, tmp_path, capsys):
+        # RunConfig checks the modes against its own grid size, so a library
+        # caller and the command line meet one rule.
+        message = "mode 9 is not resolvable on a grid of size 16"
+        for command in ("evolve", "compare", "secular"):
+            with pytest.raises(cli.UsageError, match=message):
+                RunConfig(
+                    command=command,
+                    models=(cli.ModelId.EULER,),
+                    ic=parse_initial_condition("u:1:1,u:9:1"),
+                    grid_size=16,
+                    tmax=1.0,
+                    out_path=tmp_path / "x.csv",
+                )
+        out = tmp_path / "x.csv"
+        argv = ["evolve", "--model", "euler", "--ic", "u:9:1", "--grid-size", "16"]
+        assert main([*argv, "--tmax", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        config = tmp_path / "run.cfg"
+        config.write_text("grid-size=16\n")
+        assert main([*argv[:-2], "--config", str(config), "--tmax", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["evolve", "--model", "euler", "--ic", "u:1:1", "--dt-out", "1e-300"], "grid"),
+            (["compare", "--model", "ns", "--ic", "u:1:1", "--dt-out", "1e-300"], "grid"),
+            (["secular", "--ic", "u:1:1", "--dt-out", "1e-300"], "times"),
+            (["evolve", "--model", "euler", "--ic", "u:1:1", f"--grid-size={10**21}"], "grid"),
+            (["dispersion", "--model", "euler", f"--samples={10**20}"], "samples"),
+        ],
+    )
+    def test_array_size_beyond_the_limit_is_usage_error(self, tmp_path, capsys, argv, sizes):
+        # Each size is refused before any array exists; none of them could be
+        # allocated.
+        out = tmp_path / "x.csv"
+        tmax = [] if argv[0] == "dispersion" else ["--tmax", "1"]
+        assert main([*argv, *tmax, "--out", str(out)]) == 1
+        expected = {
+            "grid": "--tmax, --dt-out and --grid-size size more than 100,000,000 array entries",
+            "times": "--tmax and --dt-out size more than 100,000,000 array entries",
+            "samples": f"need 2 to 100,000,000 k samples, got {10**20}",
+        }[sizes]
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    def test_array_size_limit_sits_above_the_largest_runs(self, tmp_path):
+        # An N = 65,536 evolve or compare with 101 output times is far below the limit.
+        for command in ("evolve", "compare"):
+            config = RunConfig(
+                command=command,
+                models=(cli.ModelId.BURNETT,),
+                ic=parse_initial_condition("u:1:1"),
+                grid_size=65536,
+                tmax=10.0,
+                dt_out=0.1,
+                out_path=tmp_path / "x.csv",
+            )
+            assert (config.output_steps + 1) * config.grid_size * 10 < cli.MAX_ARRAY_ENTRIES
+
     @pytest.mark.parametrize("ic", ["p:1:1", "u:1:0", "u:1:1,u:2:1"])
     def test_secular_refuses_unsupported_ic_as_usage_error(self, tmp_path, capsys, ic):
         out = tmp_path / "x.csv"

@@ -104,7 +104,7 @@ class TestEvolve:
     def test_euler_full_period_returns(self):
         n = 16
         state = make_state(n, u=np.sin(grid(n)))
-        spec = evolve(to_modes(state), ModelId.EULER, 0.0, EV, ACOUSTIC_PERIOD)
+        (spec,) = evolve(to_modes(state), ModelId.EULER, 0.0, EV, [ACOUSTIC_PERIOD])
         back = from_modes(spec)
         assert np.max(np.abs(back.u - state.u)) <= 1e-10
         assert np.max(np.abs(back.p)) <= 1e-10
@@ -119,22 +119,22 @@ class TestEvolve:
             n, u=1.0 + np.sin(grid(n)), p=np.full(n, -0.3), s=np.full(n, 0.7)
         )
         spec = to_modes(state)
-        out = evolve(spec, model, 0.1, EV, 2.0)
+        (out,) = evolve(spec, model, 0.1, EV, [2.0])
         assert np.array_equal(out.modes[:, 0], spec.modes[:, 0])
 
     def test_burnett_at_zero_eps_equals_euler(self):
         n = 16
         spec = to_modes(make_state(n, u=np.sin(grid(n)), p=np.cos(grid(n))))
-        a = evolve(spec, ModelId.BURNETT, 0.0, EV, 1.3)
-        b = evolve(spec, ModelId.EULER, 0.0, EV, 1.3)
+        (a,) = evolve(spec, ModelId.BURNETT, 0.0, EV, [1.3])
+        (b,) = evolve(spec, ModelId.EULER, 0.0, EV, [1.3])
         assert np.max(np.abs(a.modes - b.modes)) == 0.0
 
     def test_semigroup(self):
         n = 16
         spec = to_modes(make_state(n, u=np.sin(grid(n)), s=np.cos(2 * grid(n))))
         for model in (ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT):
-            one = evolve(spec, model, 0.1, EV, 1.7)
-            two = evolve(evolve(spec, model, 0.1, EV, 0.9), model, 0.1, EV, 0.8)
+            (one,) = evolve(spec, model, 0.1, EV, [1.7])
+            (two,) = evolve(evolve(spec, model, 0.1, EV, [0.9])[0], model, 0.1, EV, [0.8])
             assert np.max(np.abs(one.modes - two.modes)) <= 1e-11
 
     def test_euler_conserves_energy_and_entropy_norm(self):
@@ -145,7 +145,7 @@ class TestEvolve:
         e0 = total_energy(state)
         s_norm0 = float(np.sum(state.s**2))
         for _ in range(100):
-            spec = evolve(spec, ModelId.EULER, 0.0, EV, 0.05)
+            (spec,) = evolve(spec, ModelId.EULER, 0.0, EV, [0.05])
             now = from_modes(spec)
             assert abs(total_energy(now) - e0) <= 1e-10 * e0
             assert abs(float(np.sum(now.s**2)) - s_norm0) <= 1e-10 * s_norm0
@@ -153,7 +153,7 @@ class TestEvolve:
     def test_euler_adiabatic_s_constant(self):
         n = 16
         state = make_state(n, u=np.sin(grid(n)), s=np.cos(grid(n)))
-        out = from_modes(evolve(to_modes(state), ModelId.EULER, 0.0, EV, 2.7))
+        out = from_modes(evolve(to_modes(state), ModelId.EULER, 0.0, EV, [2.7])[0])
         assert np.max(np.abs(out.s - state.s)) <= 1e-12
 
     @pytest.mark.parametrize("model", [ModelId.NAVIER_STOKES, ModelId.BURNETT])
@@ -163,7 +163,7 @@ class TestEvolve:
         spec = to_modes(make_state(n, u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x)))
         previous = total_energy(from_modes(spec))
         for _ in range(60):
-            spec = evolve(spec, model, 0.15, EV, 0.2)
+            (spec,) = evolve(spec, model, 0.15, EV, [0.2])
             now = total_energy(from_modes(spec))
             assert now <= previous * (1.0 + 1e-12)
             previous = now
@@ -174,26 +174,35 @@ class TestEvolve:
         state = make_state(n, u=np.sin(x), p=0.4 * np.sin(2 * x + 0.5))
         eps, t = 0.1, 4.0
 
-        evolved = from_modes(evolve(to_modes(state), ModelId.BURNETT, eps, EV, t))
+        evolved = from_modes(evolve(to_modes(state), ModelId.BURNETT, eps, EV, [t])[0])
         rp_direct, rm_direct = riemann_split(evolved.u, evolved.p)
 
         rp0, rm0 = riemann_split(state.u, state.p)
         riemann_state = make_state(n, u=rp0, p=rm0)
         riemann_out = from_modes(
-            evolve(to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, t)
+            evolve(to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, [t])[0]
         )
         assert np.max(np.abs(riemann_out.u - rp_direct)) <= 1e-10
         assert np.max(np.abs(riemann_out.p - rm_direct)) <= 1e-10
 
     def test_moment_reference_rejected(self):
         spec = to_modes(make_state(16, u=np.sin(grid(16))))
-        with pytest.raises(ValueError, match="moment"):
-            evolve(spec, ModelId.MOMENT_REFERENCE, 0.1, EV, 1.0)
+        with pytest.raises(ValueError, match="moment_reference needs a state of 5 rows, got 3"):
+            evolve(spec, ModelId.MOMENT_REFERENCE, 0.1, EV, [1.0])
+
+    @pytest.mark.parametrize(
+        "model",
+        [ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT, ModelId.RIEMANN_DECOUPLED],
+    )
+    def test_five_row_state_rejected_by_hydro_models(self, model):
+        spec = SpectralState(np.zeros((5, 9)), 16)
+        with pytest.raises(ValueError, match=f"{model.value} needs a state of 3 rows, got 5"):
+            evolve(spec, model, 0.1, EV, [1.0])
 
     def test_nonpositive_dt_rejected(self):
         spec = to_modes(make_state(16))
         with pytest.raises(ValueError):
-            evolve(spec, ModelId.EULER, 0.0, EV, 0.0)
+            evolve(spec, ModelId.EULER, 0.0, EV, [0.0])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -211,7 +220,7 @@ class TestEvolve:
         # The k = 0 and Nyquist modes stay real under propagation for
         # arbitrary real data; from_modes would reject otherwise.
         state = make_state(16, u=values[0], p=values[1], s=values[2])
-        out = from_modes(evolve(to_modes(state), model, 0.1, EV, dt))
+        out = from_modes(evolve(to_modes(state), model, 0.1, EV, [dt])[0])
         assert out.grid_size == 16
 
 
@@ -228,7 +237,7 @@ class TestModalMachinery:
 
         # Column j of every per-mode propagator is the image of basis vector j.
         props = np.stack(
-            [mode_propagators(stack, 5, 0.5, np.outer(e, np.ones(3)))[0] for e in np.eye(2)],
+            [mode_propagators(stack, 5, [0.5], np.outer(e, np.ones(3)))[0] for e in np.eye(2)],
             axis=-1,
         )
         expected = scipy.linalg.expm(jordan * 0.5)
@@ -243,7 +252,7 @@ class TestModalMachinery:
         x = grid(n)
         state = make_state(n, u=np.cos((n // 2) * x))
         t = 0.37
-        out = from_modes(evolve(to_modes(state), ModelId.EULER, 0.0, EV, t))
+        out = from_modes(evolve(to_modes(state), ModelId.EULER, 0.0, EV, [t])[0])
         expected = np.cos(SOUND_SPEED * (n // 2) * t) * np.cos((n // 2) * x)
         assert np.max(np.abs(out.u - expected)) <= 1e-12
         assert np.max(np.abs(out.p)) <= 1e-12
@@ -282,11 +291,21 @@ class TestHermitianCheck:
         with pytest.raises(ValueError, match="grid size"):
             inverse_modes(np.zeros((3, 9)), 15)
 
+    def test_row_count_is_three_or_five(self):
+        for rows in (1, 2, 4, 6):
+            with pytest.raises(ValueError, match="3 or 5"):
+                SpectralState(np.zeros((rows, 9)), 16)
+
+    def test_synthesis_refuses_a_five_row_state(self):
+        # Rows are read by position: a moment state would become u = n.
+        with pytest.raises(ValueError, match="from_modes needs a state of 3 rows, got 5"):
+            from_modes(SpectralState(np.zeros((5, 9)), 16))
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-316, 1e-320, 5e-324])
     def test_tiny_real_fields_synthesize_before_and_after_evolve(self, scale):
         # Subnormal values carry no relative precision, so evolution breaks the
         # symmetry by a few ulps of the smallest double; that is not an error.
-        from hydrobench.moment_reference import evolve_moments, from_hydro, hydro_projection
+        from hydrobench.moment_reference import from_hydro, hydro_projection
 
         n = 16
         fields = np.random.default_rng(13).normal(size=(3, n)) * scale
@@ -302,7 +321,7 @@ class TestHermitianCheck:
         ):
             for later in evolve(spec, model, 0.1, EV, times):
                 from_modes(later)
-        for later in evolve_moments(from_hydro(state, 0.1), EV, times):
+        for later in evolve(from_hydro(state), ModelId.MOMENT_REFERENCE, 0.1, EV, times):
             hydro_projection(later)
 
 

@@ -9,11 +9,9 @@ from hypothesis.extra.numpy import arrays
 from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation, wavenumbers
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
-from hydrobench.hydro_spectral import HydroState, evolve, from_modes, to_modes
+from hydrobench.hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
 from hydrobench.moment_reference import (
-    MomentState,
     burnett_deviation_rms,
-    evolve_moments,
     from_hydro,
     hydro_projection,
     reference_gaps,
@@ -21,6 +19,7 @@ from hydrobench.moment_reference import (
 )
 
 EV = eigenvalue_set(-1)
+MOMENT = ModelId.MOMENT_REFERENCE
 HYDRO_MODELS = [model for model in ModelId if model is not ModelId.MOMENT_REFERENCE]
 
 
@@ -89,28 +88,28 @@ class TestEvolveMoments:
         n = 8
         eps = 0.2
         state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        moments = from_hydro(state, eps)
+        moments = from_hydro(state)
         modes = moments.modes.copy()
         modes[3, 0] = 0.7  # uniform stress moment
-        moments = type(moments)(modes, n, eps)
+        moments = SpectralState(modes, n)
         t = 0.42
-        out = evolve_moments(moments, EV, t)
+        (out,) = evolve(moments, MOMENT, eps, EV, [t])
         assert out.modes[3, 0] == pytest.approx(0.7 * np.exp(-t / eps), rel=1e-12)
 
     def test_conserved_means(self):
         n = 16
         x = grid(n)
         state = HydroState(u=0.3 + np.sin(x), p=np.full(n, 0.2), s=np.full(n, -0.1))
-        moments = from_hydro(state, 0.1)
-        out = evolve_moments(moments, EV, 3.0)
+        moments = from_hydro(state)
+        (out,) = evolve(moments, MOMENT, 0.1, EV, [3.0])
         assert np.array_equal(out.modes[:3, 0], moments.modes[:3, 0])
 
     def test_semigroup(self):
         n = 16
         state = HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n))
-        moments = from_hydro(state, 0.1)
-        one = evolve_moments(moments, EV, 1.1)
-        two = evolve_moments(evolve_moments(moments, EV, 0.6), EV, 0.5)
+        moments = from_hydro(state)
+        (one,) = evolve(moments, MOMENT, 0.1, EV, [1.1])
+        (two,) = evolve(evolve(moments, MOMENT, 0.1, EV, [0.6])[0], MOMENT, 0.1, EV, [0.5])
         assert np.max(np.abs(one.modes - two.modes)) <= 1e-11
 
     def test_hermitian_preserved(self):
@@ -119,7 +118,7 @@ class TestEvolveMoments:
         n = 16
         x = grid(n)
         state = HydroState(u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x), s=0 * x)
-        out = evolve_moments(from_hydro(state, 0.05), EV, 2.3)
+        (out,) = evolve(from_hydro(state), MOMENT, 0.05, EV, [2.3])
         assert hermitian_violation(out.modes, n) <= 1e-12
 
     def test_relaxation_toward_ns_closure(self):
@@ -130,7 +129,7 @@ class TestEvolveMoments:
         state = HydroState(u=np.sin(x), p=np.zeros(n), s=np.zeros(n))
         residuals = []
         for eps in (0.1, 0.05):
-            out = evolve_moments(from_hydro(state, eps), EV, 3.0)
+            (out,) = evolve(from_hydro(state), MOMENT, eps, EV, [3.0])
             projection = hydro_projection(out)
             du_dx = np.fft.ifft(
                 1j * np.fft.fftfreq(n, d=1.0 / n) * np.fft.fft(projection.state.u)
@@ -142,34 +141,35 @@ class TestEvolveMoments:
     @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
     def test_state_eps_validation(self, eps):
         with pytest.raises(ValueError, match="eps"):
-            MomentState(np.zeros((5, 5), dtype=complex), 8, eps)
+            evolve(SpectralState(np.zeros((5, 5), dtype=complex), 8), MOMENT, eps, EV, [1.0])
 
     def test_state_shape_must_fit_grid_size(self):
         # Nine columns describe a grid of 16 or 17 points, never 15.
         with pytest.raises(ValueError, match="grid size"):
-            MomentState(np.zeros((5, 9), dtype=complex), 15, 0.1)
+            SpectralState(np.zeros((5, 9), dtype=complex), 15)
 
     def test_dt_validation(self):
         state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
         with pytest.raises(ValueError):
-            evolve_moments(from_hydro(state, 0.1), EV, 0.0)
+            evolve(from_hydro(state), MOMENT, 0.1, EV, [0.0])
 
 
 @st.composite
 def moment_states(draw):
-    """Moment state from small random real (u, p, s) fields at a random eps."""
+    """Moment state from small random real (u, p, s) fields, and a random eps."""
     n = draw(st.integers(MIN_GRID_SIZE, 32))
     values = draw(arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
     eps = draw(st.floats(0.01, 1.0))
-    return from_hydro(HydroState(u=values[0], p=values[1], s=values[2]), eps)
+    return from_hydro(HydroState(u=values[0], p=values[1], s=values[2])), eps
 
 
 class TestEvolveMomentsProperties:
     @settings(max_examples=40, deadline=None)
-    @given(moments=moment_states(), t1=st.floats(0.01, 5.0), t2=st.floats(0.01, 5.0))
-    def test_semigroup(self, moments, t1, t2):
-        direct = evolve_moments(moments, EV, t1 + t2)
-        composed = evolve_moments(evolve_moments(moments, EV, t1), EV, t2)
+    @given(drawn=moment_states(), t1=st.floats(0.01, 5.0), t2=st.floats(0.01, 5.0))
+    def test_semigroup(self, drawn, t1, t2):
+        moments, eps = drawn
+        (direct,) = evolve(moments, MOMENT, eps, EV, [t1 + t2])
+        (composed,) = evolve(evolve(moments, MOMENT, eps, EV, [t1])[0], MOMENT, eps, EV, [t2])
         # The Nyquist mode of an even grid takes the real part of its
         # propagator at every time, which does not compose; skip it.
         others = 2 * wavenumbers(moments.grid_size) != moments.grid_size
@@ -177,15 +177,17 @@ class TestEvolveMomentsProperties:
         assert gap <= 1e-11 * max(float(np.max(np.abs(moments.modes))), np.finfo(float).tiny)
 
     @settings(max_examples=40, deadline=None)
-    @given(moments=moment_states(), t=st.floats(0.01, 10.0))
-    def test_hermitian_preserved(self, moments, t):
-        out = evolve_moments(moments, EV, t)
+    @given(drawn=moment_states(), t=st.floats(0.01, 10.0))
+    def test_hermitian_preserved(self, drawn, t):
+        moments, eps = drawn
+        (out,) = evolve(moments, MOMENT, eps, EV, [t])
         assert hermitian_violation(out.modes, out.grid_size) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
-    @given(moments=moment_states(), t=st.floats(0.01, 10.0))
-    def test_conserved_rows_exact_at_zero_k(self, moments, t):
-        out = evolve_moments(moments, EV, t)
+    @given(drawn=moment_states(), t=st.floats(0.01, 10.0))
+    def test_conserved_rows_exact_at_zero_k(self, drawn, t):
+        moments, eps = drawn
+        (out,) = evolve(moments, MOMENT, eps, EV, [t])
         assert np.array_equal(out.modes[:3, 0], moments.modes[:3, 0])
 
 
@@ -193,18 +195,18 @@ class TestHydroProjection:
     def test_entropy_relation(self):
         n = 8
         state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        moments = from_hydro(state, 0.1)
+        moments = from_hydro(state)
         modes = moments.modes.copy()
         modes[0, 0] = 1.0  # uniform n
         modes[2, 0] = 1.0  # uniform p
-        projection = hydro_projection(type(moments)(modes, n, eps=0.1))
+        projection = hydro_projection(SpectralState(modes, n))
         assert projection.state.s == pytest.approx(np.full(n, -1.0))
         assert projection.state.temperature == pytest.approx(np.zeros(n), abs=1e-15)
 
     def test_zero_fields(self):
         n = 8
         state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        projection = hydro_projection(from_hydro(state, 0.1))
+        projection = hydro_projection(from_hydro(state))
         assert np.all(projection.state.s == 0)
         assert np.all(projection.stress == 0)
         assert np.all(projection.heat_flux == 0)
@@ -213,7 +215,7 @@ class TestHydroProjection:
         n = 16
         x = grid(n)
         state = HydroState(u=np.sin(x), p=0.5 * np.cos(2 * x), s=0.2 * np.sin(3 * x))
-        projection = hydro_projection(from_hydro(state, 0.1))
+        projection = hydro_projection(from_hydro(state))
         assert projection.state.u == pytest.approx(state.u, abs=1e-13)
         assert projection.state.p == pytest.approx(state.p, abs=1e-13)
         assert projection.state.s == pytest.approx(state.s, abs=1e-13)
@@ -264,8 +266,9 @@ class TestBurnettDeviation:
             for n in (32, 31):
                 fields = np.random.default_rng(n).normal(size=(3, n))
                 state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-                direct = from_modes(evolve(to_modes(state), model, eps, EV, t))
-                projection = hydro_projection(evolve_moments(from_hydro(state, eps), EV, t)).state
+                direct = from_modes(evolve(to_modes(state), model, eps, EV, [t])[0])
+                (moments,) = evolve(from_hydro(state), MOMENT, eps, EV, [t])
+                projection = hydro_projection(moments).state
                 dx = 2.0 * np.pi / n
                 gap = np.sqrt(
                     dx
@@ -305,7 +308,7 @@ class TestTrajectory:
         state = HydroState(u=fields[0], p=fields[1], s=fields[2], time=0.25)
         times = np.array([0.1, 1.0, 3.5])
         if model is ModelId.MOMENT_REFERENCE:
-            evolved = evolve_moments(from_hydro(state, eps), EV, times)
+            evolved = evolve(from_hydro(state), model, eps, EV, times)
             direct = [hydro_projection(later).state for later in evolved]
         else:
             direct = [from_modes(s) for s in evolve(to_modes(state), model, eps, EV, times)]
@@ -318,5 +321,10 @@ class TestTrajectory:
 
     def test_moment_model_is_refused_by_hydro_evolve(self):
         state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
-        with pytest.raises(ValueError, match="moment_reference.trajectory"):
-            evolve(to_modes(state), ModelId.MOMENT_REFERENCE, 0.1, EV, 1.0)
+        with pytest.raises(ValueError, match="moment_reference needs a state of 5 rows, got 3"):
+            evolve(to_modes(state), ModelId.MOMENT_REFERENCE, 0.1, EV, [1.0])
+
+    def test_projection_refuses_a_three_row_state(self):
+        state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
+        with pytest.raises(ValueError, match="needs a state of 5 rows, got 3"):
+            hydro_projection(to_modes(state))

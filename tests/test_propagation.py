@@ -19,7 +19,7 @@ from hydrobench._modal import forward_modes, inverse_modes, mode_propagators, wa
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import ModelId, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, evolve, from_modes, to_modes
-from hydrobench.moment_reference import evolve_moments, from_hydro
+from hydrobench.moment_reference import from_hydro
 
 EV = eigenvalue_set(-1)
 TIMES = np.array([0.05, 0.4, 1.3, 3.7])
@@ -95,18 +95,12 @@ def test_times_array_equals_composed_steps(model, eps):
     rng = np.random.default_rng(7)
     fields = rng.normal(size=(3, n))
     state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-    if model is ModelId.MOMENT_REFERENCE:
-        current = from_hydro(state, eps)
-        series = evolve_moments(current, EV, TIMES)
+    current = from_hydro(state) if model is ModelId.MOMENT_REFERENCE else to_modes(state)
+    series = evolve(current, model, eps, EV, TIMES)
 
-        def step(s, dt):
-            return evolve_moments(s, EV, dt)
-    else:
-        current = to_modes(state)
-        series = evolve(current, model, eps, EV, TIMES)
-
-        def step(s, dt):
-            return evolve(s, model, eps, EV, dt)
+    def step(s, dt):
+        (later,) = evolve(s, model, eps, EV, [dt])
+        return later
 
     assert len(series) == TIMES.size
     for dt, expected in zip(np.diff(TIMES, prepend=0.0), series):
@@ -116,14 +110,18 @@ def test_times_array_equals_composed_steps(model, eps):
         assert np.max(np.abs(current.modes - expected.modes)) <= EXPM_TOL * scale
 
 
-def test_scalar_dt_is_the_one_time_case():
+def test_scalar_time_is_refused():
+    # times is always a 1-D array; one output time is a one-element array.
     n = 16
     x = 2.0 * np.pi * np.arange(n) / n
     spec = to_modes(HydroState(u=np.sin(x), p=np.cos(2 * x), s=0.5 * np.sin(3 * x)))
-    single = evolve(spec, ModelId.BURNETT, 0.1, EV, 1.3)
-    (series,) = evolve(spec, ModelId.BURNETT, 0.1, EV, np.array([1.3]))
-    assert single.time == series.time == 1.3
-    assert np.array_equal(single.modes, series.modes)
+    for times in (1.3, np.float64(1.3), np.array(1.3)):
+        with pytest.raises(ValueError, match="times"):
+            evolve(spec, ModelId.BURNETT, 0.1, EV, times)
+        with pytest.raises(ValueError, match="times"):
+            mode_propagators(_symbol_stack(ModelId.BURNETT, 0.1), n, times, spec.modes)
+    (later,) = evolve(spec, ModelId.BURNETT, 0.1, EV, [1.3])
+    assert later.time == 1.3
 
 
 def test_defective_symbol_falls_back_to_expm_at_every_time():
