@@ -53,11 +53,8 @@ from .moment_reference import (
     trajectory,
 )
 from .secularity import (
-    MultiscaleBound,
     SecularSeries,
     UnsupportedInitialCondition,
-    multiscale_bound,
-    naive_correction_envelope,
     secular_ratio_series,
 )
 from .velocity_space import (
@@ -89,7 +86,6 @@ __all__ = [
     "ICTerm",
     "InternalConsistencyError",
     "ModelId",
-    "MultiscaleBound",
     "NsCoefficients",
     "Recursion",
     "SOUND_SPEED",
@@ -111,8 +107,6 @@ __all__ = [
     "inner",
     "moment_of",
     "monomial_moment",
-    "multiscale_bound",
-    "naive_correction_envelope",
     "parse_initial_condition",
     "psi_poly",
     "realize",

@@ -94,7 +94,9 @@ class RunConfig:
             raise UsageError(f"eps must be positive, got {self.eps}")
         if self.lambda02 >= 0:
             raise UsageError(f"lambda02 must be negative, got {self.lambda02}")
-        if self.grid_size < MIN_GRID_SIZE:
+        # Only evolve and compare realize the IC on a grid; secular needs none.
+        on_grid = self.command in ("evolve", "compare")
+        if on_grid and self.grid_size < MIN_GRID_SIZE:
             raise UsageError(f"grid size must be at least {MIN_GRID_SIZE}, got {self.grid_size}")
         if self.command in ("evolve", "compare", "secular"):
             if self.tmax <= 0:
@@ -104,7 +106,7 @@ class RunConfig:
             if self.ic is None:
                 raise UsageError("an initial condition is required (--ic)")
             sizes, entries = "--tmax and --dt-out", self.output_steps + 1
-            if self.command != "secular":
+            if on_grid:
                 sizes, entries = "--tmax, --dt-out and --grid-size", entries * self.grid_size
             if entries > MAX_ARRAY_ENTRIES:
                 raise UsageError(f"{sizes} size more than {MAX_ARRAY_ENTRIES:,} array entries")
@@ -113,7 +115,7 @@ class RunConfig:
                 raise UsageError(f"need 0 < kmin < kmax, got [{self.kmin}, {self.kmax}]")
             if not (2 <= self.samples <= MAX_ARRAY_ENTRIES):
                 raise UsageError(f"need 2 to {MAX_ARRAY_ENTRIES:,} k samples, got {self.samples}")
-        for term in self.ic.terms if self.ic else ():
+        for term in self.ic.terms if on_grid else ():
             if term.mode >= self.grid_size // 2:
                 raise UsageError(
                     f"mode {term.mode} is not resolvable on a grid of size {self.grid_size}"
@@ -539,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--ic", type=str, default=None, help="e.g. u:1:1.0 or u:1:1,p:2:0.5")
         p_cmd.add_argument("--tmax", type=float, default=None)
         p_cmd.add_argument("--dt-out", type=float, default=None)
-        p_cmd.add_argument("--grid-size", type=int, default=None)
+        if name != "secular":  # the secular series needs no grid
+            p_cmd.add_argument("--grid-size", type=int, default=None)
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser

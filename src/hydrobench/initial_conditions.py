@@ -1,10 +1,10 @@
 """Initial-condition grammar and grid realization.
 
 Textual form: term ("," term)* with term = field ":" mode ":" amplitude
-[":" phase].  Fields are u, p, or s; modes are positive integers below half
-the grid size; amplitudes and phases are finite numbers, phases in radians
-and zero by default.  Each term contributes amplitude * sin(mode * x + phase)
-to its field.
+[":" phase].  Fields are u, p, or s; modes are positive integers, and a grid
+realizes only those below half its size; amplitudes and phases are finite
+numbers, phases in radians and zero by default.  Each term contributes
+amplitude * sin(mode * x + phase) to its field.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ class ICSpec:
             raise ValueError("initial condition needs at least one term")
 
 
-def parse_initial_condition(text: str, grid_size: int | None = None) -> ICSpec:
+def parse_initial_condition(text: str) -> ICSpec:
     """Parse the term grammar; whitespace is ignored everywhere.
 
-    When grid_size is given, modes at or above grid_size/2 are rejected here;
-    otherwise that check happens at realization time.
+    Modes are checked against a grid only when one is chosen, by `realize`.
     """
     if not text or not text.strip():
         raise ICParseError("empty initial-condition string", 0)
@@ -79,10 +78,6 @@ def parse_initial_condition(text: str, grid_size: int | None = None) -> ICSpec:
             raise ICParseError(f"mode '{parts[1]}' is not an integer", position) from None
         if mode < 1:
             raise ICParseError(f"mode must be positive, got {mode}", position)
-        if grid_size is not None and mode >= grid_size // 2:
-            raise ICParseError(
-                f"mode {mode} is not resolvable on a grid of size {grid_size}", position
-            )
         amplitude = _finite(parts[2], "amplitude", position)
         phase = _finite(parts[3], "phase", position) if len(parts) == 4 else 0.0
         terms.append(ICTerm(field=field, mode=mode, amplitude=amplitude, phase=phase))

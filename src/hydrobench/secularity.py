@@ -6,9 +6,12 @@ exponential.
 
 Naive side: when the leading order is evolved by the ideal acoustic equations
 alone, the first-correction wave equation is forced on resonance by the
-dissipative terms and its particular solution grows linearly, with envelope
-(|F|/(2*a0*k)) * t for resonant forcing amplitude |F|.  The correction
-becomes comparable to the leading order by times of order 1/eps.
+dissipative terms and its particular solution grows linearly.  For the
+standing wave of mode k the forcing is F = 2*Ds*k^2 * (d/dt leading order),
+Ds the sound diffusivity, and the oscillator u'' + (a0 k)^2 u = F has
+particular-solution envelope (|F|/(2*a0*k)) * t = Ds*k^2*t per unit
+amplitude.  The correction becomes comparable to the leading order by times
+of order 1/eps.
 
 Multiscale side: after the uniformization conditions absorb the resonant
 forcing into slow damping and dispersion of the leading order, the remaining
@@ -18,6 +21,9 @@ exact augmented propagator: the leading order evolves under the Burnett
 symbol, the first correction under the damped acoustic symbol, coupled by
 the post-uniformization source terms.  The 4x4 generator is diagonalized once
 for the whole time series, and the final time is checked against expm.
+
+`secular_ratio_series` is the one route to both ratios: the `secular`
+command writes it out and the check registry's criterion 6 reads it.
 """
 
 from __future__ import annotations
@@ -29,18 +35,15 @@ from fractions import Fraction
 import numpy as np
 
 from ._modal import exp_action
-from .coefficients import SOUND_SPEED, EigenvalueSet
+from .coefficients import SOUND_SPEED, EigenvalueSet, transport_ns
 from .dispersion import ModelId, symbol_matrix
 from .hydro_spectral import ROUTE_CONSISTENCY_TOL, InternalConsistencyError
 from .initial_conditions import ICSpec
 
 __all__ = [
-    "MultiscaleBound",
     "SecularSeries",
     "UnsupportedInitialCondition",
     "beyond_horizon",
-    "multiscale_bound",
-    "naive_correction_envelope",
     "secular_ratio_series",
 ]
 
@@ -56,33 +59,6 @@ class SecularSeries:
     times: np.ndarray
     naive_ratio: np.ndarray
     multiscale_ratio: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        naive = np.asarray(self.naive_ratio, dtype=float)
-        multi = np.asarray(self.multiscale_ratio, dtype=float)
-        if not (times.size == naive.size == multi.size):
-            raise ValueError("series arrays must have equal lengths")
-        if np.any(naive < 0) or np.any(multi < 0):
-            raise ValueError("ratios must be nonnegative")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "naive_ratio", naive)
-        object.__setattr__(self, "multiscale_ratio", multi)
-
-
-@dataclass(frozen=True)
-class MultiscaleBound:
-    """Supremum of the multiscale ratio over sampled times.
-
-    beyond_validity flags a requested horizon past 1/eps^2, outside the
-    claimed uniform-error window.
-    """
-
-    value: float
-    beyond_validity: bool = False
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _single_u_mode(ic: ICSpec) -> int:
@@ -101,35 +77,6 @@ def beyond_horizon(t: float, eps: float) -> bool:
     No division, so an eps whose square underflows has an infinite horizon.
     """
     return bool(t * eps * eps > 1.0 + 1e-12)
-
-
-def _resonant_coefficient(eigenvalues: EigenvalueSet) -> float:
-    # Bracketed dissipative combination that forces the correction on resonance:
-    # 4/(3*lambda02) + 2/(3*lambda11), i.e. twice the (negative) sound damping rate.
-    return float(
-        Fraction(4, 3) / eigenvalues.lambda02 + Fraction(2, 3) / eigenvalues.lambda11
-    )
-
-
-def _unit_envelope(mode: int, eigenvalues: EigenvalueSet, t) -> float | np.ndarray:
-    return 0.5 * abs(_resonant_coefficient(eigenvalues)) * mode * mode * np.abs(t)
-
-
-def naive_correction_envelope(
-    ic: ICSpec, eps: float, eigenvalues: EigenvalueSet, t: float | np.ndarray
-) -> float | np.ndarray:
-    """Envelope of the resonantly forced first correction at time t.
-
-    For the standing wave of mode k and amplitude a, the naive (single-time)
-    choice leaves the forcing F = -C * k^2 * (d/dt leading order) in place,
-    with C the dissipative bracket; the oscillator u'' + (a0 k)^2 u = F then
-    has particular-solution envelope (|F|/(2*a0*k)) * t = (|C| k^2 a / 2) * t.
-    Closed form, no time stepping; the envelope is the correction itself, per
-    unit eps, so it does not depend on eps.  t may be an array of times.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    return abs(ic.terms[0].amplitude) * _unit_envelope(_single_u_mode(ic), eigenvalues, t)
 
 
 def _augmented_matrix(mode: int, eps: float, eigenvalues: EigenvalueSet) -> np.ndarray:
@@ -167,8 +114,14 @@ def _multiscale_ratios(
 
     The system is linear and the ratio homogeneous of degree 0 in the
     start, so the standing wave of unit amplitude stands for every one.
+    Both blocks damp sound at the rate eps*Ds*k^2 and the generator is
+    block-triangular, so that rate is taken out of its diagonal: no ratio
+    changes, and both waves stay of order one where their decay would
+    underflow.
     """
-    generator = _augmented_matrix(mode, eps, eigenvalues)
+    k = float(mode)
+    damping = eps * float(transport_ns(eigenvalues).sound_diffusivity) * k * k
+    generator = _augmented_matrix(mode, eps, eigenvalues) + damping * np.eye(4)
     start = np.array([0.5, 0.0, 0.0, 0.0], dtype=complex)
     ratios = np.empty(times.size)
     for rows, block in exp_action(generator[None], start[:, None], times):
@@ -189,11 +142,11 @@ def secular_ratio_series(
 ) -> SecularSeries:
     """Naive and multiscale correction ratios along an ascending time series.
 
-    The naive ratio compares the resonant envelope against the undamped
-    acoustic leading order, so it is exactly linear in t.  The multiscale
-    ratio is measured from the augmented propagator.  Both ratios are those
-    of the unit-amplitude wave: they do not depend on the amplitude or phase
-    of the IC term.  Times beyond 1/eps^2 are outside the validity horizon
+    The naive ratio eps*Ds*k^2*t compares the resonant envelope against the
+    undamped acoustic leading order, so it is exactly linear in t.  The
+    multiscale ratio is measured from the augmented propagator.  Both ratios
+    are those of the unit-amplitude wave: they do not depend on the amplitude
+    or phase of the IC term.  Times beyond 1/eps^2 are outside the validity horizon
     and rejected.
     """
     if not (math.isfinite(eps) and eps > 0):
@@ -209,32 +162,9 @@ def secular_ratio_series(
             f"1/eps^2 = {1.0 / (eps * eps):g}"
         )
     mode = _single_u_mode(ic)
-    naive = eps * _unit_envelope(mode, eigenvalues, times)
+    k = float(mode)
+    sound_diffusivity = float(transport_ns(eigenvalues).sound_diffusivity)
+    naive = eps * (sound_diffusivity * k * k * times)
     multiscale = _multiscale_ratios(mode, eps, eigenvalues, times)
     return SecularSeries(times=times, naive_ratio=naive, multiscale_ratio=multiscale)
 
-
-def multiscale_bound(
-    ic: ICSpec,
-    eps: float,
-    eigenvalues: EigenvalueSet,
-    tmax: float,
-    n_samples: int | None = None,
-) -> MultiscaleBound:
-    """Supremum of the multiscale ratio over sampled times in (0, tmax].
-
-    Sampling resolves the acoustic oscillation (at least eight samples per
-    period, at least 256 overall).  A horizon beyond 1/eps^2 is measured
-    anyway but flagged, since the uniform-error claim stops there.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if tmax <= 0:
-        raise ValueError(f"tmax must be positive, got {tmax}")
-    mode = _single_u_mode(ic)
-    period = 2.0 * np.pi / (SOUND_SPEED * mode)
-    if n_samples is None:
-        n_samples = max(256, int(np.ceil(8.0 * tmax / period)))
-    times = tmax * np.arange(1, n_samples + 1) / n_samples
-    ratios = _multiscale_ratios(mode, eps, eigenvalues, times)
-    return MultiscaleBound(value=float(np.max(ratios)), beyond_validity=beyond_horizon(tmax, eps))

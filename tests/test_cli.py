@@ -159,7 +159,7 @@ _COMMAND_OPTIONS = {
     "dispersion": ["model", "eps", "lambda02", "kmin", "kmax", "samples"],
     "evolve": ["model", "eps", "lambda02", "ic", "tmax", "dt-out", "grid-size"],
     "compare": ["model", "eps", "lambda02", "ic", "tmax", "dt-out", "grid-size"],
-    "secular": ["eps", "lambda02", "ic", "tmax", "dt-out", "grid-size"],
+    "secular": ["eps", "lambda02", "ic", "tmax", "dt-out"],
 }
 
 
@@ -262,8 +262,8 @@ class TestICGrammar:
         assert info.value.position == 6
 
     def test_mode_too_large_for_grid(self):
-        with pytest.raises(ICParseError, match="grid"):
-            parse_initial_condition("u:9:1.0", grid_size=16)
+        with pytest.raises(ValueError, match="mode 9 is not resolvable on a grid of size 16"):
+            realize(parse_initial_condition("u:9:1.0"), 16)
 
     def test_empty_string(self):
         with pytest.raises(ICParseError):
@@ -493,7 +493,7 @@ class TestEvolveCommand:
         assert main(argv) == 0
         rows = np.genfromtxt(out, delimiter=",", names=True)
         start = rows[rows["t"] == 0.0]
-        fields = realize(parse_initial_condition(ic, n), n)
+        fields = realize(parse_initial_condition(ic), n)
         for name in ("u", "p", "s"):
             assert np.array_equal(start[name], fields[name]), name
 
@@ -602,6 +602,41 @@ class TestSecularCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ic", "u:2:1", "--eps", "0.01", "--tmax", "10000", "--dt-out", "0.5"],
+            ["--ic", "u:3:1", "--eps", "0.01", "--tmax", "10000", "--dt-out", "0.5"],
+            ["--ic", "u:17:1", "--eps", "0.05", "--tmax", "400", "--dt-out", "0.5"],
+            ["--ic", "u:60:1", "--eps", "0.1", "--tmax", "1"],
+        ],
+    )
+    def test_ratios_stay_finite_while_the_wave_decays(self, tmp_path, capsys, flags):
+        # The leading wave decays like exp(-eps*Ds*k^2*t) and would underflow
+        # long before 1/eps^2; the ratios must not.
+        out = tmp_path / "sec.csv"
+        assert main(["secular", *flags, "--out", str(out)]) == 0, capsys.readouterr().err
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(table)) and np.all(table[:, 2] > 0)
+
+    def test_any_mode_without_a_grid(self, tmp_path, capsys):
+        out = tmp_path / "sec.csv"
+        assert main(["secular", "--ic", "u:128:1", "--tmax", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        out.unlink()
+        argv = ["secular", "--ic", "u:1:1", "--grid-size", "16", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: hydrobench: unrecognized arguments: --grid-size 16\n"
+        assert not out.exists()
+        # A grid size from a config file is not secular's to check.
+        RunConfig(
+            command="secular",
+            ic=parse_initial_condition("u:9:1"),
+            grid_size=4,
+            out_path=out,
+        )
 
 
 class TestOutputTimes:
@@ -1025,7 +1060,7 @@ class TestExitCodes:
         # RunConfig checks the modes against its own grid size, so a library
         # caller and the command line meet one rule.
         message = "mode 9 is not resolvable on a grid of size 16"
-        for command in ("evolve", "compare", "secular"):
+        for command in ("evolve", "compare"):
             with pytest.raises(cli.UsageError, match=message):
                 RunConfig(
                     command=command,
