@@ -222,6 +222,65 @@ def _table(columns: dict[str, np.ndarray]) -> np.ndarray:
     return rows
 
 
+#: Row n holds the three ASCII digits of the integer n, for n = 0 to 999.
+_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+
+
+def _point_text(points: np.ndarray) -> str:
+    """The bytes of '%.3f,%.3f' for each (x, y) row of points, joined by spaces.
+
+    Every coordinate must lie in [0, 1000), as the chart's do; a non-finite
+    or out-of-box one raises ValueError.  '%.3f' of v is the round-half-even
+    of the exact product v*1000, which Dekker's error-free product gives as
+    p + e: p = fl(v*1000), and with v = hi + lo split by Veltkamp into
+    halves of at most 26 bits, e = (hi*1000 - p) + lo*1000 with every
+    operation exact.  With d = p - floor(p) (also exact), the product rounds
+    up when d > 0.5, or d == 0.5 and e > 0, or d == 0.5, e == 0 and floor(p)
+    is odd; |e| is at most half an ulp of p, so it decides only the ties.
+    The integer thousandths become text through the _DIGITS table, WRITE_BLOCK
+    points at a time.
+    """
+    chunks = []
+    for lo in range(0, len(points), WRITE_BLOCK):
+        v = points[lo : lo + WRITE_BLOCK].ravel()
+        if np.any(np.signbit(v) | ~(v < 1000.0)):
+            raise ValueError("SVG coordinates must be finite and lie in [0, 1000)")
+        p = v * 1000.0
+        c = v * 134217729.0  # 2**27 + 1, Veltkamp's splitter
+        hi = c - (c - v)
+        e = (hi * 1000.0 - p) + (v - hi) * 1000.0
+        floor = np.floor(p)
+        d = p - floor
+        n = floor.astype(np.int64)
+        n += (d > 0.5) | ((d == 0.5) & ((e > 0) | ((e == 0) & ((n & 1) == 1))))
+        whole, frac = np.divmod(n, 1000)
+        # One 9-byte field per value: four integer digits, '.', three
+        # decimals and the separator; leading zeros of the integer go.
+        text = np.empty((len(v), 9), dtype=np.uint8)
+        text[:, 0] = ord("1")  # whole is at most 1000
+        text[:, 1:4] = _DIGITS.take(whole % 1000, axis=0)
+        text[:, 4] = ord(".")
+        text[:, 5:8] = _DIGITS.take(frac, axis=0)
+        text[0::2, 8] = ord(",")
+        text[1::2, 8] = ord(" ")
+        keep = np.ones(text.shape, dtype=bool)
+        keep[:, 0] = whole >= 1000
+        keep[:, 1] = whole >= 100
+        keep[:, 2] = whole >= 10
+        chunks.append(text[keep].tobytes())
+    return b"".join(chunks)[:-1].decode("ascii")
+
+
+def _axis_label(value: float) -> str:
+    """value to 17 significant digits, cut to 10 characters.
+
+    An exponent is kept whole and only the mantissa before it is cut, so
+    1.2407178e-05 reads 1.2407e-05; text without one is cut as it stands.
+    """
+    mantissa, e, exponent = format(value, ".17g").partition("e")
+    return mantissa[: 10 - len(e + exponent)] + e + exponent
+
+
 def _svg_chart(rows: np.ndarray, title: str) -> str:
     """Deterministic 800x600 polyline chart of a table's float fields.
 
@@ -229,7 +288,14 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     field is the x axis and every remaining float field yields one polyline
     per group.  Series come in sorted label-tuple order (first str field
     first), and each series' points in stable ascending x: rows with equal x
-    keep their table order.
+    keep their table order.  Axis labels come from _axis_label.
+
+    Point coordinates are written in exact integer thousandths, byte for
+    byte as '%.3f' writes them: each is the round-half-even of the exact
+    product v*1000, which _point_text forms with Dekker's error-free product
+    and turns into digits by table lookup.  That needs every coordinate in
+    [0, 1000), which the 800x600 geometry gives for finite data; a
+    non-finite or out-of-box one raises ValueError.
     """
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
@@ -252,7 +318,8 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     # every series in one contiguous run.
     ranks = np.empty((len(labels), len(rows)), dtype=np.intp)
     for rank, name in zip(ranks, labels):
-        rank[:] = np.unique(rows[name], return_inverse=True)[1]
+        column = rows[name]
+        rank[:] = np.searchsorted(np.array(sorted(dict.fromkeys(column.tolist()))), column)
     order = np.lexsort((rows[x_name], *ranks[::-1]))
     starts = np.flatnonzero(np.r_[True, np.diff(ranks[:, order]).any(axis=0)])
     keys = zip(*(rows[name][order[starts]].tolist() for name in labels)) if labels else [()]
@@ -284,19 +351,18 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
         f'<text x="{(margin_left + width - margin_right) // 2}" y="{height - 12}" '
         f'text-anchor="middle" font-family="monospace" font-size="12">{x_name}</text>',
         f'<text x="{margin_left}" y="{height - margin_bottom + 16}" text-anchor="middle" '
-        f'font-family="monospace" font-size="10">{format(x_lo, ".17g")[:10]}</text>',
+        f'font-family="monospace" font-size="10">{_axis_label(x_lo)}</text>',
         f'<text x="{width - margin_right}" y="{height - margin_bottom + 16}" '
         f'text-anchor="end" font-family="monospace" font-size="10">'
-        f'{format(x_hi, ".17g")[:10]}</text>',
+        f'{_axis_label(x_hi)}</text>',
         f'<text x="{margin_left - 6}" y="{height - margin_bottom}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{format(y_lo, ".17g")[:10]}</text>',
+        f'font-family="monospace" font-size="10">{_axis_label(y_lo)}</text>',
         f'<text x="{margin_left - 6}" y="{margin_top + 10}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{format(y_hi, ".17g")[:10]}</text>',
+        f'font-family="monospace" font-size="10">{_axis_label(y_hi)}</text>',
     ]
     for index, (name, sx, sy) in enumerate(series):
         color = _SVG_PALETTE[index % len(_SVG_PALETTE)]
-        points = np.column_stack((sx, sy)).ravel().tolist()
-        path = " ".join(["%.3f,%.3f"] * len(sx)) % tuple(points)
+        path = _point_text(np.column_stack((sx, sy)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{path}"/>'
         )

@@ -9,8 +9,15 @@ kinetic moment reference (its equations are in moment_reference).
 
 Branches of the growth rate sigma(k) are tracked across a k grid by
 nearest-neighbor continuation in the complex plane, seeded at the first grid
-point from the analytic small-k limits; the eigenvalues of the whole grid
-come from one symbol stack and one batched eigvals call.  The greedy match
+point from the analytic small-k limits.  The eigenvalues of the whole grid
+come from one symbol stack and one batched eigvals call, on a real stack
+where parity allows: u and q are odd under x -> -x and n, p, s and Pi even,
+every off-diagonal entry of the Euler, Navier-Stokes, Burnett and moment
+symbols couples an odd row to an even one and is pure imaginary, and every
+diagonal entry is real.  So with S = diag(i on the odd rows), S^-1 M S is a
+real matrix with the eigenvalues of M, and real LAPACK gives them in half
+the time of the complex route.  The Riemann-decoupled symbol is a complex
+diagonal that mixes parities, so it keeps the complex route.  The greedy match
 between neighbouring grid points reads only their eigenvalues, so it runs
 for every step at once on one distance tensor: d rounds, each taking per
 step the free pair of least distance (lowest previous raw index, then lowest
@@ -18,7 +25,8 @@ current one, on an exact tie).  A step is ambiguous, and BranchCollisionError
 names its k, when a pair tied for that least distance has a second free
 candidate within MATCH_AMBIGUITY_TOL, or two tied pairs want one candidate.
 The labels then follow by composing the per-step index maps from the seeded
-first point.
+first point, in log2(K) rounds of a Hillis-Steele prefix scan over the K
+grid points.
 """
 
 from __future__ import annotations
@@ -174,6 +182,41 @@ def symbol_matrix(model: ModelId, k: float | np.ndarray, eps: float, eigenvalues
     return matrix
 
 
+#: Rows of each symbol that hold a field odd under x -> -x: u, and q for the
+#: moment reference.  The Riemann-decoupled rows (R+, R-, s) have no parity.
+_ODD_ROWS = {
+    ModelId.EULER: [0],
+    ModelId.NAVIER_STOKES: [0],
+    ModelId.BURNETT: [0],
+    ModelId.MOMENT_REFERENCE: [1, 4],
+}
+
+
+def _parity_scaled(model: ModelId, matrix: np.ndarray) -> np.ndarray:
+    """S^-1 M S for a symbol stack M, with S = diag(i on the model's _ODD_ROWS).
+
+    Each entry is M's times 1, i or -i, so the product is exact, and by the
+    parity structure of the module header its imaginary part is exactly zero.
+    """
+    scale = np.ones(model.dimension, dtype=complex)
+    scale[_ODD_ROWS[model]] = 1j
+    return matrix * np.outer(scale.conj(), scale)
+
+
+def _eigenvalues(
+    model: ModelId, grid: np.ndarray, eps: float, eigenvalues: EigenvalueSet
+) -> np.ndarray:
+    """Raw eigenvalues of the model symbol at every grid point, shape (len(grid), d).
+
+    One batched eigvals call: on the real parity-scaled stack when the model
+    has a parity, on the complex symbol stack otherwise.
+    """
+    matrix = symbol_matrix(model, grid, eps, eigenvalues)
+    if model in _ODD_ROWS:
+        matrix = _parity_scaled(model, matrix).real
+    return np.linalg.eigvals(matrix).astype(complex, copy=False)
+
+
 def _seed_values(
     model: ModelId, k: float, eps: float, eigenvalues: EigenvalueSet
 ) -> dict[Branch, complex]:
@@ -253,6 +296,23 @@ def _step_maps(values: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
     return maps
 
 
+def _compose_maps(maps: np.ndarray, seeded: Sequence[int]) -> np.ndarray:
+    """Raw index of each seeded index at every grid point, one row per point.
+
+    maps[s] takes each raw index at point s to its continuation at point
+    s + 1.  Row s of prefix becomes the map from raw indices at the first
+    point to their continuations at point s: it starts as the identity, then
+    as maps[s - 1], and an inclusive Hillis-Steele scan composes each row
+    with all the rows before it in ceil(log2(K)) rounds for K points.
+    """
+    prefix = np.concatenate([np.arange(maps.shape[1])[None, :], maps])
+    shift = 1
+    while shift < len(prefix):
+        prefix[shift:] = np.take_along_axis(prefix[shift:], prefix[:-shift], axis=1)
+        shift *= 2
+    return prefix[:, seeded]
+
+
 def branches(
     model: ModelId,
     k_grid: Sequence[float],
@@ -262,13 +322,16 @@ def branches(
     """Numerical sigma(k) branches of a model symbol, matched across the grid.
 
     The grid must be finite, ascending and strictly positive.  The first
-    point is labelled from the analytic seeds.  One batched greedy match over
-    all grid steps gives each step's raw-index map (least distance first;
-    exact ties go to the lowest previous, then current, index), and the
-    labels follow by composing those maps from the seeded indices.  A step
-    where a tied pair has a second candidate within MATCH_AMBIGUITY_TOL, or
-    where two tied pairs want one candidate, raises BranchCollisionError at
-    its k.
+    point is labelled from the analytic seeds.  The raw eigenvalues come from
+    one batched eigvals call, on the real parity-scaled stack S^-1 M S for
+    every model but the Riemann-decoupled one (see the module header).  One
+    batched greedy match over all grid steps gives each step's raw-index map
+    (least distance first; exact ties go to the lowest previous, then
+    current, index), and the labels follow from the seeded indices through a
+    prefix scan of those maps: log2(K) rounds of composition for K points,
+    not K - 1 sequential steps.  A step where a tied pair has a second
+    candidate within MATCH_AMBIGUITY_TOL, or where two tied pairs want one
+    candidate, raises BranchCollisionError at its k.
 
     For the moment reference the first point should satisfy
     k0 <= 0.1*|lambda02|/eps so the kinetic and hydrodynamic branches start
@@ -286,11 +349,9 @@ def branches(
         raise ValueError("k_grid must be strictly positive and ascending")
 
     labels = tuple(Branch)[: model.dimension]
-    values = np.linalg.eigvals(symbol_matrix(model, grid, eps, eigenvalues))
+    values = _eigenvalues(model, grid, eps, eigenvalues)
     seeds = _seed_values(model, float(grid[0]), eps, eigenvalues)
-    perm = np.empty(values.shape, dtype=np.intp)
-    perm[0] = _assign_seeded([seeds[label] for label in labels], values[0])
-    for s, step in enumerate(_step_maps(values, grid)):
-        perm[s + 1] = step[perm[s]]
+    seeded = _assign_seeded([seeds[label] for label in labels], values[0])
+    perm = _compose_maps(_step_maps(values, grid), seeded)
     sigma = np.take_along_axis(values, perm, axis=1)
     return DispersionTable(model=model, k_grid=grid, labels=labels, sigma=sigma)

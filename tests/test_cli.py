@@ -28,7 +28,9 @@ ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
 
 def _svg_chart_by_masks(rows, title):
     """Reference route for cli._svg_chart: one sort of the structured label
-    tuples, then a boolean mask and a stable x argsort per group."""
+    tuples, then a boolean mask and a stable x argsort per group, and every
+    point written by '%.3f'.  Axis labels share cli._axis_label, which
+    TestAxisLabels checks on its own."""
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     labels = [name for name in rows.dtype.names if rows.dtype[name].kind == "U"]
@@ -69,14 +71,14 @@ def _svg_chart_by_masks(rows, title):
         f'<text x="{(margin_left + width - margin_right) // 2}" y="{height - 12}" '
         f'text-anchor="middle" font-family="monospace" font-size="12">{x_name}</text>',
         f'<text x="{margin_left}" y="{height - margin_bottom + 16}" text-anchor="middle" '
-        f'font-family="monospace" font-size="10">{format(x_lo, ".17g")[:10]}</text>',
+        f'font-family="monospace" font-size="10">{cli._axis_label(x_lo)}</text>',
         f'<text x="{width - margin_right}" y="{height - margin_bottom + 16}" '
         f'text-anchor="end" font-family="monospace" font-size="10">'
-        f'{format(x_hi, ".17g")[:10]}</text>',
+        f'{cli._axis_label(x_hi)}</text>',
         f'<text x="{margin_left - 6}" y="{height - margin_bottom}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{format(y_lo, ".17g")[:10]}</text>',
+        f'font-family="monospace" font-size="10">{cli._axis_label(y_lo)}</text>',
         f'<text x="{margin_left - 6}" y="{margin_top + 10}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{format(y_hi, ".17g")[:10]}</text>',
+        f'font-family="monospace" font-size="10">{cli._axis_label(y_hi)}</text>',
     ]
     for index, (name, sx, sy) in enumerate(series):
         color = cli._SVG_PALETTE[index % len(cli._SVG_PALETTE)]
@@ -349,6 +351,88 @@ class TestEmitOutputs:
     )
     def test_svg_equals_mask_per_group_route(self, rows):
         assert cli._svg_chart(rows, "t") == _svg_chart_by_masks(rows, "t")
+
+
+def _ties(values):
+    """Each value and its two floating-point neighbours."""
+    return [w for v in values for w in (np.nextafter(v, 0.0), v, np.nextafter(v, 1000.0))]
+
+
+# Coordinates in [0, 1000): exact ties of the third decimal, their neighbours, anything.
+_COORDINATES = st.one_of(
+    st.integers(0, 15999).map(lambda m: m / 16),
+    st.integers(0, 999999).map(lambda j: (2 * j + 1) / 2000),
+    st.integers(0, 999999).map(lambda j: float(np.nextafter((2 * j + 1) / 2000, 0.0))),
+    st.integers(0, 999998).map(lambda j: float(np.nextafter((2 * j + 1) / 2000, 1e3))),
+    st.floats(0.0, 1000.0, exclude_max=True),
+)
+_EDGES = [0.0, 999.9995, 999.9994999, 0.0005, 0.0015, 2.5 / 1000, float(np.nextafter(1e3, 0))]
+
+
+def _percent_route(points):
+    return " ".join(["%.3f,%.3f"] * len(points)) % tuple(points.ravel().tolist())
+
+
+class TestPointText:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_COORDINATES, min_size=1, max_size=60).map(lambda v: v + v[-1:]))
+    @example(values=_ties([m / 16 for m in range(0, 16000, 997)]) + [0.0])
+    @example(values=_ties([(2 * j + 1) / 2000 for j in range(0, 1000000, 4999)]) + [0.0])
+    @example(values=_EDGES + _EDGES[::-1])
+    @example(values=[999.9995, 0.0])
+    @example(values=(_ties([0.0005, 0.0125, 1.0625, 999.9995]) * 2000)[: 2 * cli.WRITE_BLOCK])
+    @example(values=(_ties([0.0015, 12.3455, 999.9985]) * 2000)[: 2 * cli.WRITE_BLOCK + 2])
+    def test_bytes_equal_percent_format(self, values):
+        # An odd list was padded by its last value; any even prefix is a series.
+        points = np.array(values[: len(values) // 2 * 2], dtype=float).reshape(-1, 2)
+        assert cli._point_text(points) == _percent_route(points)
+
+    @pytest.mark.parametrize("n", [1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1])
+    def test_series_lengths_across_the_block(self, n):
+        rng = np.random.default_rng(n)
+        points = rng.integers(0, 2000000, size=(n, 2)) / 2000
+        assert cli._point_text(points) == _percent_route(points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -0.0, 1000.0, 1e308])
+    def test_out_of_box_coordinate_raises(self, bad):
+        points = np.full((cli.WRITE_BLOCK + 2, 2), 500.0)
+        points[-1, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1000\)"):
+            cli._point_text(points)
+
+    def test_non_finite_chart_raises_before_any_file(self, tmp_path):
+        rows = cli._table({"t": [0.0, 1.0, 2.0], "y": [1.0, math.nan, 3.0]})
+        out = tmp_path / "nan.csv"
+        with pytest.raises(ValueError, match="SVG coordinates"):
+            emit_outputs(rows, out, emit_svg=True)
+        assert not out.exists() and not out.with_suffix(".svg").exists()
+
+
+class TestAxisLabels:
+    def test_e_notation_range_keeps_its_exponent(self, tmp_path):
+        rows = cli._table({"t": [1.0, 2.0, 3.0], "y": [1.2407178e-05, 2e-05, 3e-05]})
+        emit_outputs(rows, tmp_path / "small.csv", emit_svg=True)
+        svg = (tmp_path / "small.svg").read_text()
+        assert ">1.2407e-05</text>" in svg
+        assert ">3.0000e-05</text>" in svg
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @example(value=1.2407178e-05)
+    @example(value=-1.5e-300)
+    @example(value=1e-5)
+    @example(value=123.456789012345)
+    @example(value=1e16)
+    def test_labels_fit_ten_characters(self, value):
+        text = format(value, ".17g")
+        label = cli._axis_label(value)
+        if "e" not in text:
+            assert label == text[:10]
+        else:
+            mantissa, exponent = text.split("e")
+            assert label.endswith("e" + exponent)
+            assert mantissa.startswith(label[: -len(exponent) - 1])
+            assert len(label) == min(len(text), 10)
 
 
 class TestDispersionCommand:

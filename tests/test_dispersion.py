@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import (
@@ -11,6 +12,9 @@ from hydrobench.dispersion import (
     Branch,
     BranchCollisionError,
     ModelId,
+    _compose_maps,
+    _eigenvalues,
+    _parity_scaled,
     _seed_values,
     _step_maps,
     branches,
@@ -72,8 +76,12 @@ def _oracle_continued(previous, values, k):
 
 
 def _oracle_branches(model, grid, eps):
-    """The per-k continuation loop that the batched matcher replaced, as its oracle."""
-    values = np.linalg.eigvals(symbol_matrix(model, grid, eps, EV))
+    """The per-k continuation loop that the batched matcher replaced, as its oracle.
+
+    It checks the matcher, not LAPACK, so it reads the raw eigenvalues from
+    the helper that branches uses; TestParityRealEigenvalues checks those.
+    """
+    values = _eigenvalues(model, grid, eps, EV)
     matched = [_oracle_seeded(_seed_values(model, float(grid[0]), eps, EV), values[0])]
     for k, row in zip(grid[1:], values[1:]):
         matched.append(_oracle_continued(matched[-1], row, float(k)))
@@ -209,6 +217,73 @@ class TestExactness:
             assert float(np.min(np.abs(eig - target))) <= 1e-12 * scale
 
 
+#: eps*k of the moment system's real exceptional point (lambda02 = -1), to 1e-16.
+EXCEPTIONAL_EPS_K = 0.3020703897662709
+
+#: eps*k samples: a coarse span, and both sides of the exceptional point at
+#: distances 1e-2 to 1e-5.  Within about 1e-6 of it the merging eigenvalues
+#: have condition of order 1/sqrt(distance), so no two LAPACK routes agree to
+#: 1e-13 there; test_routes_agree_at_the_exceptional_point bounds that gap.
+EPS_K_SAMPLES = np.sort(
+    np.concatenate(
+        [
+            np.linspace(0.001, 8.0, 97),
+            EXCEPTIONAL_EPS_K + np.outer([-1.0, 1.0], [1e-2, 1e-3, 1e-4, 1e-5]).ravel(),
+        ]
+    )
+)
+
+PARITY_MODELS = [ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT, ModelId.MOMENT_REFERENCE]
+
+
+def _worst_assignment_gap(reference, values):
+    """Largest |reference - values| per k after the cheapest one-to-one matching,
+    relative to that k's largest |reference|."""
+    worst = 0.0
+    for ref, val in zip(reference, values):
+        cost = np.abs(ref[:, None] - val[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        worst = max(worst, float(cost[rows, cols].max() / np.abs(ref).max()))
+    return worst
+
+
+class TestParityRealEigenvalues:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(PARITY_MODELS),
+        eps=st.floats(0.01, 1.0),
+        k=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=20),
+    )
+    def test_scaled_stack_is_exactly_real(self, model, eps, k):
+        scaled = _parity_scaled(model, symbol_matrix(model, np.array(k), eps, EV))
+        assert np.all(scaled.imag == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.sampled_from(PARITY_MODELS), eps=st.floats(0.01, 1.0))
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.1)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.01)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=1.0)
+    def test_real_route_matches_complex_eigvals(self, model, eps):
+        k = EPS_K_SAMPLES / eps
+        complex_route = np.linalg.eigvals(symbol_matrix(model, k, eps, EV))
+        assert _worst_assignment_gap(complex_route, _eigenvalues(model, k, eps, EV)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+    def test_routes_agree_at_the_exceptional_point(self, eps):
+        # A double eigenvalue moves by the square root of a perturbation, so
+        # the two routes' roundoff shows as a gap near sqrt(1e-16) here.
+        model = ModelId.MOMENT_REFERENCE
+        k = np.array([EXCEPTIONAL_EPS_K / eps])
+        complex_route = np.linalg.eigvals(symbol_matrix(model, k, eps, EV))
+        assert _worst_assignment_gap(complex_route, _eigenvalues(model, k, eps, EV)) <= 1e-6
+
+    def test_riemann_decoupled_keeps_the_complex_route(self):
+        k = np.linspace(0.1, 4.0, 9)
+        matrix = symbol_matrix(ModelId.RIEMANN_DECOUPLED, k, 0.1, EV)
+        values = _eigenvalues(ModelId.RIEMANN_DECOUPLED, k, 0.1, EV)
+        assert values.tobytes() == np.linalg.eigvals(matrix).tobytes()
+
+
 class TestBranches:
     def test_euler_closed_form(self):
         grid = np.linspace(0.2, 5.0, 25)
@@ -313,6 +388,27 @@ class TestBranchCollision:
         values = np.array([[1.0 + 0j, -1.0 + 0j], [0.0 + 0j, 5.0 + 0j]])
         with pytest.raises(BranchCollisionError, match="k = 1:"):
             _step_maps(values, self.K)
+
+
+class TestComposeMaps:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([3, 5]),
+        points=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_equals_sequential_composition(self, d, points, seed):
+        # Random step permutations do not commute, so the order of
+        # composition shows.
+        rng = np.random.default_rng(seed)
+        maps = np.array([rng.permutation(d) for _ in range(points - 1)], dtype=np.intp)
+        maps = maps.reshape(points - 1, d)
+        seeded = list(rng.permutation(d))
+        perm = np.empty((points, d), dtype=np.intp)
+        perm[0] = seeded
+        for s, step in enumerate(maps):
+            perm[s + 1] = step[perm[s]]
+        assert np.array_equal(_compose_maps(maps, seeded), perm)
 
 
 class TestTwoRoutes:
