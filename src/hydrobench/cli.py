@@ -416,6 +416,10 @@ def emit_outputs(
 
 def _cmd_dispersion(config: RunConfig) -> np.ndarray:
     k_grid = np.linspace(config.kmin, config.kmax, config.samples)
+    if np.any(np.diff(k_grid) <= 0):
+        raise UsageError(
+            f"[{config.kmin}, {config.kmax}] holds fewer than {config.samples} distinct k samples"
+        )
     models = sorted(set(config.models), key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
     # Labels travel as their rank among the sorted names, so the (model, k,

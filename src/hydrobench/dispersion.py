@@ -7,26 +7,25 @@ per-wavenumber mode vector, ordered (u, p, s) for the hydrodynamic models,
 (R+, R-, s) for the Riemann-decoupled form, and (n, u, p, Pi, q) for the
 kinetic moment reference (its equations are in moment_reference).
 
-Branches of the growth rate sigma(k) are tracked across a k grid by
-nearest-neighbor continuation in the complex plane, seeded at the first grid
-point from the analytic small-k limits.  The eigenvalues of the whole grid
-come from one symbol stack and one batched eigvals call, on a real stack
-where parity allows: u and q are odd under x -> -x and n, p, s and Pi even,
-every off-diagonal entry of the Euler, Navier-Stokes, Burnett and moment
-symbols couples an odd row to an even one and is pure imaginary, and every
-diagonal entry is real.  So with S = diag(i on the odd rows), S^-1 M S is a
-real matrix with the eigenvalues of M, and real LAPACK gives them in half
-the time of the complex route.  The Riemann-decoupled symbol is a complex
-diagonal that mixes parities, so it keeps the complex route.  The greedy match
-between neighbouring grid points reads only their eigenvalues, so it runs
-for every step at once on one distance tensor: d rounds, each taking per
-step the free pair of least distance (lowest previous raw index, then lowest
-current one, on an exact tie).  A step is ambiguous, and BranchCollisionError
-names its k, when a pair tied for that least distance has a second free
-candidate within MATCH_AMBIGUITY_TOL, or two tied pairs want one candidate.
-The labels then follow by composing the per-step index maps from the seeded
-first point, in log2(K) rounds of a Hillis-Steele prefix scan over the K
-grid points.
+Branches of the growth rate sigma(k) are named by rank, from one symbol stack
+and at most one batched eigvals call for the whole grid.  u and q are odd
+under x -> -x and n, p, s and Pi even: every off-diagonal entry of the Euler,
+Navier-Stokes, Burnett and moment symbols couples an odd row to an even one
+and is pure imaginary, and every diagonal entry is real.  So with
+S = diag(i on the odd rows), S^-1 M S is a real matrix with the eigenvalues
+of M, and real LAPACK returns each of them either exactly real or as one of
+an exact conjugate pair.  Branches are continuous in k, and two real ones
+cannot change order without meeting, so while the number of real
+eigenvalues stays that of the model (one for a hydrodynamic model, three for
+the moment reference) rank alone names them: the largest real one is the
+entropy branch, Im > 0 is sound_plus and Im < 0 is sound_minus, and the
+moment reference's next two reals are kinetic_heat and then kinetic_stress,
+because lambda11 = (2/3)*lambda02 > lambda02.  Where that count changes, two
+branches have merged, and BranchCollisionError names the k.  The
+Riemann-decoupled symbol is diagonal by construction, so its diagonal is its
+spectrum with no eigvals: its s entry is real and its R+ and R- entries have
+Im > 0 and Im < 0, so the same rank names them sound_plus, sound_minus and
+entropy.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ __all__ = [
     "symbol_matrix",
 ]
 
-#: Two candidate matches closer than this are treated as a genuine collision.
-MATCH_AMBIGUITY_TOL = 1e-12
-
-
 class ModelId(Enum):
     """The five closures whose per-mode symbols this module can build."""
 
@@ -84,7 +79,11 @@ class Branch(Enum):
 
 
 class BranchCollisionError(RuntimeError):
-    """Two eigenvalue candidates were indistinguishable during matching."""
+    """The number of real eigenvalues differs from the model's at a grid point.
+
+    Two branches have merged there (or the first point already lies past a
+    merge), so rank no longer names them.
+    """
 
 
 @dataclass(frozen=True)
@@ -208,109 +207,18 @@ def _eigenvalues(
 ) -> np.ndarray:
     """Raw eigenvalues of the model symbol at every grid point, shape (len(grid), d).
 
-    One batched eigvals call: on the real parity-scaled stack when the model
-    has a parity, on the complex symbol stack otherwise.
+    The diagonal of the Riemann-decoupled symbol, in its (R+, R-, s) order;
+    one batched real eigvals call on the parity-scaled stack for every other
+    model.
     """
     matrix = symbol_matrix(model, grid, eps, eigenvalues)
-    if model in _ODD_ROWS:
-        matrix = _parity_scaled(model, matrix).real
-    return np.linalg.eigvals(matrix).astype(complex, copy=False)
+    if model not in _ODD_ROWS:
+        return np.diagonal(matrix, axis1=1, axis2=2)
+    return np.linalg.eigvals(_parity_scaled(model, matrix).real).astype(complex, copy=False)
 
 
-def _seed_values(
-    model: ModelId, k: float, eps: float, eigenvalues: EigenvalueSet
-) -> dict[Branch, complex]:
-    """Analytic small-k limits used to name the branches at the first grid point."""
-    if model is ModelId.EULER:
-        return {
-            Branch.ENTROPY: 0j,
-            Branch.SOUND_PLUS: 1j * SOUND_SPEED * k,
-            Branch.SOUND_MINUS: -1j * SOUND_SPEED * k,
-        }
-    seeds = {
-        Branch.ENTROPY: sigma_asymptotic(k, eps, eigenvalues, Branch.ENTROPY),
-        Branch.SOUND_PLUS: sigma_asymptotic(k, eps, eigenvalues, Branch.SOUND_PLUS),
-        Branch.SOUND_MINUS: sigma_asymptotic(k, eps, eigenvalues, Branch.SOUND_MINUS),
-    }
-    if model is ModelId.MOMENT_REFERENCE:
-        seeds[Branch.KINETIC_STRESS] = complex(float(eigenvalues.lambda02) / eps)
-        seeds[Branch.KINETIC_HEAT] = complex(float(eigenvalues.lambda11) / eps)
-    return seeds
-
-
-def _assign_seeded(seeds: Sequence[complex], values: np.ndarray) -> list[int]:
-    """Raw eigenvalue index for each seed, in seed order; ties broken by Im sign, then Re."""
-    remaining = list(range(len(values)))
-    assigned: list[int] = []
-    for seed in seeds:
-        dists = [(abs(values[i] - seed), i) for i in remaining]
-        dists.sort(key=lambda item: item[0])
-        best = dists[0][1]
-        if len(dists) > 1 and abs(dists[1][0] - dists[0][0]) <= MATCH_AMBIGUITY_TOL:
-            tied = [i for d, i in dists if abs(d - dists[0][0]) <= MATCH_AMBIGUITY_TOL]
-            tied.sort(
-                key=lambda i: (
-                    np.sign(values[i].imag) != np.sign(seed.imag),
-                    abs(values[i].real - seed.real),
-                )
-            )
-            best = tied[0]
-        assigned.append(best)
-        remaining.remove(best)
-    return assigned
-
-
-def _step_maps(values: np.ndarray, k_grid: np.ndarray) -> np.ndarray:
-    """Greedy nearest-neighbor continuation of every grid step at once.
-
-    values[s] holds the raw eigenvalues at k_grid[s].  Row s of the result
-    maps each raw index at step s to the raw index it continues to at step
-    s + 1.  The tie and ambiguity rules are those of the module header; the
-    first ambiguous step raises BranchCollisionError at its k.
-    """
-    steps, d = values.shape[0] - 1, values.shape[1]
-    dist = np.abs(values[1:, None, :] - values[:-1, :, None])  # (step, previous, current)
-    maps = np.empty((steps, d), dtype=np.intp)
-    ambiguous = np.zeros(steps, dtype=bool)
-    pairs = dist.reshape(steps, d * d)  # a view: masking dist masks pairs
-    at = np.arange(steps)
-    for _ in range(d):
-        flat = pairs.argmin(axis=1)
-        best = pairs[at, flat][:, None]
-        nearest = np.partition(dist, 1, axis=2)
-        tied_rows = nearest[:, :, 0] == best
-        ambiguous |= np.any(tied_rows & (nearest[:, :, 1] - best <= MATCH_AMBIGUITY_TOL), axis=1)
-        ambiguous |= np.any(np.count_nonzero(dist == best[:, :, None], axis=1) > 1, axis=1)
-        previous, current = np.divmod(flat, d)
-        maps[at, previous] = current
-        dist[at, previous, :] = np.inf
-        dist[at, :, current] = np.inf
-    if ambiguous.any():
-        k = float(k_grid[int(ambiguous.argmax()) + 1])
-        raise BranchCollisionError(
-            f"ambiguous branch match at k = {k:g}: two eigenvalue candidates "
-            f"are equidistant within {MATCH_AMBIGUITY_TOL:g}; refine the k grid "
-            "(a collision that persists under refinement is a genuine eigenvalue "
-            "merge, past which these labels stop being meaningful)"
-        )
-    return maps
-
-
-def _compose_maps(maps: np.ndarray, seeded: Sequence[int]) -> np.ndarray:
-    """Raw index of each seeded index at every grid point, one row per point.
-
-    maps[s] takes each raw index at point s to its continuation at point
-    s + 1.  Row s of prefix becomes the map from raw indices at the first
-    point to their continuations at point s: it starts as the identity, then
-    as maps[s - 1], and an inclusive Hillis-Steele scan composes each row
-    with all the rows before it in ceil(log2(K)) rounds for K points.
-    """
-    prefix = np.concatenate([np.arange(maps.shape[1])[None, :], maps])
-    shift = 1
-    while shift < len(prefix):
-        prefix[shift:] = np.take_along_axis(prefix[shift:], prefix[:-shift], axis=1)
-        shift *= 2
-    return prefix[:, seeded]
+#: Labels of a model's real eigenvalues, from the largest down.
+_REAL_BY_RANK = (Branch.ENTROPY, Branch.KINETIC_HEAT, Branch.KINETIC_STRESS)
 
 
 def branches(
@@ -319,26 +227,19 @@ def branches(
     eps: float,
     eigenvalues: EigenvalueSet,
 ) -> DispersionTable:
-    """Numerical sigma(k) branches of a model symbol, matched across the grid.
+    """Numerical sigma(k) branches of a model symbol, labelled at every grid point.
 
-    The grid must be finite, ascending and strictly positive.  The first
-    point is labelled from the analytic seeds.  The raw eigenvalues come from
-    one batched eigvals call, on the real parity-scaled stack S^-1 M S for
-    every model but the Riemann-decoupled one (see the module header).  One
-    batched greedy match over all grid steps gives each step's raw-index map
-    (least distance first; exact ties go to the lowest previous, then
-    current, index), and the labels follow from the seeded indices through a
-    prefix scan of those maps: log2(K) rounds of composition for K points,
-    not K - 1 sequential steps.  A step where a tied pair has a second
-    candidate within MATCH_AMBIGUITY_TOL, or where two tied pairs want one
-    candidate, raises BranchCollisionError at its k.
-
-    For the moment reference the first point should satisfy
-    k0 <= 0.1*|lambda02|/eps so the kinetic and hydrodynamic branches start
-    well separated; that system also has a real exceptional point near
-    eps*k ~ 0.3*|lambda02| where the entropy and kinetic-heat branches merge
-    into a conjugate pair, and continuation past it raises
-    BranchCollisionError by construction.
+    The grid must be finite, ascending and strictly positive.  The labels
+    come from rank, as the module header describes: the raw eigenvalues at
+    each point are sorted on one key, Im > 0 first, then the reals from the
+    largest down, then Im < 0.  The Riemann-decoupled diagonal has a real s
+    entry and R+ and R- entries with Im > 0 and Im < 0, so the same key names
+    it.  The first grid point whose count of real eigenvalues differs from
+    the model's (one for a hydrodynamic model, three for the moment
+    reference) raises BranchCollisionError at its k, the first point itself
+    included.  The moment reference meets that at its real exceptional point
+    near eps*k ~ 0.3*|lambda02|, where the entropy and kinetic-heat branches
+    merge into a conjugate pair.
     """
     grid = np.asarray(k_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -348,10 +249,21 @@ def branches(
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("k_grid must be strictly positive and ascending")
 
-    labels = tuple(Branch)[: model.dimension]
     values = _eigenvalues(model, grid, eps, eigenvalues)
-    seeds = _seed_values(model, float(grid[0]), eps, eigenvalues)
-    seeded = _assign_seeded([seeds[label] for label in labels], values[0])
-    perm = _compose_maps(_step_maps(values, grid), seeded)
-    sigma = np.take_along_axis(values, perm, axis=1)
+    real = values.imag == 0
+    count = model.dimension - 2
+    wrong = np.count_nonzero(real, axis=1) != count
+    if wrong.any():
+        at = int(wrong.argmax())
+        raise BranchCollisionError(
+            f"ambiguous branch match at k = {grid[at]:g}: real eigenvalue count "
+            f"{np.count_nonzero(real[at])}, not {count}; refine the k grid "
+            "(a collision that persists under refinement is a genuine eigenvalue "
+            "merge, past which these labels stop being meaningful)"
+        )
+    ranked = (Branch.SOUND_PLUS, *_REAL_BY_RANK[:count], Branch.SOUND_MINUS)
+    labels = tuple(Branch)[: model.dimension]
+    order = np.lexsort((-values.real, -np.sign(values.imag)))
+    columns = order[:, [ranked.index(label) for label in labels]]
+    sigma = np.take_along_axis(values, columns, axis=1)
     return DispersionTable(model=model, k_grid=grid, labels=labels, sigma=sigma)

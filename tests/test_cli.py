@@ -1258,6 +1258,28 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "numerical failure" in err
 
+    def test_first_point_past_the_merge_exits_two(self, tmp_path, capsys):
+        # At eps*k = 0.5 the moment system's entropy and kinetic-heat
+        # branches have already merged, so no grid there can be labelled.
+        out = tmp_path / "x.csv"
+        argv = ["dispersion", "--model", "moment", "--eps", "0.1", "--kmin", "5"]
+        assert main([*argv, "--kmax", "6", "--samples", "4", "--out", str(out), "--svg"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: ambiguous branch match at k = 5:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_collapsed_k_grid_is_a_usage_error(self, tmp_path, capsys):
+        # kmin < kmax, but the two floats are neighbours, so 64 samples
+        # between them repeat values.
+        out = tmp_path / "x.csv"
+        argv = ["dispersion", "--model", "euler", "--kmin", "0.1", "--kmax", "0.10000000000000002"]
+        assert main([*argv, "--samples", "64", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [0.1, 0.10000000000000002] holds fewer than 64 distinct k samples\n"
+        )
+        assert not out.exists()
+
     def test_numerical_failure_maps_to_two(self, tmp_path, monkeypatch):
         from hydrobench.dispersion import BranchCollisionError
 

@@ -8,21 +8,47 @@ from scipy.optimize import linear_sum_assignment
 
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import (
-    MATCH_AMBIGUITY_TOL,
     Branch,
     BranchCollisionError,
     ModelId,
-    _compose_maps,
     _eigenvalues,
     _parity_scaled,
-    _seed_values,
-    _step_maps,
     branches,
     sigma_asymptotic,
     symbol_matrix,
 )
 
 EV = eigenvalue_set(-1)
+
+#: The oracle's two candidate matches closer than this are a tie it refuses.
+MATCH_AMBIGUITY_TOL = 1e-12
+
+
+class OracleTie(BranchCollisionError):
+    """The oracle's refusal, with the two candidates it could not tell apart."""
+
+    def __init__(self, k, candidates):
+        super().__init__(f"ambiguous branch match at k = {k:g}: {candidates}")
+        self.k = k
+        self.candidates = candidates
+
+
+def _oracle_seeds(model, k, eps):
+    """Analytic small-k limits that name the branches at the oracle's first point."""
+    if model is ModelId.EULER:
+        return {
+            Branch.ENTROPY: 0j,
+            Branch.SOUND_PLUS: 1j * SOUND_SPEED * k,
+            Branch.SOUND_MINUS: -1j * SOUND_SPEED * k,
+        }
+    seeds = {
+        branch: sigma_asymptotic(k, eps, EV, branch)
+        for branch in (Branch.ENTROPY, Branch.SOUND_PLUS, Branch.SOUND_MINUS)
+    }
+    if model is ModelId.MOMENT_REFERENCE:
+        seeds[Branch.KINETIC_STRESS] = complex(float(EV.lambda02) / eps)
+        seeds[Branch.KINETIC_HEAT] = complex(float(EV.lambda11) / eps)
+    return seeds
 
 
 def _oracle_seeded(seeds, values):
@@ -54,35 +80,28 @@ def _oracle_continued(previous, values, k):
     assigned = {}
     while pending:
         best_label = None
-        best_idx = -1
-        best_dist = np.inf
-        second_dist = np.inf
+        best = second = (np.inf, -1)
         for label in pending:
             dists = sorted((abs(values[i] - previous[label]), i) for i in remaining)
-            if dists[0][0] < best_dist:
-                best_label, best_idx, best_dist = label, dists[0][1], dists[0][0]
-                second_dist = dists[1][0] if len(dists) > 1 else np.inf
-        if second_dist - best_dist <= MATCH_AMBIGUITY_TOL:
-            raise BranchCollisionError(
-                f"ambiguous branch match at k = {k:g}: two eigenvalue candidates "
-                f"are equidistant within {MATCH_AMBIGUITY_TOL:g}; refine the k grid "
-                "(a collision that persists under refinement is a genuine eigenvalue "
-                "merge, past which these labels stop being meaningful)"
-            )
-        assigned[best_label] = complex(values[best_idx])
-        remaining.remove(best_idx)
+            if dists[0][0] < best[0]:
+                best_label, best = label, dists[0]
+                second = dists[1] if len(dists) > 1 else (np.inf, -1)
+        if second[0] - best[0] <= MATCH_AMBIGUITY_TOL:
+            raise OracleTie(k, (complex(values[best[1]]), complex(values[second[1]])))
+        assigned[best_label] = complex(values[best[1]])
+        remaining.remove(best[1])
         pending.remove(best_label)
     return assigned
 
 
 def _oracle_branches(model, grid, eps):
-    """The per-k continuation loop that the batched matcher replaced, as its oracle.
+    """Seeded greedy continuation, one k after another, as the oracle of branches.
 
-    It checks the matcher, not LAPACK, so it reads the raw eigenvalues from
+    It checks the labels, not LAPACK, so it reads the raw eigenvalues from
     the helper that branches uses; TestParityRealEigenvalues checks those.
     """
     values = _eigenvalues(model, grid, eps, EV)
-    matched = [_oracle_seeded(_seed_values(model, float(grid[0]), eps, EV), values[0])]
+    matched = [_oracle_seeded(_oracle_seeds(model, float(grid[0]), eps), values[0])]
     for k, row in zip(grid[1:], values[1:]):
         matched.append(_oracle_continued(matched[-1], row, float(k)))
     labels = tuple(Branch)[: model.dimension]
@@ -90,11 +109,11 @@ def _oracle_branches(model, grid, eps):
 
 
 def _outcome(route):
-    """(sigma, None) from a matching route, or (None, message) when it refuses."""
+    """(sigma, None) from a labelling route, or (None, its BranchCollisionError)."""
     try:
         return route(), None
     except BranchCollisionError as exc:
-        return None, str(exc)
+        return None, exc
 
 
 class TestSigmaAsymptotic:
@@ -277,7 +296,22 @@ class TestParityRealEigenvalues:
         complex_route = np.linalg.eigvals(symbol_matrix(model, k, eps, EV))
         assert _worst_assignment_gap(complex_route, _eigenvalues(model, k, eps, EV)) <= 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(PARITY_MODELS),
+        eps=st.floats(0.01, 1.0),
+        k=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=20),
+    )
+    def test_non_real_eigenvalues_are_exact_conjugate_pairs(self, model, eps, k):
+        # The fact that branches labels by: each raw eigenvalue is exactly
+        # real, or the exact conjugate of another one at the same k.
+        for row in _eigenvalues(model, np.array(k), eps, EV):
+            for value in row[row.imag != 0]:
+                assert np.count_nonzero(row == np.conj(value)) == 1
+
     def test_riemann_decoupled_keeps_the_complex_route(self):
+        # Its diagonal is what complex eigvals returns for it, bit for bit
+        # and in the same order, so reading it skips LAPACK and moves no byte.
         k = np.linspace(0.1, 4.0, 9)
         matrix = symbol_matrix(ModelId.RIEMANN_DECOUPLED, k, 0.1, EV)
         values = _eigenvalues(ModelId.RIEMANN_DECOUPLED, k, 0.1, EV)
@@ -334,10 +368,33 @@ class TestBranches:
 
     def test_collision_error_at_real_exceptional_point(self):
         # The entropy and kinetic-heat branches genuinely merge near
-        # eps*k ~ 0.3; continuation through the merge must refuse loudly.
+        # eps*k ~ 0.3; labelling through the merge must refuse loudly, at
+        # the first grid point past it, and the grid before it labels.
+        eps = 0.1
         grid = np.linspace(0.5, 4.0, 60)
-        with pytest.raises(BranchCollisionError, match="refine"):
-            branches(ModelId.MOMENT_REFERENCE, grid, 0.1, EV)
+        past = grid[grid * eps > EXCEPTIONAL_EPS_K][0]
+        message = f"at k = {past:g}: real eigenvalue count 1, not 3; refine the k grid"
+        with pytest.raises(BranchCollisionError, match=message):
+            branches(ModelId.MOMENT_REFERENCE, grid, eps, EV)
+        branches(ModelId.MOMENT_REFERENCE, grid[grid < past], eps, EV)
+
+    def test_first_point_past_the_merge_refuses(self):
+        # Past the merge the moment system has one real eigenvalue, so no
+        # rank names its kinetic branches, however well the grid resolves it.
+        for grid in ([5.0], np.linspace(5.0, 6.0, 4)):
+            with pytest.raises(BranchCollisionError, match="at k = 5: real eigenvalue count 1"):
+                branches(ModelId.MOMENT_REFERENCE, grid, 0.1, EV)
+
+    def test_tiny_k_grid_is_labelled(self):
+        # All three branches lie within 1e-299 of each other here, which
+        # rank tells apart without a tolerance.
+        grid = np.linspace(1e-320, 1e-300, 4)
+        table = branches(ModelId.EULER, grid, 0.1, EV)
+        assert np.all(table.branch(Branch.ENTROPY) == 0)
+        plus = table.branch(Branch.SOUND_PLUS)
+        assert np.all(plus.imag > 0)
+        assert np.array_equal(table.branch(Branch.SOUND_MINUS), plus.conj())
+        assert plus[-1].imag == pytest.approx(SOUND_SPEED * 1e-300)
 
     @pytest.mark.parametrize(
         "grid", [[np.nan], [np.inf], [0.1, np.inf], [0.1, np.nan, 0.3], [-np.inf, 0.1]]
@@ -366,51 +423,6 @@ class TestBranches:
             assert 6.5 <= coarse / fine <= 9.5
 
 
-class TestBranchCollision:
-    # Two grid points: values[0] holds (sound_plus, sound_minus) at the previous k.
-    K = np.array([0.5, 1.0])
-
-    def test_ambiguous_candidates_raise(self):
-        values = np.array([[1.0 + 0j, -1.0 + 0j], [0.0 + 0j, 0.0 + 0j]])  # equidistant twins
-        with pytest.raises(BranchCollisionError, match="refine"):
-            _step_maps(values, self.K)
-
-    def test_distinct_candidates_do_not_raise(self):
-        values = np.array([[1.0 + 0j, -1.0 + 0j], [0.9 + 0j, -1.1 + 0j]])
-        (step,) = _step_maps(values, self.K)
-        assert values[1, step[0]] == 0.9 + 0j
-        assert values[1, step[1]] == -1.1 + 0j
-
-    def test_tied_previous_branches_wanting_one_candidate_raise(self):
-        # Both previous branches lie at distance 1 from the candidate 0, and
-        # each has its second candidate far away; whichever branch took 0,
-        # the other would be continued to 5 on the order of the labels alone.
-        values = np.array([[1.0 + 0j, -1.0 + 0j], [0.0 + 0j, 5.0 + 0j]])
-        with pytest.raises(BranchCollisionError, match="k = 1:"):
-            _step_maps(values, self.K)
-
-
-class TestComposeMaps:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        d=st.sampled_from([3, 5]),
-        points=st.integers(1, 300),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_scan_equals_sequential_composition(self, d, points, seed):
-        # Random step permutations do not commute, so the order of
-        # composition shows.
-        rng = np.random.default_rng(seed)
-        maps = np.array([rng.permutation(d) for _ in range(points - 1)], dtype=np.intp)
-        maps = maps.reshape(points - 1, d)
-        seeded = list(rng.permutation(d))
-        perm = np.empty((points, d), dtype=np.intp)
-        perm[0] = seeded
-        for s, step in enumerate(maps):
-            perm[s + 1] = step[perm[s]]
-        assert np.array_equal(_compose_maps(maps, seeded), perm)
-
-
 class TestTwoRoutes:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -420,18 +432,43 @@ class TestTwoRoutes:
         span=st.floats(1e-3, 8.0),
         samples=st.integers(1, 300),
     )
-    # The one-point grids of the moment-convergence check, and the grid of
-    # the CLI's exit-2 example, which crosses the exceptional point.
+    # The one-point grids of the moment-convergence check, the grid of the
+    # CLI's exit-2 example, which crosses the exceptional point, a first point
+    # past that point, and a grid whose sound branches are subnormal.
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=1.0, span=1.0, samples=1)
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.05, kmin=1.0, span=1.0, samples=1)
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.025, kmin=1.0, span=1.0, samples=1)
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.0125, kmin=1.0, span=1.0, samples=1)
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=0.5, span=3.5, samples=60)
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=5.0, span=1.0, samples=4)
+    @example(model=ModelId.EULER, eps=0.1, kmin=1e-320, span=1e-300, samples=4)
     def test_batched_matches_sequential(self, model, eps, kmin, span, samples):
-        # Either bitwise-equal sigma, or a collision at the same k from both.
         grid = np.linspace(kmin, kmin + span, samples)
-        batched, batched_error = _outcome(lambda: branches(model, grid, eps, EV).sigma)
-        sequential, sequential_error = _outcome(lambda: _oracle_branches(model, grid, eps))
-        assert batched_error == sequential_error
-        if batched_error is None:
-            assert batched.tobytes() == sequential.tobytes()
+        counts = np.count_nonzero(_eigenvalues(model, grid, eps, EV).imag == 0, axis=1)
+        changed = np.flatnonzero(counts != model.dimension - 2)
+        ranked, ranked_error = _outcome(lambda: branches(model, grid, eps, EV).sigma)
+        oracle, oracle_error = _outcome(lambda: _oracle_branches(model, grid, eps))
+        # The rank route refuses exactly at the first k whose real count
+        # differs from the model's.
+        if changed.size:
+            assert f"at k = {grid[changed[0]]:g}:" in str(ranked_error)
+        else:
+            assert ranked_error is None
+        # Wherever both routes label, sigma is bitwise equal; wherever both
+        # refuse, they name the same k.
+        if ranked_error is None and oracle_error is None:
+            assert ranked.tobytes() == oracle.tobytes()
+        if ranked_error is not None and oracle_error is not None:
+            assert f"at k = {oracle_error.k:g}:" in str(ranked_error)
+        # The oracle refuses alone only on a tie the spectrum settles: between
+        # conjugate partners, or between candidates closer together than its
+        # absolute tolerance, which is blind to the scale of a tiny-k grid.
+        if oracle_error is not None and ranked_error is None:
+            first, second = oracle_error.candidates
+            conjugate = first.imag != 0 and first == np.conj(second)
+            assert conjugate or abs(first - second) <= MATCH_AMBIGUITY_TOL
+        # The rank route refuses alone only when its first point is already
+        # past the moment system's merge, which the oracle labels regardless.
+        if ranked_error is not None and oracle_error is None:
+            assert changed[0] == 0
+            assert model is ModelId.MOMENT_REFERENCE and eps * grid[0] > EXCEPTIONAL_EPS_K
