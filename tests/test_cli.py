@@ -3,11 +3,13 @@
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -289,6 +291,67 @@ class TestICGrammar:
             ICSpec(terms=())
 
 
+def _percent_csv(rows, path):
+    """Reference route for the CSV half of cli.emit_outputs: every value of
+    every numeric column through '%.17g' and every label through '%s', one
+    '%' per WRITE_BLOCK rows."""
+    names = rows.dtype.names
+    line = ",".join("%s" if rows.dtype[name].kind == "U" else "%.17g" for name in names) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, len(rows), cli.WRITE_BLOCK):
+            block = rows[lo : lo + cli.WRITE_BLOCK].tolist()
+            fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+
+
+def _assert_same_csv(rows, tmp_path):
+    emit_outputs(rows, tmp_path / "levelled.csv")
+    _percent_csv(rows, tmp_path / "percent.csv")
+    assert (tmp_path / "levelled.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
+
+
+def _bits(value):
+    return np.array(value).view(np.uint64)
+
+
+#: Bit patterns every drawn float column may take: signed zeros, the
+#: smallest subnormal and normal, NaNs of both signs and two payloads, the
+#: infinities and integers where 17 digits are not the shortest form.
+_SPECIAL_BITS = np.unique(
+    np.concatenate(
+        [
+            _bits([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+            _bits([math.nan, -math.nan, math.inf, -math.inf, 1e16, 2.0**53 + 2, 0.1]),
+            np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64),
+        ]
+    )
+)
+
+
+@st.composite
+def _levelled_tables(draw):
+    """Tables of 0-2 label columns and 1-3 float columns in a drawn order,
+    with lengths on both sides of one and two write blocks.  Each float
+    column has 1, 2, the levelling threshold's, one more than that or all
+    distinct bit patterns, drawn from _SPECIAL_BITS and random bits."""
+    n = draw(st.sampled_from([1, 2, 3, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]))
+    n = draw(st.sampled_from([n, 2 * cli.WRITE_BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    threshold = int(cli.LEVEL_FRACTION * n)
+    columns = {}
+    for i in range(draw(st.integers(0, 2))):
+        columns[f"g{i}"] = rng.choice(["", "a", "bé", "model_x"], size=n)
+    for i in range(draw(st.integers(1, 3))):
+        count = draw(st.sampled_from([1, 2, threshold, threshold + 1, n]))
+        count = min(max(count, 1), n)
+        pool = np.concatenate([rng.permutation(_SPECIAL_BITS), rng.integers(0, 2**64, n, np.uint64)])
+        pool = np.array(list(dict.fromkeys(pool.tolist()))[:count], dtype=np.uint64)
+        picks = rng.permutation(np.concatenate([np.arange(count), rng.integers(0, count, n - count)]))
+        columns[f"v{i}"] = pool[picks].view(np.float64)
+    order = draw(st.permutations(list(columns)))
+    return cli._table({name: columns[name] for name in order})
+
+
 class TestEmitOutputs:
     def test_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -325,6 +388,63 @@ class TestEmitOutputs:
             f"{format(x, '.17g')},{name},{format(y, '.17g')}" for x, name, y in zip(a, labels, b)
         ]
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_levelled_tables())
+    def test_bytes_equal_percent_route(self, rows, tmp_path_factory):
+        for name in rows.dtype.names:
+            column = rows[name]
+            if column.dtype.kind == "f":
+                distinct = len(np.unique(column.view(np.uint64)))
+                levelled = cli._levels(column) is not None
+                assert levelled == (distinct <= cli.LEVEL_FRACTION * len(rows))
+        _assert_same_csv(rows, tmp_path_factory.mktemp("csv"))
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_non_float64_columns_keep_their_text(self, tmp_path, n):
+        # n = 3 levels no column; n = 64 levels the first of each dtype.
+        rng = np.random.default_rng(n)
+        big = np.iinfo(np.int64)
+        tiny32 = np.float32(1e-45)  # the smallest float32 subnormal
+        rows = cli._table(
+            {
+                "i_few": np.arange(n) % 2 - 7,
+                "i_all": np.r_[big.min, big.max, 2**53 + 1, 2**40 * np.arange(n - 3)],
+                "b": np.arange(n) % 3 == 0,
+                "f32_few": np.resize(np.float32([0.1, 1.5, -0.0]), n),
+                "f32_all": np.concatenate([[tiny32, np.float32(np.nan)], rng.random(n - 2)]).astype(
+                    np.float32
+                ),
+                "long": np.arange(n, dtype=np.longdouble) / 3,
+            }
+        )
+        levelled = {name for name in rows.dtype.names[:5] if cli._levels(rows[name]) is not None}
+        assert levelled == (set() if n == 3 else {"i_few", "b", "f32_few"})
+        _assert_same_csv(rows, tmp_path)
+        first = (tmp_path / "levelled.csv").read_text().splitlines()[1]
+        assert first.startswith("-7,-9.2233720368547758e+18,1,0.10000000149011612,1.401298464324")
+
+    def test_levelled_peak_memory(self, tmp_path):
+        # At this size the one-'%'-per-block writer peaked at 1.10 times
+        # rows.nbytes and this writer at 1.18, of which the row-to-level
+        # indices of t and x are 0.4.  A writer that gathers the levels of
+        # the whole table at once peaked at 1.58 (Python 3.11, numpy 2.4,
+        # x86-64).
+        n, grid = 10 * cli.WRITE_BLOCK, 256
+        rng = np.random.default_rng(17)
+        rows = np.empty(n, [(name, float) for name in ("t", "x", "u", "p", "s")])
+        rows["t"] = np.repeat(0.1 * np.arange(n // grid), grid)
+        rows["x"] = np.tile(2.0 * np.pi * np.arange(grid) / grid, n // grid)
+        for name in ("u", "p", "s"):
+            rows[name] = rng.standard_normal(n)
+        assert [name for name in rows.dtype.names if cli._levels(rows[name])] == ["t", "x"]
+        tracemalloc.start()
+        try:
+            emit_outputs(rows, tmp_path / "evolve.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * rows.nbytes
 
     def test_svg_deterministic_and_well_formed(self, tmp_path):
         rows = cli._table({"t": np.arange(20.0), "y": np.sin(np.arange(20) / 3.0)})
