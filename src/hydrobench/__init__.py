@@ -9,117 +9,32 @@ models (hydro_spectral), the five-field kinetic moment reference
 cli module drives experiments and emits CSV/SVG.
 """
 
-from .coefficients import (
-    SOUND_SPEED,
-    SOUND_SPEED_SQUARED,
-    BurnettCoefficients,
-    EigenvalueSet,
-    NsCoefficients,
-    eigenvalue_set,
-    transport_burnett,
-    transport_ns,
+from . import (
+    coefficients,
+    dispersion,
+    hydro_spectral,
+    initial_conditions,
+    moment_reference,
+    secularity,
+    velocity_space,
 )
-from .dispersion import (
-    Branch,
-    BranchCollisionError,
-    DispersionTable,
-    ModelId,
-    branches,
-    sigma_asymptotic,
-    symbol_matrix,
-)
-from .hydro_spectral import (
-    FirstOrderCorrection,
-    HermitianSymmetryError,
-    HydroState,
-    InternalConsistencyError,
-    SpectralState,
-    evolve,
-    first_order_correction,
-    from_modes,
-    h1_fluxes,
-    riemann_join,
-    riemann_split,
-    to_modes,
-)
-from .initial_conditions import ICParseError, ICSpec, ICTerm, parse_initial_condition, realize
-from .moment_reference import (
-    HydroProjection,
-    burnett_deviation_rms,
-    evolve_moments,
-    from_hydro,
-    hydro_projection,
-    reference_gaps,
-    trajectory,
-)
-from .secularity import (
-    SecularSeries,
-    UnsupportedInitialCondition,
-    secular_ratio_series,
-)
-from .velocity_space import (
-    EigenfunctionId,
-    Recursion,
-    VelocityPolynomial,
-    inner,
-    moment_of,
-    monomial_moment,
-    psi_poly,
-    recursion_residual,
-)
+from .coefficients import *  # noqa: F403
+from .dispersion import *  # noqa: F403
+from .hydro_spectral import *  # noqa: F403
+from .initial_conditions import *  # noqa: F403
+from .moment_reference import *  # noqa: F403
+from .secularity import *  # noqa: F403
+from .velocity_space import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
-    "BranchCollisionError",
-    "BurnettCoefficients",
-    "DispersionTable",
-    "EigenfunctionId",
-    "EigenvalueSet",
-    "FirstOrderCorrection",
-    "HermitianSymmetryError",
-    "HydroProjection",
-    "HydroState",
-    "ICParseError",
-    "ICSpec",
-    "ICTerm",
-    "InternalConsistencyError",
-    "ModelId",
-    "NsCoefficients",
-    "Recursion",
-    "SOUND_SPEED",
-    "SOUND_SPEED_SQUARED",
-    "SecularSeries",
-    "SpectralState",
-    "UnsupportedInitialCondition",
-    "VelocityPolynomial",
-    "branches",
-    "burnett_deviation_rms",
-    "eigenvalue_set",
-    "evolve",
-    "evolve_moments",
-    "first_order_correction",
-    "from_hydro",
-    "from_modes",
-    "h1_fluxes",
-    "hydro_projection",
-    "inner",
-    "moment_of",
-    "monomial_moment",
-    "parse_initial_condition",
-    "psi_poly",
-    "realize",
-    "recursion_residual",
-    "reference_gaps",
-    "riemann_join",
-    "riemann_split",
-    "secular_ratio_series",
-    "sigma_asymptotic",
-    "symbol_matrix",
-    "to_modes",
-    "trajectory",
-    "transport_burnett",
-    "transport_ns",
+    *coefficients.__all__,
+    *dispersion.__all__,
+    *hydro_spectral.__all__,
+    *initial_conditions.__all__,
+    *moment_reference.__all__,
+    *secularity.__all__,
+    *velocity_space.__all__,
     "__version__",
 ]

@@ -16,7 +16,6 @@ byte-identical CSV and SVG output.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -233,23 +232,21 @@ def _table(columns: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _levels(column: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The '%.17g' text of each distinct value of a numeric column and each
+    """The '%.17g' text of each distinct value of a float64 column and each
     row's index into it, or None if it has more than LEVEL_FRACTION distinct
     values per row.
 
-    Values are told apart by bit pattern in the column's own width, so -0.0
-    and 0.0 ('-0' and '0') stay apart and no two NaNs merge, and each text
-    is formatted from the column's own value, so int64, bool and float32
-    columns read as they do under '%.17g'.  A column that is not levelled
-    costs one sort and no index.
+    Values are told apart by bit pattern, so -0.0 and 0.0 ('-0' and '0')
+    stay apart and no two NaNs merge.  A column that is not levelled costs
+    one sort and no index.
     """
-    bits = column.view(f"u{column.itemsize}")
+    bits = column.view(np.uint64)
     keys = np.sort(bits)
     first = np.r_[True, keys[1:] != keys[:-1]]
     if np.count_nonzero(first) > LEVEL_FRACTION * len(keys):
         return None
     keys = keys[first]
-    text = np.array(["%.17g" % value for value in keys.view(column.dtype).tolist()], object)
+    text = np.array(["%.17g" % value for value in keys.view(np.float64).tolist()], object)
     return text, np.searchsorted(keys, bits)
 
 
@@ -416,7 +413,9 @@ def emit_outputs(
     """Write the CSV (and optional sibling SVG); returns the written paths.
 
     rows is a structured array: one record per CSV row, one field per
-    column, float64 for reals and str for labels.  Reals are written with 17
+    column, float64 for reals and str for labels; a column of any other
+    dtype raises ValueError before anything is drawn or written, since
+    '%.17g' would round an int64 above 2**53.  Reals are written with 17
     significant digits and '.' decimal separator, so they round-trip through
     the file exactly.  A column with few distinct values (see _levels) has
     each one formatted once and its rows written through '%s'; every other
@@ -428,15 +427,16 @@ def emit_outputs(
     """
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
+    names = rows.dtype.names
+    for name in names:
+        if rows.dtype[name] != np.float64 and rows.dtype[name].kind != "U":
+            raise ValueError(f"column {name!r} has dtype {rows.dtype[name]}, not float64 or str")
     out_path = Path(out_path)
     # The chart is drawn before any file is opened, so a fault in its
     # arithmetic leaves no CSV behind.
     svg = _svg_chart(rows if chart is None else chart, title or out_path.stem) if emit_svg else None
-    names = rows.dtype.names
     columns = [rows[name] for name in names]
-    # Labels are written as they are; a long double (16 bytes, some of them
-    # padding) has no unsigned view to group by, so it is never levelled.
-    levels = [None if c.dtype.kind == "U" or c.itemsize > 8 else _levels(c) for c in columns]
+    levels = [None if c.dtype.kind == "U" else _levels(c) for c in columns]
     line = ",".join(
         "%.17g" if level is None and c.dtype.kind != "U" else "%s"
         for c, level in zip(columns, levels)
@@ -489,8 +489,7 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
 
 
 def _initial_state(config: RunConfig) -> hydro_spectral.HydroState:
-    fields = realize(config.ic, config.grid_size)
-    return hydro_spectral.HydroState(u=fields["u"], p=fields["p"], s=fields["s"])
+    return hydro_spectral.HydroState(**realize(config.ic, config.grid_size))
 
 
 def _output_times(config: RunConfig) -> np.ndarray:
@@ -508,10 +507,10 @@ def _cmd_evolve(config: RunConfig) -> np.ndarray:
     )
     n = config.grid_size
     rows = np.empty(times.size * n, [(name, float) for name in ("t", "x", "u", "p", "s")])
-    for i, hydro in enumerate(itertools.chain([state], evolved)):
-        block = rows[i * n : (i + 1) * n]
-        block["t"], block["x"] = times[i], state.x
-        block["u"], block["p"], block["s"] = hydro.u, hydro.p, hydro.s
+    table = rows.reshape(times.size, n)  # a view: one row per time, one column per x
+    table["t"], table["x"] = times[:, None], state.x
+    for i, name in enumerate("ups"):
+        table[name][0], table[name][1:] = getattr(state, name), evolved[:, i]
     return rows
 
 
@@ -582,7 +581,7 @@ def run(config: RunConfig) -> int:
             chart = None
             if config.command == "evolve":
                 # Chart the final-time snapshot against x, not everything vs t.
-                chart = rows[["x", "u", "p", "s"]][rows["t"] == rows["t"][-1]]
+                chart = rows[["x", "u", "p", "s"]][-config.grid_size :]
             written = emit_outputs(
                 rows, config.out_path, config.emit_svg, title=config.command, chart=chart
             )

@@ -7,7 +7,8 @@ symbol: there is no time-stepping error, and the output cadence is purely a
 sampling choice.  evolve takes a 1-D array of output times and diagonalizes
 the symbol stack once for all of them, for any model whose model.dimension
 is the row count of the state: 3 for (u, p, s), 5 for the moments (n, u, p,
-Pi, q).  Density and temperature perturbations of the hydro state are
+Pi, q).  States carry no time: evolve returns one state per elapsed time
+asked for.  Density and temperature perturbations of the hydro state are
 derived, never stored: n = (3p - 2s)/5 and T = (2/5)(p + s), equivalent to
 s = (3/2)p - (5/2)n and T = p - n.
 """
@@ -61,7 +62,7 @@ def _as_field(values, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HydroState:
-    """Real (u, p, s) samples on the periodic grid, plus the current time.
+    """Real (u, p, s) samples on the periodic grid.
 
     Any N >= MIN_GRID_SIZE (8) works with the FFT backend; powers of two are
     the fast path and the documented default.
@@ -70,7 +71,6 @@ class HydroState:
     u: np.ndarray
     p: np.ndarray
     s: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         u = _as_field(self.u)
@@ -114,7 +114,6 @@ class SpectralState:
 
     modes: np.ndarray
     grid_size: int
-    time: float = 0.0
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=complex)
@@ -135,14 +134,14 @@ def _require_rows(spec: SpectralState, rows: int, reader: str) -> None:
 def to_modes(state: HydroState) -> SpectralState:
     """Discrete Fourier analysis of a hydro state."""
     stacked = np.stack([state.u, state.p, state.s])
-    return SpectralState(_modal.forward_modes(stacked), state.grid_size, state.time)
+    return SpectralState(_modal.forward_modes(stacked), state.grid_size)
 
 
 def from_modes(spec: SpectralState) -> HydroState:
     """Synthesis of (u, p, s) back to real fields; raises on a complex k = 0 or Nyquist mode."""
     _require_rows(spec, 3, "from_modes")
     fields = _modal.inverse_modes(spec.modes, spec.grid_size)
-    return HydroState(u=fields[0], p=fields[1], s=fields[2], time=spec.time)
+    return HydroState(u=fields[0], p=fields[1], s=fields[2])
 
 
 def evolve(
@@ -160,11 +159,10 @@ def evolve(
     are x-derivatives.
     """
     _require_rows(spec, model.dimension, model.value)
-    n, times = spec.grid_size, np.asarray(times, dtype=float)
     advanced = _modal.mode_propagators(
-        lambda k: symbol_matrix(model, k, eps, eigenvalues), n, times, spec.modes
+        lambda k: symbol_matrix(model, k, eps, eigenvalues), spec.grid_size, times, spec.modes
     )
-    return [SpectralState(m, n, spec.time + t) for m, t in zip(advanced, times.tolist())]
+    return [SpectralState(m, spec.grid_size) for m in advanced]
 
 
 def riemann_split(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +211,14 @@ class FirstOrderCorrection:
 def first_order_correction(
     state: HydroState, eigenvalues: EigenvalueSet
 ) -> FirstOrderCorrection:
-    du_dx = spectral_derivative(state.u)
-    dt_dx = spectral_derivative(state.temperature)
+    du_dx, dt_dx = spectral_derivative(state.u), spectral_derivative(state.temperature)
+    return _correction(du_dx, dt_dx, eigenvalues)
+
+
+def _correction(
+    du_dx: np.ndarray, dt_dx: np.ndarray, eigenvalues: EigenvalueSet
+) -> FirstOrderCorrection:
+    """The correction of given gradients; h1_fluxes feeds both of its routes from one pair."""
     return FirstOrderCorrection(
         a_temperature=dt_dx / float(eigenvalues.lambda11),
         a_velocity=du_dx / float(eigenvalues.lambda02),
@@ -239,9 +243,9 @@ def h1_fluxes(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    correction = first_order_correction(state, eigenvalues)
     du_dx = spectral_derivative(state.u)
     dt_dx = spectral_derivative(state.temperature)
+    correction = _correction(du_dx, dt_dx, eigenvalues)
 
     stress_closed = float(Fraction(4, 3) / eigenvalues.lambda02) * du_dx
     heat_closed = float(Fraction(5, 2) / eigenvalues.lambda11) * dt_dx

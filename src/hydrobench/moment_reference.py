@@ -18,15 +18,15 @@ relation at rate O(k (eps k)^3), which is the module's central validation.
 The generator is built, like every model's, by dispersion.symbol_matrix,
 and a moment state is a 5-row hydro_spectral.SpectralState that
 hydro_spectral.evolve advances like any other.  trajectory evolves a
-(u, p, s) state under any of the five models, and reference_gaps is the one
-comparison with the moment truth that compare, evolve and the
-Burnett-deviation criterion share.
+(u, p, s) state under any of the five models into one (T, 3, N) array of
+fields, and reference_gaps is the one comparison with the moment truth that
+compare and the Burnett-deviation criterion share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def from_hydro(state: HydroState) -> SpectralState:
     stacked = np.stack(
         [state.n, state.u, state.p, np.zeros(state.grid_size), np.zeros(state.grid_size)]
     )
-    return SpectralState(_modal.forward_modes(stacked), state.grid_size, state.time)
+    return SpectralState(_modal.forward_modes(stacked), state.grid_size)
 
 
 def evolve_moments(
@@ -81,31 +81,40 @@ def evolve_moments(
     return evolve(state, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
 
 
-def _hydro_state(state: SpectralState) -> HydroState:
-    """Synthesized (u, p, s) of a moment state, with s = (3/2)p - (5/2)n."""
-    _require_rows(state, 5, "the moment projection")
-    n, u, p = state.modes[:3]
-    modes = np.stack([u, p, 1.5 * p - 2.5 * n])
-    return from_modes(SpectralState(modes, state.grid_size, state.time))
+def _hydro_modes(moments: np.ndarray) -> np.ndarray:
+    """(u, p, s) modes of (n, u, p, ...) moment modes, with s = (3/2)p - (5/2)n."""
+    n, u, p = moments[:3]
+    return np.stack([u, p, 1.5 * p - 2.5 * n])
 
 
 def hydro_projection(state: SpectralState) -> HydroProjection:
     """Project a 5-row moment state onto (u, p, s); keep Pi, q as residuals."""
-    hydro = _hydro_state(state)
+    _require_rows(state, 5, "the moment projection")
+    hydro = from_modes(SpectralState(_hydro_modes(state.modes), state.grid_size))
     residuals = _modal.inverse_modes(state.modes[3:], state.grid_size)
     return HydroProjection(hydro, stress=residuals[0], heat_flux=residuals[1])
 
 
 def trajectory(
     initial: HydroState, model: ModelId, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
-) -> Iterator[HydroState]:
-    """HydroState of `initial` under `model` at each positive ascending elapsed time.
+) -> np.ndarray:
+    """Real (u, p, s) of `initial` under `model` at each positive ascending elapsed time.
 
-    times is a 1-D array; each state is synthesized as it is read.
+    times is a 1-D array; the result has shape (len(times), 3, N).  Each time
+    is synthesized by itself, so each passes the Hermitian health check at
+    its own scale, and the propagated modes are released on return.
     """
+    n = initial.grid_size
     if model is ModelId.MOMENT_REFERENCE:
-        return map(_hydro_state, evolve_moments(from_hydro(initial), eps, eigenvalues, times))
-    return map(from_modes, evolve(to_modes(initial), model, eps, eigenvalues, times))
+        evolved = evolve_moments(from_hydro(initial), eps, eigenvalues, times)
+        modes = (_hydro_modes(spec.modes) for spec in evolved)
+    else:
+        evolved = evolve(to_modes(initial), model, eps, eigenvalues, times)
+        modes = (spec.modes for spec in evolved)
+    fields = np.empty((len(evolved), 3, n))
+    for snapshot, spectrum in zip(fields, modes):
+        snapshot[:] = _modal.inverse_modes(spectrum, n)
+    return fields
 
 
 def reference_gaps(
@@ -119,16 +128,15 @@ def reference_gaps(
 
     Both sides are synthesized, so each passes the Hermitian health check.
     The truth is synthesized once; one model trajectory is alive at a time.
+    The squared gaps are summed over (u, p, s) at each point, then over x.
     """
-    truth = list(trajectory(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times))
+    truth = trajectory(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
     dx = 2.0 * np.pi / initial.grid_size
     gaps = np.empty((len(truth), len(models)))
     for j, model in enumerate(models):
-        evolved = trajectory(initial, model, eps, eigenvalues, times)
-        for i, (a, b) in enumerate(zip(evolved, truth)):
-            gaps[i, j] = np.sqrt(
-                dx * np.sum((a.u - b.u) ** 2 + (a.p - b.p) ** 2 + (a.s - b.s) ** 2)
-            )
+        gap = trajectory(initial, model, eps, eigenvalues, times) - truth
+        gaps[:, j] = np.sqrt(dx * np.sum(np.sum(gap**2, axis=1), axis=-1))
+        del gap  # before the next model's trajectory is synthesized
     return gaps
 
 
@@ -143,16 +151,15 @@ def burnett_deviation_rms(
 
     Both systems start from `initial` (the moment state with Pi = q = 0) and
     the reference_gaps of Burnett is sampled at n_samples times spanning one
-    acoustic period that ends at `time`; the RMS over the window is
-    returned.  Averaging over a period removes the acoustic phase of the
-    O(eps) entropy component from the measurement, so the returned number
-    scales cleanly at first order in eps.  The period is that of the k = 1
+    acoustic period that ends `time` after `initial`; the RMS over the
+    window is returned.  Averaging over a period removes the acoustic phase
+    of the O(eps) entropy component from the measurement, so the returned
+    number scales cleanly at first order in eps.  The period is that of the k = 1
     sound wave, 2*pi/a0.
     """
     period = 2.0 * np.pi / SOUND_SPEED
     if time <= period:
         raise ValueError(f"need time > one period ({period:g}), got {time}")
-    sample_times = time - period + period * np.arange(1, n_samples + 1) / n_samples
-    elapsed = sample_times - initial.time
+    elapsed = time - period + period * np.arange(1, n_samples + 1) / n_samples
     gaps = reference_gaps(initial, [ModelId.BURNETT], eps, eigenvalues, elapsed)
     return float(np.sqrt(np.mean(gaps**2)))

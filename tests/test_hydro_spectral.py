@@ -30,13 +30,12 @@ def grid(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def make_state(n=16, u=None, p=None, s=None, time=0.0):
+def make_state(n=16, u=None, p=None, s=None):
     zeros = np.zeros(n)
     return HydroState(
         u=zeros if u is None else u,
         p=zeros if p is None else p,
         s=zeros if s is None else s,
-        time=time,
     )
 
 
