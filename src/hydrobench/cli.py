@@ -9,8 +9,9 @@ Commands:
     selftest     run the built-in invariant suite
 
 Every command is deterministic: identical configuration produces
-byte-identical CSV and SVG output.  Exit codes: 0 success, 1 usage error,
-2 numerical or internal-consistency failure.
+byte-identical CSV and SVG output.  A CSV real is the text '%.17g' gives
+it, computed in numpy (see emit_outputs and the _text module).  Exit codes: 0 success, 1 usage
+error, 2 numerical or internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import hydro_spectral, moment_reference, secularity
 from ._modal import MIN_GRID_SIZE
+from ._text import REAL_WIDTH, label_records, real_records, tables, two_product
 from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
@@ -124,6 +126,8 @@ class RunConfig:
                 raise UsageError("at least one --model is required")
             if self.out_path is None:
                 raise UsageError("an output path is required (--out)")
+            if self.emit_svg and self.out_path.suffix == ".svg":
+                raise UsageError(f"--svg would write its chart over the CSV at {self.out_path}")
 
     @property
     def eigenvalues(self) -> EigenvalueSet:
@@ -195,20 +199,25 @@ def _load_config_file(path: Path) -> dict[str, object]:
 # CSV/SVG emission ----------------------------------------------------------
 
 
-#: Rows formatted by one '%' operation.  Formatting the whole 34,816-row
-#: dispersion sweep at once raised a call's peak memory from 46 to 55 MB
-#: (Python 3.11, numpy 2.4, x86-64); blocks of 1024 rows saved nothing more.
+#: Values turned into text at a time: the CSV writer takes WRITE_BLOCK //
+#: (number of columns) rows, the SVG's point text WRITE_BLOCK points.  A CSV
+#: block's numpy temporaries come to about 230 bytes per value.  On the
+#: evolve, dispersion and secular benchmark tables, blocks of 2048, 8192 and
+#: 16384 values took 1.10-1.17, 0.93-0.98 and 0.90-0.97 times as long as
+#: 4096, while the writer's peak allocation grows with the block: 0.95, 0.89
+#: and 0.71 MB on those tables at 4096, and 1.84, 1.56 and 1.42 MB at 8192
+#: (Python 3.11, numpy 2.4, x86-64).
 WRITE_BLOCK = 4096
 
-#: A numeric column is levelled, each distinct value formatted once, when it
-#: holds at most this many distinct values per row.  On a 34,816-row column
-#: whose repeats sit at random rows, levelling took 0.65, 0.83, 1.00 and 1.11
-#: times as long as '%.17g' on every row at 0.25, 0.4, 0.5 and 0.6 distinct
-#: values per row, and 1.64 times with all distinct (Python 3.11, numpy 2.4,
-#: x86-64).  Evolve's t and x and dispersion's k are levelled, and so are
-#: dispersion's re_sigma and im_sigma (0.35 and 0.41), which made the whole
-#: sweep faster than a quarter did; secular's all-distinct columns are not.
-LEVEL_FRACTION = 0.5
+#: A real column is levelled, each distinct value formatted once, when it
+#: holds at most this many distinct values per row.  On a 34,816-row column,
+#: levelling took 0.73, 0.75 and 0.96 times as long as formatting every row
+#: at 0.02, 0.1 and 0.5 distinct values per row when equal values sit in
+#: runs, but 0.99, 1.30 and 1.69 times when they sit at random rows (Python
+#: 3.11, numpy 2.4, x86-64).  Evolve's t and x and dispersion's k (0.06)
+#: repeat in runs and are levelled; dispersion's re_sigma and im_sigma (0.35
+#: and 0.41) and secular's all-distinct columns are not.
+LEVEL_FRACTION = 0.1
 
 _SVG_PALETTE = (
     "#1f77b4",
@@ -231,27 +240,22 @@ def _table(columns: dict[str, np.ndarray]) -> np.ndarray:
     return rows
 
 
-def _levels(column: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The '%.17g' text of each distinct value of a float64 column and each
-    row's index into it, or None if it has more than LEVEL_FRACTION distinct
+def _levels(column: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+    """The distinct bit patterns of a float64 column, sorted, and their
+    real_records, or None if it has more than LEVEL_FRACTION distinct
     values per row.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 ('-0' and '0')
     stay apart and no two NaNs merge.  A column that is not levelled costs
-    one sort and no index.
+    one sort; the writer finds each block's rows among the levels itself,
+    so no full-length index is kept.
     """
-    bits = column.view(np.uint64)
-    keys = np.sort(bits)
+    keys = np.sort(column.view(np.uint64))
     first = np.r_[True, keys[1:] != keys[:-1]]
     if np.count_nonzero(first) > LEVEL_FRACTION * len(keys):
         return None
     keys = keys[first]
-    text = np.array(["%.17g" % value for value in keys.view(np.float64).tolist()], object)
-    return text, np.searchsorted(keys, bits)
-
-
-#: Row n holds the three ASCII digits of the integer n, for n = 0 to 999.
-_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    return keys, real_records(keys.view(np.float64))
 
 
 def _point_text(points: np.ndarray) -> str:
@@ -259,13 +263,11 @@ def _point_text(points: np.ndarray) -> str:
 
     Every coordinate must lie in [0, 1000), as the chart's do; a non-finite
     or out-of-box one raises ValueError.  '%.3f' of v is the round-half-even
-    of the exact product v*1000, which Dekker's error-free product gives as
-    p + e: p = fl(v*1000), and with v = hi + lo split by Veltkamp into
-    halves of at most 26 bits, e = (hi*1000 - p) + lo*1000 with every
-    operation exact.  With d = p - floor(p) (also exact), the product rounds
+    of the exact product v*1000, which two_product gives as p + e with p =
+    fl(v*1000).  With d = p - floor(p) (also exact), the product rounds
     up when d > 0.5, or d == 0.5 and e > 0, or d == 0.5, e == 0 and floor(p)
     is odd; |e| is at most half an ulp of p, so it decides only the ties.
-    The integer thousandths become text through the _DIGITS table, WRITE_BLOCK
+    The integer thousandths become text through the digits table, WRITE_BLOCK
     points at a time.
     """
     chunks = []
@@ -273,10 +275,7 @@ def _point_text(points: np.ndarray) -> str:
         v = points[lo : lo + WRITE_BLOCK].ravel()
         if np.any(np.signbit(v) | ~(v < 1000.0)):
             raise ValueError("SVG coordinates must be finite and lie in [0, 1000)")
-        p = v * 1000.0
-        c = v * 134217729.0  # 2**27 + 1, Veltkamp's splitter
-        hi = c - (c - v)
-        e = (hi * 1000.0 - p) + (v - hi) * 1000.0
+        p, e = two_product(v, 1000.0)
         floor = np.floor(p)
         d = p - floor
         n = floor.astype(np.int64)
@@ -286,9 +285,9 @@ def _point_text(points: np.ndarray) -> str:
         # decimals and the separator; leading zeros of the integer go.
         text = np.empty((len(v), 9), dtype=np.uint8)
         text[:, 0] = ord("1")  # whole is at most 1000
-        text[:, 1:4] = _DIGITS.take(whole % 1000, axis=0)
+        text[:, 1:4] = tables().digits.take(whole % 1000, axis=0)[:, 1:]
         text[:, 4] = ord(".")
-        text[:, 5:8] = _DIGITS.take(frac, axis=0)
+        text[:, 5:8] = tables().digits.take(frac, axis=0)[:, 1:]
         text[0::2, 8] = ord(",")
         text[1::2, 8] = ord(" ")
         keep = np.ones(text.shape, dtype=bool)
@@ -403,6 +402,39 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _block_text(columns: list[np.ndarray], levels: list) -> np.ndarray:
+    """The CSV bytes of one block of rows, from its slice of each column and
+    each column's _levels (None for a label or an unlevelled real column).
+
+    The unlevelled reals are formatted together, in row order, so when they
+    are the whole table their records already are the rows; otherwise each
+    column's records are joined along the row.
+    """
+    plain = [c for c, level in zip(columns, levels) if c.dtype.kind != "U" and level is None]
+    values = np.empty((len(columns[0]), len(plain)))
+    for j, column in enumerate(plain):
+        values[:, j] = column
+    text, keep = (
+        part.reshape(len(values), len(plain), REAL_WIDTH) for part in real_records(values.ravel())
+    )
+    formatted = zip(text.transpose(1, 0, 2), keep.transpose(1, 0, 2))
+    parts = []
+    for column, level in zip(columns, levels):
+        if column.dtype.kind == "U":
+            parts.append(label_records(column))
+        elif level is None:
+            parts.append(next(formatted))
+        else:
+            index = np.searchsorted(level[0], column.view(np.uint64))
+            parts.append(tuple(part.take(index, axis=0) for part in level[1]))
+        parts[-1][0][:, -1] = ord(",")
+    parts[-1][0][:, -1] = ord("\n")
+    if len(plain) == len(columns):
+        return text.reshape(len(values), -1)[keep.reshape(len(values), -1)]
+    text, keep = (np.concatenate(part, axis=1) for part in zip(*parts))
+    return text[keep]
+
+
 def emit_outputs(
     rows: np.ndarray,
     out_path: Path,
@@ -415,14 +447,16 @@ def emit_outputs(
     rows is a structured array: one record per CSV row, one field per
     column, float64 for reals and str for labels; a column of any other
     dtype raises ValueError before anything is drawn or written, since
-    '%.17g' would round an int64 above 2**53.  Reals are written with 17
-    significant digits and '.' decimal separator, so they round-trip through
-    the file exactly.  A column with few distinct values (see _levels) has
-    each one formatted once and its rows written through '%s'; every other
-    column goes through '%.17g', so the bytes are those of '%.17g' on every
-    value either way.  Rows are written WRITE_BLOCK at a time, and a
-    levelled column's only full-length array is its row-to-level index.  The
-    SVG charts rows unless another table is passed in chart; field-snapshot
+    '%.17g' would round an int64 above 2**53, and so does an out_path whose
+    SVG sibling would be itself.  Reals are written as '%.17g' writes them,
+    17 significant digits with '.' as decimal separator, so they round-trip
+    through the file exactly, and labels as UTF-8.  The text is made in
+    numpy, about WRITE_BLOCK values at a time (_block_text): each value
+    becomes a fixed-width record of bytes and a mask of the bytes it keeps
+    (_text.real_records and _text.label_records), a column with few
+    distinct values (see _levels) takes its records from its levels, and
+    one boolean compress of the block's records is its text.  The SVG
+    charts rows unless another table is passed in chart; field-snapshot
     tables use that to plot the final time block against x.
     """
     if len(rows) == 0:
@@ -432,23 +466,18 @@ def emit_outputs(
         if rows.dtype[name] != np.float64 and rows.dtype[name].kind != "U":
             raise ValueError(f"column {name!r} has dtype {rows.dtype[name]}, not float64 or str")
     out_path = Path(out_path)
+    if emit_svg and out_path.suffix == ".svg":
+        raise ValueError(f"the SVG would be written over the CSV at {out_path}")
     # The chart is drawn before any file is opened, so a fault in its
     # arithmetic leaves no CSV behind.
     svg = _svg_chart(rows if chart is None else chart, title or out_path.stem) if emit_svg else None
     columns = [rows[name] for name in names]
     levels = [None if c.dtype.kind == "U" else _levels(c) for c in columns]
-    line = ",".join(
-        "%.17g" if level is None and c.dtype.kind != "U" else "%s"
-        for c, level in zip(columns, levels)
-    ) + "\n"
-    with open(out_path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for lo in range(0, len(rows), WRITE_BLOCK):
-            hi = min(lo + WRITE_BLOCK, len(rows))
-            block = np.empty((hi - lo, len(columns)), dtype=object)
-            for j, (column, level) in enumerate(zip(columns, levels)):
-                block[:, j] = column[lo:hi] if level is None else level[0][level[1][lo:hi]]
-            fh.write(line * (hi - lo) % tuple(block.ravel().tolist()))
+    step = max(1, WRITE_BLOCK // len(columns))
+    with open(out_path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for lo in range(0, len(rows), step):
+            fh.write(_block_text([column[lo : lo + step] for column in columns], levels))
     if svg is None:
         return [out_path]
     svg_path = out_path.with_suffix(".svg")

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hydrobench
-from hydrobench import cli
+from hydrobench import _text, cli
 from hydrobench.cli import RunConfig, emit_outputs, main
 from hydrobench.dispersion import branches
 from hydrobench.initial_conditions import ICParseError, parse_initial_condition, realize
@@ -424,10 +424,10 @@ class TestEmitOutputs:
 
     def test_levelled_peak_memory(self, tmp_path):
         # At this size the one-'%'-per-block writer peaked at 1.10 times
-        # rows.nbytes and this writer at 1.18, of which the row-to-level
-        # indices of t and x are 0.4.  A writer that gathers the levels of
-        # the whole table at once peaked at 1.58 (Python 3.11, numpy 2.4,
-        # x86-64).
+        # rows.nbytes and this writer at 0.58, one block's temporaries.
+        # Keeping the row-to-level indices of t and x whole would add 0.4,
+        # and so did keeping one block's records while the next was made
+        # (Python 3.11, numpy 2.4, x86-64).
         n, grid = 10 * cli.WRITE_BLOCK, 256
         rng = np.random.default_rng(17)
         rows = np.empty(n, [(name, float) for name in ("t", "x", "u", "p", "s")])
@@ -443,6 +443,16 @@ class TestEmitOutputs:
         finally:
             tracemalloc.stop()
         assert peak < 1.35 * rows.nbytes
+
+    def test_svg_over_the_csv_refused_before_any_output(self, tmp_path, monkeypatch):
+        def no_chart(*args):
+            raise AssertionError("the chart was drawn")
+
+        monkeypatch.setattr(cli, "_svg_chart", no_chart)
+        rows = cli._table({"t": [0.0, 1.0], "y": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="SVG would be written over the CSV"):
+            emit_outputs(rows, tmp_path / "chart.svg", emit_svg=True)
+        assert list(tmp_path.iterdir()) == []
 
     def test_svg_deterministic_and_well_formed(self, tmp_path):
         rows = cli._table({"t": np.arange(20.0), "y": np.sin(np.arange(20) / 3.0)})
@@ -469,6 +479,82 @@ class TestEmitOutputs:
     )
     def test_svg_equals_mask_per_group_route(self, rows):
         assert cli._svg_chart(rows, "t") == _svg_chart_by_masks(rows, "t")
+
+
+def _real_text(values):
+    """_text.real_records' text of each value, one string per value."""
+    text, keep = _text.real_records(np.asarray(values, dtype=np.float64))
+    text[:, -1] = ord("\n")
+    return text[keep].tobytes().decode("ascii").splitlines()
+
+
+def _neighbours(values, ulps):
+    """Each finite double and those up to ulps steps of its bit pattern away,
+    both signs, keeping only finite results."""
+    bits = np.abs(np.asarray(values, dtype=np.float64)).view(np.int64)
+    steps = np.arange(-ulps, ulps + 1, dtype=np.int64)
+    near = (bits[:, None] + steps).ravel()
+    near = near[(near >= 0) & (near < np.int64(0x7FF0000000000000))].view(np.float64)
+    return np.concatenate([near, -near])
+
+
+#: Every exact tie of the 17th digit is M / 2**s with M odd and M * 5**s an
+#: 18-digit integer (its last digit is then 5); s runs from 2 to 25.  The two
+#: least and the greatest such M for each s, k/4 values near 1e15, and
+#: 1 + 2**-17, which '%.17g' writes as 1.0000076293945312.
+_TIES = [
+    m / 2**s
+    for s in range(2, 26)
+    for lo in [-(-(10**17) // 5**s) | 1]
+    for hi in [min((10**18 - 1) // 5**s, 2**53 - 1)]
+    for m in (lo, lo + 2, hi if hi % 2 else hi - 1)
+] + [1e15 + k / 4 for k in (1, 3, 5, 7, 401, 1203)] + [1 + 2**-17]
+
+
+class TestRealText:
+    """_text.real_records against format(v, ".17g"), under np.errstate(all="raise")
+    so the formatter never trips the data commands' floating-point rule."""
+
+    def test_powers_of_ten_and_two_with_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-323, 309)] + [2.0**k for k in range(-1074, 1024)]
+        values = _neighbours(powers, 2)
+        with np.errstate(all="raise"):
+            assert _real_text(values) == [format(v, ".17g") for v in values.tolist()]
+
+    def test_layout_boundaries_and_carries(self):
+        # '%g' switches to e-notation below 1e-4 and from 1e17; the values
+        # that round up to 10**k carry into the next exponent, at every k.
+        boundaries = [1e-5, 1e-4, 1e16, 1e17]
+        carries = [float(f"9.99999999999999995e{k}") for k in range(-324, 308)]
+        values = _neighbours(boundaries, 64)
+        values = np.concatenate([values, _neighbours(carries, 3)])
+        with np.errstate(all="raise"):
+            assert _real_text(values) == [format(v, ".17g") for v in values.tolist()]
+
+    def test_extremes_zeros_and_non_finite(self):
+        values = [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308]
+        values += [1.7976931348623157e308, 1.7976931348623155e308, 0.0, -0.0]
+        values += [-5e-324, -1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf]
+        with np.errstate(all="raise"):
+            text = _real_text(values)
+        assert text == [format(v, ".17g") for v in values]
+        assert text[6:8] == ["0", "-0"] and text[-4:] == ["nan", "nan", "inf", "-inf"]
+
+    def test_exact_ties_go_to_the_fallback(self):
+        values = np.array(_TIES + [-v for v in _TIES])
+        assert len(values) == 2 * (3 * 24 + 7)
+        with np.errstate(all="raise"):
+            assert _real_text(values) == [format(v, ".17g") for v in values.tolist()]
+            unsure = _text.decimal17(np.abs(values))[2]
+        assert unsure.all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @example(bits=[0, 1, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0x7FF8000000000001, 2**63])
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        with np.errstate(all="raise"):
+            assert _real_text(values) == [format(v, ".17g") for v in values.tolist()]
 
 
 def _ties(values):
@@ -787,6 +873,70 @@ class TestCompareCommand:
         burnett = np.array([float(r["l2_error_burnett"]) for r in rows])
         riemann = np.array([float(r["l2_error_riemann_decoupled"]) for r in rows])
         assert np.allclose(riemann, burnett, rtol=1e-8, atol=1e-12)
+
+
+def _csv_cells(path):
+    with open(path) as fh:
+        return list(csv.reader(fh))
+
+
+@st.composite
+def _scaled_runs(draw):
+    """A grid size (odd ones included), an IC of one to three terms as
+    (field, mode, amplitude, phase), eps, and output times."""
+    n = draw(st.integers(8, 33))
+    amplitude = st.one_of(st.floats(0.125, 8.0), st.floats(-8.0, -0.125))
+    phase = st.floats(-7.0, 7.0, allow_subnormal=False)  # a subnormal field rounds coarser
+    term = st.tuples(st.sampled_from("ups"), st.integers(1, 3), amplitude, phase)
+    terms = draw(st.lists(term, min_size=1, max_size=3))
+    eps = draw(st.sampled_from([0.01, 0.05, 0.1, 0.3]))
+    dt_out = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return n, terms, eps, dt_out
+
+
+def _scaled_argv(command, models, run, factor, out):
+    n, terms, eps, dt_out = run
+    ic = ",".join(f"{field}:{mode}:{factor * a!r}:{phase!r}" for field, mode, a, phase in terms)
+    return [command, "--model", ",".join(models), "--ic", ic, "--eps", repr(eps)] + [
+        "--tmax", "2", "--dt-out", repr(dt_out), "--grid-size", str(n), "--out", str(out)
+    ]
+
+
+class TestScaling:
+    """Every model is linear, so multiplying each IC amplitude by a power of
+    two multiplies every field by it exactly, and the CSV text follows bit
+    for bit.  This holds for the Riemann-decoupled model too, whose defect
+    (ROADMAP item 1) is a wrong basis, not a nonlinearity."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.sampled_from(_MODEL_NAMES), run=_scaled_runs())
+    def test_doubled_amplitudes_double_evolve_bitwise(self, tmp_path_factory, model, run):
+        work = tmp_path_factory.mktemp("scaling")
+        for factor in (1, 2):
+            assert main(_scaled_argv("evolve", [model], run, factor, work / f"{factor}.csv")) == 0
+        once, twice = _csv_cells(work / "1.csv"), _csv_cells(work / "2.csv")
+        assert once[0] == twice[0] == ["t", "x", "u", "p", "s"]
+        assert len(once) == len(twice) == 1 + (int(2 / run[3]) + 1) * run[0]
+        for a, b in zip(once[1:], twice[1:]):
+            assert b[:2] == a[:2]
+            assert b[2:] == [format(2 * float(cell), ".17g") for cell in a[2:]]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        models=st.lists(st.sampled_from(_MODEL_NAMES[:4]), min_size=1, max_size=4, unique=True),
+        run=_scaled_runs(),
+    )
+    def test_quadrupled_amplitudes_quadruple_compare_gaps_bitwise(
+        self, tmp_path_factory, models, run
+    ):
+        work = tmp_path_factory.mktemp("scaling")
+        for factor in (1, 4):
+            assert main(_scaled_argv("compare", models, run, factor, work / f"{factor}.csv")) == 0
+        once, fourfold = _csv_cells(work / "1.csv"), _csv_cells(work / "4.csv")
+        assert once[0] == fourfold[0] and len(once) == len(fourfold)
+        for a, b in zip(once[1:], fourfold[1:]):
+            assert b[0] == a[0]
+            assert b[1:] == [format(4 * float(cell), ".17g") for cell in a[1:]]
 
 
 class TestSecularCommand:
@@ -1266,6 +1416,16 @@ class TestExitCodes:
         assert main(argv) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists() and not out.with_suffix(".svg").exists()
+
+    def test_out_path_that_is_its_own_svg_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "chart.svg"
+        argv = ["secular", "--ic", "u:1:1", "--tmax", "10", "--dt-out", "1", "--out", str(out)]
+        assert main(argv + ["--svg"]) == 1
+        message = f"error: --svg would write its chart over the CSV at {out}\n"
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv) == 0  # without --svg, a CSV may take any name
+        assert capsys.readouterr().out == f"{out}\n"
 
     def test_overflow_in_a_real_process_prints_one_line(self, tmp_path):
         # Outside pytest numpy would print each RuntimeWarning to stderr
