@@ -226,14 +226,15 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[special] = 1.0
     n, x, unsure = decimal17(a)
     digits, sig = _spelled(n)
-    layout = np.where((x >= -4) & (x < 17), x + 4, np.int64(21) + (np.abs(x) >= 100))
-    keep = np.take(tables().keep, (layout * 18 + sig) * 2 + np.signbit(values), axis=0)
+    layout = np.where((x >= -4) & (x < 17), x + np.int64(4), np.int64(21) + (np.abs(x) >= 100))
+    key = (layout * np.int64(18) + sig) * np.int64(2) + np.signbit(values)
+    keep = np.take(tables().keep, key, axis=0)
     text = np.empty((len(values), REAL_WIDTH), np.uint8)
     text[:, :20] = digits
     text[:, 2] = ord("-")
     text[:, 20:22] = np.frombuffer(b"0.", np.uint8)
     text[:, 22:42] = digits
-    text[:, 42:47] = np.take(tables().exponent, x + 324, axis=0)
+    text[:, 42:47] = np.take(tables().exponent, x + np.int64(324), axis=0)
     for i in np.flatnonzero(special | unsure).tolist():
         exact = b"%.17g" % values[i]
         text[i, : len(exact)] = np.frombuffer(exact, np.uint8)
