@@ -1,17 +1,17 @@
-"""Exact decimal text of float64 and str arrays, computed in numpy.
+"""Exact decimal text of float64 and label names, computed in numpy.
 
 real_records gives the bytes '%.17g' writes for each float64, and
-label_records the UTF-8 of each str, as fixed-width records of bytes with a
-mask of the bytes each value keeps, so one boolean compress of a block of
-records is its text.  two_product and the digits table also serve the
-SVG's '%.3f' point text in cli.
+label_records the UTF-8 of each name of a labelled column, as fixed-width
+records of bytes with a mask of the bytes each keeps, so one boolean
+compress of a block of records is its text.  two_product and the digits
+table also serve the SVG's '%.3f' point text in cli.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -242,19 +242,15 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, keep
 
 
-def label_records(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of each str as a record padded with zero bytes and the
-    mask of the bytes it keeps; the last byte is left for a separator.
-
-    An ASCII column is its code points cast to bytes; any other is encoded.
-    """
-    codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
-    if codes.max() < 128:
-        raw = codes.astype(np.uint8)
-    else:
-        raw = np.char.encode(column, "utf-8").view(np.uint8).reshape(len(column), -1)
-    text = np.empty((len(column), raw.shape[1] + 1), np.uint8)
-    text[:, :-1] = raw
-    keep = np.ones(text.shape, bool)
-    keep[:, :-1] = raw != 0
+def label_records(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each name as a record padded with zero bytes and the
+    mask of the bytes it keeps; the last byte is left for a separator."""
+    encoded = [name.encode("utf-8") for name in names]
+    width = max(map(len, encoded), default=0) + 1
+    text = np.zeros((len(encoded), width), np.uint8)
+    keep = np.zeros(text.shape, bool)
+    keep[:, -1] = True
+    for i, raw in enumerate(encoded):
+        text[i, : len(raw)] = np.frombuffer(raw, np.uint8)
+        keep[i, : len(raw)] = True
     return text, keep

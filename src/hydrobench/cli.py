@@ -231,9 +231,34 @@ _SVG_PALETTE = (
 )
 
 
-def _table(columns: dict[str, np.ndarray]) -> np.ndarray:
-    """Structured array with one record per row and one field per column."""
-    arrays = [np.asarray(column) for column in columns.values()]
+def _label_dtype(names: Sequence[str]) -> np.dtype:
+    """The dtype of a labelled column: int32 codes, each an index into names,
+    which the dtype carries as its metadata (h5py's enum idiom).  Field
+    access, multi-field selection, slicing, take and concatenation of
+    structured arrays keep it."""
+    return np.dtype(np.int32, metadata={"labels": tuple(names)})
+
+
+def _label_names(dtype: np.dtype) -> tuple[str, ...] | None:
+    """The names a labelled column's dtype carries, or None for any other dtype."""
+    names = (dtype.metadata or {}).get("labels")
+    return names if names is not None and dtype == np.int32 else None
+
+
+def _table(columns: dict[str, object]) -> np.ndarray:
+    """Structured array with one record per row and one field per column.
+
+    A column of str becomes a labelled one, coded once into its sorted
+    distinct names (_label_dtype); every other column, a labelled one
+    included, keeps its dtype.
+    """
+    arrays = []
+    for column in columns.values():
+        array = np.asarray(column)
+        if array.dtype.kind == "U":
+            names, codes = np.unique(array, return_inverse=True)
+            array = codes.astype(_label_dtype(names.tolist()))
+        arrays.append(array)
     rows = np.empty(len(arrays[0]), [(name, a.dtype) for name, a in zip(columns, arrays)])
     for name, array in zip(columns, arrays):
         rows[name] = array
@@ -311,11 +336,13 @@ def _axis_label(value: float) -> str:
 def _svg_chart(rows: np.ndarray, title: str) -> str:
     """Deterministic 800x600 polyline chart of a table's float fields.
 
-    The str fields group the rows into separate series; the first float
+    The labelled fields group the rows into separate series; the first float
     field is the x axis and every remaining float field yields one polyline
-    per group.  Series come in sorted label-tuple order (first str field
-    first), and each series' points in stable ascending x: rows with equal x
-    keep their table order.  Axis labels come from _axis_label.
+    per group.  Series come in sorted label-tuple order (first labelled
+    field first), each code ranked by its name among the column's sorted
+    names, and each series' points in stable ascending x: rows with equal x
+    keep their table order.  A series is tagged with its names.  Axis labels
+    come from _axis_label.
 
     Point coordinates are written in exact integer thousandths, byte for
     byte as '%.3f' writes them: each is the round-half-even of the exact
@@ -326,7 +353,8 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     """
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
-    labels = [name for name in rows.dtype.names if rows.dtype[name].kind == "U"]
+    fields = {name: _label_names(rows.dtype[name]) for name in rows.dtype.names}
+    labels = {name: names for name, names in fields.items() if names is not None}
     numeric = [name for name in rows.dtype.names if name not in labels]
     if len(numeric) < 2:
         raise ValueError("SVG chart needs an x column and at least one y column")
@@ -340,16 +368,19 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    # Each label column as its rank among the column's sorted values; one
-    # stable lexsort (first label column most significant, x last) then puts
-    # every series in one contiguous run.
+    # Each label column as the rank of its code's name among the column's
+    # sorted names, so codes of equal names share a rank; one stable lexsort
+    # (first label column most significant, x last) then puts every series
+    # in one contiguous run.
     ranks = np.empty((len(labels), len(rows)), dtype=np.intp)
-    for rank, name in zip(ranks, labels):
-        column = rows[name]
-        rank[:] = np.searchsorted(np.array(sorted(dict.fromkeys(column.tolist()))), column)
+    for rank, (name, names) in zip(ranks, labels.items()):
+        sorted_names = sorted(set(names))
+        rank[:] = np.take([sorted_names.index(n) for n in names], rows[name])
     order = np.lexsort((rows[x_name], *ranks[::-1]))
     starts = np.flatnonzero(np.r_[True, np.diff(ranks[:, order]).any(axis=0)])
-    keys = zip(*(rows[name][order[starts]].tolist() for name in labels)) if labels else [()]
+    firsts = order[starts]
+    keys = zip(*([names[c] for c in rows[name][firsts].tolist()] for name, names in labels.items()))
+    keys = keys if labels else [()]
     sx = margin_left + (rows[x_name][order] - x_lo) / (x_hi - x_lo) * (
         width - margin_left - margin_right
     )
@@ -404,13 +435,15 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
 
 def _block_text(columns: list[np.ndarray], levels: list) -> np.ndarray:
     """The CSV bytes of one block of rows, from its slice of each column and
-    each column's _levels (None for a label or an unlevelled real column).
+    each column's records by level: (keys, records) for a levelled real
+    column (_levels), (None, records) for a labelled one, whose codes index
+    its records, and None for an unlevelled real column.
 
     The unlevelled reals are formatted together, in row order, so when they
     are the whole table their records already are the rows; otherwise each
     column's records are joined along the row.
     """
-    plain = [c for c, level in zip(columns, levels) if c.dtype.kind != "U" and level is None]
+    plain = [c for c, level in zip(columns, levels) if level is None]
     values = np.empty((len(columns[0]), len(plain)))
     for j, column in enumerate(plain):
         values[:, j] = column
@@ -420,13 +453,12 @@ def _block_text(columns: list[np.ndarray], levels: list) -> np.ndarray:
     formatted = zip(text.transpose(1, 0, 2), keep.transpose(1, 0, 2))
     parts = []
     for column, level in zip(columns, levels):
-        if column.dtype.kind == "U":
-            parts.append(label_records(column))
-        elif level is None:
+        if level is None:
             parts.append(next(formatted))
         else:
-            index = np.searchsorted(level[0], column.view(np.uint64))
-            parts.append(tuple(part.take(index, axis=0) for part in level[1]))
+            keys, records = level
+            index = column if keys is None else np.searchsorted(keys, column.view(np.uint64))
+            parts.append(tuple(part.take(index, axis=0) for part in records))
         parts[-1][0][:, -1] = ord(",")
     parts[-1][0][:, -1] = ord("\n")
     if len(plain) == len(columns):
@@ -445,34 +477,44 @@ def emit_outputs(
     """Write the CSV (and optional sibling SVG); returns the written paths.
 
     rows is a structured array: one record per CSV row, one field per
-    column, float64 for reals and str for labels; a column of any other
-    dtype raises ValueError before anything is drawn or written, since
-    '%.17g' would round an int64 above 2**53, and so does an out_path whose
-    SVG sibling would be itself.  Reals are written as '%.17g' writes them,
-    17 significant digits with '.' as decimal separator, so they round-trip
-    through the file exactly, and labels as UTF-8.  The text is made in
-    numpy, about WRITE_BLOCK values at a time (_block_text): each value
-    becomes a fixed-width record of bytes and a mask of the bytes it keeps
-    (_text.real_records and _text.label_records), a column with few
-    distinct values (see _levels) takes its records from its levels, and
-    one boolean compress of the block's records is its text.  The SVG
-    charts rows unless another table is passed in chart; field-snapshot
-    tables use that to plot the final time block against x.
+    column, float64 for reals and labelled int32 codes (_label_dtype) for
+    labels.  A column of any other dtype, or a labelled one with a code
+    outside its names, raises ValueError before anything is drawn or
+    written, since '%.17g' would round an int64 above 2**53, and so does an
+    out_path whose SVG sibling would be itself.  Reals are written as
+    '%.17g' writes them, 17 significant digits with '.' as decimal
+    separator, so they round-trip through the file exactly, and labels as
+    the UTF-8 of their names.  The text is made in numpy, about WRITE_BLOCK
+    values at a time (_block_text): each value becomes a fixed-width record
+    of bytes and a mask of the bytes it keeps (_text.real_records), a column
+    with few distinct values (see _levels) takes its records from its
+    levels, a labelled column takes them by code from its names' records
+    (_text.label_records, made once per name), and one boolean compress of
+    the block's records is its text.  The SVG charts rows unless another
+    table is passed in chart; field-snapshot tables use that to plot the
+    final time block against x.
     """
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
-    names = rows.dtype.names
-    for name in names:
-        if rows.dtype[name] != np.float64 and rows.dtype[name].kind != "U":
-            raise ValueError(f"column {name!r} has dtype {rows.dtype[name]}, not float64 or str")
+    for name in rows.dtype.names:
+        dtype, labels = rows.dtype[name], _label_names(rows.dtype[name])
+        if labels is None and dtype != np.float64:
+            raise ValueError(f"column {name!r} has dtype {dtype}, not float64 or labelled")
+        codes = rows[name]
+        if labels is not None and not 0 <= codes.min() <= codes.max() < len(labels):
+            raise ValueError(f"column {name!r} has codes outside its {len(labels)} labels")
     out_path = Path(out_path)
     if emit_svg and out_path.suffix == ".svg":
         raise ValueError(f"the SVG would be written over the CSV at {out_path}")
     # The chart is drawn before any file is opened, so a fault in its
     # arithmetic leaves no CSV behind.
     svg = _svg_chart(rows if chart is None else chart, title or out_path.stem) if emit_svg else None
+    names = rows.dtype.names
     columns = [rows[name] for name in names]
-    levels = [None if c.dtype.kind == "U" else _levels(c) for c in columns]
+    levels = []
+    for column in columns:
+        labels = _label_names(column.dtype)
+        levels.append(_levels(column) if labels is None else (None, label_records(labels)))
     step = max(1, WRITE_BLOCK // len(columns))
     with open(out_path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
@@ -496,8 +538,8 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
         )
     models = sorted(set(config.models), key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
-    # Labels travel as their rank among the sorted names, so the (model, k,
-    # branch) order is an integer lexsort and each name is written out once.
+    # Labels travel as int32 codes into their sorted names, from this
+    # integer lexsort of the (model, k, branch) order to the written bytes.
     branch_names = sorted({label.value for t in tables for label in t.labels})
     model_code = np.repeat(np.arange(len(tables)), [t.sigma.size for t in tables])
     branch_code = np.concatenate(
@@ -508,9 +550,9 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
     order = np.lexsort((branch_code, k, model_code))
     return _table(
         {
-            "model": np.array([model.value for model in models])[model_code[order]],
+            "model": model_code[order].astype(_label_dtype([model.value for model in models])),
             "k": k[order],
-            "branch": np.array(branch_names)[branch_code[order]],
+            "branch": branch_code[order].astype(_label_dtype(branch_names)),
             "re_sigma": sigma.real[order],
             "im_sigma": sigma.imag[order],
         }

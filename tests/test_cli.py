@@ -28,14 +28,30 @@ from hydrobench.initial_conditions import ICParseError, parse_initial_condition,
 ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
 
 
+def _decoded(rows):
+    """rows with each labelled column as the str of its names, per row: the
+    names are read from the field dtype's metadata and indexed by code."""
+    columns = {}
+    for name in rows.dtype.names:
+        labels = (rows.dtype[name].metadata or {}).get("labels")
+        columns[name] = rows[name] if labels is None else np.array(labels, dtype=str)[rows[name]]
+    decoded = np.empty(len(rows), [(name, column.dtype) for name, column in columns.items()])
+    for name, column in columns.items():
+        decoded[name] = column
+    return decoded
+
+
 def _svg_chart_by_masks(rows, title):
-    """Reference route for cli._svg_chart: one sort of the structured label
-    tuples, then a boolean mask and a stable x argsort per group, and every
-    point written by '%.3f'.  Axis labels share cli._axis_label, which
-    TestAxisLabels checks on its own."""
+    """Reference route for cli._svg_chart: labels decoded to per-row str, one
+    sort of the structured label tuples, then a boolean mask and a stable x
+    argsort per group, and every point written by '%.3f'.  The axis ranges
+    are the minima and maxima of the table as given, since which zero
+    numpy's min returns of -0.0 and 0.0 depends on the record layout.  Axis
+    labels share cli._axis_label, which TestAxisLabels checks on its own."""
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
-    labels = [name for name in rows.dtype.names if rows.dtype[name].kind == "U"]
+    decoded = _decoded(rows)
+    labels = [name for name in rows.dtype.names if decoded.dtype[name].kind == "U"]
     numeric = [name for name in rows.dtype.names if name not in labels]
     x_name, y_names = numeric[0], numeric[1:]
     x_lo, x_hi = float(rows[x_name].min()), float(rows[x_name].max())
@@ -46,11 +62,11 @@ def _svg_chart_by_masks(rows, title):
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     series = []
-    for key in np.unique(rows[labels]).tolist() if labels else [()]:
+    for key in np.unique(decoded[labels]).tolist() if labels else [()]:
         mask = np.ones(len(rows), dtype=bool)
         for name, value in zip(labels, key):
-            mask &= rows[name] == value
-        group = rows[mask][np.argsort(rows[x_name][mask], kind="stable")]
+            mask &= decoded[name] == value
+        group = decoded[mask][np.argsort(decoded[x_name][mask], kind="stable")]
         tag = "/".join(key)
         sx = margin_left + (group[x_name] - x_lo) / (x_hi - x_lo) * (
             width - margin_left - margin_right
@@ -209,21 +225,21 @@ def _invocations(draw):
 
 def _dispersion_rows_by_string_sort(config):
     """Reference route for cli._cmd_dispersion: per-row label strings ordered
-    by a lexsort over the Unicode model and branch columns."""
+    by a lexsort over the Unicode model and branch columns, then coded by
+    cli._table."""
     k_grid = np.linspace(config.kmin, config.kmax, config.samples)
     models = sorted(set(config.models), key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
     sigma = np.concatenate([table.sigma.ravel() for table in tables])
-    rows = cli._table(
-        {
-            "model": np.concatenate([[t.model.value] * t.sigma.size for t in tables]),
-            "k": np.concatenate([np.repeat(t.k_grid, len(t.labels)) for t in tables]),
-            "branch": np.concatenate([[b.value for b in t.labels] * len(k_grid) for t in tables]),
-            "re_sigma": sigma.real,
-            "im_sigma": sigma.imag,
-        }
-    )
-    return rows[np.lexsort((rows["branch"], rows["k"], rows["model"]))]
+    columns = {
+        "model": np.concatenate([[t.model.value] * t.sigma.size for t in tables]),
+        "k": np.concatenate([np.repeat(t.k_grid, len(t.labels)) for t in tables]),
+        "branch": np.concatenate([[b.value for b in t.labels] * len(k_grid) for t in tables]),
+        "re_sigma": sigma.real,
+        "im_sigma": sigma.imag,
+    }
+    order = np.lexsort((columns["branch"], columns["k"], columns["model"]))
+    return cli._table({name: column[order] for name, column in columns.items()})
 
 
 class TestICGrammar:
@@ -293,8 +309,9 @@ class TestICGrammar:
 
 def _percent_csv(rows, path):
     """Reference route for the CSV half of cli.emit_outputs: every value of
-    every numeric column through '%.17g' and every label through '%s', one
-    '%' per WRITE_BLOCK rows."""
+    every numeric column through '%.17g' and every label, decoded to its
+    name, through '%s', one '%' per WRITE_BLOCK rows."""
+    rows = _decoded(rows)
     names = rows.dtype.names
     line = ",".join("%s" if rows.dtype[name].kind == "U" else "%.17g" for name in names) + "\n"
     with open(path, "w") as fh:
@@ -479,6 +496,38 @@ class TestEmitOutputs:
     )
     def test_svg_equals_mask_per_group_route(self, rows):
         assert cli._svg_chart(rows, "t") == _svg_chart_by_masks(rows, "t")
+
+    @pytest.mark.parametrize("codes", [[0, 2, 1], [-1, 0, 1]], ids=["past-the-names", "negative"])
+    def test_out_of_range_codes_refused_before_any_output(self, tmp_path, monkeypatch, codes):
+        def no_chart(*args):
+            raise AssertionError("the chart was drawn")
+
+        monkeypatch.setattr(cli, "_svg_chart", no_chart)
+        labels = np.array(codes, np.int32).view(cli._label_dtype(["a", "b"]))
+        rows = cli._table({"g": labels, "x": [0.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0]})
+        with pytest.raises(ValueError, match="column 'g' has codes outside its 2 labels"):
+            emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_label_names_survive_structured_operations(self):
+        # The writer reads a label column's names from its field dtype, so
+        # every way the commands take rows apart must keep them.
+        rows = cli._table({"g": ["b", "a", "b", "c"], "x": np.arange(4.0)})
+        assert rows["g"].tolist() == [1, 0, 1, 2]
+        kept = {
+            "field": rows["g"].dtype,
+            "fields": rows[["x", "g"]].dtype["g"],
+            "slice": rows[1:3].dtype["g"],
+            "fields then slice": rows[["x", "g"]][-2:]["g"].dtype,
+            "take": rows[[3, 0]].dtype["g"],
+            "reshape": rows.reshape(2, 2)["g"].dtype,
+            "copy": rows.copy().dtype["g"],
+            "concatenate": np.concatenate([rows, rows[::-1]]).dtype["g"],
+        }
+        for how, dtype in kept.items():
+            assert cli._label_names(dtype) == ("a", "b", "c"), how
+        assert cli._label_names(rows["x"].dtype) is None
+        assert cli._label_names(np.dtype(np.int32)) is None
 
 
 def _real_text(values):
@@ -710,6 +759,62 @@ class TestDispersionCommand:
         got, want = cli._cmd_dispersion(config), _dispersion_rows_by_string_sort(config)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        # dtype equality ignores metadata, so the names are compared on their own.
+        assert [got.dtype[n].metadata for n in got.dtype.names] == [
+            want.dtype[n].metadata for n in want.dtype.names
+        ]
+
+    def test_sweep_bytes_equal_string_route(self, tmp_path):
+        # All five models end to end: the coded rows' CSV and SVG bytes equal
+        # '%' and the mask-per-group chart over per-row label strings.
+        models = "euler,navier_stokes,burnett,riemann_decoupled,moment_reference"
+        flags = ["--eps", "0.1", "--kmin", "0.1", "--kmax", "2.5", "--samples", "257"]
+        out = tmp_path / "sweep.csv"
+        assert main(["dispersion", "--model", models, *flags, "--out", str(out), "--svg"]) == 0
+        config = RunConfig(
+            command="dispersion",
+            models=cli._parse_models([models]),
+            kmin=0.1,
+            kmax=2.5,
+            samples=257,
+            out_path=out,
+        )
+        want = _dispersion_rows_by_string_sort(config)
+        _percent_csv(want, tmp_path / "percent.csv")
+        assert out.read_bytes() == (tmp_path / "percent.csv").read_bytes()
+        assert (tmp_path / "sweep.svg").read_text() == _svg_chart_by_masks(want, "dispersion")
+
+    def test_peak_memory(self, tmp_path):
+        # The benchmark's sweep: five models at 2048 k samples, CSV and SVG.
+        # With per-row str labels (148-byte records) the command and its
+        # emission peaked at 11.97 MB; with int32 codes (32-byte records) at
+        # 5.89 MB, the SVG's coordinate arrays at the top (Python 3.11,
+        # numpy 2.4, x86-64).  The first call fills the text tables.
+        config = RunConfig(
+            command="dispersion",
+            models=cli._parse_models(["euler,ns,burnett,riemann,moment"]),
+            kmin=0.1,
+            kmax=2.5,
+            samples=2048,
+            out_path=tmp_path / "sweep.csv",
+            emit_svg=True,
+        )
+
+        def sweep():
+            rows = cli._cmd_dispersion(config)
+            emit_outputs(rows, config.out_path, emit_svg=True, title="dispersion")
+            return rows
+
+        sweep()
+        tracemalloc.start()
+        try:
+            rows = sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2048 * 17
+        assert rows.dtype.itemsize <= 40
+        assert peak < 7 * 2**20
 
 
 class TestEvolveCommand:
@@ -1209,8 +1314,9 @@ class TestSvgShapes:
         ys = rows["y"].tolist() + rows["z"].tolist()
         y_lo, y_hi = min(ys), max(ys)
         expected = []
+        decoded = _decoded(rows).tolist()
         for label in ("a", "b"):
-            group = sorted((r for r in rows.tolist() if r[0] == label), key=lambda r: r[1])
+            group = sorted((r for r in decoded if r[0] == label), key=lambda r: r[1])
             for col in (2, 3):
                 expected.append(
                     " ".join(
