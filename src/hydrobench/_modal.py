@@ -11,6 +11,13 @@ m = 0, 1, ..., N//2 carries plane wavenumber -m, and its propagator is the
 matrix exponential of the symbol at -m.  The (N//2 + 1, d, d) symbol stack
 of a run (d = 3 for a hydro model, 5 for the moment system) is diagonalized
 once and evaluated at every time of a 1-D array as V exp(Lambda t) V^-1 x.
+Given a unitary diagonal S for which A = S^-1 M S is real, as
+dispersion.parity_scale gives for every model but the Riemann-decoupled
+one, the stack diagonalized is the real A, which real LAPACK factors in
+about half the time of the complex M, and the modes travel as
+S exp(A t) S^-1 x.  A stack with no off-diagonal entry, as the
+Riemann-decoupled symbol is, needs no eig at all: it is its own
+eigendecomposition.
 
 The only coefficients with no conjugate partner are k = 0 and, for even N,
 the Nyquist column k = N/2; both are real for a real field, and their
@@ -69,16 +76,20 @@ def forward_modes(values: np.ndarray) -> np.ndarray:
 def hermitian_violation(modes: np.ndarray, n: int) -> float:
     """Worst |Im| of the k = 0 and (even n) Nyquist modes, relative to max |mode|.
 
-    Those are the coefficients a real field of n samples keeps real.  The
-    scale is floored at the smallest normal double, since subnormal values
-    carry no relative precision; an all-zero spectrum gives 0.
+    Those are the coefficients a real field of n samples keeps real.  modes
+    is one (d, n//2 + 1) spectrum or a stack of them: each spectrum of the
+    last two axes is measured against its own maximum, and the worst of
+    them is returned, so a small spectrum is judged at its own scale beside
+    a large one.  The scale is floored at the smallest normal double, since
+    subnormal values carry no relative precision; an all-zero spectrum
+    gives 0.
     """
     modes = np.asarray(modes, dtype=complex)
     if modes.shape[-1] != n // 2 + 1:
         raise ValueError(f"{modes.shape[-1]} mode columns do not fit grid size {n}")
     self_conjugate = modes[..., [0, n // 2] if n % 2 == 0 else [0]]
-    scale = max(float(np.abs(modes).max()), np.finfo(float).tiny)
-    return float(np.abs(self_conjugate.imag).max()) / scale
+    scale = np.maximum(np.abs(modes).max(axis=(-2, -1)), np.finfo(float).tiny)
+    return float((np.abs(self_conjugate.imag).max(axis=(-2, -1)) / scale).max())
 
 
 def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
@@ -103,21 +114,34 @@ def exp_action(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, block): exp(mats[m] * t) @ vectors[:, m] for t in times[rows].
 
-    The (N, d, d) stack is diagonalized once; each block of about EVAL_BLOCK
-    entries is evaluated as V exp(Lambda t) V^-1 x, so a caller reducing the
-    blocks never holds all (T, d, N) values.  Eigenvectors conditioned worse
-    than 1/DEFECT_RCOND mark a defective matrix, evaluated by expm per time;
-    the screen reads d * ||V||_1 * ||V^-1||_1 >= cond_2(V), which needs no SVD.
+    The (N, d, d) stack, real or complex, is diagonalized once; each block of
+    about EVAL_BLOCK entries is evaluated as V exp(Lambda t) V^-1 x, so a
+    caller reducing the blocks never holds all (T, d, N) values.  A stack
+    with no nonzero off-diagonal entry is its own eigendecomposition, with
+    V = V^-1 = I, no eig call and nothing to screen; LAPACK's eigenvectors
+    of a diagonal matrix are that I, so the bits are the eig route's.
+    Otherwise eigenvectors conditioned worse than 1/DEFECT_RCOND mark a
+    defective matrix, evaluated by expm per time; the screen reads
+    d * ||V||_1 * ||V^-1||_1 >= cond_2(V), which needs no SVD.
     """
-    eigvals, eigvecs = np.linalg.eig(mats)
-    inverses = np.linalg.inv(eigvecs)
+    d = mats.shape[-1]
+    defective = np.empty(0, dtype=np.intp)
+    if not mats[..., ~np.eye(d, dtype=bool)].any():
+        eigvals = np.diagonal(mats, axis1=-2, axis2=-1).astype(complex)
+        eigvecs = inverses = np.broadcast_to(np.eye(d, dtype=complex), mats.shape)
+    else:
+        eigvals, eigvecs = np.linalg.eig(mats)
+        # numpy returns real arrays for a real stack whose eigenvalues are all real.
+        eigvals = eigvals.astype(complex, copy=False)
+        eigvecs = eigvecs.astype(complex, copy=False)
+        inverses = np.linalg.inv(eigvecs)
+        with np.errstate(all="ignore"):
+            kappa = d * np.linalg.norm(eigvecs, 1, axis=(-2, -1))
+            kappa *= np.linalg.norm(inverses, 1, axis=(-2, -1))
+        defective = np.nonzero(~np.isfinite(kappa) | (kappa > 1.0 / DEFECT_RCOND))[0]
+        if defective.size:
+            import scipy.linalg  # deferred: slow to import, and only defective symbols need it
     coeffs = np.einsum("mij,jm->mi", inverses, vectors)
-    with np.errstate(all="ignore"):
-        kappa = eigvecs.shape[-1] * np.linalg.norm(eigvecs, 1, axis=(-2, -1))
-        kappa *= np.linalg.norm(inverses, 1, axis=(-2, -1))
-    defective = np.nonzero(~np.isfinite(kappa) | (kappa > 1.0 / DEFECT_RCOND))[0]
-    if defective.size:
-        import scipy.linalg  # deferred: slow to import, and only defective symbols need it
     step = max(1, EVAL_BLOCK // eigvals.size)
     for lo in range(0, times.size, step):
         rows = slice(lo, lo + step)
@@ -135,23 +159,34 @@ def mode_propagators(
     n: int,
     times: np.ndarray,
     modes: np.ndarray,
+    scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """Half-spectrum field modes (d, n//2 + 1) carried exactly to every time.
 
     Returns shape (T, d, n//2 + 1).  times is a 1-D ascending array of
     positive elapsed times; a scalar is refused.  symbol_stack maps the array
     of plane wavenumbers -k = 0, -1, ..., -(n//2) to the (n//2 + 1, d, d)
-    symbol stack.  For even n the real Nyquist coefficient is advanced as
-    Re(P x).
+    symbol stack M.  scale, if given, is the diagonal of a unitary diagonal
+    S for which A = S^-1 M S is real (dispersion.parity_scale): the modes are
+    then propagated as S exp(A t) S^-1 x with the real stack A, and a nonzero
+    imaginary part of A raises ValueError.  For even n the real Nyquist
+    coefficient is advanced as Re(P x), with P in the original coordinates.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise ValueError(f"times must be a 1-D array of positive ascending times, got {times}")
     mats = symbol_stack(-wavenumbers(n).astype(float))
+    if scale is not None:
+        mats = mats * np.outer(scale.conj(), scale)
+        if mats.imag.any():
+            raise ValueError("the scaled symbol stack S^-1 M S is not real")
+        mats = mats.real
+        modes = modes * scale.conj()[:, None]
     out = np.empty((times.size, len(modes), n // 2 + 1), dtype=complex)
     for rows, block in exp_action(mats, modes, times):
         out[rows] = block
+    if scale is not None:
+        out *= scale[:, None]
     if n % 2 == 0:
         out[:, :, -1] = out[:, :, -1].real
     return out
-

@@ -333,6 +333,23 @@ def _axis_label(value: float) -> str:
     return mantissa[: 10 - len(e + exponent)] + e + exponent
 
 
+def _span(columns: list[np.ndarray]) -> tuple[float, float]:
+    """Smallest and largest value over the columns, -0.0 ordered below 0.0.
+
+    numpy's min and max return either zero of a column that holds both, by
+    the loop that its stride and length select, so a zero extreme is decided
+    by a second pass: -0.0 is the minimum if any -0.0 is present, and 0.0
+    the maximum if any 0.0 is.
+    """
+    lo = min(float(column.min()) for column in columns)
+    hi = max(float(column.max()) for column in columns)
+    if lo == 0.0:
+        lo = -0.0 if any(np.signbit(c[c == 0.0]).any() for c in columns) else 0.0
+    if hi == 0.0:
+        hi = 0.0 if any((~np.signbit(c[c == 0.0])).any() for c in columns) else -0.0
+    return lo, hi
+
+
 def _svg_chart(rows: np.ndarray, title: str) -> str:
     """Deterministic 800x600 polyline chart of a table's float fields.
 
@@ -360,9 +377,8 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
         raise ValueError("SVG chart needs an x column and at least one y column")
     x_name, y_names = numeric[0], numeric[1:]
 
-    x_lo, x_hi = float(rows[x_name].min()), float(rows[x_name].max())
-    y_lo = min(float(rows[name].min()) for name in y_names)
-    y_hi = max(float(rows[name].max()) for name in y_names)
+    x_lo, x_hi = _span([rows[x_name]])
+    y_lo, y_hi = _span([rows[name] for name in y_names])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

@@ -14,7 +14,10 @@ Navier-Stokes, Burnett and moment symbols couples an odd row to an even one
 and is pure imaginary, and every diagonal entry is real.  So with
 S = diag(i on the odd rows), S^-1 M S is a real matrix with the eigenvalues
 of M, and real LAPACK returns each of them either exactly real or as one of
-an exact conjugate pair.  Branches are continuous in k, and two real ones
+an exact conjugate pair.  One parity table, _ODD_ROWS, read through
+parity_scale, serves both users of that fact: the branches here, and
+hydro_spectral.evolve, which propagates in the real coordinates S^-1 x.
+Branches are continuous in k, and two real ones
 cannot change order without meeting, so while the number of real
 eigenvalues stays that of the model (one for a hydrodynamic model, three for
 the moment reference) rank alone names them: the largest real one is the
@@ -50,6 +53,7 @@ __all__ = [
     "DispersionTable",
     "ModelId",
     "branches",
+    "parity_scale",
     "sigma_asymptotic",
     "symbol_matrix",
 ]
@@ -191,14 +195,28 @@ _ODD_ROWS = {
 }
 
 
+def parity_scale(model: ModelId) -> np.ndarray | None:
+    """Diagonal of S: 1 on each row, i on the model's _ODD_ROWS; None for riemann.
+
+    S^-1 M S is real for the model's symbol M (module header), so branches
+    take real eigenvalues of it and hydro_spectral.evolve propagates in its
+    real coordinates.  The Riemann-decoupled symbol has no parity rows, and
+    none is needed: it is diagonal.
+    """
+    if model not in _ODD_ROWS:
+        return None
+    scale = np.ones(model.dimension, dtype=complex)
+    scale[_ODD_ROWS[model]] = 1j
+    return scale
+
+
 def _parity_scaled(model: ModelId, matrix: np.ndarray) -> np.ndarray:
-    """S^-1 M S for a symbol stack M, with S = diag(i on the model's _ODD_ROWS).
+    """S^-1 M S for a symbol stack M, with S = diag(parity_scale(model)).
 
     Each entry is M's times 1, i or -i, so the product is exact, and by the
     parity structure of the module header its imaginary part is exactly zero.
     """
-    scale = np.ones(model.dimension, dtype=complex)
-    scale[_ODD_ROWS[model]] = 1j
+    scale = parity_scale(model)
     return matrix * np.outer(scale.conj(), scale)
 
 
@@ -212,7 +230,7 @@ def _eigenvalues(
     model.
     """
     matrix = symbol_matrix(model, grid, eps, eigenvalues)
-    if model not in _ODD_ROWS:
+    if parity_scale(model) is None:
         return np.diagonal(matrix, axis1=1, axis2=2)
     return np.linalg.eigvals(_parity_scaled(model, matrix).real).astype(complex, copy=False)
 

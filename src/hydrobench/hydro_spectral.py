@@ -24,7 +24,7 @@ import numpy as np
 from . import _modal
 from ._modal import HermitianSymmetryError
 from .coefficients import SOUND_SPEED, EigenvalueSet
-from .dispersion import ModelId, symbol_matrix
+from .dispersion import ModelId, parity_scale, symbol_matrix
 from .velocity_space import EigenfunctionId, inner, psi_poly
 
 __all__ = [
@@ -154,13 +154,20 @@ def evolve(
     """Advance every mode by the exact exponential of its model symbol.
 
     times is a 1-D ascending array of positive elapsed times; one state is
-    returned per time.  The state must have model.dimension rows.  Spatial
+    returned per time.  The state must have model.dimension rows.  The
+    modes are propagated in the real coordinates of the model's parity
+    scale (dispersion.parity_scale; none for the diagonal Riemann-decoupled
+    symbol), as _modal.mode_propagators describes.  Spatial
     means (the k = 0 modes) are invariant for every model because all terms
     are x-derivatives.
     """
     _require_rows(spec, model.dimension, model.value)
     advanced = _modal.mode_propagators(
-        lambda k: symbol_matrix(model, k, eps, eigenvalues), spec.grid_size, times, spec.modes
+        lambda k: symbol_matrix(model, k, eps, eigenvalues),
+        spec.grid_size,
+        times,
+        spec.modes,
+        parity_scale(model),
     )
     return [SpectralState(m, spec.grid_size) for m in advanced]
 

@@ -82,9 +82,12 @@ def evolve_moments(
 
 
 def _hydro_modes(moments: np.ndarray) -> np.ndarray:
-    """(u, p, s) modes of (n, u, p, ...) moment modes, with s = (3/2)p - (5/2)n."""
-    n, u, p = moments[:3]
-    return np.stack([u, p, 1.5 * p - 2.5 * n])
+    """(u, p, s) modes of (n, u, p, ...) moment modes, with s = (3/2)p - (5/2)n.
+
+    The rows are the second-to-last axis, so a (T, 5, m) stack gives (T, 3, m).
+    """
+    n, u, p = (moments[..., row, :] for row in range(3))
+    return np.stack([u, p, 1.5 * p - 2.5 * n], axis=-2)
 
 
 def hydro_projection(state: SpectralState) -> HydroProjection:
@@ -100,20 +103,29 @@ def trajectory(
 ) -> np.ndarray:
     """Real (u, p, s) of `initial` under `model` at each positive ascending elapsed time.
 
-    times is a 1-D array; the result has shape (len(times), 3, N).  Each time
-    is synthesized by itself, so each passes the Hermitian health check at
-    its own scale, and the propagated modes are released on return.
+    times is a 1-D array; the result has shape (len(times), 3, N).
+    Consecutive times are synthesized together, in blocks of about
+    _modal.EVAL_BLOCK (u, p, s) modes, and each snapshot of a block passes
+    the Hermitian health check at its own scale.  Only one block of
+    (u, p, s) modes exists at a time, and the propagated modes are released
+    on return.
     """
     n = initial.grid_size
     if model is ModelId.MOMENT_REFERENCE:
         evolved = evolve_moments(from_hydro(initial), eps, eigenvalues, times)
-        modes = (_hydro_modes(spec.modes) for spec in evolved)
     else:
         evolved = evolve(to_modes(initial), model, eps, eigenvalues, times)
-        modes = (spec.modes for spec in evolved)
     fields = np.empty((len(evolved), 3, n))
-    for snapshot, spectrum in zip(fields, modes):
-        snapshot[:] = _modal.inverse_modes(spectrum, n)
+    step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
+    for lo in range(0, len(evolved), step):
+        group = [spec.modes for spec in evolved[lo : lo + step]]
+        # Several snapshots are joined by a copy, but a lone one is synthesized
+        # from a view: once 3*(n//2 + 1) exceeds EVAL_BLOCK every block is one
+        # snapshot, and large grids then copy nothing.
+        block = group[0][None] if len(group) == 1 else np.stack(group)
+        if model is ModelId.MOMENT_REFERENCE:
+            block = _hydro_modes(block)
+        fields[lo : lo + step] = _modal.inverse_modes(block, n)
     return fields
 
 

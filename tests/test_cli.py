@@ -41,22 +41,27 @@ def _decoded(rows):
     return decoded
 
 
+def _signed_span(values):
+    """min and max of finite values with -0.0 ordered below 0.0."""
+    keyed = [(value, math.copysign(1.0, value)) for value in values]
+    return min(keyed)[0], max(keyed)[0]
+
+
 def _svg_chart_by_masks(rows, title):
     """Reference route for cli._svg_chart: labels decoded to per-row str, one
     sort of the structured label tuples, then a boolean mask and a stable x
     argsort per group, and every point written by '%.3f'.  The axis ranges
-    are the minima and maxima of the table as given, since which zero
-    numpy's min returns of -0.0 and 0.0 depends on the record layout.  Axis
-    labels share cli._axis_label, which TestAxisLabels checks on its own."""
+    come from Python's min and max of (value, sign) pairs, which order -0.0
+    below 0.0.  Axis labels share cli._axis_label, which TestAxisLabels
+    checks on its own."""
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     decoded = _decoded(rows)
     labels = [name for name in rows.dtype.names if decoded.dtype[name].kind == "U"]
     numeric = [name for name in rows.dtype.names if name not in labels]
     x_name, y_names = numeric[0], numeric[1:]
-    x_lo, x_hi = float(rows[x_name].min()), float(rows[x_name].max())
-    y_lo = min(float(rows[name].min()) for name in y_names)
-    y_hi = max(float(rows[name].max()) for name in y_names)
+    x_lo, x_hi = _signed_span(rows[x_name].tolist())
+    y_lo, y_hi = _signed_span([v for name in y_names for v in rows[name].tolist()])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -496,6 +501,44 @@ class TestEmitOutputs:
     )
     def test_svg_equals_mask_per_group_route(self, rows):
         assert cli._svg_chart(rows, "t") == _svg_chart_by_masks(rows, "t")
+
+    @pytest.mark.parametrize(
+        "layout,rows",
+        [
+            ("label-x-y", 9),  # a 20-byte record: int32 and two float64
+            ("x-y-z", 9),  # a 24-byte record
+            ("label-x-y", 16),
+            ("x-y-z", 16),
+        ],
+    )
+    def test_signed_zero_axis_labels_do_not_depend_on_the_layout(self, layout, rows):
+        # Eight -0.0 then one 0.0: numpy's min and max return either zero of
+        # such a column by the loop its record width and length select.  The
+        # chart orders -0.0 below 0.0 in every layout.
+        y = np.array([-0.0] * 8 + [0.0] * (rows - 8))
+        x = y.copy()
+        columns = {"x": x, "y": y}
+        if layout == "label-x-y":
+            columns = {"g": ["a"] * rows, **columns}
+        else:
+            columns["z"] = y.copy()
+        table = cli._table(columns)
+        assert table.dtype.itemsize == (20 if layout == "label-x-y" else 24)
+        svg = cli._svg_chart(table, "t")
+        assert cli._span([table["y"]]) == cli._span([table["x"]]) == (-0.0, 0.0)
+        assert np.signbit(cli._span([table["y"]])).tolist() == [True, False]
+        # Both axes read -0 at their low end; the high end is lo + 1.
+        assert svg.count('font-size="10">-0</text>') == 2
+        assert svg.count('font-size="10">1</text>') == 2
+        assert svg == _svg_chart_by_masks(table, "t")
+
+    def test_span_decides_zero_extremes_across_columns(self):
+        zeros, negatives = np.zeros(3), np.full(3, -0.0)
+        assert np.signbit(cli._span([zeros, negatives])).tolist() == [True, False]
+        assert np.signbit(cli._span([negatives, zeros])).tolist() == [True, False]
+        assert np.signbit(cli._span([negatives])).tolist() == [True, True]
+        assert np.signbit(cli._span([zeros])).tolist() == [False, False]
+        assert cli._span([np.array([-0.0, 2.0]), np.array([0.0, -1.0])]) == (-1.0, 2.0)
 
     @pytest.mark.parametrize("codes", [[0, 2, 1], [-1, 0, 1]], ids=["past-the-names", "negative"])
     def test_out_of_range_codes_refused_before_any_output(self, tmp_path, monkeypatch, codes):
@@ -1532,6 +1575,26 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
         assert main(argv) == 0  # without --svg, a CSV may take any name
         assert capsys.readouterr().out == f"{out}\n"
+
+    def test_python_m_hydrobench_is_the_cli(self, tmp_path):
+        # The package runs as a module: same bytes as main, same exit codes.
+        argv = ["evolve", "--model", "ns", "--ic", "u:1:1,p:2:0.3", "--tmax", "1"]
+        argv += ["--grid-size", "9"]
+        src = str(Path(hydrobench.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for args, code in ((["--out", "m.csv", "--svg"], 0), (["--grid-size", "4"], 1)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hydrobench", *argv, *args],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == code, proc.stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(tmp_path / "i.csv"), "--svg"]) == 0
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "i.csv").read_bytes()
+        assert (tmp_path / "m.svg").read_bytes() == (tmp_path / "i.svg").read_bytes()
 
     def test_overflow_in_a_real_process_prints_one_line(self, tmp_path):
         # Outside pytest numpy would print each RuntimeWarning to stderr

@@ -280,6 +280,37 @@ class TestHermitianCheck:
 
         assert hermitian_violation(np.zeros((3, 9), dtype=complex), 16) == 0.0
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_stack_reads_its_worst_snapshot(self, n):
+        # Each (d, m) spectrum of a (T, d, m) stack is measured at its own scale.
+        from hydrobench._modal import hermitian_violation
+
+        rng = np.random.default_rng(n)
+        scales = np.array([1.0, 1e-6, 1e3, 1e-300, 0.0])
+        stack = rng.normal(size=(5, 3, 9)) + 1j * rng.normal(size=(5, 3, 9))
+        stack *= scales[:, None, None]
+        per_snapshot = [hermitian_violation(snapshot, n) for snapshot in stack]
+        assert hermitian_violation(stack, n) == max(per_snapshot)
+        assert hermitian_violation(stack[None], n) == max(per_snapshot)
+
+    def test_small_snapshot_refused_beside_a_large_one(self):
+        # 1e-8 relative violation in a spectrum of size 1e-6 fails HERMITIAN_TOL,
+        # however large the snapshot synthesized with it.
+        from hydrobench._modal import HERMITIAN_TOL, hermitian_violation, inverse_modes
+
+        large = np.zeros((3, 9), dtype=complex)
+        large[0, 1] = 1e3
+        small = np.zeros((3, 9), dtype=complex)
+        small[1, 2] = 1e-6
+        small[2, 0] = 1e-14j
+        block = np.stack([large, small])
+        assert hermitian_violation(small, 16) == pytest.approx(1e-8)
+        assert hermitian_violation(block, 16) == hermitian_violation(small, 16) > HERMITIAN_TOL
+        assert 1e-14 / np.abs(block).max() < HERMITIAN_TOL  # one scale per block would pass it
+        with pytest.raises(HermitianSymmetryError):
+            inverse_modes(block, 16)
+        inverse_modes(large, 16)
+
     def test_column_count_must_fit_grid_size(self):
         # Nine columns describe a grid of 16 or 17 points, never 15.
         from hydrobench._modal import inverse_modes
