@@ -9,15 +9,24 @@ the grid size N alongside the modes.  Under the traveling-wave sign
 convention exp(sigma*t - i*k*x) used by the symbol matrices, column
 m = 0, 1, ..., N//2 carries plane wavenumber -m, and its propagator is the
 matrix exponential of the symbol at -m.  The (N//2 + 1, d, d) symbol stack
-of a run (d = 3 for a hydro model, 5 for the moment system) is diagonalized
-once and evaluated at every time of a 1-D array as V exp(Lambda t) V^-1 x.
-Given a unitary diagonal S for which A = S^-1 M S is real, as
-dispersion.parity_scale gives for every model but the Riemann-decoupled
-one, the stack diagonalized is the real A, which real LAPACK factors in
-about half the time of the complex M, and the modes travel as
-S exp(A t) S^-1 x.  A stack with no off-diagonal entry, as the
-Riemann-decoupled symbol is, needs no eig at all: it is its own
-eigendecomposition.
+of a run (d = 3 for a hydro model, 5 for the moment system) is exponentiated
+once for every time of a 1-D array.  Given a unitary diagonal S for which
+A = S^-1 M S is real, as dispersion.parity_scale gives for every model but
+the Riemann-decoupled one, the stack exponentiated is the real A, and the
+modes travel as S exp(A t) S^-1 x.  exp_action takes one of three routes,
+chosen from the entries of the stack:
+
+- diagonal: a stack with no off-diagonal entry, as the Riemann-decoupled
+  symbol is, is its own eigendecomposition and needs no eig at all;
+- acoustic pair: a real stack [[d, a], [b, d]] (+) diag(e, ...) with
+  a*b <= 0, as every Euler, Navier-Stokes and Burnett A is, has the closed
+  form exp(d t) [[cos wt, a sin(wt)/w], [b sin(wt)/w, cos wt]] (+) exp(e t)
+  with w = sqrt|a| sqrt|b| (Moler and Van Loan, SIAM Rev. 45, 2003), which
+  needs no eig, no defect screen and no expm, and covers the Jordan block
+  w = 0 as well;
+- eig: any other stack, the moment system's A among them, is diagonalized
+  once as V exp(Lambda t) V^-1 x, which real LAPACK does for a real A in
+  about half the time of the complex M.
 
 The only coefficients with no conjugate partner are k = 0 and, for even N,
 the Nyquist column k = N/2; both are real for a real field, and their
@@ -36,6 +45,7 @@ import numpy as np
 __all__ = [
     "HermitianSymmetryError",
     "MIN_GRID_SIZE",
+    "acoustic_frequency",
     "exp_action",
     "forward_modes",
     "hermitian_violation",
@@ -109,20 +119,90 @@ def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(modes * n, n, axis=-1)
 
 
+def acoustic_frequency(mats: np.ndarray) -> np.ndarray | None:
+    """w = sqrt|a| * sqrt|b| per matrix of an acoustic-pair stack, else None.
+
+    An acoustic-pair stack is real, (N, d, d) with d >= 2, and each matrix is
+    [[d, a], [b, d]] (+) diag(e, ...): every off-diagonal entry outside
+    (0, 1) and (1, 0) is exactly zero, the (0, 0) and (1, 1) entries are
+    bitwise equal (a nan never is), and no matrix has a and b nonzero with
+    the same sign.  The sign is read by signbit, not from a*b, which could
+    overflow or underflow.  The eigenvalues are then d +- i w and the
+    diagonal beyond the pair, and the pair's exponential is a rotation
+    scaled by exp(d t).  w is formed from the square roots so that it stays
+    nonzero wherever a and b are, down to subnormal entries.
+    """
+    size = mats.shape[-1]
+    if mats.dtype.kind != "f" or size < 2:
+        return None
+    outside = ~np.eye(size, dtype=bool)
+    outside[0, 1] = outside[1, 0] = False
+    if mats[..., outside].any():
+        return None
+    first, second = mats[..., 0, 0], mats[..., 1, 1]
+    if not np.all((first == second) & (np.signbit(first) == np.signbit(second))):
+        return None
+    a, b = mats[..., 0, 1], mats[..., 1, 0]
+    if ((a != 0) & (b != 0) & (np.signbit(a) == np.signbit(b))).any():
+        return None
+    return np.sqrt(np.abs(a)) * np.sqrt(np.abs(b))
+
+
+def _acoustic_action(
+    mats: np.ndarray, omega: np.ndarray, vectors: np.ndarray, times: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """exp_action of an acoustic-pair stack (acoustic_frequency), in closed form.
+
+    Rows 0 and 1 are recombined with exp(d t) C and exp(d t) Sn, where
+    C = cos(theta), Sn = t sin(theta)/theta and theta = w t, as
+    exp(d t) [[C, a Sn], [b Sn, C]]; every other row is multiplied by its
+    exp(e t).  Where theta = 0, Sn = t with no 0/0: the k = 0 column
+    (d = a = b = 0) is then the identity, and the Jordan block (w = 0) is
+    exp(d t) [[1, a t], [0, 1]].
+    """
+    rates = np.diagonal(mats, axis1=-2, axis2=-1).T[np.r_[0, 2 : mats.shape[-1]]]
+    a, b = mats[:, 0, 1], mats[:, 1, 0]
+    step = max(1, EVAL_BLOCK // vectors.size)
+    for lo in range(0, times.size, step):
+        rows = slice(lo, lo + step)
+        t = times[rows, None]
+        theta = t * omega
+        flat = theta == 0
+        sine = np.sin(theta)
+        sine /= np.where(flat, 1.0, theta)
+        sine[flat] = 1.0
+        growth = np.exp(np.multiply.outer(times[rows], rates))
+        cos = np.cos(theta) * growth[:, 0]
+        sine *= t * growth[:, 0]
+        block = np.empty((theta.shape[0],) + vectors.shape, dtype=complex)
+        np.multiply(growth[:, 1:], vectors[2:], out=block[:, 2:])
+        np.multiply(cos, vectors[0], out=block[:, 0])
+        block[:, 0] += (a * sine) * vectors[1]
+        np.multiply(cos, vectors[1], out=block[:, 1])
+        block[:, 1] += (b * sine) * vectors[0]
+        yield rows, block
+
+
 def exp_action(
     mats: np.ndarray, vectors: np.ndarray, times: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, block): exp(mats[m] * t) @ vectors[:, m] for t in times[rows].
 
-    The (N, d, d) stack, real or complex, is diagonalized once; each block of
-    about EVAL_BLOCK entries is evaluated as V exp(Lambda t) V^-1 x, so a
-    caller reducing the blocks never holds all (T, d, N) values.  A stack
-    with no nonzero off-diagonal entry is its own eigendecomposition, with
-    V = V^-1 = I, no eig call and nothing to screen; LAPACK's eigenvectors
-    of a diagonal matrix are that I, so the bits are the eig route's.
-    Otherwise eigenvectors conditioned worse than 1/DEFECT_RCOND mark a
-    defective matrix, evaluated by expm per time; the screen reads
-    d * ||V||_1 * ||V^-1||_1 >= cond_2(V), which needs no SVD.
+    Each block holds about EVAL_BLOCK entries, so a caller reducing the
+    blocks never holds all (T, d, N) values.  The route is read from the
+    (N, d, d) stack, real or complex, as the module header lists:
+
+    - a stack with no nonzero off-diagonal entry is its own
+      eigendecomposition, with V = V^-1 = I, no eig call and nothing to
+      screen; LAPACK's eigenvectors of a diagonal matrix are that I, so the
+      bits are the eig route's;
+    - an acoustic-pair stack (acoustic_frequency) takes the closed form of
+      _acoustic_action, with no eig, screen or expm;
+    - any other stack is diagonalized once and each block evaluated as
+      V exp(Lambda t) V^-1 x.  Eigenvectors conditioned worse than
+      1/DEFECT_RCOND mark a defective matrix, evaluated by expm per time;
+      the screen reads d * ||V||_1 * ||V^-1||_1 >= cond_2(V), which needs
+      no SVD.
     """
     d = mats.shape[-1]
     defective = np.empty(0, dtype=np.intp)
@@ -130,6 +210,10 @@ def exp_action(
         eigvals = np.diagonal(mats, axis1=-2, axis2=-1).astype(complex)
         eigvecs = inverses = np.broadcast_to(np.eye(d, dtype=complex), mats.shape)
     else:
+        omega = acoustic_frequency(mats)
+        if omega is not None:
+            yield from _acoustic_action(mats, omega, vectors, times)
+            return
         eigvals, eigvecs = np.linalg.eig(mats)
         # numpy returns real arrays for a real stack whose eigenvalues are all real.
         eigvals = eigvals.astype(complex, copy=False)

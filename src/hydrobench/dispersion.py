@@ -8,15 +8,19 @@ per-wavenumber mode vector, ordered (u, p, s) for the hydrodynamic models,
 kinetic moment reference (its equations are in moment_reference).
 
 Branches of the growth rate sigma(k) are named by rank, from one symbol stack
-and at most one batched eigvals call for the whole grid.  u and q are odd
-under x -> -x and n, p, s and Pi even: every off-diagonal entry of the Euler,
-Navier-Stokes, Burnett and moment symbols couples an odd row to an even one
-and is pure imaginary, and every diagonal entry is real.  So with
-S = diag(i on the odd rows), S^-1 M S is a real matrix with the eigenvalues
-of M, and real LAPACK returns each of them either exactly real or as one of
-an exact conjugate pair.  One parity table, _ODD_ROWS, read through
-parity_scale, serves both users of that fact: the branches here, and
-hydro_spectral.evolve, which propagates in the real coordinates S^-1 x.
+for the whole grid; eigvals runs for the moment system only, once per grid.
+u and q are odd under x -> -x and n, p, s and Pi even: every off-diagonal
+entry of the Euler, Navier-Stokes, Burnett and moment symbols couples an odd
+row to an even one and is pure imaginary, and every diagonal entry is real.
+So with S = diag(i on the odd rows), S^-1 M S is a real matrix with the
+eigenvalues of M, each either exactly real or one of an exact conjugate
+pair.  For Euler, Navier-Stokes and Burnett that real matrix is an acoustic
+pair, [[d, a, 0], [b, d, 0], [0, 0, e]] with a*b <= 0
+(_modal.acoustic_frequency), whose eigenvalues d +- i w, w = sqrt|a| sqrt|b|,
+and e need no LAPACK; real LAPACK takes the moment system's.  One parity
+table, _ODD_ROWS, read through parity_scale, serves both users of that fact:
+the branches here, and hydro_spectral.evolve, which propagates in the real
+coordinates S^-1 x.
 Branches are continuous in k, and two real ones
 cannot change order without meeting, so while the number of real
 eigenvalues stays that of the model (one for a hydrodynamic model, three for
@@ -40,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._modal import acoustic_frequency
 from .coefficients import (
     SOUND_SPEED,
     EigenvalueSet,
@@ -225,14 +230,23 @@ def _eigenvalues(
 ) -> np.ndarray:
     """Raw eigenvalues of the model symbol at every grid point, shape (len(grid), d).
 
-    The diagonal of the Riemann-decoupled symbol, in its (R+, R-, s) order;
-    one batched real eigvals call on the parity-scaled stack for every other
-    model.
+    The diagonal of the Riemann-decoupled symbol, in its (R+, R-, s) order.
+    The parity-scaled Euler, Navier-Stokes and Burnett stacks are acoustic
+    pairs (_modal.acoustic_frequency), whose eigenvalues are d + i w, d - i w
+    and e in closed form, an exact conjugate pair and a real.  The moment
+    system takes one batched real eigvals call on its parity-scaled stack.
     """
     matrix = symbol_matrix(model, grid, eps, eigenvalues)
     if parity_scale(model) is None:
         return np.diagonal(matrix, axis1=1, axis2=2)
-    return np.linalg.eigvals(_parity_scaled(model, matrix).real).astype(complex, copy=False)
+    scaled = _parity_scaled(model, matrix).real
+    omega = acoustic_frequency(scaled)
+    if omega is None:
+        return np.linalg.eigvals(scaled).astype(complex, copy=False)
+    values = np.diagonal(scaled, axis1=1, axis2=2).astype(complex)
+    values.imag[:, 0] = omega
+    values.imag[:, 1] = -omega
+    return values
 
 
 #: Labels of a model's real eigenvalues, from the largest down.

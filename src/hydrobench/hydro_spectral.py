@@ -4,7 +4,7 @@ Fields live on the uniform grid x_j = 2*pi*j/N of the domain [0, 2*pi);
 integer wavenumbers only.  The models are linear with constant coefficients,
 so each Fourier mode is advanced by the exact matrix exponential of its
 symbol: there is no time-stepping error, and the output cadence is purely a
-sampling choice.  evolve takes a 1-D array of output times and diagonalizes
+sampling choice.  evolve takes a 1-D array of output times and exponentiates
 the symbol stack once for all of them, for any model whose model.dimension
 is the row count of the state: 3 for (u, p, s), 5 for the moments (n, u, p,
 Pi, q).  States carry no time: evolve returns one state per elapsed time
@@ -157,9 +157,16 @@ def evolve(
     returned per time.  The state must have model.dimension rows.  The
     modes are propagated in the real coordinates of the model's parity
     scale (dispersion.parity_scale; none for the diagonal Riemann-decoupled
-    symbol), as _modal.mode_propagators describes.  Spatial
-    means (the k = 0 modes) are invariant for every model because all terms
-    are x-derivatives.
+    symbol), as _modal.mode_propagators describes: in closed form for the
+    acoustic pair of Euler, Navier-Stokes and Burnett, by one real
+    eigendecomposition for the moment system, and with no eig for the
+    diagonal Riemann-decoupled symbol.  Spatial means (the k = 0 modes) are
+    invariant for every model because all terms are x-derivatives.
+
+    What remains of the exact-eigenbasis plan (ROADMAP item 1): the
+    Riemann-decoupled symbol still receives (u, p, s) modes in place of
+    (R+, R-, s), and the benchmark's tracer still keys hydro propagation to
+    this function and mode_propagators by name, so neither seam can go yet.
     """
     _require_rows(spec, model.dimension, model.value)
     advanced = _modal.mode_propagators(

@@ -1,5 +1,7 @@
 """Dispersion relations, symbol matrices, and branch tracking."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -368,6 +370,28 @@ class TestParityRealEigenvalues:
         for row in _eigenvalues(model, np.array(k), eps, EV):
             for value in row[row.imag != 0]:
                 assert np.count_nonzero(row == np.conj(value)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(PARITY_MODELS[:3]),
+        eps=st.floats(0.01, 1.0),
+        k=st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=20),
+    )
+    @example(model=ModelId.NAVIER_STOKES, eps=1.0, k=[1e-6, 1e4])
+    def test_closed_form_branches_match_complex_eigvals(self, model, eps, k):
+        # The Euler, NS and Burnett stacks are acoustic pairs: their
+        # eigenvalues d +- i w and e come in closed form, with no eigvals call,
+        # and sit within the same route-gap bound of the complex eigvals.
+        k = np.array(k)
+        with mock.patch.object(np.linalg, "eigvals", side_effect=AssertionError("eigvals")):
+            values = _eigenvalues(model, k, eps, EV)
+        gaps, bounds = _route_gaps(model, k, eps, values)
+        assert np.all(gaps <= bounds)
+
+    def test_moment_system_keeps_eigvals(self):
+        with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+            _eigenvalues(ModelId.MOMENT_REFERENCE, np.array([0.5, 1.0]), 0.1, EV)
+        assert eigvals.call_count == 1
 
     def test_riemann_decoupled_keeps_the_complex_route(self):
         # Its diagonal is what complex eigvals returns for it, bit for bit

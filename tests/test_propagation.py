@@ -1,9 +1,10 @@
-"""Independent routes to the numbers of the diagonalize-once propagation engine.
+"""Independent routes to the numbers of the exponentiate-once propagation engine.
 
-The engine evaluates exp(M t) x for a whole symbol stack at every output time
-from one eigendecomposition, on the N//2 + 1 columns of the rfft layout: of
-the real stack S^-1 M S for the four parity models, and with no eig at all
-for the diagonal Riemann-decoupled symbol.
+The engine evaluates exp(M t) x for a whole symbol stack at every output time,
+on the N//2 + 1 columns of the rfft layout, in the real coordinates
+S^-1 M S of the four parity models: in closed form for the acoustic pair of
+Euler, Navier-Stokes and Burnett, from one eigendecomposition for the moment
+system, and with no eig at all for the diagonal Riemann-decoupled symbol.
 These tests reach the same numbers by other routes: scipy's
 scaling-and-squaring expm per mode and time over all N indices of the full
 DFT layout, an explicit DOP853 integration of dx/dt = M x, and the
@@ -18,12 +19,14 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from hydrobench._modal import (
+    acoustic_frequency,
     exp_action,
     forward_modes,
     inverse_modes,
     mode_propagators,
     wavenumbers,
 )
+from hydrobench.cli import main
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import ModelId, parity_scale, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, evolve, from_modes, to_modes
@@ -243,17 +246,19 @@ def test_scaled_symbol_with_an_imaginary_part_is_refused():
 
 
 def test_real_defective_stack_falls_back_to_expm_of_the_real_matrix(monkeypatch):
-    # M = S J S^-1 with a real Jordan block J, so the scaled route sees the
-    # real defective J, and expm runs on it at every time.
-    jordan = np.array([[-0.5, 1.0], [0.0, -0.5]])
-    scale = np.array([1.0, 1j])
+    # M = S J S^-1 with a real J that holds a Jordan block in rows 1-2, so the
+    # scaled route sees the real defective J.  Its (1, 2) coupling lies
+    # outside the acoustic pair, so J goes to eig, the screen flags it, and
+    # expm runs on it at every time.
+    jordan = np.array([[-1.0, 0.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -0.5]])
+    scale = np.array([1.0, 1j, 1.0])
     symbol = jordan * np.outer(scale, scale.conj())
-    x0 = _random_modes(2, 5, seed=11)  # 3 columns, no Nyquist
+    x0 = _random_modes(3, 5, seed=11)  # 3 columns, no Nyquist
     calls = []
     expm = scipy.linalg.expm
 
     def stack(kappa):
-        return np.broadcast_to(symbol, (kappa.size, 2, 2))
+        return np.broadcast_to(symbol, (kappa.size, 3, 3))
 
     def recording(matrix):
         calls.append(matrix.dtype)
@@ -266,6 +271,32 @@ def test_real_defective_stack_falls_back_to_expm_of_the_real_matrix(monkeypatch)
     for row, t in enumerate(TIMES):
         want = scipy.linalg.expm(symbol * t) @ x0
         assert np.max(np.abs(got[row] - want)) <= 1e-12 * float(np.max(np.abs(want)))
+
+
+def test_real_jordan_pair_takes_the_closed_form_without_expm(monkeypatch):
+    # A 2x2 Jordan block is an acoustic pair with w = 0: exp(d t) [[1, a t], [0, 1]]
+    # in closed form, with no eig, no screen and no expm.
+    jordan = np.array([[-0.5, 1.0], [0.0, -0.5]])
+    scale = np.array([1.0, 1j])
+    symbol = jordan * np.outer(scale, scale.conj())
+    x0 = _random_modes(2, 5, seed=11)
+    calls = []
+
+    def stack(kappa):
+        return np.broadcast_to(symbol, (kappa.size, 2, 2))
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the closed form calls neither eig nor expm")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "expm", refused)
+        patch.setattr(np.linalg, "eig", refused)
+        got = mode_propagators(stack, 5, TIMES, x0, scale)
+    assert calls == []
+    for row, t in enumerate(TIMES):
+        want = scipy.linalg.expm(symbol * t) @ x0
+        assert np.max(np.abs(got[row] - want)) <= 1e-14 * float(np.max(np.abs(want)))
 
 
 def test_real_stack_with_real_eigenvalues_acts_on_complex_vectors():
@@ -306,3 +337,140 @@ def test_diagonal_riemann_stack_gives_the_eig_route_bit_for_bit(n):
     # array_equal takes -0.0 for 0.0, and a CSV does not.
     assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
     assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+# The acoustic pair's closed form --------------------------------------------
+
+HYDRO_MODELS = [ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT]
+#: Output times up to |lambda| t = 1.0e4 (k = 8 at t = 1000).
+LONG_TIMES = np.array([0.05, 1.3, 37.0, 1000.0])
+#: Errors of the closed form in units of u*(1 + t*|lambda|)*||x||_2 per mode and
+#: time, where |lambda| is the largest eigenvalue modulus of M: phase rounding
+#: grows with t*|lambda| on every route.  Over seeds 1-8, eps 0.01, 0.1 and 1
+#: and N = 15, 16 and 64 the largest measured against scipy's expm was 2.86
+#: (Euler, N = 64).
+PAIR_C = 8.0
+
+
+def _scaled_stack(model, k, eps):
+    """The real parity-scaled stack S^-1 M S at wavenumbers k."""
+    scale = parity_scale(model)
+    return (symbol_matrix(model, k, eps, EV) * np.outer(scale.conj(), scale)).real
+
+
+def _pair_gap(got, mats, x, times, nyquist=False):
+    """Largest gap of got (T, d, N) to expm(M t) x in units of u*(1 + t|lambda|)*||x||."""
+    worst = 0.0
+    for row, t in enumerate(times):
+        for m, matrix in enumerate(mats):
+            want = scipy.linalg.expm(matrix * t) @ x[:, m]
+            if nyquist and m == len(mats) - 1:
+                want = want.real  # the Nyquist rule Re(P x), on a real x
+            rate = float(np.abs(np.linalg.eigvals(matrix)).max())
+            unit = U * (1.0 + t * rate) * np.linalg.norm(x[:, m])
+            worst = max(worst, float(np.linalg.norm(got[row, :, m] - want)) / unit)
+    return worst
+
+
+@pytest.mark.parametrize("n", [16, 15])
+@pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("model", HYDRO_MODELS)
+def test_closed_form_matches_expm_per_mode(model, eps, n):
+    mats = _scaled_stack(model, -wavenumbers(n).astype(float), eps)
+    assert acoustic_frequency(mats) is not None
+    x = forward_modes(np.random.default_rng(5).normal(size=(3, n)))
+    got = mode_propagators(_symbol_stack(model, eps), n, LONG_TIMES, x, parity_scale(model))
+    mats = symbol_matrix(model, -wavenumbers(n).astype(float), eps, EV)
+    assert _pair_gap(got, mats, x, LONG_TIMES, nyquist=n % 2 == 0) <= PAIR_C
+
+
+@pytest.mark.parametrize("model", HYDRO_MODELS)
+def test_closed_form_at_subnormal_wavenumbers(model):
+    # w = sqrt|a| sqrt|b| stays nonzero down to k = 5e-324, where a*b would
+    # underflow to zero; theta = w t is subnormal, sin(theta)/theta is 1, and
+    # Sn = t exactly.  The k = 0 column is the identity.
+    k = np.array([0.0, -5e-324, -1e-320, -2.2e-308, -1e-300])
+    mats = _scaled_stack(model, k, 0.1)
+    omega = acoustic_frequency(mats)
+    assert omega[0] == 0 and np.all(omega[1:] > 0)
+    x = _random_modes(3, 2 * k.size - 1, seed=13)
+    with np.errstate(all="raise", under="ignore"):
+        got = np.concatenate([block for _, block in exp_action(mats, x, LONG_TIMES)])
+    assert np.array_equal(got[:, :, 0], np.broadcast_to(x[:, 0], (LONG_TIMES.size, 3)))
+    assert _pair_gap(got, mats, x, LONG_TIMES) <= PAIR_C
+    for row, t in enumerate(LONG_TIMES):
+        # Subnormal: exp(d t) = 1 and C = 1, so row 0 is x0 + a t x1 on the nose.
+        assert np.array_equal(got[row, 0, 1:2], x[0, 1:2] + (mats[1, 0, 1] * t) * x[1, 1:2])
+
+
+def _pair_like():
+    """A real acoustic-pair stack of Burnett shape with nonzero d, a, b and e."""
+    return _scaled_stack(ModelId.BURNETT, -np.arange(1.0, 6.0), 0.1)
+
+
+def _with_eig_recorded(monkeypatch, mats, x):
+    calls = []
+    eig = np.linalg.eig
+
+    def recording(matrix):
+        calls.append(matrix.shape)
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    got = np.concatenate([block for _, block in exp_action(mats, x, TIMES)])
+    monkeypatch.undo()
+    return calls, got
+
+
+def _one_ulp_off_diagonal(mats):
+    mats[2, 1, 1] = np.nextafter(mats[2, 1, 1], 0.0)
+    return mats
+
+
+def _extra_coupling(mats):
+    mats[3, 0, 2] = 1e-300
+    return mats
+
+
+def _same_sign(mats):
+    mats[4, 1, 0] = -mats[4, 1, 0]
+    return mats
+
+
+@pytest.mark.parametrize("miss", [_one_ulp_off_diagonal, _extra_coupling, _same_sign])
+def test_stack_off_the_pattern_goes_to_eig(monkeypatch, miss):
+    # One matrix of the stack misses the pattern, so the whole stack takes
+    # the eig route, which still matches expm.
+    mats = _pair_like()
+    assert acoustic_frequency(mats) is not None
+    mats = miss(mats)
+    assert acoustic_frequency(mats) is None
+    x = _random_modes(3, 9, seed=17)  # five columns
+    calls, got = _with_eig_recorded(monkeypatch, mats, x)
+    assert calls == [mats.shape]
+    for row, t in enumerate(TIMES):
+        for m in range(mats.shape[0]):
+            want = scipy.linalg.expm(mats[m] * t) @ x[:, m]
+            assert np.max(np.abs(got[row, :, m] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_only_real_hydro_stacks_are_acoustic_pairs(monkeypatch):
+    # The unscaled complex symbol is the same pair in other coordinates, but
+    # only a real stack takes the closed form; the moment system couples more.
+    k = -wavenumbers(16).astype(float)
+    assert acoustic_frequency(symbol_matrix(ModelId.EULER, k, 0.1, EV)) is None
+    assert acoustic_frequency(_scaled_stack(ModelId.MOMENT_REFERENCE, k, 0.1)) is None
+    x = _random_modes(3, 16, seed=19)
+    calls, _ = _with_eig_recorded(monkeypatch, _pair_like(), x[:, :5])
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", ["euler", "navier_stokes", "burnett"])
+@pytest.mark.parametrize("n", ["16", "15"])
+def test_cli_run_with_a_flat_k0_column_raises_nothing(tmp_path, model, n):
+    # Every run has the k = 0 column, where theta = 0 at every time; Sn = t
+    # there is set, not divided, so invalid = "raise" finds no 0/0.
+    argv = ["evolve", "--model", model, "--ic", "u:1:1,p:2:0.5:0.3,s:3:0.2", "--eps", "0.1"]
+    argv += ["--tmax", "2", "--dt-out", "0.5", "--grid-size", n, "--out", str(tmp_path / "x.csv")]
+    with np.errstate(all="raise", under="ignore"):
+        assert main(argv) == 0
