@@ -3,8 +3,9 @@
 real_records gives the bytes '%.17g' writes for each float64, and
 label_records the UTF-8 of each name of a labelled column, as fixed-width
 records of bytes with a mask of the bytes each keeps, so one boolean
-compress of a block of records is its text.  two_product and the digits
-table also serve the SVG's '%.3f' point text in cli.
+compress of a block of records is its text; right_aligned narrows records
+that are kept for reuse.  two_product and the point word tables also serve
+the SVG's '%.3f' point text in cli.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "decimal17",
     "label_records",
     "real_records",
+    "right_aligned",
     "tables",
     "two_product",
 ]
@@ -152,6 +154,14 @@ class Tables(NamedTuple):
     exponent: np.ndarray
     #: Place (1 to 4) of the last nonzero digit of each four-digit group, 0 for 0.
     last_nonzero: np.ndarray
+    #: Row 1000 * s + n, for n = 0 to 999, holds the four bytes of separator
+    #: s (0 for ' ', 1 for ',') and n's three digits, as a uint32 word whose
+    #: leading zero digits, all but the units, are NUL bytes: ",\0\05" for
+    #: s = 1 and n = 5.
+    point_whole: np.ndarray
+    #: Row n, for n = 0 to 999, holds ".ddd", n's three digits after a '.',
+    #: as a uint32 word.
+    point_fraction: np.ndarray
 
 
 @functools.cache
@@ -190,7 +200,21 @@ def tables() -> Tables:
             digits[np.abs(exponents), 1:],
         )
     )
-    return Tables(digits, keep.reshape(-1, REAL_WIDTH), exponent, last_nonzero)
+    point_whole = np.tile(digits[:1000], (2, 1))
+    point_whole[:, 0] = np.repeat(np.frombuffer(b" ,", np.uint8), 1000)
+    n = np.tile(np.arange(1000), 2)
+    point_whole[n < 100, 1] = 0
+    point_whole[n < 10, 2] = 0
+    point_fraction = digits[:1000].copy()
+    point_fraction[:, 0] = ord(".")
+    return Tables(
+        digits,
+        keep.reshape(-1, REAL_WIDTH),
+        exponent,
+        last_nonzero,
+        point_whole.view(np.uint32).ravel(),
+        point_fraction.view(np.uint32).ravel(),
+    )
 
 
 def _spelled(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,14 +267,31 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def label_records(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of each name as a record padded with zero bytes and the
-    mask of the bytes it keeps; the last byte is left for a separator."""
+    """The UTF-8 bytes of each name, right-aligned in a record one byte wider
+    than the longest, and the mask of the bytes it keeps; the last byte is
+    left for a separator."""
     encoded = [name.encode("utf-8") for name in names]
     width = max(map(len, encoded), default=0) + 1
     text = np.zeros((len(encoded), width), np.uint8)
     keep = np.zeros(text.shape, bool)
     keep[:, -1] = True
     for i, raw in enumerate(encoded):
-        text[i, : len(raw)] = np.frombuffer(raw, np.uint8)
-        keep[i, : len(raw)] = True
+        text[i, width - 1 - len(raw) : -1] = np.frombuffer(raw, np.uint8)
+        keep[i, width - 1 - len(raw) : -1] = True
     return text, keep
+
+
+def right_aligned(text: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same records and masks with each record's kept bytes moved to its
+    end, in the width of the longest kept text.
+
+    A record's last byte stays its last, so a separator slot stays in place;
+    its kept bytes become one run, and a record no wider than its text
+    costs a block's concatenation and compress the fewest bytes.
+    """
+    lengths = np.count_nonzero(keep, axis=1)
+    width = int(lengths.max(initial=1))
+    narrow = np.arange(width) >= width - lengths[:, None]
+    records = np.zeros(narrow.shape, np.uint8)
+    records[narrow] = text[keep]
+    return records, narrow

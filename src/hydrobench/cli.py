@@ -10,13 +10,17 @@ Commands:
 
 Every command is deterministic: identical configuration produces
 byte-identical CSV and SVG output.  A CSV real is the text '%.17g' gives
-it, computed in numpy (see emit_outputs and the _text module).  Exit codes: 0 success, 1 usage
-error, 2 numerical or internal-consistency failure.
+it, and an SVG point the text '%.3f' gives it, both computed in numpy (see
+emit_outputs, _point_text and the _text module).  Exit codes: 0 success, 1
+usage error, 2 numerical or internal-consistency failure; a floating-point
+fault names its phase (run).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import hydro_spectral, moment_reference, secularity
 from ._modal import MIN_GRID_SIZE
-from ._text import REAL_WIDTH, label_records, real_records, tables, two_product
+from ._text import REAL_WIDTH, label_records, real_records, right_aligned, tables, two_product
 from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
@@ -201,12 +205,15 @@ def _load_config_file(path: Path) -> dict[str, object]:
 
 #: Values turned into text at a time: the CSV writer takes WRITE_BLOCK //
 #: (number of columns) rows, the SVG's point text WRITE_BLOCK points.  A CSV
-#: block's numpy temporaries come to about 230 bytes per value.  On the
+#: block's numpy temporaries come to about 230 bytes per unlevelled real,
+#: fewer for a levelled or labelled column, whose records are narrower; a
+#: point-text block's come to about 40 bytes per coordinate.  On the
 #: evolve, dispersion and secular benchmark tables, blocks of 2048, 8192 and
 #: 16384 values took 1.10-1.17, 0.93-0.98 and 0.90-0.97 times as long as
-#: 4096, while the writer's peak allocation grows with the block: 0.95, 0.89
-#: and 0.71 MB on those tables at 4096, and 1.84, 1.56 and 1.42 MB at 8192
-#: (Python 3.11, numpy 2.4, x86-64).
+#: 4096 with 48-byte records for every column, while the writer's peak
+#: allocation grows with the block: 0.71, 0.65 and 0.71 MB on those tables
+#: at 4096, and 1.39, 1.19 and 1.41 MB at 8192 (Python 3.11, numpy 2.4,
+#: x86-64).
 WRITE_BLOCK = 4096
 
 #: A real column is levelled, each distinct value formatted once, when it
@@ -267,8 +274,8 @@ def _table(columns: dict[str, object]) -> np.ndarray:
 
 def _levels(column: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
     """The distinct bit patterns of a float64 column, sorted, and their
-    real_records, or None if it has more than LEVEL_FRACTION distinct
-    values per row.
+    real_records, right-aligned in the width of the longest text, or None if
+    it has more than LEVEL_FRACTION distinct values per row.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 ('-0' and '0')
     stay apart and no two NaNs merge.  A column that is not levelled costs
@@ -280,47 +287,56 @@ def _levels(column: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
     if np.count_nonzero(first) > LEVEL_FRACTION * len(keys):
         return None
     keys = keys[first]
-    return keys, real_records(keys.view(np.float64))
+    return keys, right_aligned(*real_records(keys.view(np.float64)))
 
 
-def _point_text(points: np.ndarray) -> str:
+#: The bits of 1000.0: read as uint64, a double lies in [+0.0, 1000) exactly
+#: when its bits are below these, since a set sign bit or a NaN reads higher.
+_BOX_BITS = np.float64(1000.0).view(np.uint64)
+
+
+def _point_text(points: np.ndarray) -> bytes:
     """The bytes of '%.3f,%.3f' for each (x, y) row of points, joined by spaces.
 
     Every coordinate must lie in [0, 1000), as the chart's do; a non-finite
-    or out-of-box one raises ValueError.  '%.3f' of v is the round-half-even
-    of the exact product v*1000, which two_product gives as p + e with p =
-    fl(v*1000).  With d = p - floor(p) (also exact), the product rounds
-    up when d > 0.5, or d == 0.5 and e > 0, or d == 0.5, e == 0 and floor(p)
-    is odd; |e| is at most half an ulp of p, so it decides only the ties.
-    The integer thousandths become text through the digits table, WRITE_BLOCK
-    points at a time.
+    or out-of-box one, -0.0 included, raises ValueError.  '%.3f' of v is the
+    round-half-even of the exact product v*1000.  rint of p = fl(v*1000)
+    gives it unless p is a half-integer: every half-integer below 2**52 is a
+    double, so v*1000 and p lie on the same side of any other.  At a
+    half-integer p the sign of Dekker's error term e = v*1000 - p
+    (two_product) decides, and e == 0 is a true tie, which rint already
+    broke to even.
+
+    Each coordinate becomes two uint32 words from the point tables: the
+    separator before it (',' before y, ' ' before x) with its integer digits,
+    whose leading zeros are NUL bytes, and then ".ddd".  Deleting the NULs
+    and the first separator leaves the text.  A block with a coordinate
+    that rounds to 1000.000, whose integer part needs four digits and which
+    the chart's box never produces, is written by '%' itself.  The text is
+    made WRITE_BLOCK points at a time.
     """
     chunks = []
     for lo in range(0, len(points), WRITE_BLOCK):
         v = points[lo : lo + WRITE_BLOCK].ravel()
-        if np.any(np.signbit(v) | ~(v < 1000.0)):
+        if not np.all(v.view(np.uint64) < _BOX_BITS):
             raise ValueError("SVG coordinates must be finite and lie in [0, 1000)")
-        p, e = two_product(v, 1000.0)
-        floor = np.floor(p)
-        d = p - floor
-        n = floor.astype(np.int64)
-        n += (d > 0.5) | ((d == 0.5) & ((e > 0) | ((e == 0) & ((n & 1) == 1))))
-        whole, frac = np.divmod(n, 1000)
-        # One 9-byte field per value: four integer digits, '.', three
-        # decimals and the separator; leading zeros of the integer go.
-        text = np.empty((len(v), 9), dtype=np.uint8)
-        text[:, 0] = ord("1")  # whole is at most 1000
-        text[:, 1:4] = tables().digits.take(whole % 1000, axis=0)[:, 1:]
-        text[:, 4] = ord(".")
-        text[:, 5:8] = tables().digits.take(frac, axis=0)[:, 1:]
-        text[0::2, 8] = ord(",")
-        text[1::2, 8] = ord(" ")
-        keep = np.ones(text.shape, dtype=bool)
-        keep[:, 0] = whole >= 1000
-        keep[:, 1] = whole >= 100
-        keep[:, 2] = whole >= 10
-        chunks.append(text[keep].tobytes())
-    return b"".join(chunks)[:-1].decode("ascii")
+        p = v * 1000.0
+        n = np.rint(p)
+        ties = np.flatnonzero(np.abs(p - n) == 0.5)
+        if ties.size:
+            err = two_product(v[ties], 1000.0)[1]
+            n[ties] = np.rint(p[ties] + 0.5 * np.sign(err))
+        whole = np.floor(n * 0.001)  # exact: 0.001 rounds up, and n < 2**53
+        if whole.max() == 1000.0:
+            chunks.append((" %.3f,%.3f" * (len(v) // 2) % tuple(v.tolist())).encode())
+        else:
+            frac = n - 1000.0 * whole
+            whole[1::2] += 1000.0  # y follows ','
+            words = np.empty((len(v), 2), np.uint32)
+            words[:, 0] = tables().point_whole[whole.astype(np.intp)]
+            words[:, 1] = tables().point_fraction[frac.astype(np.intp)]
+            chunks.append(words.tobytes().replace(b"\0", b""))
+    return b"".join(chunks)[1:]
 
 
 def _axis_label(value: float) -> str:
@@ -350,8 +366,9 @@ def _span(columns: list[np.ndarray]) -> tuple[float, float]:
     return lo, hi
 
 
-def _svg_chart(rows: np.ndarray, title: str) -> str:
-    """Deterministic 800x600 polyline chart of a table's float fields.
+def _svg_chart(rows: np.ndarray, title: str) -> bytes:
+    """Deterministic 800x600 polyline chart of a table's float fields, as
+    UTF-8 bytes.
 
     The labelled fields group the rows into separate series; the first float
     field is the x axis and every remaining float field yields one polyline
@@ -361,12 +378,11 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     keep their table order.  A series is tagged with its names.  Axis labels
     come from _axis_label.
 
-    Point coordinates are written in exact integer thousandths, byte for
-    byte as '%.3f' writes them: each is the round-half-even of the exact
-    product v*1000, which _point_text forms with Dekker's error-free product
-    and turns into digits by table lookup.  That needs every coordinate in
-    [0, 1000), which the 800x600 geometry gives for finite data; a
-    non-finite or out-of-box one raises ValueError.
+    Point coordinates are written byte for byte as '%.3f' writes them, by
+    _point_text, from each group's slice of one sort order: a group's x
+    coordinates are computed once and shared by its series.  That needs
+    every coordinate in [0, 1000), which the 800x600 geometry gives for
+    finite data; a non-finite or out-of-box one raises ValueError.
     """
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
@@ -384,35 +400,27 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    # Each label column as the rank of its code's name among the column's
-    # sorted names, so codes of equal names share a rank; one stable lexsort
-    # (first label column most significant, x last) then puts every series
+    # Each row's series as one integer: in each label column the rank of its
+    # code's name among the column's sorted names, so codes of equal names
+    # share a rank, and the ranks in mixed radix, first label column most
+    # significant.  One stable lexsort by series, then x, puts every series
     # in one contiguous run.
-    ranks = np.empty((len(labels), len(rows)), dtype=np.intp)
-    for rank, (name, names) in zip(ranks, labels.items()):
-        sorted_names = sorted(set(names))
-        rank[:] = np.take([sorted_names.index(n) for n in names], rows[name])
-    order = np.lexsort((rows[x_name], *ranks[::-1]))
-    starts = np.flatnonzero(np.r_[True, np.diff(ranks[:, order]).any(axis=0)])
+    sizes = [len(set(names)) for names in labels.values()]
+    if math.prod(sizes) > np.iinfo(np.intp).max:
+        raise ValueError("SVG chart has too many label combinations to number")
+    series = np.zeros(len(rows), dtype=np.intp)
+    for size, (name, names) in zip(sizes, labels.items()):
+        rank = {n: i for i, n in enumerate(sorted(set(names)))}
+        series *= size
+        series += np.take([rank[n] for n in names], rows[name])
+    order = np.lexsort((rows[x_name], series))
+    series = series[order]
+    starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
     firsts = order[starts]
     keys = zip(*([names[c] for c in rows[name][firsts].tolist()] for name, names in labels.items()))
     keys = keys if labels else [()]
-    sx = margin_left + (rows[x_name][order] - x_lo) / (x_hi - x_lo) * (
-        width - margin_left - margin_right
-    )
-    sy = [
-        height
-        - margin_bottom
-        - (rows[name][order] - y_lo) / (y_hi - y_lo) * (height - margin_top - margin_bottom)
-        for name in y_names
-    ]
-    series: list[tuple[str, np.ndarray, np.ndarray]] = []
-    for lo, hi, key in zip(starts, [*starts[1:], len(rows)], keys):
-        tag = "/".join(key)
-        for name, y in zip(y_names, sy):
-            series.append((f"{name}[{tag}]" if tag else name, sx[lo:hi], y[lo:hi]))
 
-    parts = [
+    header = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -433,20 +441,34 @@ def _svg_chart(rows: np.ndarray, title: str) -> str:
         f'font-family="monospace" font-size="10">{_axis_label(y_lo)}</text>',
         f'<text x="{margin_left - 6}" y="{margin_top + 10}" text-anchor="end" '
         f'font-family="monospace" font-size="10">{_axis_label(y_hi)}</text>',
+        "",
     ]
-    for index, (name, sx, sy) in enumerate(series):
-        color = _SVG_PALETTE[index % len(_SVG_PALETTE)]
-        path = _point_text(np.column_stack((sx, sy)))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{path}"/>'
+    parts = ["\n".join(header).encode()]
+    index = 0
+    for lo, hi, key in zip(starts, [*starts[1:], len(rows)], keys):
+        tag = "/".join(key)
+        group = order[lo:hi]
+        points = np.empty((hi - lo, 2))
+        points[:, 0] = margin_left + (rows[x_name][group] - x_lo) / (x_hi - x_lo) * (
+            width - margin_left - margin_right
         )
-        parts.append(
-            f'<text x="{width - margin_right - 4}" y="{margin_top + 14 * (index + 1)}" '
-            f'text-anchor="end" font-family="monospace" font-size="10" '
-            f'fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        for name in y_names:
+            points[:, 1] = (
+                height
+                - margin_bottom
+                - (rows[name][group] - y_lo) / (y_hi - y_lo) * (height - margin_top - margin_bottom)
+            )
+            color = _SVG_PALETTE[index % len(_SVG_PALETTE)]
+            index += 1
+            parts += [
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'.encode(),
+                _point_text(points),
+                f'"/>\n<text x="{width - margin_right - 4}" y="{margin_top + 14 * index}" '
+                f'text-anchor="end" font-family="monospace" font-size="10" '
+                f'fill="{color}">{f"{name}[{tag}]" if tag else name}</text>\n'.encode(),
+            ]
+    parts.append(b"</svg>\n")
+    return b"".join(parts)
 
 
 def _block_text(columns: list[np.ndarray], levels: list) -> np.ndarray:
@@ -506,9 +528,16 @@ def emit_outputs(
     with few distinct values (see _levels) takes its records from its
     levels, a labelled column takes them by code from its names' records
     (_text.label_records, made once per name), and one boolean compress of
-    the block's records is its text.  The SVG charts rows unless another
-    table is passed in chart; field-snapshot tables use that to plot the
-    final time block against x.
+    the block's records is its text.  The records a column keeps for the
+    whole table, its levels' or its names', are right-aligned in the width
+    of their longest text (_text.right_aligned), so each block concatenates
+    and compresses fewer bytes.  The SVG charts rows unless another table is
+    passed in chart; field-snapshot tables use that to plot the final time
+    block against x.  It is written as the bytes _svg_chart returns.
+
+    The chart and the CSV each run under the data commands' floating-point
+    rule (_phase), so a fault in either raises _PhaseFault naming it; a
+    fault or an OSError part way through the CSV removes the partial file.
     """
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
@@ -524,22 +553,31 @@ def emit_outputs(
         raise ValueError(f"the SVG would be written over the CSV at {out_path}")
     # The chart is drawn before any file is opened, so a fault in its
     # arithmetic leaves no CSV behind.
-    svg = _svg_chart(rows if chart is None else chart, title or out_path.stem) if emit_svg else None
+    svg = None
+    if emit_svg:
+        with _phase("chart"):
+            svg = _svg_chart(rows if chart is None else chart, title or out_path.stem)
     names = rows.dtype.names
     columns = [rows[name] for name in names]
-    levels = []
-    for column in columns:
-        labels = _label_names(column.dtype)
-        levels.append(_levels(column) if labels is None else (None, label_records(labels)))
-    step = max(1, WRITE_BLOCK // len(columns))
-    with open(out_path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        for lo in range(0, len(rows), step):
-            fh.write(_block_text([column[lo : lo + step] for column in columns], levels))
+    with _phase("CSV"):
+        levels = []
+        for column in columns:
+            labels = _label_names(column.dtype)
+            levels.append(_levels(column) if labels is None else (None, label_records(labels)))
+        step = max(1, WRITE_BLOCK // len(columns))
+        fh = open(out_path, "wb")
+        try:
+            with fh:
+                fh.write((",".join(names) + "\n").encode())
+                for lo in range(0, len(rows), step):
+                    fh.write(_block_text([column[lo : lo + step] for column in columns], levels))
+        except BaseException:  # a fault part way leaves no partial CSV
+            out_path.unlink()
+            raise
     if svg is None:
         return [out_path]
     svg_path = out_path.with_suffix(".svg")
-    svg_path.write_text(svg)
+    svg_path.write_bytes(svg)
     return [out_path, svg_path]
 
 
@@ -650,8 +688,34 @@ def _selftest() -> int:
     return 2 if failed else 0
 
 
+class _PhaseFault(FloatingPointError):
+    """A floating-point fault, or a float too large for a double, in a named
+    phase of a run: 'command', 'chart' or 'CSV'."""
+
+    def __init__(self, phase: str, fault: ArithmeticError):
+        super().__init__(f"{phase}: non-finite value ({fault})")
+
+
+@contextlib.contextmanager
+def _phase(name: str):
+    """Run a block under the data commands' floating-point rule and name it
+    in any fault: overflow, invalid and divide-by-zero raise (damped modes
+    legitimately decay to subnormals, so underflow does not), and numpy's
+    FloatingPointError or a Fraction's OverflowError on its way to a float
+    is raised again as a _PhaseFault of this phase."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise _PhaseFault(name, exc) from exc
+
+
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
+    """Execute a validated configuration; returns the process exit code.
+
+    The command, the chart and the CSV each run in their own _phase, so a
+    floating-point fault prints 'numerical failure in <phase>: ...'.
+    """
     try:
         if config.command == "selftest":
             return _selftest()
@@ -661,25 +725,23 @@ def run(config: RunConfig) -> int:
             "compare": _cmd_compare,
             "secular": _cmd_secular,
         }
-        # Overflow, invalid and divide-by-zero stop a data command; damped
-        # modes legitimately decay to subnormals, so underflow does not.
-        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        with _phase("command"):
             rows = builders[config.command](config)
-            chart = None
-            if config.command == "evolve":
-                # Chart the final-time snapshot against x, not everything vs t.
-                chart = rows[["x", "u", "p", "s"]][-config.grid_size :]
-            written = emit_outputs(
-                rows, config.out_path, config.emit_svg, title=config.command, chart=chart
-            )
+        chart = None
+        if config.command == "evolve":
+            # Chart the final-time snapshot against x, not everything vs t.
+            chart = rows[["x", "u", "p", "s"]][-config.grid_size :]
+        written = emit_outputs(
+            rows, config.out_path, config.emit_svg, title=config.command, chart=chart
+        )
         for path in written:
             print(path)
         return 0
     except (UsageError, secularity.UnsupportedInitialCondition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FloatingPointError, OverflowError) as exc:  # numpy's, or a Fraction's to float
-        print(f"numerical failure: non-finite value ({exc})", file=sys.stderr)
+    except _PhaseFault as exc:
+        print(f"numerical failure in {exc}", file=sys.stderr)
         return 2
     except (
         BranchCollisionError,
