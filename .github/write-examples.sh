@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Writes the README example files into the current directory.  CI runs it
-# twice per job to check that repeats are byte-identical, and compares the
-# files of two numpy builds in the cross-version job.
+# twice per numpy build (repeat-examples.sh) to check that repeats are
+# byte-identical, and compares the files of two numpy builds in the
+# cross-version job.
 set -euo pipefail
 hydrobench dispersion --model burnett --eps 0.1 --kmin 0.1 --kmax 4 --samples 64 \
   --out dispersion.csv --svg

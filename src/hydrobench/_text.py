@@ -1,11 +1,11 @@
 """Exact decimal text of float64 and label names, computed in numpy.
 
 real_records gives the bytes '%.17g' writes for each float64, and
-label_records the UTF-8 of each name of a labelled column, as fixed-width
-records of bytes with a mask of the bytes each keeps, so one boolean
-compress of a block of records is its text; right_aligned narrows records
-that are kept for reuse.  two_product and the point word tables also serve
-the SVG's '%.3f' point text in cli.
+label_records the UTF-8 of each name, as fixed-width records of bytes with
+a mask of the bytes each keeps, so one boolean compress of a block of
+records is its text.  A coded column of cli takes its records by code from
+those of its values, made once and narrowed by right_aligned.  two_product
+and the point word tables also serve the SVG's '%.3f' point text in cli.
 """
 
 from __future__ import annotations

@@ -445,3 +445,42 @@ def closed_form_propagation() -> list[Measurement]:
         Measurement("largest |lambda| t", phase, ">=", 1e3),
         Measurement("worst gap to expm, units of u (1 + t|lambda|) |P| |x|", worst, "<=", 8.0),
     ]
+
+
+@_check("translation and mirror relations (riemann's mirror excluded until ROADMAP item 1)")
+def metamorphic_relations() -> list[Measurement]:
+    # Every model is linear, translation-invariant and mirror-symmetric, and
+    # the IC grammar states each transform exactly: adding mode * 2 pi j / N
+    # to each phase rolls a run j cells left, and negating each phase and
+    # the p and s amplitudes mirrors it, x_j -> x_(-j mod N) with u negated.
+    # A run is the IC's fields and then its trajectory, as evolve writes
+    # them.  A gap is in units of u * the largest |value| of the two runs.
+    # Over the models this configuration reads at most 18.0 (translation)
+    # and 13.6 (mirror); 300 random ones, drawn as tests/test_cli.py draws
+    # its metamorphic runs, read at most 74.5 and 51.6.  riemann's mirror
+    # reads 1.5e16: evolve feeds (u, p, s) modes to its (R+, R-, s) symbol.
+    n, eps, shift, bound = 64, 0.1, 5, 64.0
+    times = 0.5 * np.arange(1, 7)
+    terms = [("u", 1, 1.0, 0.3), ("p", 3, 0.5, 0.2), ("s", 2, 0.25, 0.1)]
+    moved = [(f, m, a, phase + m * 2.0 * np.pi * shift / n) for f, m, a, phase in terms]
+    mirrored = [(f, m, a if f == "u" else -a, -phase) for f, m, a, phase in terms]
+
+    def run(model: ModelId, ic_terms) -> np.ndarray:
+        state = _state(",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in ic_terms), n)
+        start = np.stack([state.u, state.p, state.s])[None]
+        return np.concatenate([start, moment_reference.trajectory(state, model, eps, EV, times)])
+
+    def gap(got: np.ndarray, want: np.ndarray) -> float:
+        return _max_gap(got, want) / (2.0**-53 * float(max(np.abs(got).max(), np.abs(want).max())))
+
+    found = []
+    for model in ModelId:
+        once = run(model, terms)
+        relations = {"translation": (moved, np.roll(once, -shift, axis=-1))}
+        if model is not ModelId.RIEMANN_DECOUPLED:
+            mirror = np.roll(once[..., ::-1], 1, axis=-1) * np.array([-1.0, 1.0, 1.0])[:, None]
+            relations["mirror"] = (mirrored, mirror)
+        for relation, (ic_terms, want) in relations.items():
+            quantity = f"{model.value} {relation} gap, units of u max|value|"
+            found.append(Measurement(quantity, gap(run(model, ic_terms), want), "<=", bound))
+    return found

@@ -32,16 +32,24 @@ ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
 
 
 def _decoded(rows):
-    """rows with each labelled column as the str of its names, per row: the
-    names are read from the field dtype's metadata and indexed by code."""
+    """rows with each coded column as its values, per row: the str of its
+    names or its reals, read from the field dtype's metadata and indexed by
+    code."""
     columns = {}
     for name in rows.dtype.names:
-        labels = (rows.dtype[name].metadata or {}).get("labels")
-        columns[name] = rows[name] if labels is None else np.array(labels, dtype=str)[rows[name]]
+        values = (rows.dtype[name].metadata or {}).get("values")
+        columns[name] = rows[name] if values is None else np.asarray(values)[rows[name]]
     decoded = np.empty(len(rows), [(name, column.dtype) for name, column in columns.items()])
     for name, column in columns.items():
         decoded[name] = column
     return decoded
+
+
+def _coded(column):
+    """A float64 column as codes into its distinct bit patterns, so -0.0 and
+    0.0, and NaNs of other payloads, stay apart."""
+    bits, codes = np.unique(np.asarray(column, np.float64).view(np.uint64), return_inverse=True)
+    return codes.reshape(-1).astype(cli._coded_dtype(bits.view(np.float64)))
 
 
 def _signed_span(values):
@@ -55,16 +63,17 @@ def _svg_chart_by_masks(rows, title):
     sort of the structured label tuples, then a boolean mask and a stable x
     argsort per group, and every point written by '%.3f'.  The axis ranges
     come from Python's min and max of (value, sign) pairs, which order -0.0
-    below 0.0.  Axis labels share cli._axis_label, which TestAxisLabels
-    checks on its own."""
+    below 0.0.  Coded reals are decoded to their values like the labels.
+    Axis labels share cli._axis_label, which TestAxisLabels checks on its
+    own."""
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     decoded = _decoded(rows)
     labels = [name for name in rows.dtype.names if decoded.dtype[name].kind == "U"]
     numeric = [name for name in rows.dtype.names if name not in labels]
     x_name, y_names = numeric[0], numeric[1:]
-    x_lo, x_hi = _signed_span(rows[x_name].tolist())
-    y_lo, y_hi = _signed_span([v for name in y_names for v in rows[name].tolist()])
+    x_lo, x_hi = _signed_span(decoded[x_name].tolist())
+    y_lo, y_hi = _signed_span([v for name in y_names for v in decoded[name].tolist()])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -124,8 +133,9 @@ def _svg_chart_by_masks(rows, title):
 
 @st.composite
 def _chart_tables(draw):
-    """Tables of 0-2 label columns and 2-3 float columns in a drawn field
-    order, with tied, unsorted and signed-zero x and absent label pairs."""
+    """Tables of 0-2 label columns and 2-3 float columns, each coded or not,
+    in a drawn field order, with tied, unsorted and signed-zero x and absent
+    label pairs."""
     n = draw(st.integers(1, 14))
     labels = st.text(alphabet="abé", max_size=2)
     reals = st.floats(-1e3, 1e3, allow_subnormal=False)
@@ -137,6 +147,9 @@ def _chart_tables(draw):
     columns["x"] = draw(st.lists(xs, min_size=n, max_size=n))
     for i in range(draw(st.integers(1, 2))):
         columns[f"y{i}"] = draw(st.lists(reals, min_size=n, max_size=n))
+    for name in [name for name in columns if not name.startswith("g")]:
+        if draw(st.booleans()):
+            columns[name] = _coded(columns[name])
     order = draw(st.permutations(list(columns)))
     return cli._table({name: columns[name] for name in order})
 
@@ -146,14 +159,15 @@ def _layouts(rows):
     a padded multi-field view of a wider, aligned table, a packed copy of
     that view, and records whose labelled fields sit before or after the
     reals, in a width rounded up to 8 bytes.  numpy's min and max choose
-    their loop by stride and alignment, so these reach both kinds."""
+    their loop by stride and alignment, so these reach both kinds.  A coded
+    real counts as labelled here: its field is int32 codes too."""
     names = list(rows.dtype.names)
     fields = [("_pad", "f8"), *[(n, rows.dtype[n]) for n in names], ("_tail", "i4")]
     wide = np.zeros(len(rows), np.dtype(fields, align=True))
     for name in names:
         wide[name] = rows[name]
     layouts = {"table": rows, "padded": wide[names], "packed": repack_fields(wide[names])}
-    labelled = [n for n in names if cli._label_names(rows.dtype[n]) is not None]
+    labelled = [n for n in names if cli._coded_values(rows.dtype[n]) is not None]
     reals = [n for n in names if n not in labelled]
     for how, placed in (("labels first", labelled + reals), ("labels last", reals + labelled)):
         offsets = np.cumsum([0] + [rows.dtype[n].itemsize for n in placed]).tolist()
@@ -262,9 +276,9 @@ def _invocations(draw):
 
 
 def _dispersion_rows_by_string_sort(config):
-    """Reference route for cli._cmd_dispersion: per-row label strings ordered
-    by a lexsort over the Unicode model and branch columns, then coded by
-    cli._table."""
+    """Reference route for cli._cmd_dispersion: per-row label strings and k
+    ordered by a lexsort over the Unicode model and branch columns, then
+    the labels coded by cli._table and k by its distinct bit patterns."""
     k_grid = np.linspace(config.kmin, config.kmax, config.samples)
     models = sorted(set(config.models), key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
@@ -277,7 +291,8 @@ def _dispersion_rows_by_string_sort(config):
         "im_sigma": sigma.imag,
     }
     order = np.lexsort((columns["branch"], columns["k"], columns["model"]))
-    return cli._table({name: column[order] for name, column in columns.items()})
+    columns = {name: column[order] for name, column in columns.items()}
+    return cli._table({**columns, "k": _coded(columns["k"])})
 
 
 class TestICGrammar:
@@ -360,9 +375,9 @@ def _percent_csv(rows, path):
 
 
 def _assert_same_csv(rows, tmp_path):
-    emit_outputs(rows, tmp_path / "levelled.csv")
+    emit_outputs(rows, tmp_path / "coded.csv")
     _percent_csv(rows, tmp_path / "percent.csv")
-    assert (tmp_path / "levelled.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
+    assert (tmp_path / "coded.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
 
 
 def _bits(value):
@@ -384,25 +399,26 @@ _SPECIAL_BITS = np.unique(
 
 
 @st.composite
-def _levelled_tables(draw):
+def _coded_tables(draw):
     """Tables of 0-2 label columns and 1-3 float columns in a drawn order,
     with lengths on both sides of one and two write blocks.  Each float
-    column has 1, 2, the levelling threshold's, one more than that or all
-    distinct bit patterns, drawn from _SPECIAL_BITS and random bits."""
+    column has 1 to n distinct bit patterns, drawn from _SPECIAL_BITS and
+    random bits, at random rows, and is a coded column of codes into them
+    or, now and then, those values written out as a float64 column."""
     n = draw(st.sampled_from([1, 2, 3, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]))
     n = draw(st.sampled_from([n, 2 * cli.WRITE_BLOCK + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    threshold = int(cli.LEVEL_FRACTION * n)
     columns = {}
     for i in range(draw(st.integers(0, 2))):
         columns[f"g{i}"] = rng.choice(["", "a", "bé", "model_x"], size=n)
     for i in range(draw(st.integers(1, 3))):
-        count = draw(st.sampled_from([1, 2, threshold, threshold + 1, n]))
-        count = min(max(count, 1), n)
+        count = min(draw(st.one_of(st.sampled_from([1, 2, n]), st.integers(1, n))), n)
         pool = np.concatenate([rng.permutation(_SPECIAL_BITS), rng.integers(0, 2**64, n, np.uint64)])
         pool = np.array(list(dict.fromkeys(pool.tolist()))[:count], dtype=np.uint64)
         picks = rng.permutation(np.concatenate([np.arange(count), rng.integers(0, count, n - count)]))
-        columns[f"v{i}"] = pool[picks].view(np.float64)
+        values = pool.view(np.float64)
+        coded = draw(st.sampled_from([True, True, False]))
+        columns[f"v{i}"] = picks.astype(cli._coded_dtype(values)) if coded else values[picks]
     order = draw(st.permutations(list(columns)))
     return cli._table({name: columns[name] for name in order})
 
@@ -445,14 +461,8 @@ class TestEmitOutputs:
         assert path.read_text() == "\n".join(lines) + "\n"
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=_levelled_tables())
+    @given(rows=_coded_tables())
     def test_bytes_equal_percent_route(self, rows, tmp_path_factory):
-        for name in rows.dtype.names:
-            column = rows[name]
-            if column.dtype.kind == "f":
-                distinct = len(np.unique(column.view(np.uint64)))
-                levelled = cli._levels(column) is not None
-                assert levelled == (distinct <= cli.LEVEL_FRACTION * len(rows))
         _assert_same_csv(rows, tmp_path_factory.mktemp("csv"))
 
     @pytest.mark.parametrize(
@@ -477,27 +487,28 @@ class TestEmitOutputs:
             emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
 
-    def test_levelled_peak_memory(self, tmp_path):
-        # At this size the one-'%'-per-block writer peaked at 1.10 times
-        # rows.nbytes and this writer at 0.58, one block's temporaries.
-        # Keeping the row-to-level indices of t and x whole would add 0.4,
-        # and so did keeping one block's records while the next was made
+    def test_coded_peak_memory(self, tmp_path):
+        # An evolve table, t and x coded.  With t and x as float64 (40-byte
+        # rows) the one-'%'-per-block writer peaked at 44 bytes per row, and
+        # keeping one block's records while the next was made added 16.
+        # This writer peaks at 18-21 bytes per row, one block's temporaries
         # (Python 3.11, numpy 2.4, x86-64).
         n, grid = 10 * cli.WRITE_BLOCK, 256
         rng = np.random.default_rng(17)
-        rows = np.empty(n, [(name, float) for name in ("t", "x", "u", "p", "s")])
-        rows["t"] = np.repeat(0.1 * np.arange(n // grid), grid)
-        rows["x"] = np.tile(2.0 * np.pi * np.arange(grid) / grid, n // grid)
+        times, x = 0.1 * np.arange(n // grid), 2.0 * np.pi * np.arange(grid) / grid
+        fields = [("t", cli._coded_dtype(times)), ("x", cli._coded_dtype(x))]
+        rows = np.empty(n, fields + [(name, float) for name in ("u", "p", "s")])
+        rows["t"] = np.repeat(np.arange(n // grid), grid)
+        rows["x"] = np.tile(np.arange(grid), n // grid)
         for name in ("u", "p", "s"):
             rows[name] = rng.standard_normal(n)
-        assert [name for name in rows.dtype.names if cli._levels(rows[name])] == ["t", "x"]
         tracemalloc.start()
         try:
             emit_outputs(rows, tmp_path / "evolve.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.35 * rows.nbytes
+        assert peak < 54 * len(rows)
 
     def test_svg_over_the_csv_refused_before_any_output(self, tmp_path, monkeypatch):
         def no_chart(*args):
@@ -584,7 +595,7 @@ class TestEmitOutputs:
     def test_label_combinations_beyond_an_intp_refused(self):
         # Four label columns of 2**16 names number 2**64 series, past what
         # the chart's one integer per series can hold.
-        labelled = np.zeros(1, cli._label_dtype([f"n{i}" for i in range(2**16)]))
+        labelled = np.zeros(1, cli._coded_dtype([f"n{i}" for i in range(2**16)]))
         rows = cli._table({**{f"g{i}": labelled for i in range(4)}, "x": [0.0], "y": [1.0]})
         with pytest.raises(ValueError, match="too many label combinations"):
             cli._svg_chart(rows, "t")
@@ -604,31 +615,40 @@ class TestEmitOutputs:
             raise AssertionError("the chart was drawn")
 
         monkeypatch.setattr(cli, "_svg_chart", no_chart)
-        labels = np.array(codes, np.int32).view(cli._label_dtype(["a", "b"]))
+        labels = np.array(codes, np.int32).view(cli._coded_dtype(["a", "b"]))
         rows = cli._table({"g": labels, "x": [0.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0]})
-        with pytest.raises(ValueError, match="column 'g' has codes outside its 2 labels"):
+        with pytest.raises(ValueError, match="column 'g' has codes outside its 2 values"):
             emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
 
     def test_label_names_survive_structured_operations(self):
-        # The writer reads a label column's names from its field dtype, so
-        # every way the commands take rows apart must keep them.
-        rows = cli._table({"g": ["b", "a", "b", "c"], "x": np.arange(4.0)})
+        # The writer reads a coded column's values from its field dtype, so
+        # every way the commands take rows apart must keep them: the names
+        # of the label column g and the reals of the coded column t, whose
+        # signed zeros stay apart.
+        times = np.array([0.0, -0.0, 0.25])
+        t = np.array([2, 0, 1, 2]).astype(cli._coded_dtype(times))
+        rows = cli._table({"g": ["b", "a", "b", "c"], "x": np.arange(4.0), "t": t})
         assert rows["g"].tolist() == [1, 0, 1, 2]
-        kept = {
-            "field": rows["g"].dtype,
-            "fields": rows[["x", "g"]].dtype["g"],
-            "slice": rows[1:3].dtype["g"],
-            "fields then slice": rows[["x", "g"]][-2:]["g"].dtype,
-            "take": rows[[3, 0]].dtype["g"],
-            "reshape": rows.reshape(2, 2)["g"].dtype,
-            "copy": rows.copy().dtype["g"],
-            "concatenate": np.concatenate([rows, rows[::-1]]).dtype["g"],
-        }
-        for how, dtype in kept.items():
-            assert cli._label_names(dtype) == ("a", "b", "c"), how
-        assert cli._label_names(rows["x"].dtype) is None
-        assert cli._label_names(np.dtype(np.int32)) is None
+        for field in ("g", "t"):
+            kept = {
+                "field": rows[field].dtype,
+                "fields": rows[["x", field]].dtype[field],
+                "slice": rows[1:3].dtype[field],
+                "fields then slice": rows[["x", field]][-2:][field].dtype,
+                "take": rows[[3, 0]].dtype[field],
+                "reshape": rows.reshape(2, 2)[field].dtype,
+                "copy": rows.copy().dtype[field],
+                "concatenate": np.concatenate([rows, rows[::-1]]).dtype[field],
+            }
+            for how, dtype in kept.items():
+                values = cli._coded_values(dtype)
+                if field == "g":
+                    assert values == ("a", "b", "c"), how
+                else:
+                    assert values.view(np.uint64).tolist() == times.view(np.uint64).tolist(), how
+        assert cli._coded_values(rows["x"].dtype) is None
+        assert cli._coded_values(np.dtype(np.int32)) is None
 
 
 def _real_text(values):
@@ -712,15 +732,19 @@ def _ties(values):
     return [w for v in values for w in (np.nextafter(v, 0.0), v, np.nextafter(v, 1000.0))]
 
 
-# Coordinates in [0, 1000): exact ties of the third decimal, their neighbours, anything.
+#: The largest coordinate that '%.3f' writes below 1000.000, as 999.999.
+_TOP = float(np.nextafter(999.9995, 0.0))
+
+# Coordinates whose text lies in [0, 1000): exact ties of the third decimal,
+# their neighbours, anything.
 _COORDINATES = st.one_of(
     st.integers(0, 15999).map(lambda m: m / 16),
-    st.integers(0, 999999).map(lambda j: (2 * j + 1) / 2000),
+    st.integers(0, 999998).map(lambda j: (2 * j + 1) / 2000),
     st.integers(0, 999999).map(lambda j: float(np.nextafter((2 * j + 1) / 2000, 0.0))),
     st.integers(0, 999998).map(lambda j: float(np.nextafter((2 * j + 1) / 2000, 1e3))),
-    st.floats(0.0, 1000.0, exclude_max=True),
+    st.floats(0.0, 999.9995, exclude_max=True),
 )
-_EDGES = [0.0, 999.9995, 999.9994999, 0.0005, 0.0015, 2.5 / 1000, float(np.nextafter(1e3, 0))]
+_EDGES = [0.0, _TOP, 999.9994999, 0.0005, 0.0015, 2.5 / 1000]
 
 
 def _percent_route(points):
@@ -733,8 +757,7 @@ class TestPointText:
     @example(values=_ties([m / 16 for m in range(0, 16000, 997)]) + [0.0])
     @example(values=_ties([(2 * j + 1) / 2000 for j in range(0, 1000000, 4999)]) + [0.0])
     @example(values=_EDGES + _EDGES[::-1])
-    @example(values=[999.9995, 0.0])
-    @example(values=(_ties([0.0005, 0.0125, 1.0625, 999.9995]) * 2000)[: 2 * cli.WRITE_BLOCK])
+    @example(values=(_ties([0.0005, 0.0125, 1.0625]) * 2000)[: 2 * cli.WRITE_BLOCK])
     @example(values=(_ties([0.0015, 12.3455, 999.9985]) * 2000)[: 2 * cli.WRITE_BLOCK + 2])
     def test_bytes_equal_percent_format(self, values):
         # An odd list was padded by its last value; any even prefix is a series.
@@ -747,7 +770,12 @@ class TestPointText:
         points = rng.integers(0, 2000000, size=(n, 2)) / 2000
         assert cli._point_text(points) == _percent_route(points)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -0.0, 1000.0, 1e308])
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, -1e-300, -0.0, 1000.0, 1e308]
+        # '%.3f' writes these as 1000.000, four integer digits.
+        + [999.9995, float(np.nextafter(999.9995, 1e3)), float(np.nextafter(1e3, 0.0))],
+    )
     def test_out_of_box_coordinate_raises(self, bad):
         points = np.full((cli.WRITE_BLOCK + 2, 2), 500.0)
         points[-1, 1] = bad
@@ -858,12 +886,16 @@ class TestDispersionCommand:
             out_path=tmp_path / "x.csv",
         )
         got, want = cli._cmd_dispersion(config), _dispersion_rows_by_string_sort(config)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        # dtype equality ignores metadata, so the names are compared on their own.
-        assert [got.dtype[n].metadata for n in got.dtype.names] == [
-            want.dtype[n].metadata for n in want.dtype.names
-        ]
+        # The command's record is aligned, so fields are compared one by one.
+        assert got.dtype.names == want.dtype.names
+        for name in got.dtype.names:
+            assert got.dtype[name] == want.dtype[name]
+            assert got[name].tobytes() == want[name].tobytes()
+        # dtype equality ignores metadata, so the values are compared on their own.
+        assert cli._coded_values(got.dtype["model"]) == cli._coded_values(want.dtype["model"])
+        assert cli._coded_values(got.dtype["branch"]) == cli._coded_values(want.dtype["branch"])
+        k_got, k_want = (cli._coded_values(rows.dtype["k"]) for rows in (got, want))
+        assert k_got.view(np.uint64).tolist() == k_want.view(np.uint64).tolist()
 
     def test_sweep_bytes_equal_string_route(self, tmp_path):
         # All five models end to end: the coded rows' CSV and SVG bytes equal
@@ -891,9 +923,11 @@ class TestDispersionCommand:
         # emission peaked at 11.97 MB; with int32 codes (32-byte records) at
         # 5.89 MB, the SVG's full-length coordinate arrays at the top.  With
         # each series' points made from its slice of the sort order the peak
-        # is 4.27 MB, the command's own, against 2.70 MB for the chart and
-        # 0.66 MB for the CSV (Python 3.11, numpy 2.4, x86-64).  The first
-        # call fills the text tables.
+        # was 4.27 MB, the command's own.  With each model filling its own
+        # slice of the table, k coded, the command peaks at 2.06 MB and the
+        # sweep at 4.05 MB, the 1.11 MB table and the 2.97 MB chart
+        # (Python 3.11, numpy 2.4, x86-64).  The first call fills the text
+        # tables.
         config = RunConfig(
             command="dispersion",
             models=cli._parse_models(["euler,ns,burnett,riemann,moment"]),
@@ -917,8 +951,8 @@ class TestDispersionCommand:
         finally:
             tracemalloc.stop()
         assert len(rows) == 2048 * 17
-        assert rows.dtype.itemsize <= 40
-        assert peak < 5 * 2**20
+        assert rows.dtype.itemsize <= 32
+        assert peak < 4.5 * 2**20
 
 
 class TestEvolveCommand:
@@ -982,13 +1016,16 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("model", [cli.ModelId.BURNETT, cli.ModelId.MOMENT_REFERENCE])
     def test_peak_memory(self, tmp_path, model):
-        # At N = 1024 with 51 output times the command peaked at 1.63 times
-        # rows.nbytes for moment_reference and 1.61 for burnett, with each
-        # trajectory synthesized into one (times, 3, N) array before the
-        # table exists.  Mapping each propagated moment spectrum to its
-        # fields while the table was filled kept all of them alive and
-        # peaked at 2.05 (burnett 1.64) (Python 3.11, numpy 2.4, x86-64).
-        # The first call imports numpy.fft's internals; the second is measured.
+        # At N = 1024 with 51 output times and float64 t and x (40-byte
+        # rows) the command peaked at 66.4 bytes per row for moment_reference
+        # and 64.5 for burnett, with each trajectory synthesized into one
+        # (times, 3, N) array before the table exists.  Mapping each
+        # propagated moment spectrum to its fields while the table was
+        # filled kept all of them alive and peaked at 82 (burnett 65.6).
+        # With t and x coded (32-byte rows) burnett peaks at 56.4 and
+        # moment_reference at 66.4 (Python 3.11, numpy 2.4, x86-64).  The
+        # bound is 1.75 times the 40-byte row.  The first call imports
+        # numpy.fft's internals; the second is measured.
         config = RunConfig(
             command="evolve",
             models=(model,),
@@ -1006,7 +1043,7 @@ class TestEvolveCommand:
         finally:
             tracemalloc.stop()
         assert len(rows) == 51 * 1024
-        assert peak < 1.75 * rows.nbytes
+        assert peak < 70 * len(rows)
 
     @pytest.mark.parametrize("n", [16, 15])
     def test_moment_reference_starts_at_the_initial_condition_exactly(self, tmp_path, n):
