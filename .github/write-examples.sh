@@ -25,6 +25,8 @@ hydrobench compare --model burnett,navier_stokes --ic u:1:1,p:3:0.5:0.2 --eps 0.
   --tmax 20 --dt-out 0.5 --grid-size 63 --out compare_odd.csv
 hydrobench evolve --model navier_stokes --ic u:1:1,p:3:0.5:0.2 --eps 0.1 --tmax 100 \
   --dt-out 5 --grid-size 63 --out ns_long.csv
+hydrobench compare --model euler,ns,burnett,riemann --ic u:1:1,p:3:0.5:0.2,s:2:0.3 \
+  --eps 0.1 --tmax 10 --dt-out 0.5 --grid-size 65536 --out compare_large.csv
 printf '%s\n' model=burnett,navier_stokes ic=u:1:1,p:3:0.5:0.2 eps=0.1 tmax=20 \
   dt-out=0.5 grid-size=63 out=compare_odd_config.csv > compare_odd.cfg
 hydrobench compare --config compare_odd.cfg

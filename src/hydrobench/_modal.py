@@ -8,12 +8,17 @@ cannot tell an even N from an odd one, so synthesis and propagation take
 the grid size N alongside the modes.  Under the traveling-wave sign
 convention exp(sigma*t - i*k*x) used by the symbol matrices, column
 m = 0, 1, ..., N//2 carries plane wavenumber -m, and its propagator is the
-matrix exponential of the symbol at -m.  The (N//2 + 1, d, d) symbol stack
-of a run (d = 3 for a hydro model, 5 for the moment system) is exponentiated
-once for every time of a 1-D array.  Given a unitary diagonal S for which
-A = S^-1 M S is real, as dispersion.parity_scale gives for every model but
-the Riemann-decoupled one, the stack exponentiated is the real A, and the
-modes travel as S exp(A t) S^-1 x.  exp_action takes one of three routes,
+matrix exponential of the symbol at -m.  Only the columns a spectrum
+occupies are propagated, since exp(M t) 0 = 0: the (m, d, d) symbol stack
+of a run's m occupied columns (d = 3 for a hydro model, 5 for the moment
+system) is built at those wavenumbers and exponentiated once for every time
+of a 1-D array.  An initial condition's exact spectrum occupies only the
+modes its terms name, so a run builds and exponentiates a few matrices
+whatever N is; the empty columns stay exactly 0 and are only synthesized.
+Given a unitary diagonal S for which A = S^-1 M S is real, as
+dispersion.parity_scale gives for every model but the Riemann-decoupled
+one, the stack exponentiated is the real A, and the modes travel as
+S exp(A t) S^-1 x.  exp_action takes one of three routes,
 chosen from the entries of the stack:
 
 - diagonal: a stack with no off-diagonal entry, as the Riemann-decoupled
@@ -248,29 +253,39 @@ def mode_propagators(
     """Half-spectrum field modes (d, n//2 + 1) carried exactly to every time.
 
     Returns shape (T, d, n//2 + 1).  times is a 1-D ascending array of
-    positive elapsed times; a scalar is refused.  symbol_stack maps the array
-    of plane wavenumbers -k = 0, -1, ..., -(n//2) to the (n//2 + 1, d, d)
-    symbol stack M.  scale, if given, is the diagonal of a unitary diagonal
-    S for which A = S^-1 M S is real (dispersion.parity_scale): the modes are
-    then propagated as S exp(A t) S^-1 x with the real stack A, and a nonzero
-    imaginary part of A raises ValueError.  For even n the real Nyquist
-    coefficient is advanced as Re(P x), with P in the original coordinates.
+    positive elapsed times; a scalar is refused.  Only the occupied columns,
+    those with a nonzero entry, are propagated: symbol_stack maps the array
+    of their plane wavenumbers -k to the symbol stack M at those k, and
+    every other column of the result is exactly 0, as exp(M t) 0 is.  A
+    dense spectrum builds the whole (n//2 + 1, d, d) stack at -k = 0, -1,
+    ..., -(n//2), and an all-zero one an empty stack, so the symbol still
+    checks its arguments.  Each occupied column gets the bits the whole
+    stack's propagation gives it.  scale, if given, is the diagonal of a
+    unitary diagonal S for which A = S^-1 M S is real
+    (dispersion.parity_scale): the modes are then propagated as
+    S exp(A t) S^-1 x with the real stack A, and a nonzero imaginary part of
+    A raises ValueError.  For even n the real Nyquist coefficient is
+    advanced as Re(P x), with P in the original coordinates.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise ValueError(f"times must be a 1-D array of positive ascending times, got {times}")
-    mats = symbol_stack(-wavenumbers(n).astype(float))
+    occupied = np.flatnonzero(np.any(modes, axis=0))
+    columns = slice(None) if occupied.size == n // 2 + 1 else occupied
+    mats = symbol_stack(-wavenumbers(n)[columns].astype(float))
+    vectors = modes[:, columns]
     if scale is not None:
         mats = mats * np.outer(scale.conj(), scale)
         if mats.imag.any():
             raise ValueError("the scaled symbol stack S^-1 M S is not real")
         mats = mats.real
-        modes = modes * scale.conj()[:, None]
-    out = np.empty((times.size, len(modes), n // 2 + 1), dtype=complex)
-    for rows, block in exp_action(mats, modes, times):
-        out[rows] = block
+        vectors = vectors * scale.conj()[:, None]
+    out = np.zeros((times.size, len(modes), n // 2 + 1), dtype=complex)
+    if occupied.size:  # exp_action sizes its blocks by the column count
+        for rows, block in exp_action(mats, vectors, times):
+            out[rows, :, columns] = block
     if scale is not None:
-        out *= scale[:, None]
+        out[:, :, columns] *= scale[:, None]
     if n % 2 == 0:
         out[:, :, -1] = out[:, :, -1].real
     return out

@@ -20,7 +20,7 @@ import numpy as np
 from . import _modal, hydro_spectral, moment_reference, secularity, velocity_space
 from .coefficients import SOUND_SPEED, eigenvalue_set, transport_burnett, transport_ns
 from .dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
-from .initial_conditions import parse_initial_condition, realize
+from .initial_conditions import parse_initial_condition, realize, spectrum
 from .velocity_space import EigenfunctionId, Recursion
 
 __all__ = ["PAPER_CRITERIA", "REGISTRY", "Check", "Measurement"]
@@ -85,6 +85,11 @@ def _check(description: str):
 
 def _state(ic_text: str, n: int) -> hydro_spectral.HydroState:
     return hydro_spectral.HydroState(**realize(parse_initial_condition(ic_text), n))
+
+
+def _spectrum(ic_text: str, n: int) -> hydro_spectral.SpectralState:
+    """The IC's exact half spectrum, the start evolve and compare propagate."""
+    return spectrum(parse_initial_condition(ic_text), n)
 
 
 def _energy(spec: hydro_spectral.SpectralState) -> float:
@@ -163,9 +168,9 @@ def moment_reference_convergence() -> list[Measurement]:
 
 @_check("first-order uniform accuracy at t = 1/eps")
 def uniform_error_scaling() -> list[Measurement]:
-    state = _state("u:1:1", 64)
-    coarse = moment_reference.burnett_deviation_rms(state, 0.1, EV, time=1.0 / 0.1)
-    fine = moment_reference.burnett_deviation_rms(state, 0.05, EV, time=1.0 / 0.05)
+    start = _spectrum("u:1:1", 64)
+    coarse = moment_reference.burnett_deviation_rms(start, 0.1, EV, time=1.0 / 0.1)
+    fine = moment_reference.burnett_deviation_rms(start, 0.05, EV, time=1.0 / 0.05)
     return [Measurement("L2-deviation ratio eps 0.1/0.05", coarse / fine, "in", (1.5, 2.5))]
 
 
@@ -224,7 +229,8 @@ def solver_hygiene() -> list[Measurement]:
     s_drift = _max_gap(hydro_spectral.from_modes(cur).s, state.s)
 
     offset = hydro_spectral.HydroState(u=state.u + 0.5, p=state.p - 0.25, s=state.s + 1.0)
-    starts = {3: hydro_spectral.to_modes(offset), 5: moment_reference.from_hydro(offset)}
+    offset_modes = hydro_spectral.to_modes(offset)
+    starts = {3: offset_modes, 5: moment_reference.from_hydro(offset_modes)}
     mean_drift = 0.0
     for model in ModelId:  # the conserved rows: (u, p, s), or (n, u, p) of the moments
         start = starts[model.dimension]
@@ -379,12 +385,13 @@ def ns_closure() -> list[Measurement]:
 def riemann_decoupling() -> list[Measurement]:
     n, eps, t = 32, 0.1, 3.0
     state = _state("u:1:1,p:2:0.4", n)
-    ((u, p, _),) = moment_reference.trajectory(state, ModelId.BURNETT, eps, EV, [t])
+    start = hydro_spectral.to_modes(state)
+    ((u, p, _),) = moment_reference.trajectory(start, ModelId.BURNETT, eps, EV, [t])
     rp_after, rm_after = hydro_spectral.riemann_split(u, p)
     rp0, rm0 = hydro_spectral.riemann_split(state.u, state.p)
     riemann_state = hydro_spectral.HydroState(u=rp0, p=rm0, s=np.zeros(n))
     ((rp, rm, _),) = moment_reference.trajectory(
-        riemann_state, ModelId.RIEMANN_DECOUPLED, eps, EV, [t]
+        hydro_spectral.to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, [t]
     )
     gap = max(_max_gap(rp, rp_after), _max_gap(rm, rm_after))
     return [Measurement("gap to split Burnett", gap, "<=", 1e-10)]
@@ -393,7 +400,7 @@ def riemann_decoupling() -> list[Measurement]:
 @_check("moment hygiene")
 def moment_hygiene() -> list[Measurement]:
     n = 16
-    moments = moment_reference.from_hydro(_state("u:1:1,p:2:0.3", n))
+    moments = moment_reference.from_hydro(_spectrum("u:1:1,p:2:0.3", n))
     (evolved,) = hydro_spectral.evolve(moments, ModelId.MOMENT_REFERENCE, 0.1, EV, [2.5])
     projection = moment_reference.hydro_projection(evolved)
     herm = max(
@@ -453,8 +460,9 @@ def metamorphic_relations() -> list[Measurement]:
     # the IC grammar states each transform exactly: adding mode * 2 pi j / N
     # to each phase rolls a run j cells left, and negating each phase and
     # the p and s amplitudes mirrors it, x_j -> x_(-j mod N) with u negated.
-    # A run is the IC's fields and then its trajectory, as evolve writes
-    # them.  A gap is in units of u * the largest |value| of the two runs.
+    # A run is the IC's fields and then the trajectory of its exact spectrum,
+    # as evolve writes them.  A gap is in units of u * the largest |value| of
+    # the two runs.
     # Over the models this configuration reads at most 18.0 (translation)
     # and 13.6 (mirror); 300 random ones, drawn as tests/test_cli.py draws
     # its metamorphic runs, read at most 74.5 and 51.6.  riemann's mirror
@@ -466,9 +474,10 @@ def metamorphic_relations() -> list[Measurement]:
     mirrored = [(f, m, a if f == "u" else -a, -phase) for f, m, a, phase in terms]
 
     def run(model: ModelId, ic_terms) -> np.ndarray:
-        state = _state(",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in ic_terms), n)
+        text = ",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in ic_terms)
+        state, modes = _state(text, n), _spectrum(text, n)
         start = np.stack([state.u, state.p, state.s])[None]
-        return np.concatenate([start, moment_reference.trajectory(state, model, eps, EV, times)])
+        return np.concatenate([start, moment_reference.trajectory(modes, model, eps, EV, times)])
 
     def gap(got: np.ndarray, want: np.ndarray) -> float:
         return _max_gap(got, want) / (2.0**-53 * float(max(np.abs(got).max(), np.abs(want).max())))

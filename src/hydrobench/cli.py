@@ -36,7 +36,14 @@ from ._text import REAL_WIDTH, label_records, real_records, right_aligned, table
 from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
-from .initial_conditions import ICParseError, ICSpec, ICTerm, parse_initial_condition, realize
+from .initial_conditions import (
+    ICParseError,
+    ICSpec,
+    ICTerm,
+    parse_initial_condition,
+    realize,
+    spectrum,
+)
 
 __all__ = [
     "ICSpec",
@@ -605,10 +612,6 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
     return rows
 
 
-def _initial_state(config: RunConfig) -> hydro_spectral.HydroState:
-    return hydro_spectral.HydroState(**realize(config.ic, config.grid_size))
-
-
 def _output_times(config: RunConfig) -> np.ndarray:
     """i * dt_out for i = 0, 1, ..., config.output_steps."""
     return config.dt_out * np.arange(config.output_steps + 1)
@@ -617,12 +620,12 @@ def _output_times(config: RunConfig) -> np.ndarray:
 def _cmd_evolve(config: RunConfig) -> np.ndarray:
     if len(config.models) != 1:
         raise UsageError("evolve takes exactly one --model")
-    state = _initial_state(config)
+    n = config.grid_size
+    state = hydro_spectral.HydroState(**realize(config.ic, n))
     times = _output_times(config)
     evolved = moment_reference.trajectory(
-        state, config.models[0], config.eps, config.eigenvalues, times[1:]
+        spectrum(config.ic, n), config.models[0], config.eps, config.eigenvalues, times[1:]
     )
-    n = config.grid_size
     fields = [("t", _coded_dtype(times)), ("x", _coded_dtype(state.x))]
     rows = np.empty(times.size * n, fields + [(name, np.float64) for name in "ups"])
     table = rows.reshape(times.size, n)  # a view: one row per time, one column per x
@@ -638,7 +641,7 @@ def _cmd_compare(config: RunConfig) -> np.ndarray:
         raise UsageError("compare needs at least one hydrodynamic model")
     times = _output_times(config)
     gaps = moment_reference.reference_gaps(
-        _initial_state(config), models, config.eps, config.eigenvalues, times[1:]
+        spectrum(config.ic, config.grid_size), models, config.eps, config.eigenvalues, times[1:]
     )
     columns = {f"l2_error_{m.value}": np.concatenate([[0.0], g]) for m, g in zip(models, gaps.T)}
     return _table({"t": times, **columns})

@@ -151,12 +151,15 @@ def evolve(
     eigenvalues: EigenvalueSet,
     times: np.ndarray,
 ) -> list[SpectralState]:
-    """Advance every mode by the exact exponential of its model symbol.
+    """Advance every occupied mode by the exact exponential of its model symbol.
 
     times is a 1-D ascending array of positive elapsed times; one state is
-    returned per time.  The state must have model.dimension rows.  The
-    modes are propagated in the real coordinates of the model's parity
-    scale (dispersion.parity_scale; none for the diagonal Riemann-decoupled
+    returned per time.  The state must have model.dimension rows.  Only the
+    columns with a nonzero entry are propagated, and the others stay exactly
+    zero, so a state with a few occupied wavenumbers, as an initial
+    condition's spectrum is, costs those few.  The modes are propagated in
+    the real coordinates of the model's parity scale
+    (dispersion.parity_scale; none for the diagonal Riemann-decoupled
     symbol), as _modal.mode_propagators describes: in closed form for the
     acoustic pair of Euler, Navier-Stokes and Burnett, by one real
     eigendecomposition for the moment system, and with no eig for the

@@ -18,9 +18,14 @@ relation at rate O(k (eps k)^3), which is the module's central validation.
 The generator is built, like every model's, by dispersion.symbol_matrix,
 and a moment state is a 5-row hydro_spectral.SpectralState that
 hydro_spectral.evolve advances like any other.  trajectory evolves a
-(u, p, s) state under any of the five models into one (T, 3, N) array of
-fields, and reference_gaps is the one comparison with the moment truth that
-compare and the Burnett-deviation criterion share.
+(u, p, s) half spectrum under any of the five models into one (T, 3, N)
+array of fields, and reference_gaps is the one comparison with the moment
+truth that compare and the Burnett-deviation criterion share.  Both start
+from modes, never from fields: the moment start is formed from the (u, p, s)
+modes themselves, so an initial condition's exact spectrum
+(initial_conditions.spectrum) reaches every model with the same occupied
+columns, and only those are propagated.  Callers that hold fields pass
+hydro_spectral.to_modes of them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from . import _modal
 from .coefficients import SOUND_SPEED, EigenvalueSet
 from .dispersion import ModelId
-from .hydro_spectral import HydroState, SpectralState, _require_rows, evolve, from_modes, to_modes
+from .hydro_spectral import HydroState, SpectralState, _require_rows, evolve, from_modes
 
 __all__ = [
     "HydroProjection",
@@ -55,16 +60,18 @@ class HydroProjection:
     heat_flux: np.ndarray
 
 
-def from_hydro(state: HydroState) -> SpectralState:
-    """5-row moment state (n, u, p, Pi, q) with the hydro fields imposed and Pi = q = 0.
+def from_hydro(state: SpectralState) -> SpectralState:
+    """5-row moment state (n, u, p, Pi, q) of (u, p, s) modes, with Pi = q = 0.
 
-    The kinetic moments start on the equilibrium manifold; they relax toward
-    their quasi-steady closures within a few collision times eps/|lambda|.
+    The density modes are n = (3p - 2s)/5, column by column, so a column the
+    (u, p, s) modes leave empty stays empty.  The kinetic moments start on
+    the equilibrium manifold; they relax toward their quasi-steady closures
+    within a few collision times eps/|lambda|.
     """
-    stacked = np.stack(
-        [state.n, state.u, state.p, np.zeros(state.grid_size), np.zeros(state.grid_size)]
-    )
-    return SpectralState(_modal.forward_modes(stacked), state.grid_size)
+    _require_rows(state, 3, "the moment start")
+    u, p, s = state.modes
+    zero = np.zeros_like(u)
+    return SpectralState(np.stack([(3.0 * p - 2.0 * s) / 5.0, u, p, zero, zero]), state.grid_size)
 
 
 def evolve_moments(
@@ -99,11 +106,18 @@ def hydro_projection(state: SpectralState) -> HydroProjection:
 
 
 def trajectory(
-    initial: HydroState, model: ModelId, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
+    initial: SpectralState,
+    model: ModelId,
+    eps: float,
+    eigenvalues: EigenvalueSet,
+    times: np.ndarray,
 ) -> np.ndarray:
-    """Real (u, p, s) of `initial` under `model` at each positive ascending elapsed time.
+    """Real (u, p, s) of the (u, p, s) modes `initial` under `model` at each time.
 
-    times is a 1-D array; the result has shape (len(times), 3, N).
+    times is a 1-D array of positive ascending elapsed times; the result has
+    shape (len(times), 3, N).  The moment model starts from from_hydro of
+    the modes.  Only the columns `initial` occupies are propagated
+    (_modal.mode_propagators), and every column is synthesized.
     Consecutive times are synthesized together, in blocks of about
     _modal.EVAL_BLOCK (u, p, s) modes, and each snapshot of a block passes
     the Hermitian health check at its own scale.  Only one block of
@@ -114,7 +128,7 @@ def trajectory(
     if model is ModelId.MOMENT_REFERENCE:
         evolved = evolve_moments(from_hydro(initial), eps, eigenvalues, times)
     else:
-        evolved = evolve(to_modes(initial), model, eps, eigenvalues, times)
+        evolved = evolve(initial, model, eps, eigenvalues, times)
     fields = np.empty((len(evolved), 3, n))
     step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
     for lo in range(0, len(evolved), step):
@@ -130,7 +144,7 @@ def trajectory(
 
 
 def reference_gaps(
-    initial: HydroState,
+    initial: SpectralState,
     models: Sequence[ModelId],
     eps: float,
     eigenvalues: EigenvalueSet,
@@ -138,9 +152,10 @@ def reference_gaps(
 ) -> np.ndarray:
     """Grid L2 gap over (u, p, s) of each model from the moment truth: shape (T, M).
 
-    Both sides are synthesized, so each passes the Hermitian health check.
-    The truth is synthesized once; one model trajectory is alive at a time.
-    The squared gaps are summed over (u, p, s) at each point, then over x.
+    Every trajectory starts from the (u, p, s) modes `initial`.  Both sides
+    are synthesized, so each passes the Hermitian health check.  The truth
+    is synthesized once; one model trajectory is alive at a time.  The
+    squared gaps are summed over (u, p, s) at each point, then over x.
     """
     truth = trajectory(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
     dx = 2.0 * np.pi / initial.grid_size
@@ -153,7 +168,7 @@ def reference_gaps(
 
 
 def burnett_deviation_rms(
-    initial: HydroState,
+    initial: SpectralState,
     eps: float,
     eigenvalues: EigenvalueSet,
     time: float,
@@ -161,13 +176,13 @@ def burnett_deviation_rms(
 ) -> float:
     """Cycle-averaged deviation between Burnett evolution and the moment truth.
 
-    Both systems start from `initial` (the moment state with Pi = q = 0) and
-    the reference_gaps of Burnett is sampled at n_samples times spanning one
-    acoustic period that ends `time` after `initial`; the RMS over the
-    window is returned.  Averaging over a period removes the acoustic phase
-    of the O(eps) entropy component from the measurement, so the returned
-    number scales cleanly at first order in eps.  The period is that of the k = 1
-    sound wave, 2*pi/a0.
+    Both systems start from the (u, p, s) modes `initial` (the moment state
+    with Pi = q = 0) and the reference_gaps of Burnett is sampled at
+    n_samples times spanning one acoustic period that ends `time` after
+    `initial`; the RMS over the window is returned.  Averaging over a period
+    removes the acoustic phase of the O(eps) entropy component from the
+    measurement, so the returned number scales cleanly at first order in
+    eps.  The period is that of the k = 1 sound wave, 2*pi/a0.
     """
     period = 2.0 * np.pi / SOUND_SPEED
     if time <= period:

@@ -351,7 +351,7 @@ class TestHermitianCheck:
         ):
             for later in evolve(spec, model, 0.1, EV, times):
                 from_modes(later)
-        for later in evolve(from_hydro(state), ModelId.MOMENT_REFERENCE, 0.1, EV, times):
+        for later in evolve(from_hydro(spec), ModelId.MOMENT_REFERENCE, 0.1, EV, times):
             hydro_projection(later)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hydrobench._modal import MIN_GRID_SIZE, hermitian_violation, wavenumbers
+from hydrobench._modal import MIN_GRID_SIZE, forward_modes, hermitian_violation, wavenumbers
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
@@ -90,7 +90,7 @@ class TestEvolveMoments:
         n = 8
         eps = 0.2
         state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        moments = from_hydro(state)
+        moments = from_hydro(to_modes(state))
         modes = moments.modes.copy()
         modes[3, 0] = 0.7  # uniform stress moment
         moments = SpectralState(modes, n)
@@ -102,14 +102,14 @@ class TestEvolveMoments:
         n = 16
         x = grid(n)
         state = HydroState(u=0.3 + np.sin(x), p=np.full(n, 0.2), s=np.full(n, -0.1))
-        moments = from_hydro(state)
+        moments = from_hydro(to_modes(state))
         (out,) = evolve(moments, MOMENT, 0.1, EV, [3.0])
         assert np.array_equal(out.modes[:3, 0], moments.modes[:3, 0])
 
     def test_semigroup(self):
         n = 16
         state = HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n))
-        moments = from_hydro(state)
+        moments = from_hydro(to_modes(state))
         (one,) = evolve(moments, MOMENT, 0.1, EV, [1.1])
         (two,) = evolve(evolve(moments, MOMENT, 0.1, EV, [0.6])[0], MOMENT, 0.1, EV, [0.5])
         assert np.max(np.abs(one.modes - two.modes)) <= 1e-11
@@ -120,7 +120,7 @@ class TestEvolveMoments:
         n = 16
         x = grid(n)
         state = HydroState(u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x), s=0 * x)
-        (out,) = evolve(from_hydro(state), MOMENT, 0.05, EV, [2.3])
+        (out,) = evolve(from_hydro(to_modes(state)), MOMENT, 0.05, EV, [2.3])
         assert hermitian_violation(out.modes, n) <= 1e-12
 
     def test_relaxation_toward_ns_closure(self):
@@ -131,7 +131,7 @@ class TestEvolveMoments:
         state = HydroState(u=np.sin(x), p=np.zeros(n), s=np.zeros(n))
         residuals = []
         for eps in (0.1, 0.05):
-            (out,) = evolve(from_hydro(state), MOMENT, eps, EV, [3.0])
+            (out,) = evolve(from_hydro(to_modes(state)), MOMENT, eps, EV, [3.0])
             projection = hydro_projection(out)
             du_dx = np.fft.ifft(
                 1j * np.fft.fftfreq(n, d=1.0 / n) * np.fft.fft(projection.state.u)
@@ -153,7 +153,7 @@ class TestEvolveMoments:
     def test_dt_validation(self):
         state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
         with pytest.raises(ValueError):
-            evolve(from_hydro(state), MOMENT, 0.1, EV, [0.0])
+            evolve(from_hydro(to_modes(state)), MOMENT, 0.1, EV, [0.0])
 
 
 @st.composite
@@ -162,7 +162,7 @@ def moment_states(draw):
     n = draw(st.integers(MIN_GRID_SIZE, 32))
     values = draw(arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
     eps = draw(st.floats(0.01, 1.0))
-    return from_hydro(HydroState(u=values[0], p=values[1], s=values[2])), eps
+    return from_hydro(to_modes(HydroState(u=values[0], p=values[1], s=values[2]))), eps
 
 
 class TestEvolveMomentsProperties:
@@ -194,10 +194,27 @@ class TestEvolveMomentsProperties:
 
 
 class TestHydroProjection:
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_moment_start_is_formed_from_the_modes(self, n):
+        # n = (3p - 2s)/5 column by column: the analysis of the density field
+        # up to roundoff, and an empty (u, p, s) column stays empty.
+        fields = np.random.default_rng(n).normal(size=(3, n))
+        state = HydroState(u=fields[0], p=fields[1], s=fields[2])
+        moments = from_hydro(to_modes(state)).modes
+        assert np.array_equal(moments[1:3], to_modes(state).modes[:2])
+        assert not moments[3:].any()
+        density = forward_modes(state.n)
+        assert np.max(np.abs(moments[0] - density)) <= 1e-14 * np.max(np.abs(density))
+        sparse = np.zeros((3, n // 2 + 1), dtype=complex)
+        sparse[:, 2] = [0.5j, -0.25, 1.0 - 2.0j]
+        moments = from_hydro(SpectralState(sparse, n)).modes
+        assert np.array_equal(np.flatnonzero(moments.any(axis=0)), [2])
+        assert moments[0, 2] == (3.0 * -0.25 - 2.0 * (1.0 - 2.0j)) / 5.0
+
     def test_entropy_relation(self):
         n = 8
         state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        moments = from_hydro(state)
+        moments = from_hydro(to_modes(state))
         modes = moments.modes.copy()
         modes[0, 0] = 1.0  # uniform n
         modes[2, 0] = 1.0  # uniform p
@@ -208,7 +225,7 @@ class TestHydroProjection:
     def test_zero_fields(self):
         n = 8
         state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        projection = hydro_projection(from_hydro(state))
+        projection = hydro_projection(from_hydro(to_modes(state)))
         assert np.all(projection.state.s == 0)
         assert np.all(projection.stress == 0)
         assert np.all(projection.heat_flux == 0)
@@ -217,7 +234,7 @@ class TestHydroProjection:
         n = 16
         x = grid(n)
         state = HydroState(u=np.sin(x), p=0.5 * np.cos(2 * x), s=0.2 * np.sin(3 * x))
-        projection = hydro_projection(from_hydro(state))
+        projection = hydro_projection(from_hydro(to_modes(state)))
         assert projection.state.u == pytest.approx(state.u, abs=1e-13)
         assert projection.state.p == pytest.approx(state.p, abs=1e-13)
         assert projection.state.s == pytest.approx(state.s, abs=1e-13)
@@ -246,16 +263,16 @@ class TestHydrodynamicLimit:
 class TestBurnettDeviation:
     def test_standing_wave_uniform_error_scaling(self):
         n = 64
-        state = HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n))
-        coarse = burnett_deviation_rms(state, 0.1, EV, time=1.0 / 0.1)
-        fine = burnett_deviation_rms(state, 0.05, EV, time=1.0 / 0.05)
+        start = to_modes(HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n)))
+        coarse = burnett_deviation_rms(start, 0.1, EV, time=1.0 / 0.1)
+        fine = burnett_deviation_rms(start, 0.05, EV, time=1.0 / 0.05)
         assert 1.5 <= coarse / fine <= 2.5
 
     def test_deviation_grows_with_eps(self):
         n = 32
-        state = HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n))
-        small = burnett_deviation_rms(state, 0.025, EV, time=40.0)
-        large = burnett_deviation_rms(state, 0.2, EV, time=10.0)
+        start = to_modes(HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n)))
+        small = burnett_deviation_rms(start, 0.025, EV, time=40.0)
+        large = burnett_deviation_rms(start, 0.2, EV, time=10.0)
         assert large > small
 
     def test_matches_direct_comparison(self):
@@ -268,8 +285,9 @@ class TestBurnettDeviation:
             for n in (32, 31):
                 fields = np.random.default_rng(n).normal(size=(3, n))
                 state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-                direct = from_modes(evolve(to_modes(state), model, eps, EV, [t])[0])
-                (moments,) = evolve(from_hydro(state), MOMENT, eps, EV, [t])
+                start = to_modes(state)
+                direct = from_modes(evolve(start, model, eps, EV, [t])[0])
+                (moments,) = evolve(from_hydro(start), MOMENT, eps, EV, [t])
                 projection = hydro_projection(moments).state
                 dx = 2.0 * np.pi / n
                 gap = np.sqrt(
@@ -280,24 +298,24 @@ class TestBurnettDeviation:
                         + (direct.s - projection.s) ** 2
                     )
                 )
-                gaps = reference_gaps(state, [model], eps, EV, np.array([t]))
+                gaps = reference_gaps(start, [model], eps, EV, np.array([t]))
                 assert gaps.shape == (1, 1)
                 assert gaps[0, 0] == pytest.approx(gap, rel=1e-10), (model, n)
                 if model is ModelId.BURNETT:
-                    rms = burnett_deviation_rms(state, eps, EV, time=t, n_samples=1)
+                    rms = burnett_deviation_rms(start, eps, EV, time=t, n_samples=1)
                     assert rms == pytest.approx(gap, rel=1e-10), n
 
     def test_gap_columns_follow_model_order(self):
         n = 16
         fields = np.random.default_rng(3).normal(size=(3, n))
-        state = HydroState(u=fields[0], p=fields[1], s=fields[2])
+        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
         times = np.array([0.5, 1.0, 2.0])
-        together = reference_gaps(state, HYDRO_MODELS, 0.1, EV, times)
+        together = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
         assert together.shape == (3, len(HYDRO_MODELS))
         for j, model in enumerate(HYDRO_MODELS):
-            alone = reference_gaps(state, [model], 0.1, EV, times)
+            alone = reference_gaps(start, [model], 0.1, EV, times)
             assert np.array_equal(together[:, j], alone[:, 0])
-        truth = reference_gaps(state, [ModelId.MOMENT_REFERENCE], 0.1, EV, times)
+        truth = reference_gaps(start, [ModelId.MOMENT_REFERENCE], 0.1, EV, times)
         assert np.all(truth == 0.0)
 
 
@@ -307,14 +325,14 @@ class TestTrajectory:
     def test_equals_direct_route(self, model, n):
         eps = 0.1
         fields = np.random.default_rng(n).normal(size=(3, n))
-        state = HydroState(u=fields[0], p=fields[1], s=fields[2])
+        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
         times = np.array([0.1, 1.0, 3.5])
         if model is ModelId.MOMENT_REFERENCE:
-            evolved = evolve(from_hydro(state), model, eps, EV, times)
+            evolved = evolve(from_hydro(start), model, eps, EV, times)
             direct = [hydro_projection(later).state for later in evolved]
         else:
-            direct = [from_modes(s) for s in evolve(to_modes(state), model, eps, EV, times)]
-        shared = trajectory(state, model, eps, EV, times)
+            direct = [from_modes(s) for s in evolve(start, model, eps, EV, times)]
+        shared = trajectory(start, model, eps, EV, times)
         assert shared.shape == (times.size, 3, n) and shared.dtype == np.float64
         for a, b, t in zip(shared, direct, times):
             for row, name in zip(a, ("u", "p", "s")):
@@ -330,11 +348,12 @@ class TestTrajectory:
         n = 16384
         x = grid(n)
         state = HydroState(u=np.sin(x), p=0.5 * np.cos(3 * x), s=0.3 * np.sin(2 * x + 0.1))
+        start = to_modes(state)
         times = 0.25 * np.arange(1, 22)
-        trajectory(state, MOMENT, 0.1, EV, times)
+        trajectory(start, MOMENT, 0.1, EV, times)
         tracemalloc.start()
         try:
-            fields = trajectory(state, MOMENT, 0.1, EV, times)
+            fields = trajectory(start, MOMENT, 0.1, EV, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -18,6 +18,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from hydrobench import _modal
 from hydrobench._modal import (
     acoustic_frequency,
     exp_action,
@@ -106,7 +107,9 @@ def test_times_array_equals_composed_steps(model, eps):
     rng = np.random.default_rng(7)
     fields = rng.normal(size=(3, n))
     state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-    current = from_hydro(state) if model is ModelId.MOMENT_REFERENCE else to_modes(state)
+    current = to_modes(state)
+    if model is ModelId.MOMENT_REFERENCE:
+        current = from_hydro(current)
     series = evolve(current, model, eps, EV, TIMES)
 
     def step(s, dt):
@@ -468,9 +471,65 @@ def test_only_real_hydro_stacks_are_acoustic_pairs(monkeypatch):
 @pytest.mark.parametrize("model", ["euler", "navier_stokes", "burnett"])
 @pytest.mark.parametrize("n", ["16", "15"])
 def test_cli_run_with_a_flat_k0_column_raises_nothing(tmp_path, model, n):
-    # Every run has the k = 0 column, where theta = 0 at every time; Sn = t
-    # there is set, not divided, so invalid = "raise" finds no 0/0.
+    # The k = 0 column has theta = 0 at every time; Sn = t there is set, not
+    # divided, so invalid = "raise" finds no 0/0.  A run propagates only the
+    # IC's columns, which never include k = 0, so the flat column itself is
+    # reached through evolve, from fields with a mean.
     argv = ["evolve", "--model", model, "--ic", "u:1:1,p:2:0.5:0.3,s:3:0.2", "--eps", "0.1"]
     argv += ["--tmax", "2", "--dt-out", "0.5", "--grid-size", n, "--out", str(tmp_path / "x.csv")]
+    fields = np.random.default_rng(int(n)).normal(size=(3, int(n))) + 0.5
+    start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
     with np.errstate(all="raise", under="ignore"):
         assert main(argv) == 0
+        evolve(start, ModelId(model), 0.1, EV, TIMES)
+
+
+# Propagating only the occupied columns --------------------------------------
+
+
+@pytest.mark.parametrize("n", [15, 16, 64])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_empty_columns_are_skipped_and_the_rest_keep_their_bits(n, model):
+    # Zeroing columns of a dense spectrum leaves every other column's bits
+    # as the dense propagation made them, whatever route the smaller stack
+    # takes (a lone k = 0 column is diagonal for every model), and the
+    # zeroed columns come out exactly 0.  The symbol is built at the
+    # occupied wavenumbers only.
+    d = model.dimension
+    dense = _random_modes(d, n, seed=n)
+    for eps in EPS:
+        full = mode_propagators(_symbol_stack(model, eps), n, TIMES, dense, parity_scale(model))
+        rng = np.random.default_rng([n, d, int(1e5 * eps)])
+        subsets = [rng.random(n // 2 + 1) < share for share in (0.1, 0.5, 0.9)]
+        subsets += [wavenumbers(n) == 0, wavenumbers(n) == n // 2]
+        for keep in subsets:
+            built = []
+
+            def stack(kappa):
+                built.append(kappa)
+                return symbol_matrix(model, kappa, eps, EV)
+
+            got = mode_propagators(stack, n, TIMES, np.where(keep, dense, 0), parity_scale(model))
+            assert got.shape == full.shape
+            assert np.array_equal(built[0], -wavenumbers(n)[keep].astype(float))
+            assert np.array_equal(got[..., keep], full[..., keep]), (eps, keep)
+            assert np.array_equal(np.signbit(got[..., keep].real), np.signbit(full[..., keep].real))
+            assert np.array_equal(np.signbit(got[..., keep].imag), np.signbit(full[..., keep].imag))
+            assert not got[..., ~keep].any()
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_all_zero_modes_propagate_to_zeros_without_exp_action(monkeypatch, n, model):
+    # exp_action sizes its blocks by the column count, so an empty stack would
+    # divide by zero; the symbol is still built, empty, and checks eps.
+    def refused(*args):
+        raise AssertionError("exp_action runs on no empty stack")
+
+    monkeypatch.setattr(_modal, "exp_action", refused)
+    zeros = np.zeros((model.dimension, n // 2 + 1), dtype=complex)
+    got = mode_propagators(_symbol_stack(model, 0.1), n, TIMES, zeros, parity_scale(model))
+    assert got.shape == (TIMES.size, model.dimension, n // 2 + 1)
+    assert not got.any()
+    with pytest.raises(ValueError, match="eps"):
+        mode_propagators(_symbol_stack(model, np.nan), n, TIMES, zeros, parity_scale(model))
