@@ -51,6 +51,7 @@ __all__ = [
     "HermitianSymmetryError",
     "MIN_GRID_SIZE",
     "acoustic_frequency",
+    "check_grid_size",
     "exp_action",
     "forward_modes",
     "hermitian_violation",
@@ -75,6 +76,12 @@ HERMITIAN_TOL = 1e-9
 
 class HermitianSymmetryError(ValueError):
     """A half spectrum meant to describe real fields had a complex k = 0 or Nyquist mode."""
+
+
+def check_grid_size(n: int) -> None:
+    """Refuse a grid below MIN_GRID_SIZE, in the words every entry point uses."""
+    if n < MIN_GRID_SIZE:
+        raise ValueError(f"grid size must be at least {MIN_GRID_SIZE}, got {n}")
 
 
 def wavenumbers(n: int) -> np.ndarray:

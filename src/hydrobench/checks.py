@@ -20,7 +20,7 @@ import numpy as np
 from . import _modal, hydro_spectral, moment_reference, secularity, velocity_space
 from .coefficients import SOUND_SPEED, eigenvalue_set, transport_burnett, transport_ns
 from .dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
-from .initial_conditions import parse_initial_condition, realize, spectrum
+from .initial_conditions import parse_initial_condition, spectrum
 from .velocity_space import EigenfunctionId, Recursion
 
 __all__ = ["PAPER_CRITERIA", "REGISTRY", "Check", "Measurement"]
@@ -81,10 +81,6 @@ def _check(description: str):
         return measure
 
     return register
-
-
-def _state(ic_text: str, n: int) -> hydro_spectral.HydroState:
-    return hydro_spectral.HydroState(**realize(parse_initial_condition(ic_text), n))
 
 
 def _spectrum(ic_text: str, n: int) -> hydro_spectral.SpectralState:
@@ -213,7 +209,7 @@ def secularity_demonstration() -> list[Measurement]:
 @_check("solver hygiene")
 def solver_hygiene() -> list[Measurement]:
     evolve = hydro_spectral.evolve
-    state = _state("u:1:1,p:2:0.5:0.3,s:3:0.25", 16)
+    state = hydro_spectral.from_modes(_spectrum("u:1:1,p:2:0.5:0.3,s:3:0.25", 16))
     spec = hydro_spectral.to_modes(state)
     back = hydro_spectral.from_modes(spec)
     round_trip = max(_max_gap(getattr(back, f), getattr(state, f)) for f in "ups")
@@ -384,8 +380,8 @@ def ns_closure() -> list[Measurement]:
 @_check("Riemann decoupling equivalence")
 def riemann_decoupling() -> list[Measurement]:
     n, eps, t = 32, 0.1, 3.0
-    state = _state("u:1:1,p:2:0.4", n)
-    start = hydro_spectral.to_modes(state)
+    start = _spectrum("u:1:1,p:2:0.4", n)
+    state = hydro_spectral.from_modes(start)
     ((u, p, _),) = moment_reference.trajectory(start, ModelId.BURNETT, eps, EV, [t])
     rp_after, rm_after = hydro_spectral.riemann_split(u, p)
     rp0, rm0 = hydro_spectral.riemann_split(state.u, state.p)
@@ -460,24 +456,22 @@ def metamorphic_relations() -> list[Measurement]:
     # the IC grammar states each transform exactly: adding mode * 2 pi j / N
     # to each phase rolls a run j cells left, and negating each phase and
     # the p and s amplitudes mirrors it, x_j -> x_(-j mod N) with u negated.
-    # A run is the IC's fields and then the trajectory of its exact spectrum,
-    # as evolve writes them.  A gap is in units of u * the largest |value| of
-    # the two runs.
-    # Over the models this configuration reads at most 18.0 (translation)
-    # and 13.6 (mirror); 300 random ones, drawn as tests/test_cli.py draws
-    # its metamorphic runs, read at most 74.5 and 51.6.  riemann's mirror
+    # A run is the trajectory of the IC's exact spectrum from t = 0, as
+    # evolve writes it.  A gap is in units of u * the largest |value| of the
+    # two runs.
+    # Over the models this configuration reads at most 3.7 (translation)
+    # and 4.5 (mirror); 1,000 random ones, drawn as tests/test_cli.py draws
+    # its metamorphic runs, read at most 203 and 21.1.  riemann's mirror
     # reads 1.5e16: evolve feeds (u, p, s) modes to its (R+, R-, s) symbol.
     n, eps, shift, bound = 64, 0.1, 5, 64.0
-    times = 0.5 * np.arange(1, 7)
+    times = 0.5 * np.arange(7)
     terms = [("u", 1, 1.0, 0.3), ("p", 3, 0.5, 0.2), ("s", 2, 0.25, 0.1)]
     moved = [(f, m, a, phase + m * 2.0 * np.pi * shift / n) for f, m, a, phase in terms]
     mirrored = [(f, m, a if f == "u" else -a, -phase) for f, m, a, phase in terms]
 
     def run(model: ModelId, ic_terms) -> np.ndarray:
         text = ",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in ic_terms)
-        state, modes = _state(text, n), _spectrum(text, n)
-        start = np.stack([state.u, state.p, state.s])[None]
-        return np.concatenate([start, moment_reference.trajectory(modes, model, eps, EV, times)])
+        return moment_reference.trajectory(_spectrum(text, n), model, eps, EV, times)
 
     def gap(got: np.ndarray, want: np.ndarray) -> float:
         return _max_gap(got, want) / (2.0**-53 * float(max(np.abs(got).max(), np.abs(want).max())))

@@ -30,20 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import hydro_spectral, moment_reference, secularity
+from . import moment_reference, secularity
 from ._modal import MIN_GRID_SIZE
 from ._text import REAL_WIDTH, label_records, real_records, right_aligned, tables, two_product
 from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
-from .initial_conditions import (
-    ICParseError,
-    ICSpec,
-    ICTerm,
-    parse_initial_condition,
-    realize,
-    spectrum,
-)
+from .initial_conditions import ICParseError, ICSpec, ICTerm, parse_initial_condition, spectrum
 
 __all__ = [
     "ICSpec",
@@ -106,7 +99,7 @@ class RunConfig:
             raise UsageError(f"eps must be positive, got {self.eps}")
         if self.lambda02 >= 0:
             raise UsageError(f"lambda02 must be negative, got {self.lambda02}")
-        # Only evolve and compare realize the IC on a grid; secular needs none.
+        # Only evolve and compare take the IC's spectrum on a grid; secular needs none.
         on_grid = self.command in ("evolve", "compare")
         if on_grid and self.grid_size < MIN_GRID_SIZE:
             raise UsageError(f"grid size must be at least {MIN_GRID_SIZE}, got {self.grid_size}")
@@ -621,17 +614,16 @@ def _cmd_evolve(config: RunConfig) -> np.ndarray:
     if len(config.models) != 1:
         raise UsageError("evolve takes exactly one --model")
     n = config.grid_size
-    state = hydro_spectral.HydroState(**realize(config.ic, n))
     times = _output_times(config)
     evolved = moment_reference.trajectory(
-        spectrum(config.ic, n), config.models[0], config.eps, config.eigenvalues, times[1:]
+        spectrum(config.ic, n), config.models[0], config.eps, config.eigenvalues, times
     )
-    fields = [("t", _coded_dtype(times)), ("x", _coded_dtype(state.x))]
+    fields = [("t", _coded_dtype(times)), ("x", _coded_dtype(2.0 * np.pi * np.arange(n) / n))]
     rows = np.empty(times.size * n, fields + [(name, np.float64) for name in "ups"])
     table = rows.reshape(times.size, n)  # a view: one row per time, one column per x
     table["t"], table["x"] = np.arange(times.size)[:, None], np.arange(n)
     for i, name in enumerate("ups"):
-        table[name][0], table[name][1:] = getattr(state, name), evolved[:, i]
+        table[name] = evolved[:, i]
     return rows
 
 
@@ -641,10 +633,9 @@ def _cmd_compare(config: RunConfig) -> np.ndarray:
         raise UsageError("compare needs at least one hydrodynamic model")
     times = _output_times(config)
     gaps = moment_reference.reference_gaps(
-        spectrum(config.ic, config.grid_size), models, config.eps, config.eigenvalues, times[1:]
+        spectrum(config.ic, config.grid_size), models, config.eps, config.eigenvalues, times
     )
-    columns = {f"l2_error_{m.value}": np.concatenate([[0.0], g]) for m, g in zip(models, gaps.T)}
-    return _table({"t": times, **columns})
+    return _table({"t": times, **{f"l2_error_{m.value}": g for m, g in zip(models, gaps.T)}})
 
 
 def _cmd_secular(config: RunConfig) -> np.ndarray:

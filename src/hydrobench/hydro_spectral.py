@@ -77,8 +77,7 @@ class HydroState:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "p", _as_field(self.p, u.size))
         object.__setattr__(self, "s", _as_field(self.s, u.size))
-        if u.size < _modal.MIN_GRID_SIZE:
-            raise ValueError(f"grid size must be at least {_modal.MIN_GRID_SIZE}, got {u.size}")
+        _modal.check_grid_size(u.size)
 
     @property
     def grid_size(self) -> int:
@@ -108,14 +107,16 @@ class SpectralState:
     for (u, p, s) and d = 5 for (n, u, p, Pi, q), normalized so u(x) =
     sum_k modes[row, k] exp(+i k x) + c.c. over k = 1..grid_size//2 (the
     k = 0 and even-grid Nyquist terms counted once).  grid_size is stored
-    because the column count cannot tell an even grid from an odd one.  A
-    state describing real fields has real k = 0 and Nyquist modes.
+    because the column count cannot tell an even grid from an odd one, and
+    is at least MIN_GRID_SIZE (8), as a HydroState's is.  A state describing
+    real fields has real k = 0 and Nyquist modes.
     """
 
     modes: np.ndarray
     grid_size: int
 
     def __post_init__(self):
+        _modal.check_grid_size(self.grid_size)
         modes = np.asarray(self.modes, dtype=complex)
         columns = self.grid_size // 2 + 1
         if modes.shape not in ((3, columns), (5, columns)):

@@ -1,12 +1,13 @@
-"""Initial-condition grammar and grid realization.
+"""Initial-condition grammar and its exact spectrum on a grid.
 
 Textual form: term ("," term)* with term = field ":" mode ":" amplitude
 [":" phase].  Fields are u, p, or s; modes are positive integers, and a grid
-realizes only those below half its size; amplitudes and phases are finite
+resolves only those below half its size; amplitudes and phases are finite
 numbers, phases in radians and zero by default.  Each term contributes
-amplitude * sin(mode * x + phase) to its field: realize samples that sum on a
-grid, and spectrum gives its exact half spectrum, which is nonzero only in
-the columns the terms name.
+amplitude * sin(mode * x + phase) to its field, and spectrum gives the
+sum's exact half spectrum, which is nonzero only in the columns the terms
+name.  Fields on a grid are that spectrum synthesized, as every run's
+t = 0 row is (moment_reference.trajectory).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._modal import MIN_GRID_SIZE
+from ._modal import check_grid_size
 from .hydro_spectral import SpectralState
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "ICSpec",
     "ICTerm",
     "parse_initial_condition",
-    "realize",
     "spectrum",
 ]
 
@@ -62,7 +62,7 @@ class ICSpec:
 def parse_initial_condition(text: str) -> ICSpec:
     """Parse the term grammar; whitespace is ignored everywhere.
 
-    Modes are checked against a grid only when one is chosen, by `realize`.
+    Modes are checked against a grid only when one is chosen, by `spectrum`.
     """
     if not text or not text.strip():
         raise ICParseError("empty initial-condition string", 0)
@@ -105,27 +105,6 @@ def _finite(text: str, name: str, position: int) -> float:
     return value
 
 
-def _check_grid(spec: ICSpec, grid_size: int) -> None:
-    """Refuse a grid below MIN_GRID_SIZE and a mode the grid cannot resolve."""
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid size must be at least {MIN_GRID_SIZE}, got {grid_size}")
-    for term in spec.terms:
-        if term.mode >= grid_size // 2:
-            raise ValueError(
-                f"mode {term.mode} is not resolvable on a grid of size {grid_size}"
-            )
-
-
-def realize(spec: ICSpec, grid_size: int) -> dict[str, np.ndarray]:
-    """Sample the initial condition on the grid x_j = 2*pi*j/grid_size."""
-    _check_grid(spec, grid_size)
-    x = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    fields = {name: np.zeros(grid_size) for name in FIELDS}
-    for term in spec.terms:
-        fields[term.field] += term.amplitude * np.sin(term.mode * x + term.phase)
-    return fields
-
-
 def spectrum(spec: ICSpec, grid_size: int) -> SpectralState:
     """Exact (u, p, s) half spectrum of the initial condition on a grid of grid_size points.
 
@@ -134,11 +113,14 @@ def spectrum(spec: ICSpec, grid_size: int) -> SpectralState:
     a sin(m x + phi) = a e^{i phi}/(2i) e^{i m x} + c.c., a term puts
     a e^{i phi}/(2i) = (a/2)(sin phi - i cos phi) in its field's row and
     column m, and repeated (field, mode) terms add.  Every other column is
-    exactly zero, and the grid is checked as realize checks it.
+    exactly zero.  A grid below MIN_GRID_SIZE is refused, and so is a mode
+    at or above half the grid size.
     """
-    _check_grid(spec, grid_size)
+    check_grid_size(grid_size)
     modes = np.zeros((len(FIELDS), grid_size // 2 + 1), dtype=complex)
     for term in spec.terms:
+        if term.mode >= grid_size // 2:
+            raise ValueError(f"mode {term.mode} is not resolvable on a grid of size {grid_size}")
         half = 0.5 * term.amplitude
         modes[FIELDS.index(term.field), term.mode] += complex(
             half * math.sin(term.phase), -half * math.cos(term.phase)

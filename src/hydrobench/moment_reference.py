@@ -24,12 +24,14 @@ truth that compare and the Burnett-deviation criterion share.  Both start
 from modes, never from fields: the moment start is formed from the (u, p, s)
 modes themselves, so an initial condition's exact spectrum
 (initial_conditions.spectrum) reaches every model with the same occupied
-columns, and only those are propagated.  Callers that hold fields pass
+columns, and only those are propagated.  A trajectory's t = 0 row is those
+modes synthesized, the same for every model.  Callers that hold fields pass
 hydro_spectral.to_modes of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,31 +116,38 @@ def trajectory(
 ) -> np.ndarray:
     """Real (u, p, s) of the (u, p, s) modes `initial` under `model` at each time.
 
-    times is a 1-D array of positive ascending elapsed times; the result has
-    shape (len(times), 3, N).  The moment model starts from from_hydro of
-    the modes.  Only the columns `initial` occupies are propagated
+    times is a 1-D array of ascending elapsed times; the result has shape
+    (len(times), 3, N).  A leading 0 is the start itself: its row is
+    `initial` synthesized, for every model alike, and only the positive
+    times are propagated.  The moment model propagates from_hydro of the
+    modes.  Only the columns `initial` occupies are propagated
     (_modal.mode_propagators), and every column is synthesized.
-    Consecutive times are synthesized together, in blocks of about
+    Consecutive rows are synthesized together, in blocks of about
     _modal.EVAL_BLOCK (u, p, s) modes, and each snapshot of a block passes
     the Hermitian health check at its own scale.  Only one block of
     (u, p, s) modes exists at a time, and the propagated modes are released
     on return.
     """
-    n = initial.grid_size
-    if model is ModelId.MOMENT_REFERENCE:
-        evolved = evolve_moments(from_hydro(initial), eps, eigenvalues, times)
+    _require_rows(initial, 3, "trajectory")
+    n, times = initial.grid_size, np.asarray(times, dtype=float)
+    start = [initial.modes] if times.ndim == 1 and times.size and times[0] == 0.0 else []
+    later = times[1:] if start else times
+    if start and not later.size:
+        propagated = []
+    elif model is ModelId.MOMENT_REFERENCE:
+        moments = evolve_moments(from_hydro(initial), eps, eigenvalues, later)
+        propagated = (_hydro_modes(state.modes) for state in moments)
     else:
-        evolved = evolve(initial, model, eps, eigenvalues, times)
-    fields = np.empty((len(evolved), 3, n))
+        propagated = (state.modes for state in evolve(initial, model, eps, eigenvalues, later))
+    snapshots = itertools.chain(start, propagated)
+    fields = np.empty((times.size, 3, n))
     step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
-    for lo in range(0, len(evolved), step):
-        group = [spec.modes for spec in evolved[lo : lo + step]]
+    for lo in range(0, times.size, step):
+        group = list(itertools.islice(snapshots, step))
         # Several snapshots are joined by a copy, but a lone one is synthesized
         # from a view: once 3*(n//2 + 1) exceeds EVAL_BLOCK every block is one
         # snapshot, and large grids then copy nothing.
         block = group[0][None] if len(group) == 1 else np.stack(group)
-        if model is ModelId.MOMENT_REFERENCE:
-            block = _hydro_modes(block)
         fields[lo : lo + step] = _modal.inverse_modes(block, n)
     return fields
 
@@ -152,8 +161,10 @@ def reference_gaps(
 ) -> np.ndarray:
     """Grid L2 gap over (u, p, s) of each model from the moment truth: shape (T, M).
 
-    Every trajectory starts from the (u, p, s) modes `initial`.  Both sides
-    are synthesized, so each passes the Hermitian health check.  The truth
+    Every trajectory starts from the (u, p, s) modes `initial`, and times
+    are taken as trajectory takes them, so a leading 0 gives a row of exact
+    zeros: every model's start is the same synthesis.  Both sides are
+    synthesized, so each passes the Hermitian health check.  The truth
     is synthesized once; one model trajectory is alive at a time.  The
     squared gaps are summed over (u, p, s) at each point, then over x.
     """

@@ -22,17 +22,12 @@ from hypothesis import strategies as st
 
 import hydrobench
 from hydrobench import _text, cli
-from hydrobench._modal import forward_modes
+from hydrobench._modal import forward_modes, inverse_modes
 from hydrobench.cli import RunConfig, emit_outputs, main
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import ModelId, branches, symbol_matrix
-from hydrobench.hydro_spectral import riemann_join, riemann_split
-from hydrobench.initial_conditions import (
-    ICParseError,
-    parse_initial_condition,
-    realize,
-    spectrum,
-)
+from hydrobench.hydro_spectral import SpectralState, riemann_join, riemann_split
+from hydrobench.initial_conditions import ICParseError, parse_initial_condition, spectrum
 
 ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
 
@@ -342,22 +337,23 @@ class TestICGrammar:
 
     def test_mode_too_large_for_grid(self):
         with pytest.raises(ValueError, match="mode 9 is not resolvable on a grid of size 16"):
-            realize(parse_initial_condition("u:9:1.0"), 16)
+            spectrum(parse_initial_condition("u:9:1.0"), 16)
 
     def test_empty_string(self):
         with pytest.raises(ICParseError):
             parse_initial_condition("")
 
-    def test_realize_sinusoid(self):
-        fields = realize(parse_initial_condition("u:2:0.5"), 32)
+    def test_spectrum_synthesizes_the_sinusoid(self):
+        u, p, _ = inverse_modes(spectrum(parse_initial_condition("u:2:0.5"), 32).modes, 32)
         x = 2.0 * np.pi * np.arange(32) / 32
-        assert fields["u"] == pytest.approx(0.5 * np.sin(2 * x))
-        assert np.all(fields["p"] == 0)
+        assert u == pytest.approx(0.5 * np.sin(2 * x))
+        assert np.all(p == 0)
 
-    def test_realize_phase_shift(self):
-        fields = realize(parse_initial_condition(f"p:1:1:{np.pi / 2}"), 32)
+    def test_spectrum_synthesizes_the_phase_shift(self):
+        ic = parse_initial_condition(f"p:1:1:{np.pi / 2}")
+        _, p, _ = inverse_modes(spectrum(ic, 32).modes, 32)
         x = 2.0 * np.pi * np.arange(32) / 32
-        assert fields["p"] == pytest.approx(np.cos(x))
+        assert p == pytest.approx(np.cos(x))
 
     def test_empty_spec_rejected_directly(self):
         from hydrobench.initial_conditions import ICSpec
@@ -378,6 +374,16 @@ def _resolved_ics(draw):
     return n, ",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in terms)
 
 
+def _realize(ic, n):
+    """The IC sampled term by term at x_j = 2 pi j / n: each sine's argument
+    mode * x_j + phase is rounded, so the samples err by about u times it."""
+    x = 2.0 * np.pi * np.arange(n) / n
+    fields = np.zeros((3, n))
+    for term in ic.terms:
+        fields["ups".index(term.field)] += term.amplitude * np.sin(term.mode * x + term.phase)
+    return fields
+
+
 #: Gap of the exact IC spectrum to the rfft of the realized fields, in units
 #: of u * sum|amp| (u = 2**-53).  Over 20,000 random ICs drawn as
 #: _resolved_ics draws them, the largest measured was 42.4; the sines'
@@ -391,8 +397,7 @@ class TestICSpectrum:
     def test_equals_the_analysis_of_the_realized_fields(self, drawn):
         n, text = drawn
         ic = parse_initial_condition(text)
-        fields = realize(ic, n)
-        analysed = forward_modes(np.stack([fields[name] for name in "ups"]))
+        analysed = forward_modes(_realize(ic, n))
         exact = spectrum(ic, n)
         assert exact.grid_size == n
         exact = exact.modes
@@ -413,16 +418,15 @@ class TestICSpectrum:
     def test_zero_amplitude_occupies_nothing(self):
         assert not spectrum(parse_initial_condition("u:1:0,s:7:0:1.3"), 16).modes.any()
 
-    def test_grid_is_checked_as_realize_checks_it(self):
+    def test_grid_is_checked(self):
         for text, n, message in [
             ("u:8:1.0", 16, "mode 8 is not resolvable on a grid of size 16"),
             ("u:1:1,p:9:1.0", 17, "mode 9 is not resolvable on a grid of size 17"),
             ("u:1:1.0", 7, "grid size must be at least 8, got 7"),
+            ("u:3:1.0", 7, "grid size must be at least 8, got 7"),
         ]:
-            ic = parse_initial_condition(text)
-            for route in (realize, spectrum):
-                with pytest.raises(ValueError, match=message):
-                    route(ic, n)
+            with pytest.raises(ValueError, match=message):
+                spectrum(parse_initial_condition(text), n)
 
 
 def _percent_csv(rows, path):
@@ -1020,6 +1024,28 @@ class TestDispersionCommand:
         assert peak < 4.5 * 2**20
 
 
+@st.composite
+def _wide_ics(draw):
+    """A grid size up to 4096, odd ones included, and one to three terms
+    (field, mode, amplitude, phase) of any mode the grid resolves."""
+    n = draw(st.integers(8, 4096))
+    amplitude = st.one_of(st.floats(0.125, 8.0), st.floats(-8.0, -0.125))
+    term = st.tuples(
+        st.sampled_from("ups"), st.integers(1, n // 2 - 1), amplitude, st.floats(-7.0, 7.0)
+    )
+    return n, draw(st.lists(term, min_size=1, max_size=3))
+
+
+#: Gap of evolve's t = 0 rows to the oracle amp * sin(2 pi ((mode j) mod N)/N
+#: + phase), in units of u * sum|amp| (u = 2**-53).  The oracle reduces
+#: mode * x_j exactly, so only its argument, at most 2 pi + 7, rounds.  Over
+#: 8,000 ICs drawn as _wide_ics draws them, the synthesized spectrum read at
+#: most 22.8, most of it the oracle's own rounding; sin(mode * x_j + phase)
+#: sampled directly read medians of 166 and 206 in two halves of
+#: 4,000 and at most 31,256.
+START_C = 48.0
+
+
 class TestEvolveCommand:
     def test_full_acoustic_period_returns_to_start(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -1110,19 +1136,45 @@ class TestEvolveCommand:
         assert len(rows) == 51 * 1024
         assert peak < 70 * len(rows)
 
+    @pytest.mark.parametrize("model", list(cli.ModelId))
     @pytest.mark.parametrize("n", [16, 15])
-    def test_moment_reference_starts_at_the_initial_condition_exactly(self, tmp_path, n):
-        # The t = 0 rows are the realized fields, not their analysis and synthesis.
+    def test_every_model_starts_at_the_synthesized_spectrum_exactly(self, tmp_path, model, n):
+        # The t = 0 rows are the IC's exact spectrum synthesized, bit for bit
+        # and for every model alike: the moment start does not pass through
+        # its five rows.
         ic = "u:1:1,p:2:0.3:0.1,s:3:0.2"
-        out = tmp_path / "mom.csv"
-        argv = ["evolve", "--model", "moment_reference", "--ic", ic, "--eps", "0.1"]
+        out = tmp_path / "start.csv"
+        argv = ["evolve", "--model", model.value, "--ic", ic, "--eps", "0.1"]
         argv += ["--tmax", "1", "--dt-out", "1", "--grid-size", str(n), "--out", str(out)]
         assert main(argv) == 0
         rows = np.genfromtxt(out, delimiter=",", names=True)
         start = rows[rows["t"] == 0.0]
-        fields = realize(parse_initial_condition(ic), n)
-        for name in ("u", "p", "s"):
-            assert np.array_equal(start[name], fields[name]), name
+        fields = inverse_modes(spectrum(parse_initial_condition(ic), n).modes, n)
+        for name, field in zip("ups", fields):
+            assert np.array_equal(start[name], field), name
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(drawn=_wide_ics(), model=st.sampled_from(_MODEL_NAMES))
+    # The earlier start, sin(m x_j + phi) sampled, erred by 3,543 units here.
+    @example(
+        drawn=(4096, [("u", 100, 1.0, 0.3), ("p", 317, 0.5, 1.2), ("s", 1000, 0.4, 2.0)]),
+        model="burnett",
+    )
+    def test_start_matches_the_reduced_argument_oracle(self, tmp_path_factory, drawn, model):
+        n, terms = drawn
+        out = tmp_path_factory.mktemp("start") / "evolve.csv"
+        ic = ",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in terms)
+        argv = ["evolve", "--model", model, "--ic", ic, "--tmax", "1", "--dt-out", "1"]
+        assert main(argv + ["--grid-size", str(n), "--out", str(out)]) == 0
+        start = np.genfromtxt(out, delimiter=",", names=True, max_rows=n)
+        assert np.all(start["t"] == 0.0)
+        j, want = np.arange(n), np.zeros((3, n))
+        for field, mode, amp, phase in terms:
+            want["ups".index(field)] += amp * np.sin(2.0 * np.pi * ((mode * j) % n) / n + phase)
+        got = np.stack([start[name] for name in "ups"])
+        unit = 2.0**-53 * sum(abs(amp) for _, _, amp, _ in terms)
+        assert np.max(np.abs(got - want)) <= START_C * unit
 
 
 class TestCompareCommand:
@@ -1293,13 +1345,12 @@ def _evolve_fields(argv, n):
 
 
 #: Gap of each relation, in units of u * the largest |value| of the runs
-#: compared (u = 2**-53).  Over 500 random runs per model, drawn as the
+#: compared (u = 2**-53).  Over 1,000 random runs per model, drawn as the
 #: tests draw them, the largest measured was, for Euler, NS, Burnett,
-#: Riemann and the moment reference: translation 163, 68, 86, 90 and 84;
-#: superposition 7.1, 5.4, 6.0, 7.7 and 13.9; mirror 153, 51, 85, - and 78.
-#: Translation and mirror change every sine argument of the IC, by up to
-#: 2 pi * 3 plus the phase, so their gaps follow the arguments' rounding,
-#: not the propagation.
+#: Riemann and the moment reference: translation 203 for each, all from one
+#: draw; superposition 4.6, 4.0, 4.0, 5.2 and 9.0; mirror 4.9, 4.9, 4.9, -
+#: and 21.1.  Translation adds up to 2 pi * 3 to each phase of the IC, and
+#: the sum rounds, so its gaps follow that rounding, not the propagation.
 METAMORPHIC_C = {"translation": 512.0, "superposition": 64.0, "mirror": 512.0}
 
 class TestMetamorphic:
@@ -1378,6 +1429,60 @@ class TestMetamorphic:
         assert np.max(np.abs(twice - mirror)) <= METAMORPHIC_C["mirror"] * unit
 
 
+#: Gap between runs on N and on q*N at the shared points x = 2 pi j / N
+#: (u = 2**-53).  Over 1,000 random runs drawn as _scaled_runs draws them,
+#: with q in {2, 3}, evolve read at most 5.8 units of u * the largest |value|
+#: of the two runs, for every model.  Over 6,000 more, compare read at most
+#: 10.9 units of u * sum|amp|: a gap carries the roundoff of the fields it is
+#: the difference of, and can be O(eps) of them, so its own largest value
+#: (which read up to 101 units) is not its scale.
+REFINEMENT_C = {"evolve": 16.0, "compare": 32.0}
+
+
+class TestGridRefinement:
+    """Each model is exact per mode, and an IC's modes lie below N/2, so a
+    run on N and a run on q*N carry the same band-limited fields and agree
+    at the shared points, t = 0 rows included.  The square of a gap has
+    modes below N, so its grid L2 norm is its integral on either grid, and
+    compare's gaps do not depend on N.  riemann holds both relations: its
+    defect (ROADMAP item 1) is a basis, not a grid."""
+
+    @pytest.mark.parametrize("model", _MODEL_NAMES)
+    @settings(max_examples=20, deadline=None)
+    @given(run=_scaled_runs(), q=st.sampled_from([2, 3]))
+    def test_evolve_on_a_refined_grid_agrees_at_the_shared_points(
+        self, tmp_path_factory, model, run, q
+    ):
+        n = run[0]
+        work = tmp_path_factory.mktemp("refinement")
+        coarse = _evolve_fields(_scaled_argv("evolve", [model], run, 1, work / "n.csv"), n)
+        fine_argv = _scaled_argv("evolve", [model], (q * n, *run[1:]), 1, work / "qn.csv")
+        fine = _evolve_fields(fine_argv, q * n)
+        unit = 2.0**-53 * max(np.max(np.abs(coarse)), np.max(np.abs(fine)))
+        assert np.max(np.abs(fine[..., ::q] - coarse)) <= REFINEMENT_C["evolve"] * unit
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        models=st.lists(st.sampled_from(_MODEL_NAMES[:4]), min_size=1, max_size=4, unique=True),
+        run=_scaled_runs(),
+        q=st.sampled_from([2, 3]),
+    )
+    def test_compare_gaps_do_not_depend_on_the_grid(self, tmp_path_factory, models, run, q):
+        n, terms = run[:2]
+        work = tmp_path_factory.mktemp("refinement")
+        for size in (n, q * n):
+            out = work / f"{size}.csv"
+            assert main(_scaled_argv("compare", models, (size, *run[1:]), 1, out)) == 0
+        coarse, fine = (
+            np.genfromtxt(work / f"{size}.csv", delimiter=",", names=True) for size in (n, q * n)
+        )
+        assert np.array_equal(coarse["t"], fine["t"])
+        unit = 2.0**-53 * sum(abs(amp) for _, _, amp, _ in terms)
+        for name in coarse.dtype.names[1:]:
+            assert coarse[name][0] == fine[name][0] == 0.0
+            assert np.max(np.abs(coarse[name] - fine[name])) <= REFINEMENT_C["compare"] * unit
+
+
 def _oracle_start(model, field):
     """The state vector of one unit IC term on field, in the model's rows.
 
@@ -1436,9 +1541,9 @@ ORACLE_C = {"euler": 128.0, "ns": 128.0, "burnett": 128.0, "moment": 512.0, "rie
 
 class TestPointwiseOracle:
     """evolve, read back through the CSV text, against a closed-form sum of
-    one matrix exponential per IC term.  One oracle covers realize, the
-    forward normalization, the per-mode propagator, the k = 0 and Nyquist
-    handling, synthesis and the CSV text."""
+    one matrix exponential per IC term.  One oracle covers the IC's exact
+    spectrum and its normalization, the per-mode propagator, the k = 0 and
+    Nyquist handling, synthesis, the t = 0 rows and the CSV text."""
 
     @pytest.mark.parametrize(
         "model",
@@ -1810,30 +1915,40 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 
 
 class TestMinimumGridSize:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_small_grids_rejected_everywhere_with_one_message(self, n, tmp_path):
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 7])
+    def test_small_grids_rejected_everywhere_with_one_message(self, n, tmp_path, capsys):
         from hydrobench.hydro_spectral import HydroState
 
         message = f"grid size must be at least 8, got {n}"
-        with pytest.raises(ValueError) as field_error:
-            HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
-        with pytest.raises(ValueError) as ic_error:
-            realize(parse_initial_condition("u:1:1"), n)
-        with pytest.raises(cli.UsageError) as config_error:
-            RunConfig(
+        errors = []
+        for route in (
+            lambda: HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n)),
+            lambda: SpectralState(np.zeros((3, n // 2 + 1)), n),
+            lambda: spectrum(parse_initial_condition("u:1:1"), n),
+            lambda: RunConfig(
                 command="evolve",
                 models=(cli.ModelId.EULER,),
                 grid_size=n,
                 ic=parse_initial_condition("u:1:1"),
                 out_path=tmp_path / "x.csv",
-            )
-        assert str(field_error.value) == str(ic_error.value) == str(config_error.value) == message
+            ),
+        ):
+            with pytest.raises(ValueError) as error:
+                route()
+            errors.append(str(error.value))
+        assert errors == [message] * 4
+        out = tmp_path / "x.csv"
+        argv = ["evolve", "--model", "euler", "--ic", "u:1:1", "--grid-size", str(n)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eight_accepted_everywhere(self, tmp_path):
         from hydrobench.hydro_spectral import HydroState
 
         HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
-        realize(parse_initial_condition("u:1:1"), 8)
+        SpectralState(np.zeros((3, 5)), 8)
+        spectrum(parse_initial_condition("u:1:1"), 8)
         RunConfig(
             command="evolve",
             models=(cli.ModelId.EULER,),

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hydrobench._modal import MIN_GRID_SIZE, forward_modes, hermitian_violation, wavenumbers
+from hydrobench._modal import (
+    MIN_GRID_SIZE,
+    forward_modes,
+    hermitian_violation,
+    inverse_modes,
+    wavenumbers,
+)
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
@@ -337,6 +343,26 @@ class TestTrajectory:
         for a, b, t in zip(shared, direct, times):
             for row, name in zip(a, ("u", "p", "s")):
                 assert np.array_equal(row, getattr(b, name)), (name, t)
+
+    @pytest.mark.parametrize("n", [16, 15])
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_a_leading_zero_is_the_start_synthesized(self, model, n):
+        # Bit for bit, and for every model alike: the moment start does not
+        # pass through from_hydro and back.
+        fields = np.random.default_rng(n).normal(size=(3, n))
+        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+        times = np.array([0.1, 1.0, 3.5])
+        shared = trajectory(start, model, 0.1, EV, np.concatenate([[0.0], times]))
+        assert np.array_equal(shared[0], inverse_modes(start.modes, n))
+        assert np.array_equal(shared[1:], trajectory(start, model, 0.1, EV, times))
+        assert np.array_equal(trajectory(start, model, 0.1, EV, np.zeros(1)), shared[:1])
+
+    @pytest.mark.parametrize("times", [[], [0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [[0.0]]])
+    @pytest.mark.parametrize("model", [ModelId.BURNETT, MOMENT])
+    def test_only_a_leading_time_may_be_zero(self, model, times):
+        start = to_modes(HydroState(u=np.ones(8), p=np.zeros(8), s=np.zeros(8)))
+        with pytest.raises(ValueError):
+            trajectory(start, model, 0.1, EV, np.asarray(times, dtype=float))
 
     def test_peak_memory(self):
         # Snapshots are synthesized in blocks of about EVAL_BLOCK modes.  At
