@@ -98,6 +98,26 @@ def _max_gap(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def _roundoff_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """_max_gap in units of u (2**-53) times the largest |value| of the two runs."""
+    return _max_gap(got, want) / (2.0**-53 * float(max(np.abs(got).max(), np.abs(want).max())))
+
+
+#: The runs of the grid relations, checks 18 and 19: IC terms (field, mode,
+#: amplitude, phase) at eps = 0.1, from t = 0 to 3 every 0.5.
+_RELATION_TERMS = [("u", 1, 1.0, 0.3), ("p", 3, 0.5, 0.2), ("s", 2, 0.25, 0.1)]
+_RELATION_TIMES = 0.5 * np.arange(7)
+
+
+def _relation_start(terms, n: int) -> hydro_spectral.SpectralState:
+    return _spectrum(",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in terms), n)
+
+
+def _run(terms, n: int, model: ModelId) -> np.ndarray:
+    """The trajectory of the IC terms' exact spectrum on n points, as evolve writes it."""
+    return moment_reference.trajectory(_relation_start(terms, n), model, 0.1, EV, _RELATION_TIMES)
+
+
 # The paper's acceptance criteria ----------------------------------------------
 
 
@@ -214,14 +234,19 @@ def solver_hygiene() -> list[Measurement]:
     back = hydro_spectral.from_modes(spec)
     round_trip = max(_max_gap(getattr(back, f), getattr(state, f)) for f in "ups")
 
+    def steps(model, eps, dt, count):  # each evolve from the last one's row; energy after each
+        cur, energy = spec, [_energy(spec)]
+        for _ in range(count):
+            cur = hydro_spectral.SpectralState(evolve(cur, model, eps, EV, [dt])[0], 16)
+            energy.append(_energy(cur))
+        return cur, np.array(energy)
+
     (one,) = evolve(spec, ModelId.BURNETT, 0.1, EV, [1.9])
     (half,) = evolve(spec, ModelId.BURNETT, 0.1, EV, [1.2])
-    (two,) = evolve(half, ModelId.BURNETT, 0.1, EV, [0.7])
+    (two,) = evolve(hydro_spectral.SpectralState(half, 16), ModelId.BURNETT, 0.1, EV, [0.7])
 
-    cur, e0, drift = spec, _energy(spec), 0.0
-    for _ in range(1000):
-        (cur,) = evolve(cur, ModelId.EULER, 0.0, EV, [0.05])
-        drift = max(drift, abs(_energy(cur) - e0) / e0)
+    cur, energy = steps(ModelId.EULER, 0.0, 0.05, 1000)
+    drift = float(np.max(np.abs(energy - energy[0]) / energy[0]))
     s_drift = _max_gap(hydro_spectral.from_modes(cur).s, state.s)
 
     offset = hydro_spectral.HydroState(u=state.u + 0.5, p=state.p - 0.25, s=state.s + 1.0)
@@ -231,18 +256,15 @@ def solver_hygiene() -> list[Measurement]:
     for model in ModelId:  # the conserved rows: (u, p, s), or (n, u, p) of the moments
         start = starts[model.dimension]
         (moved,) = evolve(start, model, 0.1, EV, [2.0])
-        mean_drift = max(mean_drift, _max_gap(moved.modes[:3, 0], start.modes[:3, 0]))
+        mean_drift = max(mean_drift, _max_gap(moved[:3, 0], start.modes[:3, 0]))
 
     growth = -np.inf
     for model in (ModelId.NAVIER_STOKES, ModelId.BURNETT):
-        cur, previous = spec, _energy(spec)
-        for _ in range(100):
-            (cur,) = evolve(cur, model, 0.1, EV, [0.1])
-            now = _energy(cur)
-            growth, previous = max(growth, (now - previous) / previous), now
+        energy = steps(model, 0.1, 0.1, 100)[1]
+        growth = max(growth, float(np.max(np.diff(energy) / energy[:-1])))
     return [
         Measurement("spectral round trip", round_trip, "<=", 1e-12),
-        Measurement("semigroup gap 1.9 = 1.2 + 0.7", _max_gap(one.modes, two.modes), "<=", 1e-11),
+        Measurement("semigroup gap 1.9 = 1.2 + 0.7", _max_gap(one, two), "<=", 1e-11),
         Measurement("Euler energy drift, 1000 steps", drift, "<=", 1e-10),
         Measurement("Euler s drift, 1000 steps", s_drift, "<=", 1e-10),
         Measurement("k = 0 mean drift, all models", mean_drift, "==", 0.0),
@@ -398,12 +420,12 @@ def moment_hygiene() -> list[Measurement]:
     n = 16
     moments = moment_reference.from_hydro(_spectrum("u:1:1,p:2:0.3", n))
     (evolved,) = hydro_spectral.evolve(moments, ModelId.MOMENT_REFERENCE, 0.1, EV, [2.5])
-    projection = moment_reference.hydro_projection(evolved)
+    projection = moment_reference.hydro_projection(hydro_spectral.SpectralState(evolved, n))
     herm = max(
-        _modal.hermitian_violation(evolved.modes, n),
+        _modal.hermitian_violation(evolved, n),
         _modal.hermitian_violation(hydro_spectral.to_modes(projection.state).modes, n),
     )
-    drift = _max_gap(evolved.modes[:3, 0], moments.modes[:3, 0])
+    drift = _max_gap(evolved[:3, 0], moments.modes[:3, 0])
     return [
         Measurement("k = 0 n, u, p drift", drift, "<=", 1e-14),
         Measurement("projection grid size", projection.state.grid_size, "==", n),
@@ -431,11 +453,11 @@ def closed_form_propagation() -> list[Measurement]:
     for model in (ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT):
         moved = hydro_spectral.evolve(spec, model, eps, EV, times)
         mats = symbol_matrix(model, -columns.astype(float), eps, EV)
-        for state, t in zip(moved, times):
+        for modes, t in zip(moved, times):
             for column, matrix in zip(columns, mats):
                 propagator = scipy.linalg.expm(matrix * t)
                 start = spec.modes[:, column]
-                gap = float(np.linalg.norm(state.modes[:, column] - propagator @ start))
+                gap = float(np.linalg.norm(modes[:, column] - propagator @ start))
                 if column == 0:
                     k0_gap = max(k0_gap, gap)
                     continue
@@ -460,30 +482,56 @@ def metamorphic_relations() -> list[Measurement]:
     # evolve writes it.  A gap is in units of u * the largest |value| of the
     # two runs.
     # Over the models this configuration reads at most 3.7 (translation)
-    # and 4.5 (mirror); 1,000 random ones, drawn as tests/test_cli.py draws
-    # its metamorphic runs, read at most 203 and 21.1.  riemann's mirror
-    # reads 1.5e16: evolve feeds (u, p, s) modes to its (R+, R-, s) symbol.
-    n, eps, shift, bound = 64, 0.1, 5, 64.0
-    times = 0.5 * np.arange(7)
-    terms = [("u", 1, 1.0, 0.3), ("p", 3, 0.5, 0.2), ("s", 2, 0.25, 0.1)]
+    # and 4.5 (mirror); 2,000 random ones per model, drawn as
+    # tests/test_cli.py draws its metamorphic runs, read at most 612 and 21.6,
+    # the largest from IC terms that nearly cancel, which is why those tests
+    # bound the gaps in units of u * sum|amp| instead.  This configuration's
+    # terms do not cancel.  riemann's mirror reads 1.5e16: evolve feeds
+    # (u, p, s) modes to its (R+, R-, s) symbol.
+    n, shift, bound, terms = 64, 5, 64.0, _RELATION_TERMS
     moved = [(f, m, a, phase + m * 2.0 * np.pi * shift / n) for f, m, a, phase in terms]
     mirrored = [(f, m, a if f == "u" else -a, -phase) for f, m, a, phase in terms]
-
-    def run(model: ModelId, ic_terms) -> np.ndarray:
-        text = ",".join(f"{f}:{m}:{a!r}:{phase!r}" for f, m, a, phase in ic_terms)
-        return moment_reference.trajectory(_spectrum(text, n), model, eps, EV, times)
-
-    def gap(got: np.ndarray, want: np.ndarray) -> float:
-        return _max_gap(got, want) / (2.0**-53 * float(max(np.abs(got).max(), np.abs(want).max())))
-
     found = []
     for model in ModelId:
-        once = run(model, terms)
+        once = _run(terms, n, model)
         relations = {"translation": (moved, np.roll(once, -shift, axis=-1))}
         if model is not ModelId.RIEMANN_DECOUPLED:
             mirror = np.roll(once[..., ::-1], 1, axis=-1) * np.array([-1.0, 1.0, 1.0])[:, None]
             relations["mirror"] = (mirrored, mirror)
         for relation, (ic_terms, want) in relations.items():
             quantity = f"{model.value} {relation} gap, units of u max|value|"
-            found.append(Measurement(quantity, gap(run(model, ic_terms), want), "<=", bound))
+            gap = _roundoff_gap(_run(ic_terms, n, model), want)
+            found.append(Measurement(quantity, gap, "<=", bound))
+    return found
+
+
+@_check("grid refinement: runs on N and on 3N agree")
+def grid_refinement() -> list[Measurement]:
+    # Each model is exact per mode, and the IC's modes lie below N/2, so runs
+    # on N and on q*N carry the same band-limited fields and agree at the
+    # shared points x = 2 pi j / N, t = 0 included.  The square of a gap has
+    # modes below N, so its grid L2 norm is its integral on either grid and
+    # compare's gaps do not depend on N.  evolve's gaps are in units of
+    # u * the largest |value| of the two runs, compare's in u * sum|amp|
+    # (1.75 here), since a gap can be O(eps) of the fields whose roundoff it
+    # carries.  q = 3, since evolve's gaps read exactly 0 at q = 2 on these
+    # grids.  Over the models this configuration reads at most 3.7 and 4.6;
+    # the random runs of tests/test_cli.py's TestGridRefinement read at most
+    # 5.8 and 10.9, and the bounds are its REFINEMENT_C.
+    terms, q = _RELATION_TERMS, 3
+    amplitude = sum(abs(a) for _, _, a, _ in terms)
+    hydro = [model for model in ModelId if model is not ModelId.MOMENT_REFERENCE]
+    found = []
+    for n in (16, 21):
+        worst = max(
+            _roundoff_gap(_run(terms, q * n, model)[..., ::q], _run(terms, n, model))
+            for model in ModelId
+        )
+        starts = [_relation_start(terms, size) for size in (n, q * n)]
+        gaps = [moment_reference.reference_gaps(s, hydro, 0.1, EV, _RELATION_TIMES) for s in starts]
+        compare = _max_gap(*gaps) / (2.0**-53 * amplitude)
+        found += [
+            Measurement(f"evolve gap N = {n} : {q * n}, units of u max|value|", worst, "<=", 16.0),
+            Measurement(f"compare gap N = {n} : {q * n}, units of u sum|amp|", compare, "<=", 32.0),
+        ]
     return found

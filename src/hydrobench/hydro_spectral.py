@@ -7,10 +7,10 @@ symbol: there is no time-stepping error, and the output cadence is purely a
 sampling choice.  evolve takes a 1-D array of output times and exponentiates
 the symbol stack once for all of them, for any model whose model.dimension
 is the row count of the state: 3 for (u, p, s), 5 for the moments (n, u, p,
-Pi, q).  States carry no time: evolve returns one state per elapsed time
-asked for.  Density and temperature perturbations of the hydro state are
-derived, never stored: n = (3p - 2s)/5 and T = (2/5)(p + s), equivalent to
-s = (3/2)p - (5/2)n and T = p - n.
+Pi, q).  States carry no time: evolve returns the modes at every elapsed
+time asked for as one (T, d, N//2 + 1) array.  Density and temperature
+perturbations of the hydro state are derived, never stored: n = (3p - 2s)/5
+and T = (2/5)(p + s), equivalent to s = (3/2)p - (5/2)n and T = p - n.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ class HydroState:
         return self.u.size
 
     @property
-    def x(self) -> np.ndarray:
-        n = self.grid_size
-        return 2.0 * np.pi * np.arange(n) / n
-
-    @property
     def n(self) -> np.ndarray:
         """Density perturbation, derived from s = (3/2)p - (5/2)n."""
         return (3.0 * self.p - 2.0 * self.s) / 5.0
@@ -151,13 +146,15 @@ def evolve(
     eps: float,
     eigenvalues: EigenvalueSet,
     times: np.ndarray,
-) -> list[SpectralState]:
+) -> np.ndarray:
     """Advance every occupied mode by the exact exponential of its model symbol.
 
-    times is a 1-D ascending array of positive elapsed times; one state is
-    returned per time.  The state must have model.dimension rows.  Only the
-    columns with a nonzero entry are propagated, and the others stay exactly
-    zero, so a state with a few occupied wavenumbers, as an initial
+    times is a 1-D ascending array of positive elapsed times, and the result
+    is the modes at all of them in one (T, d, grid_size//2 + 1) array, as
+    _modal.mode_propagators returns it; wrap a row in SpectralState to
+    evolve it further.  The state must have d = model.dimension rows.  Only
+    the columns with a nonzero entry are propagated, and the others stay
+    exactly zero, so a state with a few occupied wavenumbers, as an initial
     condition's spectrum is, costs those few.  The modes are propagated in
     the real coordinates of the model's parity scale
     (dispersion.parity_scale; none for the diagonal Riemann-decoupled
@@ -173,14 +170,13 @@ def evolve(
     this function and mode_propagators by name, so neither seam can go yet.
     """
     _require_rows(spec, model.dimension, model.value)
-    advanced = _modal.mode_propagators(
+    return _modal.mode_propagators(
         lambda k: symbol_matrix(model, k, eps, eigenvalues),
         spec.grid_size,
         times,
         spec.modes,
         parity_scale(model),
     )
-    return [SpectralState(m, spec.grid_size) for m in advanced]
 
 
 def riemann_split(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

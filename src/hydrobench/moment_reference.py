@@ -17,21 +17,20 @@ Its three slow eigenvalue branches converge to the Burnett-level dispersion
 relation at rate O(k (eps k)^3), which is the module's central validation.
 The generator is built, like every model's, by dispersion.symbol_matrix,
 and a moment state is a 5-row hydro_spectral.SpectralState that
-hydro_spectral.evolve advances like any other.  trajectory evolves a
-(u, p, s) half spectrum under any of the five models into one (T, 3, N)
-array of fields, and reference_gaps is the one comparison with the moment
-truth that compare and the Burnett-deviation criterion share.  Both start
-from modes, never from fields: the moment start is formed from the (u, p, s)
-modes themselves, so an initial condition's exact spectrum
-(initial_conditions.spectrum) reaches every model with the same occupied
-columns, and only those are propagated.  A trajectory's t = 0 row is those
-modes synthesized, the same for every model.  Callers that hold fields pass
-hydro_spectral.to_modes of them.
+hydro_spectral.evolve advances like any other, into one (T, 5, N//2 + 1)
+array of modes.  trajectory evolves a (u, p, s) half spectrum under any of
+the five models into one (T, 3, N) array of fields, and reference_gaps is
+the one comparison with the moment truth that compare and the
+Burnett-deviation criterion share.  Both start from modes, never from
+fields: the moment start is formed from the (u, p, s) modes themselves, so
+an initial condition's exact spectrum (initial_conditions.spectrum) reaches
+every model with the same occupied columns, and only those are propagated.
+A trajectory's t = 0 row is those modes synthesized, the same for every
+model.  Callers that hold fields pass hydro_spectral.to_modes of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +77,8 @@ def from_hydro(state: SpectralState) -> SpectralState:
 
 def evolve_moments(
     state: SpectralState, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
-) -> list[SpectralState]:
-    """hydro_spectral.evolve under the moment model.
+) -> np.ndarray:
+    """hydro_spectral.evolve under the moment model: a (T, 5, N//2 + 1) array.
 
     It exists only as the seam that the benchmark tracer counts moment
     propagation by: perfbench/tracer.py wraps it by name, and
@@ -121,34 +120,32 @@ def trajectory(
     `initial` synthesized, for every model alike, and only the positive
     times are propagated.  The moment model propagates from_hydro of the
     modes.  Only the columns `initial` occupies are propagated
-    (_modal.mode_propagators), and every column is synthesized.
-    Consecutive rows are synthesized together, in blocks of about
-    _modal.EVAL_BLOCK (u, p, s) modes, and each snapshot of a block passes
-    the Hermitian health check at its own scale.  Only one block of
-    (u, p, s) modes exists at a time, and the propagated modes are released
-    on return.
+    (_modal.mode_propagators), and every column is synthesized.  The
+    propagated times are synthesized as consecutive slices of evolve's one
+    array, in blocks of about _modal.EVAL_BLOCK (u, p, s) modes, and a moment
+    block is mapped to (u, p, s) as a whole, so only one block of (u, p, s)
+    modes exists at a time; each snapshot of a block passes the Hermitian
+    health check at its own scale.  The propagated modes are released on
+    return.
     """
     _require_rows(initial, 3, "trajectory")
     n, times = initial.grid_size, np.asarray(times, dtype=float)
-    start = [initial.modes] if times.ndim == 1 and times.size and times[0] == 0.0 else []
-    later = times[1:] if start else times
-    if start and not later.size:
-        propagated = []
+    start = int(times.ndim == 1 and times.size > 0 and times[0] == 0.0)
+    if start and times.size == 1:
+        modes = ()
     elif model is ModelId.MOMENT_REFERENCE:
-        moments = evolve_moments(from_hydro(initial), eps, eigenvalues, later)
-        propagated = (_hydro_modes(state.modes) for state in moments)
+        modes = evolve_moments(from_hydro(initial), eps, eigenvalues, times[start:])
     else:
-        propagated = (state.modes for state in evolve(initial, model, eps, eigenvalues, later))
-    snapshots = itertools.chain(start, propagated)
-    fields = np.empty((times.size, 3, n))
+        modes = evolve(initial, model, eps, eigenvalues, times[start:])
+    fields = np.empty((times.size, 3, n))  # after propagation, so its peak holds no fields
+    if start:
+        fields[0] = _modal.inverse_modes(initial.modes, n)
     step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
-    for lo in range(0, times.size, step):
-        group = list(itertools.islice(snapshots, step))
-        # Several snapshots are joined by a copy, but a lone one is synthesized
-        # from a view: once 3*(n//2 + 1) exceeds EVAL_BLOCK every block is one
-        # snapshot, and large grids then copy nothing.
-        block = group[0][None] if len(group) == 1 else np.stack(group)
-        fields[lo : lo + step] = _modal.inverse_modes(block, n)
+    for lo in range(0, len(modes), step):
+        block = modes[lo : lo + step]
+        if model is ModelId.MOMENT_REFERENCE:
+            block = _hydro_modes(block)
+        fields[start + lo : start + lo + step] = _modal.inverse_modes(block, n)
     return fields
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hydrobench._modal import (
+    EVAL_BLOCK,
     MIN_GRID_SIZE,
     forward_modes,
     hermitian_violation,
@@ -19,7 +20,9 @@ from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
 from hydrobench.hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
 from hydrobench.moment_reference import (
+    _hydro_modes,
     burnett_deviation_rms,
+    evolve_moments,
     from_hydro,
     hydro_projection,
     reference_gaps,
@@ -102,7 +105,7 @@ class TestEvolveMoments:
         moments = SpectralState(modes, n)
         t = 0.42
         (out,) = evolve(moments, MOMENT, eps, EV, [t])
-        assert out.modes[3, 0] == pytest.approx(0.7 * np.exp(-t / eps), rel=1e-12)
+        assert out[3, 0] == pytest.approx(0.7 * np.exp(-t / eps), rel=1e-12)
 
     def test_conserved_means(self):
         n = 16
@@ -110,15 +113,16 @@ class TestEvolveMoments:
         state = HydroState(u=0.3 + np.sin(x), p=np.full(n, 0.2), s=np.full(n, -0.1))
         moments = from_hydro(to_modes(state))
         (out,) = evolve(moments, MOMENT, 0.1, EV, [3.0])
-        assert np.array_equal(out.modes[:3, 0], moments.modes[:3, 0])
+        assert np.array_equal(out[:3, 0], moments.modes[:3, 0])
 
     def test_semigroup(self):
         n = 16
         state = HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n))
         moments = from_hydro(to_modes(state))
         (one,) = evolve(moments, MOMENT, 0.1, EV, [1.1])
-        (two,) = evolve(evolve(moments, MOMENT, 0.1, EV, [0.6])[0], MOMENT, 0.1, EV, [0.5])
-        assert np.max(np.abs(one.modes - two.modes)) <= 1e-11
+        (half,) = evolve(moments, MOMENT, 0.1, EV, [0.6])
+        (two,) = evolve(SpectralState(half, n), MOMENT, 0.1, EV, [0.5])
+        assert np.max(np.abs(one - two)) <= 1e-11
 
     def test_hermitian_preserved(self):
         from hydrobench._modal import hermitian_violation
@@ -127,7 +131,7 @@ class TestEvolveMoments:
         x = grid(n)
         state = HydroState(u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x), s=0 * x)
         (out,) = evolve(from_hydro(to_modes(state)), MOMENT, 0.05, EV, [2.3])
-        assert hermitian_violation(out.modes, n) <= 1e-12
+        assert hermitian_violation(out, n) <= 1e-12
 
     def test_relaxation_toward_ns_closure(self):
         # After the kinetic transient the stress moment tracks its quasi-steady
@@ -138,7 +142,7 @@ class TestEvolveMoments:
         residuals = []
         for eps in (0.1, 0.05):
             (out,) = evolve(from_hydro(to_modes(state)), MOMENT, eps, EV, [3.0])
-            projection = hydro_projection(out)
+            projection = hydro_projection(SpectralState(out, n))
             du_dx = np.fft.ifft(
                 1j * np.fft.fftfreq(n, d=1.0 / n) * np.fft.fft(projection.state.u)
             ).real
@@ -177,11 +181,12 @@ class TestEvolveMomentsProperties:
     def test_semigroup(self, drawn, t1, t2):
         moments, eps = drawn
         (direct,) = evolve(moments, MOMENT, eps, EV, [t1 + t2])
-        (composed,) = evolve(evolve(moments, MOMENT, eps, EV, [t1])[0], MOMENT, eps, EV, [t2])
+        (first,) = evolve(moments, MOMENT, eps, EV, [t1])
+        (composed,) = evolve(SpectralState(first, moments.grid_size), MOMENT, eps, EV, [t2])
         # The Nyquist mode of an even grid takes the real part of its
         # propagator at every time, which does not compose; skip it.
         others = 2 * wavenumbers(moments.grid_size) != moments.grid_size
-        gap = np.max(np.abs(direct.modes - composed.modes)[:, others])
+        gap = np.max(np.abs(direct - composed)[:, others])
         assert gap <= 1e-11 * max(float(np.max(np.abs(moments.modes))), np.finfo(float).tiny)
 
     @settings(max_examples=40, deadline=None)
@@ -189,14 +194,14 @@ class TestEvolveMomentsProperties:
     def test_hermitian_preserved(self, drawn, t):
         moments, eps = drawn
         (out,) = evolve(moments, MOMENT, eps, EV, [t])
-        assert hermitian_violation(out.modes, out.grid_size) <= 1e-9
+        assert hermitian_violation(out, moments.grid_size) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(drawn=moment_states(), t=st.floats(0.01, 10.0))
     def test_conserved_rows_exact_at_zero_k(self, drawn, t):
         moments, eps = drawn
         (out,) = evolve(moments, MOMENT, eps, EV, [t])
-        assert np.array_equal(out.modes[:3, 0], moments.modes[:3, 0])
+        assert np.array_equal(out[:3, 0], moments.modes[:3, 0])
 
 
 class TestHydroProjection:
@@ -292,9 +297,9 @@ class TestBurnettDeviation:
                 fields = np.random.default_rng(n).normal(size=(3, n))
                 state = HydroState(u=fields[0], p=fields[1], s=fields[2])
                 start = to_modes(state)
-                direct = from_modes(evolve(start, model, eps, EV, [t])[0])
+                direct = from_modes(SpectralState(evolve(start, model, eps, EV, [t])[0], n))
                 (moments,) = evolve(from_hydro(start), MOMENT, eps, EV, [t])
-                projection = hydro_projection(moments).state
+                projection = hydro_projection(SpectralState(moments, n)).state
                 dx = 2.0 * np.pi / n
                 gap = np.sqrt(
                     dx
@@ -335,9 +340,9 @@ class TestTrajectory:
         times = np.array([0.1, 1.0, 3.5])
         if model is ModelId.MOMENT_REFERENCE:
             evolved = evolve(from_hydro(start), model, eps, EV, times)
-            direct = [hydro_projection(later).state for later in evolved]
+            direct = [hydro_projection(SpectralState(later, n)).state for later in evolved]
         else:
-            direct = [from_modes(s) for s in evolve(start, model, eps, EV, times)]
+            direct = [from_modes(SpectralState(s, n)) for s in evolve(start, model, eps, EV, times)]
         shared = trajectory(start, model, eps, EV, times)
         assert shared.shape == (times.size, 3, n) and shared.dtype == np.float64
         for a, b, t in zip(shared, direct, times):
@@ -364,12 +369,34 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             trajectory(start, model, 0.1, EV, np.asarray(times, dtype=float))
 
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_moment_blocks_are_mapped_bit_for_bit(self, n):
+        # On these grids one block holds 151 (N = 16) or 170 (N = 15)
+        # snapshots, so 400 times make three blocks.  Mapping a whole block
+        # of moment modes to (u, p, s) moves no bit of any row, with or
+        # without the start in front.
+        fields = np.random.default_rng(n).normal(size=(3, n))
+        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+        times = 0.05 * np.arange(1, 401)
+        assert EVAL_BLOCK // (3 * (n // 2 + 1)) < times.size // 2
+        moments = evolve_moments(from_hydro(start), 0.1, EV, times)
+        assert moments.shape == (times.size, 5, n // 2 + 1)
+        later = trajectory(start, MOMENT, 0.1, EV, times)
+        from_zero = trajectory(start, MOMENT, 0.1, EV, np.concatenate([[0.0], times]))
+        for i, modes in enumerate(moments):
+            row = inverse_modes(_hydro_modes(modes), n)
+            assert np.array_equal(later[i], row) and np.array_equal(from_zero[i + 1], row), i
+
     def test_peak_memory(self):
-        # Snapshots are synthesized in blocks of about EVAL_BLOCK modes.  At
-        # N = 16,384 with 21 times the moment trajectory peaked at 3.50 times
-        # the fields' bytes, one synthesis call per time at 3.42, and
-        # one np.stack of all snapshots' (u, p, s) modes synthesized at once
-        # at 4.67 (Python 3.11, numpy 2.4, x86-64).  The first call imports
+        # Snapshots are synthesized in blocks of about EVAL_BLOCK modes, as
+        # slices of evolve's one array; a moment block is mapped to (u, p, s)
+        # as a whole.  At N = 16,384 with 21 times the moment trajectory
+        # peaks at 3.51 times the fields' bytes, as it did when each snapshot
+        # was a SpectralState mapped on its own; one synthesis call per time
+        # read 3.42, and one np.stack of all snapshots' (u, p, s) modes
+        # synthesized at once 4.67 (Python 3.11, numpy 2.4, x86-64).  The
+        # propagation's own peak sets it, so the fields must be allocated
+        # after it: allocating them first read 4.51.  The first call imports
         # numpy.fft's internals; the second is measured.
         n = 16384
         x = grid(n)
