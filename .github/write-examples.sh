@@ -11,6 +11,8 @@ hydrobench evolve --model euler --ic u:1:1 --tmax 4.8669344111683355 \
 hydrobench compare --model burnett --model navier_stokes --ic u:1:1 --eps 0.1 \
   --tmax 20 --dt-out 0.5 --grid-size 64 --out compare.csv
 hydrobench secular --ic u:1:1 --eps 0.05 --tmax 400 --dt-out 0.5 --out secular.csv --svg
+hydrobench secular --ic u:1:1 --eps 0.001 --tmax 1000000 --dt-out 250000 \
+  --out secular_long.csv
 hydrobench dispersion --model euler,ns,burnett,riemann,moment --eps 0.1 --kmin 0.1 \
   --kmax 2.5 --samples 2048 --out sweep.csv --svg
 hydrobench dispersion --model euler,ns,burnett,riemann --eps 0.1 --kmin 0.1 \

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: Relative disagreement beyond this between two independent routes to one
-#: result (h1 fluxes, the secular propagator) is a build error.
+#: result (the h1 fluxes) is a build error.
 ROUTE_CONSISTENCY_TOL = 1e-10
 
 

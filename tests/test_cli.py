@@ -1680,6 +1680,29 @@ class TestSecularCommand:
         table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
         assert np.all(np.isfinite(table)) and np.all(table[:, 2] > 0)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ic", "u:1:1", "--eps", "0.001", "--tmax", "1000000", "--dt-out", "250000"],
+            ["--ic", "u:11:1", "--eps", "0.01", "--tmax", "10000", "--dt-out", "5000"],
+        ],
+    )
+    def test_long_phases_pass_the_route_check(self, tmp_path, capsys, flags):
+        # At t*omega_B of 1.3e6 and 1.4e5 both routes round the phase, by more
+        # than a fixed 1e-10 of the state absorbs; the check scales with it.
+        out = tmp_path / "sec.csv"
+        assert main(["secular", *flags, "--out", str(out)]) == 0, capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+        t, _, multiscale = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).T
+        k, eps = float(flags[1].split(":")[1]), float(flags[3])
+        # Maxwell gas: kappa = k^2/6 and beta_u = 19/120.
+        omega_b = math.sqrt(5.0 / 3.0) * k * (1.0 + eps * eps * 19.0 / 120.0 * k * k)
+        omega = omega_b + math.sqrt(5.0 / 3.0) * k
+        envelope = 2.0 * eps * (k * k / 6.0) / omega
+        want = envelope * np.abs(np.sin(0.5 * omega * t))
+        unit = 2.0**-53 * (1.0 + t * omega_b) * envelope
+        assert np.all(np.abs(multiscale - want) <= 16.0 * unit)
+
     def test_any_mode_without_a_grid(self, tmp_path, capsys):
         out = tmp_path / "sec.csv"
         assert main(["secular", "--ic", "u:128:1", "--tmax", "1", "--out", str(out)]) == 0

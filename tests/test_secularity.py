@@ -1,5 +1,7 @@
 """Secular growth of the naive expansion versus multiscale boundedness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -172,18 +174,73 @@ class TestSeriesRoutes:
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(expected)
 
     def test_route_disagreement_raises(self, monkeypatch):
+        # A closed form whose beta_u is off by one part in 1e8 moves the ratio
+        # at t = 10 by about 1,000 times the check's bound of 16 units.
         import hydrobench.secularity as sec
+        from hydrobench.coefficients import BurnettCoefficients
         from hydrobench.hydro_spectral import InternalConsistencyError
 
-        real = sec.exp_action
+        real = sec.transport_burnett
 
-        def skewed(mats, vectors, times):
-            for rows, block in real(mats, vectors, times):
-                yield rows, block * (1.0 + 1e-8)
+        def skewed(eigenvalues):
+            beta = real(eigenvalues)
+            skew = 1 + Fraction(1, 10**8)
+            return BurnettCoefficients(beta.beta_u * skew, beta.beta_p * skew)
 
-        monkeypatch.setattr(sec, "exp_action", skewed)
+        monkeypatch.setattr(sec, "transport_burnett", skewed)
         with pytest.raises(InternalConsistencyError):
             sec.secular_ratio_series(IC, 0.05, EV, np.linspace(1.0, 10.0, 20))
+
+    def test_closed_form_without_burnett_dispersion_raises(self, monkeypatch):
+        # Without eps^2 beta_u k^2, Omega*t/2 drifts 0.10 rad by the workload's
+        # horizon, t = 1/eps^2 = 1e4 at eps = 0.01; the expm route keeps the term.
+        import hydrobench.secularity as sec
+        from hydrobench.coefficients import BurnettCoefficients
+        from hydrobench.hydro_spectral import InternalConsistencyError
+
+        dropped = BurnettCoefficients(Fraction(0), Fraction(0))
+        monkeypatch.setattr(sec, "transport_burnett", lambda eigenvalues: dropped)
+        with pytest.raises(InternalConsistencyError, match="closed form and expm"):
+            sec.secular_ratio_series(IC, 0.01, EV, 0.5 * np.arange(1, 20001))
+
+    @pytest.mark.parametrize("lambda02", [-1, -3, Fraction(-1, 7)])
+    def test_closed_form_matches_eig_route_and_expm(self, lambda02):
+        # The route this module took before the closed form: V exp(Lambda t) V^-1
+        # of the damping-shifted generator by exp_action, and one expm per time.
+        # Gaps are in units of u (1 + t omega_B) envelope: on this grid the eig
+        # route read at most 7.6 and expm 2.5.
+        import scipy.linalg
+
+        from hydrobench._modal import exp_action
+        from hydrobench.coefficients import transport_burnett, transport_ns
+        from hydrobench.secularity import _augmented_matrix, _multiscale_ratios
+
+        ev = eigenvalue_set(lambda02)
+        kappa = abs(float(Fraction(2, 3) / ev.lambda02 - Fraction(1, 3) / ev.lambda11))
+        beta_u = float(transport_burnett(ev).beta_u)
+
+        def ratio(state, eps):
+            amplitude = np.hypot(SOUND_SPEED * np.abs(state[..., ::2]), np.abs(state[..., 1::2]))
+            return eps * amplitude[..., 1] / amplitude[..., 0]
+
+        for eps, mode in [(0.01, 1), (0.03, 2), (0.1, 5), (0.3, 1), (0.3, 5)]:
+            k = float(mode)
+            omega_b = SOUND_SPEED * k * (1.0 + eps * eps * beta_u * k * k)
+            envelope = 2.0 * eps * kappa * k * k / (omega_b + SOUND_SPEED * k)
+            damping = eps * float(transport_ns(ev).sound_diffusivity) * k * k
+            shifted = _augmented_matrix(mode, eps, ev) + damping * np.eye(4)
+            times = np.linspace(0.0, 1.0 / eps**2, 2001)
+            unit = 2.0**-53 * (1.0 + times * omega_b) * envelope
+            closed = _multiscale_ratios(mode, eps, ev, times)
+            start = np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex)
+            eig = np.concatenate(
+                [block[:, :, 0] for _, block in exp_action(shifted[None], start, times)]
+            )
+            assert np.max(np.abs(closed - ratio(eig, eps)) / unit) <= 32.0, (eps, mode)
+            sample = slice(None, None, 100)
+            expm = np.array([scipy.linalg.expm(shifted * t)[:, 0] for t in times[sample]])
+            gap = np.abs(closed[sample] - ratio(expm, eps)) / unit[sample]
+            assert np.max(gap) <= 16.0, (eps, mode)
 
 
 class TestCrossingTime:
