@@ -1,4 +1,8 @@
-"""Shared per-mode machinery: DFT conventions and exact modal propagation.
+"""Shared per-mode machinery: DFT conventions and the numerics of a symbol stack.
+
+A model is one constant-coefficient symbol per wavenumber; this module
+holds everything done to a stack of them: its real coordinates, its
+eigenvalues (the dispersion branches) and its exact exponential.
 
 Every field is real, so mode arrays keep only the N//2 + 1 coefficients of
 the numpy rfft layout, normalized as rfft(x)/N; the field synthesizes as
@@ -15,23 +19,30 @@ system) is built at those wavenumbers and exponentiated once for every time
 of a 1-D array.  An initial condition's exact spectrum occupies only the
 modes its terms name, so a run builds and exponentiates a few matrices
 whatever N is; the empty columns stay exactly 0 and are only synthesized.
+A spectrum with every column occupied takes the same path, indexed by the
+same column array.
 Given a unitary diagonal S for which A = S^-1 M S is real, as
 dispersion.parity_scale gives for every model but the Riemann-decoupled
-one, the stack exponentiated is the real A, and the modes travel as
-S exp(A t) S^-1 x.  exp_action takes one of three routes,
-chosen from the entries of the stack:
+one, real_coordinates forms A and refuses it unless it is exactly real;
+the stack exponentiated is then the real A, and the modes travel as
+S exp(A t) S^-1 x.  The same real A is the stack whose eigenvalues are the
+dispersion branches, so both are read here, on one of three routes chosen
+from the entries of the stack (exp_action for the exponential, eigenvalues
+for the spectrum):
 
-- diagonal: a stack with no off-diagonal entry, as the Riemann-decoupled
-  symbol is, is its own eigendecomposition and needs no eig at all;
+- diagonal: a stack with no nonzero off-diagonal entry, as the
+  Riemann-decoupled symbol is, is its own eigendecomposition and needs no
+  eig at all;
 - acoustic pair: a real stack [[d, a], [b, d]] (+) diag(e, ...) with
   a*b <= 0, as every Euler, Navier-Stokes and Burnett A is, has the closed
   form exp(d t) [[cos wt, a sin(wt)/w], [b sin(wt)/w, cos wt]] (+) exp(e t)
   with w = sqrt|a| sqrt|b| (Moler and Van Loan, SIAM Rev. 45, 2003), which
   needs no eig, no defect screen and no expm, and covers the Jordan block
-  w = 0 as well;
+  w = 0 as well; its eigenvalues are d +- i w and e;
 - eig: any other stack, the moment system's A among them, is diagonalized
   once as V exp(Lambda t) V^-1 x, which real LAPACK does for a real A in
-  about half the time of the complex M.
+  about half the time of the complex M; its eigenvalues alone take one
+  eigvals call.
 
 The only coefficients with no conjugate partner are k = 0 and, for even N,
 the Nyquist column k = N/2; both are real for a real field, and their
@@ -52,11 +63,13 @@ __all__ = [
     "MIN_GRID_SIZE",
     "acoustic_frequency",
     "check_grid_size",
+    "eigenvalues",
     "exp_action",
     "forward_modes",
     "hermitian_violation",
     "inverse_modes",
     "mode_propagators",
+    "real_coordinates",
     "wavenumbers",
 ]
 
@@ -160,6 +173,45 @@ def acoustic_frequency(mats: np.ndarray) -> np.ndarray | None:
     return np.sqrt(np.abs(a)) * np.sqrt(np.abs(b))
 
 
+def real_coordinates(mats: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """S^-1 M S for an (N, d, d) stack M, with S = diag(scale); M itself for None.
+
+    scale is the diagonal of a unitary diagonal S, as dispersion.parity_scale
+    gives it: each entry of M is multiplied by 1, i or -i, so the product is
+    exact.  A nonzero imaginary part of the result raises ValueError, since
+    a real A is what the real routes of exp_action and eigenvalues assume.
+    """
+    if scale is None:
+        return mats
+    mats = mats * np.outer(scale.conj(), scale)
+    if mats.imag.any():
+        raise ValueError("the scaled symbol stack S^-1 M S is not real")
+    return mats.real
+
+
+def _is_diagonal(mats: np.ndarray) -> bool:
+    """Whether no matrix of the (N, d, d) stack has a nonzero off-diagonal entry."""
+    return not mats[..., ~np.eye(mats.shape[-1], dtype=bool)].any()
+
+
+def eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of an (N, d, d) stack, shape (N, d), complex.
+
+    The route is exp_action's: the diagonal of a diagonal stack, in its
+    order and with no eigvals call; d + i w, d - i w and the rest of the
+    diagonal for an acoustic pair (acoustic_frequency), an exact conjugate
+    pair and reals; one batched eigvals call for any other stack.
+    """
+    values = np.diagonal(mats, axis1=-2, axis2=-1).astype(complex)
+    if _is_diagonal(mats):
+        return values
+    omega = acoustic_frequency(mats)
+    if omega is None:
+        return np.linalg.eigvals(mats).astype(complex, copy=False)
+    values.imag[:, 0], values.imag[:, 1] = omega, -omega
+    return values
+
+
 def _acoustic_action(
     mats: np.ndarray, omega: np.ndarray, vectors: np.ndarray, times: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -200,9 +252,9 @@ def exp_action(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, block): exp(mats[m] * t) @ vectors[:, m] for t in times[rows].
 
-    Each block holds about EVAL_BLOCK entries, so a caller reducing the
-    blocks never holds all (T, d, N) values.  The route is read from the
-    (N, d, d) stack, real or complex, as the module header lists:
+    Each block holds about EVAL_BLOCK entries.  The route is read from the
+    (N, d, d) stack, real or complex, as the module header lists, and as
+    eigenvalues reads it:
 
     - a stack with no nonzero off-diagonal entry is its own
       eigendecomposition, with V = V^-1 = I, no eig call and nothing to
@@ -218,7 +270,7 @@ def exp_action(
     """
     d = mats.shape[-1]
     defective = np.empty(0, dtype=np.intp)
-    if not mats[..., ~np.eye(d, dtype=bool)].any():
+    if _is_diagonal(mats):
         eigvals = np.diagonal(mats, axis1=-2, axis2=-1).astype(complex)
         eigvecs = inverses = np.broadcast_to(np.eye(d, dtype=complex), mats.shape)
     else:
@@ -261,38 +313,32 @@ def mode_propagators(
 
     Returns shape (T, d, n//2 + 1).  times is a 1-D ascending array of
     positive elapsed times; a scalar is refused.  Only the occupied columns,
-    those with a nonzero entry, are propagated: symbol_stack maps the array
-    of their plane wavenumbers -k to the symbol stack M at those k, and
-    every other column of the result is exactly 0, as exp(M t) 0 is.  A
-    dense spectrum builds the whole (n//2 + 1, d, d) stack at -k = 0, -1,
-    ..., -(n//2), and an all-zero one an empty stack, so the symbol still
-    checks its arguments.  Each occupied column gets the bits the whole
-    stack's propagation gives it.  scale, if given, is the diagonal of a
-    unitary diagonal S for which A = S^-1 M S is real
+    those with a nonzero entry, are propagated, on one path whatever their
+    count: symbol_stack maps the array of their plane wavenumbers -k to the
+    symbol stack M at those k, and every other column of the result is
+    exactly 0, as exp(M t) 0 is.  An all-zero spectrum builds an empty
+    stack, so the symbol still checks its arguments.  Each occupied column
+    gets the bits the whole stack's propagation gives it.  scale, if given,
+    is the diagonal of a unitary diagonal S for which A = S^-1 M S is real
     (dispersion.parity_scale): the modes are then propagated as
-    S exp(A t) S^-1 x with the real stack A, and a nonzero imaginary part of
-    A raises ValueError.  For even n the real Nyquist coefficient is
-    advanced as Re(P x), with P in the original coordinates.
+    S exp(A t) S^-1 x with the real stack A of real_coordinates, which
+    refuses a nonzero imaginary part, and S is applied to each block of
+    exp_action as it is scattered, so no whole-array copy is rescaled.  For
+    even n the real Nyquist coefficient is advanced as Re(P x), with P in
+    the original coordinates.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise ValueError(f"times must be a 1-D array of positive ascending times, got {times}")
     occupied = np.flatnonzero(np.any(modes, axis=0))
-    columns = slice(None) if occupied.size == n // 2 + 1 else occupied
-    mats = symbol_stack(-wavenumbers(n)[columns].astype(float))
-    vectors = modes[:, columns]
+    mats = real_coordinates(symbol_stack(-wavenumbers(n)[occupied].astype(float)), scale)
+    vectors = modes[:, occupied]
     if scale is not None:
-        mats = mats * np.outer(scale.conj(), scale)
-        if mats.imag.any():
-            raise ValueError("the scaled symbol stack S^-1 M S is not real")
-        mats = mats.real
         vectors = vectors * scale.conj()[:, None]
     out = np.zeros((times.size, len(modes), n // 2 + 1), dtype=complex)
     if occupied.size:  # exp_action sizes its blocks by the column count
         for rows, block in exp_action(mats, vectors, times):
-            out[rows, :, columns] = block
-    if scale is not None:
-        out[:, :, columns] *= scale[:, None]
+            out[rows, :, occupied] = block if scale is None else block * scale[:, None]
     if n % 2 == 0:
         out[:, :, -1] = out[:, :, -1].real
     return out

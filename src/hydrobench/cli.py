@@ -165,7 +165,7 @@ def _parse_models(raw: Sequence[str]) -> tuple[ModelId, ...]:
                     f"{sorted(set(alias for alias in _MODEL_ALIASES))}"
                 )
             models.append(_MODEL_ALIASES[key])
-    return tuple(models)
+    return tuple(dict.fromkeys(models))  # each model once, in first-seen order
 
 
 def _load_config_file(path: Path) -> dict[str, object]:
@@ -574,7 +574,7 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
         raise UsageError(
             f"[{config.kmin}, {config.kmax}] holds fewer than {config.samples} distinct k samples"
         )
-    models = sorted(set(config.models), key=lambda m: m.value)
+    models = sorted(config.models, key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
     # Rows in (model, k, branch) order: models come sorted, k ascends, and
     # each model fills its own (k, branch) block with its branches in name
@@ -628,7 +628,7 @@ def _cmd_evolve(config: RunConfig) -> np.ndarray:
 
 
 def _cmd_compare(config: RunConfig) -> np.ndarray:
-    models = [m for m in dict.fromkeys(config.models) if m is not ModelId.MOMENT_REFERENCE]
+    models = [m for m in config.models if m is not ModelId.MOMENT_REFERENCE]
     if not models:
         raise UsageError("compare needs at least one hydrodynamic model")
     times = _output_times(config)

@@ -14,13 +14,14 @@ entry of the Euler, Navier-Stokes, Burnett and moment symbols couples an odd
 row to an even one and is pure imaginary, and every diagonal entry is real.
 So with S = diag(i on the odd rows), S^-1 M S is a real matrix with the
 eigenvalues of M, each either exactly real or one of an exact conjugate
-pair.  For Euler, Navier-Stokes and Burnett that real matrix is an acoustic
-pair, [[d, a, 0], [b, d, 0], [0, 0, e]] with a*b <= 0
+pair.  One parity table, _ODD_ROWS, read through parity_scale, serves both
+users of that fact: the branches here, and hydro_spectral.evolve, which
+propagates in the real coordinates S^-1 x.  Both form the real stack and
+read its route in _modal (real_coordinates, eigenvalues): for Euler,
+Navier-Stokes and Burnett it is an acoustic pair,
+[[d, a, 0], [b, d, 0], [0, 0, e]] with a*b <= 0
 (_modal.acoustic_frequency), whose eigenvalues d +- i w, w = sqrt|a| sqrt|b|,
-and e need no LAPACK; real LAPACK takes the moment system's.  One parity
-table, _ODD_ROWS, read through parity_scale, serves both users of that fact:
-the branches here, and hydro_spectral.evolve, which propagates in the real
-coordinates S^-1 x.
+and e need no LAPACK; real LAPACK takes the moment system's.
 Branches are continuous in k, and two real ones
 cannot change order without meeting, so while the number of real
 eigenvalues stays that of the model (one for a hydrodynamic model, three for
@@ -44,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._modal import acoustic_frequency
+from . import _modal
 from .coefficients import (
     SOUND_SPEED,
     EigenvalueSet,
@@ -205,48 +206,16 @@ def parity_scale(model: ModelId) -> np.ndarray | None:
 
     S^-1 M S is real for the model's symbol M (module header), so branches
     take real eigenvalues of it and hydro_spectral.evolve propagates in its
-    real coordinates.  The Riemann-decoupled symbol has no parity rows, and
-    none is needed: it is diagonal.
+    real coordinates; both form it with _modal.real_coordinates, which
+    refuses a non-real result, and read its route in _modal.  The
+    Riemann-decoupled symbol has no parity rows, and none is needed: it is
+    diagonal.
     """
     if model not in _ODD_ROWS:
         return None
     scale = np.ones(model.dimension, dtype=complex)
     scale[_ODD_ROWS[model]] = 1j
     return scale
-
-
-def _parity_scaled(model: ModelId, matrix: np.ndarray) -> np.ndarray:
-    """S^-1 M S for a symbol stack M, with S = diag(parity_scale(model)).
-
-    Each entry is M's times 1, i or -i, so the product is exact, and by the
-    parity structure of the module header its imaginary part is exactly zero.
-    """
-    scale = parity_scale(model)
-    return matrix * np.outer(scale.conj(), scale)
-
-
-def _eigenvalues(
-    model: ModelId, grid: np.ndarray, eps: float, eigenvalues: EigenvalueSet
-) -> np.ndarray:
-    """Raw eigenvalues of the model symbol at every grid point, shape (len(grid), d).
-
-    The diagonal of the Riemann-decoupled symbol, in its (R+, R-, s) order.
-    The parity-scaled Euler, Navier-Stokes and Burnett stacks are acoustic
-    pairs (_modal.acoustic_frequency), whose eigenvalues are d + i w, d - i w
-    and e in closed form, an exact conjugate pair and a real.  The moment
-    system takes one batched real eigvals call on its parity-scaled stack.
-    """
-    matrix = symbol_matrix(model, grid, eps, eigenvalues)
-    if parity_scale(model) is None:
-        return np.diagonal(matrix, axis1=1, axis2=2)
-    scaled = _parity_scaled(model, matrix).real
-    omega = acoustic_frequency(scaled)
-    if omega is None:
-        return np.linalg.eigvals(scaled).astype(complex, copy=False)
-    values = np.diagonal(scaled, axis1=1, axis2=2).astype(complex)
-    values.imag[:, 0] = omega
-    values.imag[:, 1] = -omega
-    return values
 
 
 #: Labels of a model's real eigenvalues, from the largest down.
@@ -261,7 +230,12 @@ def branches(
 ) -> DispersionTable:
     """Numerical sigma(k) branches of a model symbol, labelled at every grid point.
 
-    The grid must be finite, ascending and strictly positive.  The labels
+    The grid must be finite, ascending and strictly positive.  The raw
+    eigenvalues are those of the symbol stack in the real coordinates of
+    parity_scale, read on _modal.eigenvalues' route: the diagonal of the
+    Riemann-decoupled symbol, in its (R+, R-, s) order; d + i w, d - i w
+    and e in closed form for the Euler, Navier-Stokes and Burnett acoustic
+    pairs; one batched real eigvals call for the moment system.  The labels
     come from rank, as the module header describes: the raw eigenvalues at
     each point are sorted on one key, Im > 0 first, then the reals from the
     largest down, then Im < 0.  The Riemann-decoupled diagonal has a real s
@@ -271,7 +245,8 @@ def branches(
     reference) raises BranchCollisionError at its k, the first point itself
     included.  The moment reference meets that at its real exceptional point
     near eps*k ~ 0.3*|lambda02|, where the entropy and kinetic-heat branches
-    merge into a conjugate pair.
+    merge into a conjugate pair.  A symbol whose parity-scaled stack is not
+    real raises ValueError, as propagation does.
     """
     grid = np.asarray(k_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -281,7 +256,8 @@ def branches(
     if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("k_grid must be strictly positive and ascending")
 
-    values = _eigenvalues(model, grid, eps, eigenvalues)
+    matrix = symbol_matrix(model, grid, eps, eigenvalues)
+    values = _modal.eigenvalues(_modal.real_coordinates(matrix, parity_scale(model)))
     real = values.imag == 0
     count = model.dimension - 2
     wrong = np.count_nonzero(real, axis=1) != count

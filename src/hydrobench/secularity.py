@@ -143,12 +143,15 @@ def _multiscale_ratios(
     import scipy.linalg  # deferred, so the CLI's other commands never pay for its import
     t = float(times[-1])
     damping = eps * float(transport_ns(eigenvalues).sound_diffusivity) * k * k
-    state = scipy.linalg.expm((generator + damping * np.eye(4)) * t)[:, 0]  # from (1, 0, 0, 0)
-    # Energy-based amplitudes hypot(a0*|u|, |p|): smooth in time for a standing wave.
-    lead, corr = np.hypot(SOUND_SPEED * np.abs(state[::2]), np.abs(state[1::2]))
-    direct = eps * corr / lead
+    # A phase expm cannot hold may overflow, or lose the leading wave to 0: the
+    # gap is then not finite and fails the check below, which names the route.
+    with np.errstate(all="ignore"):
+        state = scipy.linalg.expm((generator + damping * np.eye(4)) * t)[:, 0]  # from (1, 0, 0, 0)
+        # Energy-based amplitudes hypot(a0*|u|, |p|): smooth in time for a standing wave.
+        lead, corr = np.hypot(SOUND_SPEED * np.abs(state[::2]), np.abs(state[1::2]))
+        direct = eps * corr / lead
+        gap = abs(ratios[-1] - direct)
     bound = EXPM_GAP_C * 2.0**-53 * (1.0 + t * omega_b) * envelope
-    gap = abs(ratios[-1] - direct)
     if not gap <= bound:
         raise InternalConsistencyError(
             f"multiscale ratio: closed form and expm differ by {gap:.3e} at t = {t:g}, "

@@ -2021,7 +2021,7 @@ class TestExitCodes:
         assert main(["dispersion", "--nonsense"]) == 1
         assert capsys.readouterr().err == "error: hydrobench: unrecognized arguments: --nonsense\n"
 
-    def test_usage_error_two_models_for_evolve(self, tmp_path):
+    def test_usage_error_two_models_for_evolve(self, tmp_path, capsys):
         code = main(
             [
                 "evolve",
@@ -2040,6 +2040,19 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+        assert capsys.readouterr().err == "error: evolve takes exactly one --model\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("models", [["burnett,burnett"], ["burnett", "--model", "burnett"]])
+    def test_repeated_model_for_evolve_is_one_model(self, tmp_path, capsys, models):
+        # As for compare and dispersion, a model named twice is run once.
+        flags = ["--ic", "u:1:1,p:2:0.5", "--tmax", "1", "--dt-out", "0.5", "--grid-size", "16"]
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert main(["evolve", "--model", "burnett", *flags, "--out", str(once), "--svg"]) == 0
+        assert main(["evolve", "--model", *models, *flags, "--out", str(twice), "--svg"]) == 0
+        assert capsys.readouterr().err == ""
+        assert twice.read_bytes() == once.read_bytes()
+        assert twice.with_suffix(".svg").read_bytes() == once.with_suffix(".svg").read_bytes()
 
     def test_usage_error_compare_without_hydro_model(self, tmp_path):
         code = main(
@@ -2108,6 +2121,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("numerical failure in command: non-finite value (")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lambda02", ["-1e-12", "-1e-11"])
+    def test_phase_beyond_the_routes_names_the_route_check(self, tmp_path, capsys, lambda02):
+        # beta_u ~ 1/lambda02^2 puts t*omega_B near 1e23 or 1e21: the final-time
+        # expm overflows or loses the leading wave, and the failure is the
+        # route check's, not a floating-point trap inside it.
+        out = tmp_path / "x.csv"
+        argv = ["secular", "--eps", "0.05", "--ic", "u:1:1", f"--lambda02={lambda02}"]
+        assert main([*argv, "--tmax", "400", "--dt-out", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: multiscale ratio: closed form and expm differ by")
+        assert "at t = 400," in err
         assert not out.exists()
 
     def test_secular_output_does_not_depend_on_amplitude_or_phase(self, tmp_path, capsys):

@@ -9,14 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from hydrobench import dispersion
+from hydrobench._modal import eigenvalues, real_coordinates
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import (
     Branch,
     BranchCollisionError,
     ModelId,
-    _eigenvalues,
-    _parity_scaled,
     branches,
+    parity_scale,
     sigma_asymptotic,
     symbol_matrix,
 )
@@ -101,9 +102,10 @@ def _oracle_branches(model, grid, eps):
     """Seeded greedy continuation, one k after another, as the oracle of branches.
 
     It checks the labels, not LAPACK, so it reads the raw eigenvalues from
-    the helper that branches uses; TestParityRealEigenvalues checks those.
+    the two _modal helpers that branches uses (_raw), bit for bit;
+    TestParityRealEigenvalues checks those.
     """
-    values = _eigenvalues(model, grid, eps, EV)
+    values = _raw(model, grid, eps)
     matched = [_oracle_seeded(_oracle_seeds(model, float(grid[0]), eps), values[0])]
     for k, row in zip(grid[1:], values[1:]):
         matched.append(_oracle_continued(matched[-1], row, float(k)))
@@ -258,6 +260,16 @@ EPS_K_SAMPLES = np.sort(
 PARITY_MODELS = [ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT, ModelId.MOMENT_REFERENCE]
 
 
+def _scaled(model, k, eps):
+    """The model's symbol stack at k in the real coordinates of its parity scale."""
+    return real_coordinates(symbol_matrix(model, np.asarray(k), eps, EV), parity_scale(model))
+
+
+def _raw(model, k, eps):
+    """The raw eigenvalues that branches labels: the scaled stack on _modal's route."""
+    return eigenvalues(_scaled(model, k, eps))
+
+
 def _worst_assignment_gap(reference, values):
     """Largest |reference - values| per k after the cheapest one-to-one matching,
     relative to that k's largest |reference|."""
@@ -310,8 +322,13 @@ class TestParityRealEigenvalues:
         k=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=20),
     )
     def test_scaled_stack_is_exactly_real(self, model, eps, k):
-        scaled = _parity_scaled(model, symbol_matrix(model, np.array(k), eps, EV))
-        assert np.all(scaled.imag == 0)
+        # real_coordinates raises unless S^-1 M S is exactly real, and then
+        # returns that product's real parts as a float64 stack.
+        matrix = symbol_matrix(model, np.array(k), eps, EV)
+        scaled = _scaled(model, k, eps)
+        assert scaled.dtype == np.float64
+        scale = parity_scale(model)
+        assert np.array_equal(scaled, (matrix * np.outer(scale.conj(), scale)).real)
 
     @settings(max_examples=40, deadline=None)
     @given(model=st.sampled_from(PARITY_MODELS), eps=st.floats(0.01, 1.0))
@@ -323,7 +340,7 @@ class TestParityRealEigenvalues:
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.28964356227589255)
     def test_real_route_matches_complex_eigvals(self, model, eps):
         k = EPS_K_SAMPLES / eps
-        gaps, bounds = _route_gaps(model, k, eps, _eigenvalues(model, k, eps, EV))
+        gaps, bounds = _route_gaps(model, k, eps, _raw(model, k, eps))
         assert np.all(gaps <= bounds)
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 1.0])
@@ -336,7 +353,7 @@ class TestParityRealEigenvalues:
         model = ModelId.MOMENT_REFERENCE
         k = EPS_K_SAMPLES / eps
         far = np.abs(EPS_K_SAMPLES - EXCEPTIONAL_EPS_K) > 0.02
-        _, bounds = _route_gaps(model, k, eps, _eigenvalues(model, k, eps, EV))
+        _, bounds = _route_gaps(model, k, eps, _raw(model, k, eps))
         largest = np.abs(np.linalg.eigvals(symbol_matrix(model, k, eps, EV))).max(axis=1)
         assert np.count_nonzero(far) == 97
         assert np.all(bounds[far] <= 1e-13 * largest[far, None])
@@ -345,7 +362,7 @@ class TestParityRealEigenvalues:
     def test_bound_catches_a_relative_perturbation(self, eps):
         model = ModelId.MOMENT_REFERENCE
         k = EPS_K_SAMPLES / eps
-        perturbed = _eigenvalues(model, k, eps, EV) * (1.0 + 1e-12)
+        perturbed = _raw(model, k, eps) * (1.0 + 1e-12)
         gaps, bounds = _route_gaps(model, k, eps, perturbed)
         assert not np.all(gaps <= bounds)
 
@@ -356,7 +373,7 @@ class TestParityRealEigenvalues:
         model = ModelId.MOMENT_REFERENCE
         k = np.array([EXCEPTIONAL_EPS_K / eps])
         complex_route = np.linalg.eigvals(symbol_matrix(model, k, eps, EV))
-        assert _worst_assignment_gap(complex_route, _eigenvalues(model, k, eps, EV)) <= 1e-6
+        assert _worst_assignment_gap(complex_route, _raw(model, k, eps)) <= 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -367,7 +384,7 @@ class TestParityRealEigenvalues:
     def test_non_real_eigenvalues_are_exact_conjugate_pairs(self, model, eps, k):
         # The fact that branches labels by: each raw eigenvalue is exactly
         # real, or the exact conjugate of another one at the same k.
-        for row in _eigenvalues(model, np.array(k), eps, EV):
+        for row in _raw(model, k, eps):
             for value in row[row.imag != 0]:
                 assert np.count_nonzero(row == np.conj(value)) == 1
 
@@ -384,13 +401,14 @@ class TestParityRealEigenvalues:
         # and sit within the same route-gap bound of the complex eigvals.
         k = np.array(k)
         with mock.patch.object(np.linalg, "eigvals", side_effect=AssertionError("eigvals")):
-            values = _eigenvalues(model, k, eps, EV)
+            values = _raw(model, k, eps)
         gaps, bounds = _route_gaps(model, k, eps, values)
         assert np.all(gaps <= bounds)
 
     def test_moment_system_keeps_eigvals(self):
+        scaled = _scaled(ModelId.MOMENT_REFERENCE, [0.5, 1.0], 0.1)
         with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
-            _eigenvalues(ModelId.MOMENT_REFERENCE, np.array([0.5, 1.0]), 0.1, EV)
+            eigenvalues(scaled)
         assert eigvals.call_count == 1
 
     def test_riemann_decoupled_keeps_the_complex_route(self):
@@ -398,7 +416,9 @@ class TestParityRealEigenvalues:
         # and in the same order, so reading it skips LAPACK and moves no byte.
         k = np.linspace(0.1, 4.0, 9)
         matrix = symbol_matrix(ModelId.RIEMANN_DECOUPLED, k, 0.1, EV)
-        values = _eigenvalues(ModelId.RIEMANN_DECOUPLED, k, 0.1, EV)
+        assert real_coordinates(matrix, None) is matrix  # no parity scale
+        with mock.patch.object(np.linalg, "eigvals", side_effect=AssertionError("eigvals")):
+            values = eigenvalues(matrix)
         assert values.tobytes() == np.linalg.eigvals(matrix).tobytes()
 
 
@@ -461,6 +481,20 @@ class TestBranches:
         with pytest.raises(BranchCollisionError, match=message):
             branches(ModelId.MOMENT_REFERENCE, grid, eps, EV)
         branches(ModelId.MOMENT_REFERENCE, grid[grid < past], eps, EV)
+
+    @pytest.mark.parametrize("model", PARITY_MODELS)
+    def test_symbol_with_an_imaginary_scaled_stack_is_refused(self, monkeypatch, model):
+        # A real u-p coupling breaks the parity structure: S^-1 M S is then
+        # complex, and branches must not drop its imaginary part, as
+        # propagation does not.
+        def broken(*args):
+            mats = symbol_matrix(*args)
+            mats[..., 0, 1] += 1e-3
+            return mats
+
+        monkeypatch.setattr(dispersion, "symbol_matrix", broken)
+        with pytest.raises(ValueError, match="not real"):
+            branches(model, [0.5, 1.0], 0.1, EV)
 
     def test_first_point_past_the_merge_refuses(self):
         # Past the merge the moment system has one real eigenvalue, so no
@@ -528,7 +562,7 @@ class TestTwoRoutes:
     @example(model=ModelId.EULER, eps=0.1, kmin=1e-320, span=1e-300, samples=4)
     def test_batched_matches_sequential(self, model, eps, kmin, span, samples):
         grid = np.linspace(kmin, kmin + span, samples)
-        counts = np.count_nonzero(_eigenvalues(model, grid, eps, EV).imag == 0, axis=1)
+        counts = np.count_nonzero(_raw(model, grid, eps).imag == 0, axis=1)
         changed = np.flatnonzero(counts != model.dimension - 2)
         ranked, ranked_error = _outcome(lambda: branches(model, grid, eps, EV).sigma)
         oracle, oracle_error = _outcome(lambda: _oracle_branches(model, grid, eps))
