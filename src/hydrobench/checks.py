@@ -89,9 +89,9 @@ def _spectrum(ic_text: str, n: int) -> hydro_spectral.SpectralState:
 
 
 def _energy(spec: hydro_spectral.SpectralState) -> float:
-    state = hydro_spectral.from_modes(spec)
-    dx = 2.0 * np.pi / state.grid_size
-    return float(dx * np.sum((5.0 / 3.0) * state.u**2 + state.p**2))
+    u, p, _ = hydro_spectral.from_modes(spec)
+    dx = 2.0 * np.pi / spec.grid_size
+    return float(dx * np.sum((5.0 / 3.0) * u**2 + p**2))
 
 
 def _max_gap(a, b) -> float:
@@ -229,10 +229,9 @@ def secularity_demonstration() -> list[Measurement]:
 @_check("solver hygiene")
 def solver_hygiene() -> list[Measurement]:
     evolve = hydro_spectral.evolve
-    state = hydro_spectral.from_modes(_spectrum("u:1:1,p:2:0.5:0.3,s:3:0.25", 16))
-    spec = hydro_spectral.to_modes(state)
-    back = hydro_spectral.from_modes(spec)
-    round_trip = max(_max_gap(getattr(back, f), getattr(state, f)) for f in "ups")
+    fields = hydro_spectral.from_modes(_spectrum("u:1:1,p:2:0.5:0.3,s:3:0.25", 16))
+    spec = hydro_spectral.to_modes(fields)
+    round_trip = _max_gap(hydro_spectral.from_modes(spec), fields)
 
     def steps(model, eps, dt, count):  # each evolve from the last one's row; energy after each
         cur, energy = spec, [_energy(spec)]
@@ -247,10 +246,9 @@ def solver_hygiene() -> list[Measurement]:
 
     cur, energy = steps(ModelId.EULER, 0.0, 0.05, 1000)
     drift = float(np.max(np.abs(energy - energy[0]) / energy[0]))
-    s_drift = _max_gap(hydro_spectral.from_modes(cur).s, state.s)
+    s_drift = _max_gap(hydro_spectral.from_modes(cur)[2], fields[2])
 
-    offset = hydro_spectral.HydroState(u=state.u + 0.5, p=state.p - 0.25, s=state.s + 1.0)
-    offset_modes = hydro_spectral.to_modes(offset)
+    offset_modes = hydro_spectral.to_modes(fields + [[0.5], [-0.25], [1.0]])
     starts = {3: offset_modes, 5: moment_reference.from_hydro(offset_modes)}
     mean_drift = 0.0
     for model in ModelId:  # the conserved rows: (u, p, s), or (n, u, p) of the moments
@@ -277,13 +275,12 @@ def h1_flux_bridge() -> list[Measurement]:
     # The two routes inside h1_fluxes agree to 1e-10 or it raises.
     n = 64
     x = 2.0 * np.pi * np.arange(n) / n
-    state_u = hydro_spectral.HydroState(u=np.sin(x), p=np.zeros(n), s=np.zeros(n))
-    stress, heat = hydro_spectral.h1_fluxes(state_u, EV, 0.1)
+    stress, heat = hydro_spectral.h1_fluxes([np.sin(x), 0 * x, 0 * x], EV, 0.1)
     # T = sin x needs p + s = (5/2) sin x.
-    state_t = hydro_spectral.HydroState(u=np.zeros(n), p=2.5 * np.sin(x), s=np.zeros(n))
-    _, heat_t = hydro_spectral.h1_fluxes(state_t, EV, 0.1)
+    fields_t = [0 * x, 2.5 * np.sin(x), 0 * x]
+    _, heat_t = hydro_spectral.h1_fluxes(fields_t, EV, 0.1)
     stress_gap = _max_gap(stress, (-4.0 / 3.0) * np.cos(x))
-    temperature_gap = _max_gap(state_t.temperature, np.sin(x))
+    temperature_gap = _max_gap(hydro_spectral._gradients(fields_t)[0], np.sin(x))
     heat_gap = _max_gap(heat_t, (-15.0 / 4.0) * np.cos(x))
     return [
         Measurement("stress gap to -(4/3) cos x", stress_gap, "<=", 1e-10),
@@ -403,13 +400,11 @@ def ns_closure() -> list[Measurement]:
 def riemann_decoupling() -> list[Measurement]:
     n, eps, t = 32, 0.1, 3.0
     start = _spectrum("u:1:1,p:2:0.4", n)
-    state = hydro_spectral.from_modes(start)
     ((u, p, _),) = moment_reference.trajectory(start, ModelId.BURNETT, eps, EV, [t])
     rp_after, rm_after = hydro_spectral.riemann_split(u, p)
-    rp0, rm0 = hydro_spectral.riemann_split(state.u, state.p)
-    riemann_state = hydro_spectral.HydroState(u=rp0, p=rm0, s=np.zeros(n))
+    rp0, rm0 = hydro_spectral.riemann_split(*hydro_spectral.from_modes(start)[:2])
     ((rp, rm, _),) = moment_reference.trajectory(
-        hydro_spectral.to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, [t]
+        hydro_spectral.to_modes([rp0, rm0, np.zeros(n)]), ModelId.RIEMANN_DECOUPLED, eps, EV, [t]
     )
     gap = max(_max_gap(rp, rp_after), _max_gap(rm, rm_after))
     return [Measurement("gap to split Burnett", gap, "<=", 1e-10)]
@@ -423,12 +418,12 @@ def moment_hygiene() -> list[Measurement]:
     projection = moment_reference.hydro_projection(hydro_spectral.SpectralState(evolved, n))
     herm = max(
         _modal.hermitian_violation(evolved, n),
-        _modal.hermitian_violation(hydro_spectral.to_modes(projection.state).modes, n),
+        _modal.hermitian_violation(hydro_spectral.to_modes(projection.fields).modes, n),
     )
     drift = _max_gap(evolved[:3, 0], moments.modes[:3, 0])
     return [
         Measurement("k = 0 n, u, p drift", drift, "<=", 1e-14),
-        Measurement("projection grid size", projection.state.grid_size, "==", n),
+        Measurement("projection grid size", projection.fields.shape[1], "==", n),
         Measurement("hermitian violation", herm, "<=", 1e-9),
     ]
 

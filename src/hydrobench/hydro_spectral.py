@@ -8,9 +8,12 @@ sampling choice.  evolve takes a 1-D array of output times and exponentiates
 the symbol stack once for all of them, for any model whose model.dimension
 is the row count of the state: 3 for (u, p, s), 5 for the moments (n, u, p,
 Pi, q).  States carry no time: evolve returns the modes at every elapsed
-time asked for as one (T, d, N//2 + 1) array.  Density and temperature
-perturbations of the hydro state are derived, never stored: n = (3p - 2s)/5
-and T = (2/5)(p + s), equivalent to s = (3/2)p - (5/2)n and T = p - n.
+time asked for as one (T, d, N//2 + 1) array.  Real fields are one (3, N)
+float array, rows u, p and s, as each row of moment_reference.trajectory
+is; to_modes and from_modes go between it and a 3-row SpectralState.  The
+temperature perturbation is derived, never stored: T = (2/5)(p + s), which
+is T = p - n with the density n = (3p - 2s)/5 that
+moment_reference.from_hydro forms.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .velocity_space import EigenfunctionId, inner, psi_poly
 __all__ = [
     "FirstOrderCorrection",
     "HermitianSymmetryError",
-    "HydroState",
     "InternalConsistencyError",
     "SpectralState",
     "evolve",
@@ -51,47 +53,20 @@ class InternalConsistencyError(RuntimeError):
     """Two independent computation routes disagreed beyond tolerance."""
 
 
-def _as_field(values, n: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("fields must be 1-D arrays")
-    if n is not None and arr.size != n:
-        raise ValueError(f"field length {arr.size} does not match grid size {n}")
-    return arr
+def _fields(values) -> np.ndarray:
+    """values as a real field state: a (3, N) float array, rows u, p and s.
 
-
-@dataclass(frozen=True)
-class HydroState:
-    """Real (u, p, s) samples on the periodic grid.
-
-    Any N >= MIN_GRID_SIZE (8) works with the FFT backend; powers of two are
-    the fast path and the documented default.
+    Any other shape is refused, ragged rows included, and so is a grid
+    below MIN_GRID_SIZE (8).
     """
-
-    u: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self):
-        u = _as_field(self.u)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "p", _as_field(self.p, u.size))
-        object.__setattr__(self, "s", _as_field(self.s, u.size))
-        _modal.check_grid_size(u.size)
-
-    @property
-    def grid_size(self) -> int:
-        return self.u.size
-
-    @property
-    def n(self) -> np.ndarray:
-        """Density perturbation, derived from s = (3/2)p - (5/2)n."""
-        return (3.0 * self.p - 2.0 * self.s) / 5.0
-
-    @property
-    def temperature(self) -> np.ndarray:
-        """Temperature perturbation T = p - n = (2/5)(p + s)."""
-        return 0.4 * (self.p + self.s)
+    try:
+        fields = np.asarray(values, dtype=float)
+    except ValueError as error:
+        raise ValueError(f"fields must have shape (3, N): {error}") from None
+    if fields.ndim != 2 or len(fields) != 3:
+        raise ValueError(f"fields must have shape (3, N), rows u, p and s, got {fields.shape}")
+    _modal.check_grid_size(fields.shape[1])
+    return fields
 
 
 @dataclass(frozen=True)
@@ -103,8 +78,8 @@ class SpectralState:
     sum_k modes[row, k] exp(+i k x) + c.c. over k = 1..grid_size//2 (the
     k = 0 and even-grid Nyquist terms counted once).  grid_size is stored
     because the column count cannot tell an even grid from an odd one, and
-    is at least MIN_GRID_SIZE (8), as a HydroState's is.  A state describing
-    real fields has real k = 0 and Nyquist modes.
+    is at least MIN_GRID_SIZE (8), as the N of (3, N) fields is.  A state
+    describing real fields has real k = 0 and Nyquist modes.
     """
 
     modes: np.ndarray
@@ -127,17 +102,19 @@ def _require_rows(spec: SpectralState, rows: int, reader: str) -> None:
         raise ValueError(f"{reader} needs a state of {rows} rows, got {len(spec.modes)}")
 
 
-def to_modes(state: HydroState) -> SpectralState:
-    """Discrete Fourier analysis of a hydro state."""
-    stacked = np.stack([state.u, state.p, state.s])
-    return SpectralState(_modal.forward_modes(stacked), state.grid_size)
+def to_modes(fields) -> SpectralState:
+    """Discrete Fourier analysis of (3, N) fields, rows u, p and s."""
+    fields = _fields(fields)
+    return SpectralState(_modal.forward_modes(fields), fields.shape[1])
 
 
-def from_modes(spec: SpectralState) -> HydroState:
-    """Synthesis of (u, p, s) back to real fields; raises on a complex k = 0 or Nyquist mode."""
+def from_modes(spec: SpectralState) -> np.ndarray:
+    """Synthesis of (u, p, s) modes to (3, N) real fields.
+
+    Raises on a non-finite mode and on a complex k = 0 or Nyquist mode.
+    """
     _require_rows(spec, 3, "from_modes")
-    fields = _modal.inverse_modes(spec.modes, spec.grid_size)
-    return HydroState(u=fields[0], p=fields[1], s=fields[2])
+    return _modal.inverse_modes(spec.modes, spec.grid_size)
 
 
 def evolve(
@@ -196,17 +173,27 @@ def riemann_join(r_plus: np.ndarray, r_minus: np.ndarray) -> tuple[np.ndarray, n
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    """d/dx of a smooth periodic field by mode multiplication.
+    """d/dx of smooth periodic fields (d, n), or a stack of them, by mode multiplication.
 
+    The modes are those of _modal.forward_modes and the result their
+    synthesis by _modal.inverse_modes, which refuses a non-finite field.
     The Nyquist mode of an even-length grid is zeroed: its derivative is not
     representable on the grid and real output requires it.
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
+    n = values.shape[-1]
     k = _modal.wavenumbers(n).astype(float)
     if n % 2 == 0:
         k[-1] = 0.0
-    return np.fft.irfft(1j * k * np.fft.rfft(values), n)
+    return _modal.inverse_modes(1j * k * _modal.forward_modes(values), n)
+
+
+def _gradients(fields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T = (2/5)(p + s) of (3, N) fields, and du/dx and dT/dx, which both flux routes take."""
+    u, p, s = _fields(fields)
+    temperature = 0.4 * (p + s)
+    du_dx, dt_dx = spectral_derivative(np.stack([u, temperature]))
+    return temperature, du_dx, dt_dx
 
 
 @dataclass(frozen=True)
@@ -222,10 +209,9 @@ class FirstOrderCorrection:
     a_velocity: np.ndarray
 
 
-def first_order_correction(
-    state: HydroState, eigenvalues: EigenvalueSet
-) -> FirstOrderCorrection:
-    du_dx, dt_dx = spectral_derivative(state.u), spectral_derivative(state.temperature)
+def first_order_correction(fields, eigenvalues: EigenvalueSet) -> FirstOrderCorrection:
+    """The correction of (3, N) fields, rows u, p and s."""
+    _, du_dx, dt_dx = _gradients(fields)
     return _correction(du_dx, dt_dx, eigenvalues)
 
 
@@ -240,11 +226,12 @@ def _correction(
 
 
 def h1_fluxes(
-    state: HydroState, eigenvalues: EigenvalueSet, eps: float
+    fields, eigenvalues: EigenvalueSet, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Viscous stress and heat flux carried by the first kinetic correction.
 
-    Returns (stress, heat_flux) per unit eps:
+    fields is a (3, N) array, rows u, p and s.  Returns (stress, heat_flux)
+    per unit eps:
 
         stress(x)    = (4/(3*lambda02)) du/dx
         heat_flux(x) = (5/(2*lambda11)) dT/dx
@@ -257,8 +244,7 @@ def h1_fluxes(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    du_dx = spectral_derivative(state.u)
-    dt_dx = spectral_derivative(state.temperature)
+    _, du_dx, dt_dx = _gradients(fields)
     correction = _correction(du_dx, dt_dx, eigenvalues)
 
     stress_closed = float(Fraction(4, 3) / eigenvalues.lambda02) * du_dx

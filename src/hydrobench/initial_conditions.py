@@ -6,8 +6,9 @@ resolves only those below half its size; amplitudes and phases are finite
 numbers, phases in radians and zero by default.  Each term contributes
 amplitude * sin(mode * x + phase) to its field, and spectrum gives the
 sum's exact half spectrum, which is nonzero only in the columns the terms
-name.  Fields on a grid are that spectrum synthesized, as every run's
-t = 0 row is (moment_reference.trajectory).
+name.  Fields on a grid are hydro_spectral.from_modes of that spectrum, a
+(3, N) array with rows u, p and s, as every run's t = 0 row is
+(moment_reference.trajectory).
 """
 
 from __future__ import annotations

@@ -19,14 +19,18 @@ The generator is built, like every model's, by dispersion.symbol_matrix,
 and a moment state is a 5-row hydro_spectral.SpectralState that
 hydro_spectral.evolve advances like any other, into one (T, 5, N//2 + 1)
 array of modes.  trajectory evolves a (u, p, s) half spectrum under any of
-the five models into one (T, 3, N) array of fields, and reference_gaps is
-the one comparison with the moment truth that compare and the
-Burnett-deviation criterion share.  Both start from modes, never from
-fields: the moment start is formed from the (u, p, s) modes themselves, so
-an initial condition's exact spectrum (initial_conditions.spectrum) reaches
-every model with the same occupied columns, and only those are propagated.
-A trajectory's t = 0 row is those modes synthesized, the same for every
-model.  Callers that hold fields pass hydro_spectral.to_modes of them.
+the five models into one (T, 3, N) array; each of its rows is real fields
+in the package's one layout, a (3, N) array of u, p and s, as
+hydro_spectral.from_modes returns them and HydroProjection holds them.
+The density n = (3p - 2s)/5 is formed only here, by from_hydro.
+reference_gaps is the one comparison with the moment truth that compare
+and the Burnett-deviation criterion share.  Both start from modes, never
+from fields: the moment start is formed from the (u, p, s) modes
+themselves, so an initial condition's exact spectrum
+(initial_conditions.spectrum) reaches every model with the same occupied
+columns, and only those are propagated.  A trajectory's t = 0 row is
+from_modes of those modes, the same for every model.  Callers that hold
+(3, N) fields pass hydro_spectral.to_modes of them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 from . import _modal
 from .coefficients import SOUND_SPEED, EigenvalueSet
 from .dispersion import ModelId
-from .hydro_spectral import HydroState, SpectralState, _require_rows, evolve, from_modes
+from .hydro_spectral import SpectralState, _require_rows, evolve, from_modes
 
 __all__ = [
     "HydroProjection",
@@ -54,9 +58,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HydroProjection:
-    """Hydrodynamic view of a moment state plus its kinetic residuals."""
+    """Hydrodynamic view of a moment state plus its kinetic residuals.
 
-    state: HydroState
+    fields is the (3, N) array of u, p and s; stress and heat_flux are the
+    Pi and q rows synthesized.
+    """
+
+    fields: np.ndarray
     stress: np.ndarray
     heat_flux: np.ndarray
 
@@ -101,9 +109,9 @@ def _hydro_modes(moments: np.ndarray) -> np.ndarray:
 def hydro_projection(state: SpectralState) -> HydroProjection:
     """Project a 5-row moment state onto (u, p, s); keep Pi, q as residuals."""
     _require_rows(state, 5, "the moment projection")
-    hydro = from_modes(SpectralState(_hydro_modes(state.modes), state.grid_size))
+    fields = from_modes(SpectralState(_hydro_modes(state.modes), state.grid_size))
     residuals = _modal.inverse_modes(state.modes[3:], state.grid_size)
-    return HydroProjection(hydro, stress=residuals[0], heat_flux=residuals[1])
+    return HydroProjection(fields, stress=residuals[0], heat_flux=residuals[1])
 
 
 def trajectory(
@@ -117,7 +125,7 @@ def trajectory(
 
     times is a 1-D array of ascending elapsed times; the result has shape
     (len(times), 3, N).  A leading 0 is the start itself: its row is
-    `initial` synthesized, for every model alike, and only the positive
+    from_modes(initial), for every model alike, and only the positive
     times are propagated.  The moment model propagates from_hydro of the
     modes.  Only the columns `initial` occupies are propagated
     (_modal.mode_propagators), and every column is synthesized.  The
@@ -139,7 +147,7 @@ def trajectory(
         modes = evolve(initial, model, eps, eigenvalues, times[start:])
     fields = np.empty((times.size, 3, n))  # after propagation, so its peak holds no fields
     if start:
-        fields[0] = _modal.inverse_modes(initial.modes, n)
+        fields[0] = from_modes(initial)
     step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
     for lo in range(0, len(modes), step):
         block = modes[lo : lo + step]

@@ -18,7 +18,7 @@ from hydrobench._modal import (
 )
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
-from hydrobench.hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
+from hydrobench.hydro_spectral import SpectralState, _gradients, evolve, from_modes, to_modes
 from hydrobench.moment_reference import (
     _hydro_modes,
     burnett_deviation_rms,
@@ -98,7 +98,7 @@ class TestEvolveMoments:
     def test_zero_k_stress_relaxation(self):
         n = 8
         eps = 0.2
-        state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
+        state = np.zeros((3, n))
         moments = from_hydro(to_modes(state))
         modes = moments.modes.copy()
         modes[3, 0] = 0.7  # uniform stress moment
@@ -110,14 +110,14 @@ class TestEvolveMoments:
     def test_conserved_means(self):
         n = 16
         x = grid(n)
-        state = HydroState(u=0.3 + np.sin(x), p=np.full(n, 0.2), s=np.full(n, -0.1))
+        state = np.stack([0.3 + np.sin(x), np.full(n, 0.2), np.full(n, -0.1)])
         moments = from_hydro(to_modes(state))
         (out,) = evolve(moments, MOMENT, 0.1, EV, [3.0])
         assert np.array_equal(out[:3, 0], moments.modes[:3, 0])
 
     def test_semigroup(self):
         n = 16
-        state = HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n))
+        state = np.stack([np.sin(grid(n)), np.zeros(n), np.zeros(n)])
         moments = from_hydro(to_modes(state))
         (one,) = evolve(moments, MOMENT, 0.1, EV, [1.1])
         (half,) = evolve(moments, MOMENT, 0.1, EV, [0.6])
@@ -129,7 +129,7 @@ class TestEvolveMoments:
 
         n = 16
         x = grid(n)
-        state = HydroState(u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x), s=0 * x)
+        state = np.stack([np.sin(x) + 0.2 * np.sin(5 * x), np.cos(2 * x), 0 * x])
         (out,) = evolve(from_hydro(to_modes(state)), MOMENT, 0.05, EV, [2.3])
         assert hermitian_violation(out, n) <= 1e-12
 
@@ -138,13 +138,13 @@ class TestEvolveMoments:
         # closure; the residual shrinks with eps.
         n = 32
         x = grid(n)
-        state = HydroState(u=np.sin(x), p=np.zeros(n), s=np.zeros(n))
+        state = np.stack([np.sin(x), np.zeros(n), np.zeros(n)])
         residuals = []
         for eps in (0.1, 0.05):
             (out,) = evolve(from_hydro(to_modes(state)), MOMENT, eps, EV, [3.0])
             projection = hydro_projection(SpectralState(out, n))
             du_dx = np.fft.ifft(
-                1j * np.fft.fftfreq(n, d=1.0 / n) * np.fft.fft(projection.state.u)
+                1j * np.fft.fftfreq(n, d=1.0 / n) * np.fft.fft(projection.fields[0])
             ).real
             closure = 4.0 * eps / (3.0 * -1.0) * du_dx
             residuals.append(float(np.max(np.abs(projection.stress - closure))))
@@ -161,7 +161,7 @@ class TestEvolveMoments:
             SpectralState(np.zeros((5, 9), dtype=complex), 15)
 
     def test_dt_validation(self):
-        state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
+        state = np.zeros((3, 8))
         with pytest.raises(ValueError):
             evolve(from_hydro(to_modes(state)), MOMENT, 0.1, EV, [0.0])
 
@@ -172,7 +172,7 @@ def moment_states(draw):
     n = draw(st.integers(MIN_GRID_SIZE, 32))
     values = draw(arrays(np.float64, (3, n), elements=st.floats(-1.0, 1.0)))
     eps = draw(st.floats(0.01, 1.0))
-    return from_hydro(to_modes(HydroState(u=values[0], p=values[1], s=values[2]))), eps
+    return from_hydro(to_modes(values)), eps
 
 
 class TestEvolveMomentsProperties:
@@ -210,11 +210,10 @@ class TestHydroProjection:
         # n = (3p - 2s)/5 column by column: the analysis of the density field
         # up to roundoff, and an empty (u, p, s) column stays empty.
         fields = np.random.default_rng(n).normal(size=(3, n))
-        state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-        moments = from_hydro(to_modes(state)).modes
-        assert np.array_equal(moments[1:3], to_modes(state).modes[:2])
+        moments = from_hydro(to_modes(fields)).modes
+        assert np.array_equal(moments[1:3], to_modes(fields).modes[:2])
         assert not moments[3:].any()
-        density = forward_modes(state.n)
+        density = forward_modes((3.0 * fields[1] - 2.0 * fields[2]) / 5.0)
         assert np.max(np.abs(moments[0] - density)) <= 1e-14 * np.max(np.abs(density))
         sparse = np.zeros((3, n // 2 + 1), dtype=complex)
         sparse[:, 2] = [0.5j, -0.25, 1.0 - 2.0j]
@@ -224,31 +223,31 @@ class TestHydroProjection:
 
     def test_entropy_relation(self):
         n = 8
-        state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
+        state = np.zeros((3, n))
         moments = from_hydro(to_modes(state))
         modes = moments.modes.copy()
         modes[0, 0] = 1.0  # uniform n
         modes[2, 0] = 1.0  # uniform p
         projection = hydro_projection(SpectralState(modes, n))
-        assert projection.state.s == pytest.approx(np.full(n, -1.0))
-        assert projection.state.temperature == pytest.approx(np.zeros(n), abs=1e-15)
+        assert projection.fields[2] == pytest.approx(np.full(n, -1.0))
+        assert _gradients(projection.fields)[0] == pytest.approx(np.zeros(n), abs=1e-15)
 
     def test_zero_fields(self):
         n = 8
-        state = HydroState(u=np.zeros(n), p=np.zeros(n), s=np.zeros(n))
+        state = np.zeros((3, n))
         projection = hydro_projection(from_hydro(to_modes(state)))
-        assert np.all(projection.state.s == 0)
+        assert np.all(projection.fields[2] == 0)
         assert np.all(projection.stress == 0)
         assert np.all(projection.heat_flux == 0)
 
     def test_round_trips_hydro_fields(self):
         n = 16
         x = grid(n)
-        state = HydroState(u=np.sin(x), p=0.5 * np.cos(2 * x), s=0.2 * np.sin(3 * x))
+        state = np.stack([np.sin(x), 0.5 * np.cos(2 * x), 0.2 * np.sin(3 * x)])
         projection = hydro_projection(from_hydro(to_modes(state)))
-        assert projection.state.u == pytest.approx(state.u, abs=1e-13)
-        assert projection.state.p == pytest.approx(state.p, abs=1e-13)
-        assert projection.state.s == pytest.approx(state.s, abs=1e-13)
+        assert projection.fields[0] == pytest.approx(state[0], abs=1e-13)
+        assert projection.fields[1] == pytest.approx(state[1], abs=1e-13)
+        assert projection.fields[2] == pytest.approx(state[2], abs=1e-13)
 
 
 class TestHydrodynamicLimit:
@@ -274,14 +273,14 @@ class TestHydrodynamicLimit:
 class TestBurnettDeviation:
     def test_standing_wave_uniform_error_scaling(self):
         n = 64
-        start = to_modes(HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n)))
+        start = to_modes(np.stack([np.sin(grid(n)), np.zeros(n), np.zeros(n)]))
         coarse = burnett_deviation_rms(start, 0.1, EV, time=1.0 / 0.1)
         fine = burnett_deviation_rms(start, 0.05, EV, time=1.0 / 0.05)
         assert 1.5 <= coarse / fine <= 2.5
 
     def test_deviation_grows_with_eps(self):
         n = 32
-        start = to_modes(HydroState(u=np.sin(grid(n)), p=np.zeros(n), s=np.zeros(n)))
+        start = to_modes(np.stack([np.sin(grid(n)), np.zeros(n), np.zeros(n)]))
         small = burnett_deviation_rms(start, 0.025, EV, time=40.0)
         large = burnett_deviation_rms(start, 0.2, EV, time=10.0)
         assert large > small
@@ -295,18 +294,17 @@ class TestBurnettDeviation:
         for model in HYDRO_MODELS:
             for n in (32, 31):
                 fields = np.random.default_rng(n).normal(size=(3, n))
-                state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-                start = to_modes(state)
+                start = to_modes(fields)
                 direct = from_modes(SpectralState(evolve(start, model, eps, EV, [t])[0], n))
                 (moments,) = evolve(from_hydro(start), MOMENT, eps, EV, [t])
-                projection = hydro_projection(SpectralState(moments, n)).state
+                projection = hydro_projection(SpectralState(moments, n)).fields
                 dx = 2.0 * np.pi / n
                 gap = np.sqrt(
                     dx
                     * np.sum(
-                        (direct.u - projection.u) ** 2
-                        + (direct.p - projection.p) ** 2
-                        + (direct.s - projection.s) ** 2
+                        (direct[0] - projection[0]) ** 2
+                        + (direct[1] - projection[1]) ** 2
+                        + (direct[2] - projection[2]) ** 2
                     )
                 )
                 gaps = reference_gaps(start, [model], eps, EV, np.array([t]))
@@ -319,7 +317,7 @@ class TestBurnettDeviation:
     def test_gap_columns_follow_model_order(self):
         n = 16
         fields = np.random.default_rng(3).normal(size=(3, n))
-        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+        start = to_modes(fields)
         times = np.array([0.5, 1.0, 2.0])
         together = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
         assert together.shape == (3, len(HYDRO_MODELS))
@@ -336,18 +334,18 @@ class TestTrajectory:
     def test_equals_direct_route(self, model, n):
         eps = 0.1
         fields = np.random.default_rng(n).normal(size=(3, n))
-        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+        start = to_modes(fields)
         times = np.array([0.1, 1.0, 3.5])
         if model is ModelId.MOMENT_REFERENCE:
             evolved = evolve(from_hydro(start), model, eps, EV, times)
-            direct = [hydro_projection(SpectralState(later, n)).state for later in evolved]
+            direct = [hydro_projection(SpectralState(later, n)).fields for later in evolved]
         else:
             direct = [from_modes(SpectralState(s, n)) for s in evolve(start, model, eps, EV, times)]
         shared = trajectory(start, model, eps, EV, times)
         assert shared.shape == (times.size, 3, n) and shared.dtype == np.float64
         for a, b, t in zip(shared, direct, times):
-            for row, name in zip(a, ("u", "p", "s")):
-                assert np.array_equal(row, getattr(b, name)), (name, t)
+            for row, name in enumerate("ups"):
+                assert np.array_equal(a[row], b[row]), (name, t)
 
     @pytest.mark.parametrize("n", [16, 15])
     @pytest.mark.parametrize("model", list(ModelId))
@@ -355,17 +353,26 @@ class TestTrajectory:
         # Bit for bit, and for every model alike: the moment start does not
         # pass through from_hydro and back.
         fields = np.random.default_rng(n).normal(size=(3, n))
-        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+        start = to_modes(fields)
         times = np.array([0.1, 1.0, 3.5])
         shared = trajectory(start, model, 0.1, EV, np.concatenate([[0.0], times]))
         assert np.array_equal(shared[0], inverse_modes(start.modes, n))
         assert np.array_equal(shared[1:], trajectory(start, model, 0.1, EV, times))
         assert np.array_equal(trajectory(start, model, 0.1, EV, np.zeros(1)), shared[:1])
 
+    @pytest.mark.parametrize("n", [16, 15])
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_the_start_row_is_from_modes(self, model, n):
+        # One synthesis of (u, p, s) modes to (3, N) fields, the trajectory's
+        # t = 0 row included.
+        start = to_modes(np.random.default_rng(n).normal(size=(3, n)))
+        row = trajectory(start, model, 0.1, EV, [0.0])[0]
+        assert row.shape == (3, n) and np.array_equal(from_modes(start), row)
+
     @pytest.mark.parametrize("times", [[], [0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [[0.0]]])
     @pytest.mark.parametrize("model", [ModelId.BURNETT, MOMENT])
     def test_only_a_leading_time_may_be_zero(self, model, times):
-        start = to_modes(HydroState(u=np.ones(8), p=np.zeros(8), s=np.zeros(8)))
+        start = to_modes(np.stack([np.ones(8), np.zeros(8), np.zeros(8)]))
         with pytest.raises(ValueError):
             trajectory(start, model, 0.1, EV, np.asarray(times, dtype=float))
 
@@ -376,7 +383,7 @@ class TestTrajectory:
         # of moment modes to (u, p, s) moves no bit of any row, with or
         # without the start in front.
         fields = np.random.default_rng(n).normal(size=(3, n))
-        start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+        start = to_modes(fields)
         times = 0.05 * np.arange(1, 401)
         assert EVAL_BLOCK // (3 * (n // 2 + 1)) < times.size // 2
         moments = evolve_moments(from_hydro(start), 0.1, EV, times)
@@ -400,7 +407,7 @@ class TestTrajectory:
         # numpy.fft's internals; the second is measured.
         n = 16384
         x = grid(n)
-        state = HydroState(u=np.sin(x), p=0.5 * np.cos(3 * x), s=0.3 * np.sin(2 * x + 0.1))
+        state = np.stack([np.sin(x), 0.5 * np.cos(3 * x), 0.3 * np.sin(2 * x + 0.1)])
         start = to_modes(state)
         times = 0.25 * np.arange(1, 22)
         trajectory(start, MOMENT, 0.1, EV, times)
@@ -414,11 +421,11 @@ class TestTrajectory:
         assert peak < 3.8 * fields.nbytes
 
     def test_moment_model_is_refused_by_hydro_evolve(self):
-        state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
+        state = np.zeros((3, 8))
         with pytest.raises(ValueError, match="moment_reference needs a state of 5 rows, got 3"):
             evolve(to_modes(state), ModelId.MOMENT_REFERENCE, 0.1, EV, [1.0])
 
     def test_projection_refuses_a_three_row_state(self):
-        state = HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8))
+        state = np.zeros((3, 8))
         with pytest.raises(ValueError, match="needs a state of 5 rows, got 3"):
             hydro_projection(to_modes(state))

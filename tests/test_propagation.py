@@ -32,7 +32,7 @@ from hydrobench._modal import (
 from hydrobench.cli import main
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import ModelId, parity_scale, symbol_matrix
-from hydrobench.hydro_spectral import HydroState, SpectralState, evolve, from_modes, to_modes
+from hydrobench.hydro_spectral import SpectralState, evolve, from_modes, to_modes
 from hydrobench.moment_reference import from_hydro
 
 EV = eigenvalue_set(-1)
@@ -107,9 +107,7 @@ def test_times_array_equals_composed_steps(model, eps):
     # each output time gets the direct band-limited value instead (tested below).
     n = 15
     rng = np.random.default_rng(7)
-    fields = rng.normal(size=(3, n))
-    state = HydroState(u=fields[0], p=fields[1], s=fields[2])
-    current = to_modes(state)
+    current = to_modes(rng.normal(size=(3, n)))
     if model is ModelId.MOMENT_REFERENCE:
         current = from_hydro(current)
     series = evolve(current, model, eps, EV, TIMES)
@@ -129,7 +127,7 @@ def test_scalar_time_is_refused():
     # times is always a 1-D array; one output time is a one-element array.
     n = 16
     x = 2.0 * np.pi * np.arange(n) / n
-    spec = to_modes(HydroState(u=np.sin(x), p=np.cos(2 * x), s=0.5 * np.sin(3 * x)))
+    spec = to_modes(np.stack([np.sin(x), np.cos(2 * x), 0.5 * np.sin(3 * x)]))
     for times in (1.3, np.float64(1.3), np.array(1.3)):
         with pytest.raises(ValueError, match="times"):
             evolve(spec, ModelId.BURNETT, 0.1, EV, times)
@@ -157,17 +155,17 @@ def test_nyquist_mode_evolves_as_aliased_pair_at_every_time():
     # keeps p = 0 at the nodes and gives u(t) = cos(a0*(N/2)*t) * cos(N/2 x).
     n = 16
     x = 2.0 * np.pi * np.arange(n) / n
-    spec = to_modes(HydroState(u=np.cos((n // 2) * x), p=np.zeros(n), s=np.zeros(n)))
+    spec = to_modes(np.stack([np.cos((n // 2) * x), np.zeros(n), np.zeros(n)]))
     for t, later in zip(TIMES, evolve(spec, ModelId.EULER, 0.0, EV, TIMES)):
         out = from_modes(SpectralState(later, n))
         expected = np.cos(SOUND_SPEED * (n // 2) * t) * np.cos((n // 2) * x)
-        assert np.max(np.abs(out.u - expected)) <= 1e-12
-        assert np.max(np.abs(out.p)) <= 1e-12
+        assert np.max(np.abs(out[0] - expected)) <= 1e-12
+        assert np.max(np.abs(out[1])) <= 1e-12
 
 
 @pytest.mark.parametrize("times", [[], [0.0, 1.0], [1.0, 0.5], [0.5, 0.5], [[0.5]], -1.0])
 def test_times_must_be_positive_and_ascending(times):
-    spec = to_modes(HydroState(u=np.zeros(8), p=np.zeros(8), s=np.zeros(8)))
+    spec = to_modes(np.zeros((3, 8)))
     with pytest.raises(ValueError):
         evolve(spec, ModelId.EULER, 0.0, EV, np.asarray(times, dtype=float))
 
@@ -480,7 +478,7 @@ def test_cli_run_with_a_flat_k0_column_raises_nothing(tmp_path, model, n):
     argv = ["evolve", "--model", model, "--ic", "u:1:1,p:2:0.5:0.3,s:3:0.2", "--eps", "0.1"]
     argv += ["--tmax", "2", "--dt-out", "0.5", "--grid-size", n, "--out", str(tmp_path / "x.csv")]
     fields = np.random.default_rng(int(n)).normal(size=(3, int(n))) + 0.5
-    start = to_modes(HydroState(u=fields[0], p=fields[1], s=fields[2]))
+    start = to_modes(fields)
     with np.errstate(all="raise", under="ignore"):
         assert main(argv) == 0
         evolve(start, ModelId(model), 0.1, EV, TIMES)
