@@ -70,6 +70,7 @@ __all__ = [
     "inverse_modes",
     "mode_propagators",
     "real_coordinates",
+    "require_real",
     "wavenumbers",
 ]
 
@@ -103,8 +104,15 @@ def wavenumbers(n: int) -> np.ndarray:
 
 
 def forward_modes(values: np.ndarray) -> np.ndarray:
-    """Real samples (..., n) to normalized half-spectrum coefficients rfft(x)/n."""
+    """Real samples (..., n) to normalized half-spectrum coefficients rfft(x)/n.
+
+    Rejects a non-finite sample with FloatingPointError before any transform,
+    as inverse_modes rejects a non-finite coefficient, so analysis and
+    synthesis refuse the same way and raise no numpy warning.
+    """
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise FloatingPointError("non-finite field; cannot analyse it into modes")
     return np.fft.rfft(values, axis=-1) / values.shape[-1]
 
 
@@ -112,25 +120,30 @@ def hermitian_violation(modes: np.ndarray, n: int) -> float:
     """Worst |Im| of the k = 0 and (even n) Nyquist modes, relative to max |mode|.
 
     Those are the coefficients a real field of n samples keeps real.  modes
-    is one (d, n//2 + 1) spectrum or a stack of them: each spectrum of the
-    last two axes is measured against its own maximum, and the worst of
-    them is returned, so a small spectrum is judged at its own scale beside
-    a large one.  The scale is floored at the smallest normal double, since
-    subnormal values carry no relative precision; an all-zero spectrum
-    gives 0.
+    is one (d, n//2 + 1) spectrum or a stack of them, or one 1-D row of
+    n//2 + 1 coefficients, which is measured as a one-row spectrum: each
+    spectrum of the last two axes is measured against its own maximum, and
+    the worst of them is returned, so a small spectrum is judged at its own
+    scale beside a large one.  The scale is floored at the smallest normal
+    double, since subnormal values carry no relative precision; an all-zero
+    spectrum gives 0.
     """
     modes = np.asarray(modes, dtype=complex)
-    if modes.shape[-1] != n // 2 + 1:
-        raise ValueError(f"{modes.shape[-1]} mode columns do not fit grid size {n}")
+    if modes.ndim == 0 or modes.shape[-1] != n // 2 + 1:
+        raise ValueError(f"modes of shape {modes.shape} do not fit grid size {n}")
+    if modes.ndim == 1:
+        modes = modes[None]
     self_conjugate = modes[..., [0, n // 2] if n % 2 == 0 else [0]]
     scale = np.maximum(np.abs(modes).max(axis=(-2, -1)), np.finfo(float).tiny)
     return float((np.abs(self_conjugate.imag).max(axis=(-2, -1)) / scale).max())
 
 
-def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
-    """Half-spectrum coefficients back to n real samples.
+def require_real(modes: np.ndarray, n: int) -> None:
+    """Refuse modes that describe no real field of n samples.
 
-    Rejects a non-finite coefficient and a complex k = 0 or Nyquist mode.
+    A non-finite coefficient raises FloatingPointError, and a k = 0 or
+    Nyquist mode whose hermitian_violation exceeds HERMITIAN_TOL raises
+    HermitianSymmetryError.  modes has any shape hermitian_violation takes.
     """
     modes = np.asarray(modes, dtype=complex)
     if not np.isfinite(modes).all():
@@ -141,6 +154,17 @@ def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
             f"k = 0 or Nyquist mode is not real (violation {violation:.3e}); "
             "cannot synthesize a real field"
         )
+
+
+def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
+    """Half-spectrum coefficients (..., n//2 + 1) back to real samples (..., n).
+
+    modes is one 1-D row, one (d, n//2 + 1) spectrum or a stack of them; a
+    row synthesizes to the n samples that the same row of a 2-D call gives,
+    bit for bit.  Rejects what require_real rejects.
+    """
+    modes = np.asarray(modes, dtype=complex)
+    require_real(modes, n)
     return np.fft.irfft(modes * n, n, axis=-1)
 
 

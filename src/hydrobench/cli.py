@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -753,7 +753,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Each add_argument checks its help formatting, which costs more than a
+    parse; parse_args keeps no state between calls, and help text is
+    formatted when it is printed.
+    """
     parser = _Parser(
         prog="hydrobench",
         description="Workbench for the hydrodynamic model hierarchy of the "

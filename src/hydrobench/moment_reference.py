@@ -29,8 +29,11 @@ from fields: the moment start is formed from the (u, p, s) modes
 themselves, so an initial condition's exact spectrum
 (initial_conditions.spectrum) reaches every model with the same occupied
 columns, and only those are propagated.  A trajectory's t = 0 row is
-from_modes of those modes, the same for every model.  Callers that hold
-(3, N) fields pass hydro_spectral.to_modes of them.
+from_modes of those modes, the same for every model.  reference_gaps
+never synthesizes the truth: it subtracts the truth's (u, p, s) modes from
+each model's and synthesizes only the difference, and its t = 0 row is
+exact zeros.  Callers that hold (3, N) fields pass hydro_spectral.to_modes
+of them.
 """
 
 from __future__ import annotations
@@ -166,20 +169,43 @@ def reference_gaps(
 ) -> np.ndarray:
     """Grid L2 gap over (u, p, s) of each model from the moment truth: shape (T, M).
 
-    Every trajectory starts from the (u, p, s) modes `initial`, and times
-    are taken as trajectory takes them, so a leading 0 gives a row of exact
-    zeros: every model's start is the same synthesis.  Both sides are
-    synthesized, so each passes the Hermitian health check.  The truth
-    is synthesized once; one model trajectory is alive at a time.  The
-    squared gaps are summed over (u, p, s) at each point, then over x.
+    Every model starts from the (u, p, s) modes `initial`, which must pass
+    _modal.require_real, and times are taken as trajectory takes them.  A
+    leading 0 is the start itself, the same for every model, so its row is
+    exact zeros with no synthesis.  The truth's (u, p, s) modes at the
+    positive times are propagated once and never synthesized.  For each
+    model in turn, they are subtracted in place from its evolve array, and
+    only that difference is synthesized, in blocks of about
+    _modal.EVAL_BLOCK modes, as trajectory synthesizes; so one model's
+    modes are alive at a time, beside the truth's, and no field pair is
+    subtracted.  The squared differences are summed over (u, p, s) at each
+    point, then over x.  This matches trajectory(model) - trajectory(truth)
+    synthesized and subtracted, to roundoff.
     """
-    truth = trajectory(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
-    dx = 2.0 * np.pi / initial.grid_size
-    gaps = np.empty((len(truth), len(models)))
+    _require_rows(initial, 3, "reference_gaps")
+    n, times = initial.grid_size, np.asarray(times, dtype=float)
+    _modal.require_real(initial.modes, n)
+    start = int(times.ndim == 1 and times.size > 0 and times[0] == 0.0)
+    gaps = np.zeros((times.size, len(models)))
+    if start and times.size == 1:
+        return gaps
+
+    def modes(model: ModelId) -> np.ndarray:
+        if model is ModelId.MOMENT_REFERENCE:
+            moments = evolve_moments(from_hydro(initial), eps, eigenvalues, times[start:])
+            return _hydro_modes(moments)
+        return evolve(initial, model, eps, eigenvalues, times[start:])
+
+    truth, dx = modes(ModelId.MOMENT_REFERENCE), 2.0 * np.pi / n
+    step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
     for j, model in enumerate(models):
-        gap = trajectory(initial, model, eps, eigenvalues, times) - truth
-        gaps[:, j] = np.sqrt(dx * np.sum(np.sum(gap**2, axis=1), axis=-1))
-        del gap  # before the next model's trajectory is synthesized
+        difference = modes(model)
+        difference -= truth
+        for lo in range(0, len(difference), step):
+            gap = _modal.inverse_modes(difference[lo : lo + step], n)
+            rows = slice(start + lo, start + lo + step)
+            gaps[rows, j] = np.sqrt(dx * np.sum(np.sum(gap**2, axis=1), axis=-1))
+        del difference  # before the next model's modes are propagated
     return gaps
 
 

@@ -19,6 +19,7 @@ from hydrobench.hydro_spectral import (
     h1_fluxes,
     riemann_join,
     riemann_split,
+    spectral_derivative,
     to_modes,
 )
 
@@ -315,6 +316,25 @@ class TestHermitianCheck:
             inverse_modes(block, 16)
         inverse_modes(large, 16)
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_a_row_is_one_field(self, n):
+        # A 1-D row of n//2 + 1 coefficients synthesizes to the n samples of
+        # the same row of a 2-D call, bit for bit, and is measured as a
+        # one-row spectrum; a 0-d array fits no grid.
+        from hydrobench._modal import hermitian_violation, inverse_modes
+
+        modes = to_modes(np.random.default_rng(n).normal(size=(3, n))).modes
+        for row, field in zip(modes, inverse_modes(modes, n)):
+            assert np.array_equal(inverse_modes(row, n), field)
+        assert np.array_equal(inverse_modes(np.zeros(n // 2 + 1), n), np.zeros(n))
+        row = modes[1].copy()
+        row[0] += 1e-3j
+        assert hermitian_violation(row, n) == hermitian_violation(row[None], n) > 0.0
+        with pytest.raises(HermitianSymmetryError):
+            inverse_modes(row, n)
+        with pytest.raises(ValueError, match="grid size"):
+            hermitian_violation(np.zeros(()), n)
+
     def test_column_count_must_fit_grid_size(self):
         # Nine columns describe a grid of 16 or 17 points, never 15.
         from hydrobench._modal import inverse_modes
@@ -478,13 +498,19 @@ class TestFieldArrays:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_is_refused(self, value):
-        # Synthesis of the derivative refuses it, where it once became nan fluxes.
+        # Analysis refuses it before any transform, with one exception type
+        # and no numpy warning, where it once became nan fluxes.
         fields = make_state(16, u=np.sin(grid(16)))
         fields[1, 3] = value
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            h1_fluxes(fields, EV, 0.1)
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            first_order_correction(fields, EV)
+        routes = (
+            to_modes,
+            spectral_derivative,
+            lambda f: h1_fluxes(f, EV, 0.1),
+            lambda f: first_order_correction(f, EV),
+        )
+        for route in routes:
+            with pytest.raises(FloatingPointError, match="non-finite field"):
+                route(fields)
 
 
 #: Gap between spectral_derivative and the direct irfft(i k rfft(x)) route,

@@ -18,7 +18,14 @@ from hydrobench._modal import (
 )
 from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
-from hydrobench.hydro_spectral import SpectralState, _gradients, evolve, from_modes, to_modes
+from hydrobench.hydro_spectral import (
+    HermitianSymmetryError,
+    SpectralState,
+    _gradients,
+    evolve,
+    from_modes,
+    to_modes,
+)
 from hydrobench.moment_reference import (
     _hydro_modes,
     burnett_deviation_rms,
@@ -326,6 +333,61 @@ class TestBurnettDeviation:
             assert np.array_equal(together[:, j], alone[:, 0])
         truth = reference_gaps(start, [ModelId.MOMENT_REFERENCE], 0.1, EV, times)
         assert np.all(truth == 0.0)
+
+
+def _synthesized_gaps(start, models, eps, times):
+    """The route reference_gaps once took: every model's trajectory and the
+    truth's synthesized, then subtracted as fields."""
+    truth = trajectory(start, MOMENT, eps, EV, times)
+    dx = 2.0 * np.pi / start.grid_size
+    gaps = [trajectory(start, model, eps, EV, times) - truth for model in models]
+    return np.stack([np.sqrt(dx * np.sum(gap**2, axis=(1, 2))) for gap in gaps], axis=1)
+
+
+#: Gap between reference_gaps and _synthesized_gaps in units of u = 2**-53
+#: times the start's sum of |mode|: the routes differ only in synthesizing
+#: the difference of the modes or the difference of the fields.  Over 20
+#: normal starts of scale 1e-3 to 1e3 at each N of 16, 17 and 64, eps of
+#: 0.01, 0.1 and 0.3 and 401 times from 0 to 20, the largest measured was 3.0.
+GAP_ROUTE_C = 8.0
+
+
+class TestReferenceGaps:
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    def test_matches_the_synthesized_route(self, n):
+        # 401 times make three synthesis blocks on the grids of 16 and 17.
+        rng = np.random.default_rng(n)
+        times = 0.05 * np.arange(401)
+        for eps in (0.01, 0.3):
+            start = to_modes(rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3))
+            gaps = reference_gaps(start, HYDRO_MODELS, eps, EV, times)
+            want = _synthesized_gaps(start, HYDRO_MODELS, eps, times)
+            assert np.all(gaps[0] == 0.0) and not np.signbit(gaps[0]).any()
+            bound = GAP_ROUTE_C * 2.0**-53 * np.abs(start.modes).sum()
+            assert np.max(np.abs(gaps - want)) <= bound, eps
+
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_a_complex_start_is_refused(self, column):
+        # A complex k = 0 or Nyquist coefficient describes no real field.
+        modes = to_modes(np.random.default_rng(4).normal(size=(3, 16))).modes
+        modes[1, column] += 1e-3j
+        with pytest.raises(HermitianSymmetryError):
+            reference_gaps(SpectralState(modes, 16), HYDRO_MODELS, 0.1, EV, [0.0, 1.0])
+
+    @pytest.mark.parametrize("value", [1e-3j, np.nan, np.inf])
+    def test_the_start_is_checked_whatever_the_times(self, value):
+        # Propagation keeps the Nyquist column real, and the differences
+        # cancel the k = 0 column, so the start is checked on its own.
+        modes = to_modes(np.random.default_rng(5).normal(size=(3, 16))).modes
+        modes[2, -1] += value
+        error = HermitianSymmetryError if np.isfinite(value) else FloatingPointError
+        with pytest.raises(error):
+            reference_gaps(SpectralState(modes, 16), HYDRO_MODELS, 0.1, EV, [1.0, 2.0])
+
+    def test_only_the_start_needs_no_propagation(self):
+        start = to_modes(np.random.default_rng(6).normal(size=(3, 16)))
+        gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, [0.0])
+        assert gaps.shape == (1, len(HYDRO_MODELS)) and np.all(gaps == 0.0)
 
 
 class TestTrajectory:
