@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hydrobench
-from hydrobench import _text, cli
+from hydrobench import _text, cli, moment_reference
 from hydrobench._modal import forward_modes, inverse_modes
 from hydrobench.cli import RunConfig, emit_outputs, main
 from hydrobench.coefficients import eigenvalue_set
@@ -1223,10 +1223,12 @@ class TestCompareCommand:
 
     def test_peak_memory(self, tmp_path):
         # The moment truth is propagated once as (u, p, s) modes and never
-        # synthesized; each model's modes less the truth's are synthesized in
-        # blocks.  At N = 16,384 with 21 times and four models the command
-        # peaks at 2.91 times the bytes of one (21, 3, N) field array, while
-        # the truth's five rows are mapped to (u, p, s); synthesizing every
+        # synthesized; each model's modes less the truth's are squared in
+        # place and summed by Parseval, and only the final time of every model
+        # is synthesized.  At N = 16,384 with 21 times and four models the
+        # command peaks at 2.906 times the bytes of one (21, 3, N) field array,
+        # while the truth's five rows are mapped to (u, p, s), as it did when
+        # every difference was synthesized in blocks; synthesizing every
         # trajectory, the truth's included, and subtracting the fields read
         # 3.38 (Python 3.11, numpy 2.4, x86-64).  The first call imports
         # numpy.fft's internals; the second is measured.
@@ -1249,6 +1251,22 @@ class TestCompareCommand:
             tracemalloc.stop()
         assert len(rows) == 21
         assert peak < 3.15 * (21 * 3 * n * 8)
+
+    def test_routes_that_disagree_exit_2(self, tmp_path, capsys, monkeypatch):
+        # The final-time synthesis, off by 1e3 u, fails the Parseval route check.
+        synthesis = moment_reference._modal.inverse_modes
+        monkeypatch.setattr(
+            moment_reference._modal,
+            "inverse_modes",
+            lambda modes, n: synthesis(modes, n) * (1.0 + 1e3 * 2.0**-53),
+        )
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--model", "euler,burnett", "--ic", "u:1:1,p:3:0.5:0.2", "--eps", "0.1"]
+        assert main([*argv, "--tmax", "10", "--grid-size", "64", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: euler gap: Parseval gives ")
+        assert not out.exists()
 
     @pytest.mark.xfail(
         strict=True,

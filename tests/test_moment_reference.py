@@ -1,5 +1,6 @@
 """Five-field kinetic moment system: symbol, evolution, projection."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hydrobench import _modal, moment_reference
 from hydrobench._modal import (
     EVAL_BLOCK,
     MIN_GRID_SIZE,
@@ -20,6 +22,7 @@ from hydrobench.coefficients import eigenvalue_set
 from hydrobench.dispersion import Branch, ModelId, branches, sigma_asymptotic, symbol_matrix
 from hydrobench.hydro_spectral import (
     HermitianSymmetryError,
+    InternalConsistencyError,
     SpectralState,
     _gradients,
     evolve,
@@ -27,7 +30,9 @@ from hydrobench.hydro_spectral import (
     to_modes,
 )
 from hydrobench.moment_reference import (
+    SYNTHESIS_GAP_C,
     _hydro_modes,
+    _parseval_norms,
     burnett_deviation_rms,
     evolve_moments,
     from_hydro,
@@ -388,6 +393,61 @@ class TestReferenceGaps:
         start = to_modes(np.random.default_rng(6).normal(size=(3, 16)))
         gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, [0.0])
         assert gaps.shape == (1, len(HYDRO_MODELS)) and np.all(gaps == 0.0)
+        assert reference_gaps(start, [], 0.1, EV, [0.0, 1.0]).shape == (2, 0)
+
+    @pytest.mark.parametrize("n,column", [(16, 0), (17, 0), (16, 8), (16, 3), (17, 3), (17, 8)])
+    def test_parseval_weights(self, n, column):
+        # k = 0 and the even grid's Nyquist column (8 of N = 16) count once,
+        # every other column twice, the odd grid's last column (8 of N = 17)
+        # among them.  One column's gap is as large as the start, so the
+        # bound also counts GAP_ROUTE_C units of the gap itself.
+        rng = np.random.default_rng(n + column)
+        modes = np.zeros((3, n // 2 + 1), dtype=complex)
+        modes[:, column] = rng.normal(size=3) + 1j * rng.normal(size=3) * (0 < column < n / 2)
+        block = np.stack([modes, 2.0 * modes])
+        fields = inverse_modes(block, n)
+        want = np.sqrt(2.0 * np.pi / n * np.sum(fields**2, axis=(1, 2)))
+        assert np.allclose(_parseval_norms(block, n), want, rtol=1e-15, atol=0)
+        start, times = SpectralState(modes, n), 0.5 * np.arange(9)
+        gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
+        want = _synthesized_gaps(start, HYDRO_MODELS, 0.1, times)
+        unit = GAP_ROUTE_C * 2.0**-53
+        assert np.allclose(gaps, want, rtol=unit, atol=unit * np.abs(modes).sum())
+
+    @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
+    def test_the_routes_agree_within_the_constant(self, n):
+        # The final-time differences, synthesized by hand, against the
+        # Parseval row that reference_gaps returns.
+        rng = np.random.default_rng(n)
+        for eps in (0.01, 0.1, 0.3):
+            start = to_modes(rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3))
+            t = rng.uniform(1.0, 20.0)
+            gaps = reference_gaps(start, HYDRO_MODELS, eps, EV, [0.0, t])[-1]
+            truth = _hydro_modes(evolve_moments(from_hydro(start), eps, EV, [t])[0])
+            for model, gap in zip(HYDRO_MODELS, gaps):
+                difference = evolve(start, model, eps, EV, [t])[0] - truth
+                direct = np.sqrt(2.0 * np.pi / n * np.sum(inverse_modes(difference, n) ** 2))
+                bound = SYNTHESIS_GAP_C * 2.0**-53 * np.abs(difference).sum()
+                assert abs(gap - direct) <= bound, (model, eps)
+
+    def test_routes_that_disagree_are_refused(self, monkeypatch):
+        # A synthesis that is off by 1e3 u fails the final-time check, and the
+        # message names the Parseval value, the synthesized one and the bound.
+        start = to_modes(np.stack([np.sin(grid(16)), np.cos(3 * grid(16)), np.zeros(16)]))
+        times = 0.5 * np.arange(21)
+        parseval = reference_gaps(start, [ModelId.BURNETT], 0.1, EV, times)[-1, 0]
+        synthesis = _modal.inverse_modes
+        monkeypatch.setattr(
+            moment_reference._modal,
+            "inverse_modes",
+            lambda modes, n: synthesis(modes, n) * (1.0 + 1e3 * 2.0**-53),
+        )
+        with pytest.raises(InternalConsistencyError) as refused:
+            reference_gaps(start, [ModelId.BURNETT], 0.1, EV, times)
+        number, bound = r"[\d.e+-]+", re.escape(f"{SYNTHESIS_GAP_C:g} u sum|modes|")
+        pattern = re.escape(f"burnett gap: Parseval gives {parseval:.17g} and synthesis ")
+        pattern += rf"{number} at t = 10, more than {bound} = {number} apart"
+        assert re.fullmatch(pattern, str(refused.value))
 
 
 class TestTrajectory:
