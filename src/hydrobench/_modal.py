@@ -16,9 +16,13 @@ matrix exponential of the symbol at -m.  Only the columns a spectrum
 occupies are propagated, since exp(M t) 0 = 0: the (m, d, d) symbol stack
 of a run's m occupied columns (d = 3 for a hydro model, 5 for the moment
 system) is built at those wavenumbers and exponentiated once for every time
-of a 1-D array.  An initial condition's exact spectrum occupies only the
-modes its terms name, so a run builds and exponentiates a few matrices
-whatever N is; the empty columns stay exactly 0 and are only synthesized.
+of a 1-D array.  Every time series of the package follows one contract,
+check_times: nonempty, ascending and nonnegative.  A leading t = 0 is the
+start itself, since exp(M 0) = I: mode_propagators returns its row as the
+input modes, bit for bit, and exponentiates for the later times.  An
+initial condition's exact spectrum occupies only the modes its terms name,
+so a run builds and exponentiates a few matrices whatever N is; the empty
+columns stay exactly 0 and are only synthesized.
 A spectrum with every column occupied takes the same path, indexed by the
 same column array.
 Given a unitary diagonal S for which A = S^-1 M S is real, as
@@ -49,7 +53,8 @@ the Nyquist column k = N/2; both are real for a real field, and their
 imaginary parts are the one non-physical content a half spectrum can hold.
 The Nyquist coefficient is the aliased sum of the +-N/2 pair, and the exact
 band-limited propagator sampled on the grid is the real part of the N/2
-propagator, so that column is advanced as Re(P x) and stays real.
+propagator, so that column is advanced as Re(P x) and stays real; a start
+row is returned as given.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ __all__ = [
     "MIN_GRID_SIZE",
     "acoustic_frequency",
     "check_grid_size",
+    "check_times",
     "eigenvalues",
     "exp_action",
     "forward_modes",
@@ -96,6 +102,20 @@ def check_grid_size(n: int) -> None:
     """Refuse a grid below MIN_GRID_SIZE, in the words every entry point uses."""
     if n < MIN_GRID_SIZE:
         raise ValueError(f"grid size must be at least {MIN_GRID_SIZE}, got {n}")
+
+
+def check_times(times) -> np.ndarray:
+    """times as a 1-D float array: nonempty, strictly ascending and nonnegative.
+
+    Anything else raises ValueError, a scalar, a 2-D array, a repeated time
+    and a NaN included.  This is the package's one time contract:
+    mode_propagators and secularity.secular_ratio_series take their times
+    through it.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not (times[0] >= 0 and np.all(np.diff(times) > 0)):
+        raise ValueError(f"times must be a nonempty 1-D array, ascending from t >= 0, got {times}")
+    return times
 
 
 def wavenumbers(n: int) -> np.ndarray:
@@ -335,34 +355,38 @@ def mode_propagators(
 ) -> np.ndarray:
     """Half-spectrum field modes (d, n//2 + 1) carried exactly to every time.
 
-    Returns shape (T, d, n//2 + 1).  times is a 1-D ascending array of
-    positive elapsed times; a scalar is refused.  Only the occupied columns,
-    those with a nonzero entry, are propagated, on one path whatever their
-    count: symbol_stack maps the array of their plane wavenumbers -k to the
-    symbol stack M at those k, and every other column of the result is
-    exactly 0, as exp(M t) 0 is.  An all-zero spectrum builds an empty
-    stack, so the symbol still checks its arguments.  Each occupied column
-    gets the bits the whole stack's propagation gives it.  scale, if given,
-    is the diagonal of a unitary diagonal S for which A = S^-1 M S is real
-    (dispersion.parity_scale): the modes are then propagated as
-    S exp(A t) S^-1 x with the real stack A of real_coordinates, which
-    refuses a nonzero imaginary part, and S is applied to each block of
-    exp_action as it is scattered, so no whole-array copy is rescaled.  For
-    even n the real Nyquist coefficient is advanced as Re(P x), with P in
-    the original coordinates.
+    Returns shape (T, d, n//2 + 1).  times passes check_times: a 1-D
+    ascending array of nonnegative elapsed times.  A leading 0 is the start
+    itself, exp(M 0) = I: row 0 is `modes`, bit for bit, with no
+    arithmetic, and exp_action evaluates the later times.  Only the occupied
+    columns, those with a nonzero entry, are propagated, on one path
+    whatever their count: symbol_stack maps the array of their plane
+    wavenumbers -k to the symbol stack M at those k, and every other column
+    of the result is exactly 0, as exp(M t) 0 is.  An all-zero spectrum
+    builds an empty stack, so the symbol still checks its arguments.  Each
+    occupied column gets the bits the whole stack's propagation gives it.
+    scale, if given, is the diagonal of a unitary diagonal S for which
+    A = S^-1 M S is real (dispersion.parity_scale): the modes are then
+    propagated as S exp(A t) S^-1 x with the real stack A of
+    real_coordinates, which refuses a nonzero imaginary part, and S is
+    applied to each block of exp_action as it is scattered, so no
+    whole-array copy is rescaled.  For even n the real Nyquist coefficient
+    of each propagated row is advanced as Re(P x), with P in the original
+    coordinates; the start keeps its own.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
-        raise ValueError(f"times must be a 1-D array of positive ascending times, got {times}")
+    times = check_times(times)
     occupied = np.flatnonzero(np.any(modes, axis=0))
     mats = real_coordinates(symbol_stack(-wavenumbers(n)[occupied].astype(float)), scale)
     vectors = modes[:, occupied]
     if scale is not None:
         vectors = vectors * scale.conj()[:, None]
     out = np.zeros((times.size, len(modes), n // 2 + 1), dtype=complex)
+    start = int(times[0] == 0.0)
+    out[:start] = modes
+    later = out[start:]
     if occupied.size:  # exp_action sizes its blocks by the column count
-        for rows, block in exp_action(mats, vectors, times):
-            out[rows, :, occupied] = block if scale is None else block * scale[:, None]
+        for rows, block in exp_action(mats, vectors, times[start:]):
+            later[rows, :, occupied] = block if scale is None else block * scale[:, None]
     if n % 2 == 0:
-        out[:, :, -1] = out[:, :, -1].real
+        later[:, :, -1] = later[:, :, -1].real
     return out

@@ -67,6 +67,12 @@ _MODEL_ALIASES = {
 #: evolve with 101 output times sizes 6.6 million.
 MAX_ARRAY_ENTRIES = 10**8
 
+#: Smallest |lambda02| accepted, the collision rate being negative: below it
+#: the largest transport coefficient, beta_p = (19/72)/lambda02^2, exceeds
+#: every double and cannot become a float.  Rounded as computed here, it lies
+#: one ulp above the last |lambda02| whose beta_p is finite.
+LAMBDA02_FLOOR = math.sqrt(19 / 72) / math.sqrt(sys.float_info.max)
+
 
 class UsageError(ValueError):
     """Configuration that cannot be run."""
@@ -97,8 +103,9 @@ class RunConfig:
                 raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
         if self.eps <= 0:
             raise UsageError(f"eps must be positive, got {self.eps}")
-        if self.lambda02 >= 0:
-            raise UsageError(f"lambda02 must be negative, got {self.lambda02}")
+        if self.lambda02 > -LAMBDA02_FLOOR:
+            bound = f"negative, at most -{LAMBDA02_FLOOR:.3g} for finite transport coefficients"
+            raise UsageError(f"lambda02 must be {bound}, got {self.lambda02}")
         # Only evolve and compare take the IC's spectrum on a grid; secular needs none.
         on_grid = self.command in ("evolve", "compare")
         if on_grid and self.grid_size < MIN_GRID_SIZE:

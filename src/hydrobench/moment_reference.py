@@ -18,23 +18,29 @@ relation at rate O(k (eps k)^3), which is the module's central validation.
 The generator is built, like every model's, by dispersion.symbol_matrix,
 and a moment state is a 5-row hydro_spectral.SpectralState that
 hydro_spectral.evolve advances like any other, into one (T, 5, N//2 + 1)
-array of modes.  trajectory evolves a (u, p, s) half spectrum under any of
-the five models into one (T, 3, N) array; each of its rows is real fields
-in the package's one layout, a (3, N) array of u, p and s, as
-hydro_spectral.from_modes returns them and HydroProjection holds them.
-The density n = (3p - 2s)/5 is formed only here, by from_hydro.
-reference_gaps is the one comparison with the moment truth that compare
-and the Burnett-deviation criterion share.  Both start from modes, never
-from fields: the moment start is formed from the (u, p, s) modes
+array of modes.  The density n = (3p - 2s)/5 is formed only here, by
+from_hydro, and mapped back only by _hydro_modes.
+
+trajectory and reference_gaps are the package's two runs of one initial
+condition, and both are a propagation followed by a reduction.  Both start
+from (u, p, s) modes, never from fields, and take their modes at every
+time from one seam, _propagated, the only place that picks a model's
+propagation: hydro_spectral.evolve, or evolve_moments of from_hydro mapped
+back to (u, p, s).  The moment start is formed from the (u, p, s) modes
 themselves, so an initial condition's exact spectrum
 (initial_conditions.spectrum) reaches every model with the same occupied
-columns, and only those are propagated.  A trajectory's t = 0 row is
-from_modes of those modes, the same for every model.  reference_gaps
-never synthesizes the truth: it subtracts the truth's (u, p, s) modes from
-each model's and sums the squares of the difference by Parseval, with no
-FFT, and its t = 0 row is exact zeros.  One synthesis of every model's
-final-time difference is its second route.  Callers that hold (3, N)
-fields pass hydro_spectral.to_modes of them.
+columns, and only those are propagated.  Times follow
+_modal.check_times, and a leading t = 0 is the start itself, the modes
+bit for bit for every model alike.  trajectory synthesizes every row into
+real fields, in the package's one layout, a (3, N) array of u, p and s per
+time, as hydro_spectral.from_modes returns them and HydroProjection holds
+them; its t = 0 row is from_modes of the start.  reference_gaps, the one
+comparison with the moment truth that compare and the Burnett-deviation
+criterion share, never synthesizes the truth: it subtracts the truth's
+(u, p, s) modes from each model's and sums the squares of the difference
+by Parseval, with no FFT, so its t = 0 row is exact zeros.  One synthesis
+of every model's final-time difference is its second route.  Callers that
+hold (3, N) fields pass hydro_spectral.to_modes of them.
 """
 
 from __future__ import annotations
@@ -112,6 +118,9 @@ def evolve_moments(
 ) -> np.ndarray:
     """hydro_spectral.evolve under the moment model: a (T, 5, N//2 + 1) array.
 
+    Times are taken as evolve takes them, so a leading 0 gives the moment
+    start itself as row 0.
+
     It exists only as the seam that the benchmark tracer counts moment
     propagation by: perfbench/tracer.py wraps it by name, and
     perfbench/test_tracer.py requires its count to be nonzero on the
@@ -122,20 +131,50 @@ def evolve_moments(
 
 
 def _hydro_modes(moments: np.ndarray) -> np.ndarray:
-    """(u, p, s) modes of (n, u, p, ...) moment modes, with s = (3/2)p - (5/2)n.
+    """(u, p, s) modes of (n, u, p, Pi, q) moment modes, mapped in place.
 
-    The rows are the second-to-last axis, so a (T, 5, m) stack gives (T, 3, m).
+    s = (3/2)p - (5/2)n is written over the Pi row, with the two products
+    and the difference that 1.5*p - 2.5*n takes, and the view of rows 1 to 3
+    is returned; the rows are the second-to-last axis, so a (T, 5, m) stack
+    gives a (T, 3, m) view.  The n row is overwritten on the way, and no
+    array of the view's size is allocated.
     """
-    n, u, p = (moments[..., row, :] for row in range(3))
-    return np.stack([u, p, 1.5 * p - 2.5 * n], axis=-2)
+    np.multiply(moments[..., 2, :], 1.5, out=moments[..., 3, :])
+    moments[..., 0, :] *= 2.5
+    moments[..., 3, :] -= moments[..., 0, :]
+    return moments[..., 1:4, :]
 
 
 def hydro_projection(state: SpectralState) -> HydroProjection:
-    """Project a 5-row moment state onto (u, p, s); keep Pi, q as residuals."""
+    """Project a 5-row moment state onto (u, p, s); keep Pi, q as residuals.
+
+    The (u, p, s) modes are mapped from a copy, so `state` is left as it is.
+    """
     _require_rows(state, 5, "the moment projection")
-    fields = from_modes(SpectralState(_hydro_modes(state.modes), state.grid_size))
+    fields = from_modes(SpectralState(_hydro_modes(state.modes.copy()), state.grid_size))
     residuals = _modal.inverse_modes(state.modes[3:], state.grid_size)
     return HydroProjection(fields, stress=residuals[0], heat_flux=residuals[1])
+
+
+def _propagated(
+    initial: SpectralState, model: ModelId, eps: float, eigenvalues: EigenvalueSet, times
+) -> np.ndarray:
+    """The (u, p, s) modes `initial` under `model` at every time: (T, 3, N//2 + 1).
+
+    The one place a model's propagation is chosen: evolve for a hydro model,
+    and evolve_moments of from_hydro(initial) for the moment model, whose
+    array is mapped back in place by _hydro_modes.  `initial` must hold 3
+    rows, which evolve and from_hydro check.  times are taken as
+    _modal.mode_propagators takes them, so a leading 0 row is the start; the
+    moment model's is reset to initial.modes, since s does not survive
+    n = (3p - 2s)/5 and back bit for bit.
+    """
+    if model is not ModelId.MOMENT_REFERENCE:
+        return evolve(initial, model, eps, eigenvalues, times)
+    modes = _hydro_modes(evolve_moments(from_hydro(initial), eps, eigenvalues, times))
+    if np.asarray(times)[0] == 0.0:
+        modes[0] = initial.modes
+    return modes
 
 
 def trajectory(
@@ -147,37 +186,22 @@ def trajectory(
 ) -> np.ndarray:
     """Real (u, p, s) of the (u, p, s) modes `initial` under `model` at each time.
 
-    times is a 1-D array of ascending elapsed times; the result has shape
-    (len(times), 3, N).  A leading 0 is the start itself: its row is
-    from_modes(initial), for every model alike, and only the positive
-    times are propagated.  The moment model propagates from_hydro of the
-    modes.  Only the columns `initial` occupies are propagated
-    (_modal.mode_propagators), and every column is synthesized.  The
-    propagated times are synthesized as consecutive slices of evolve's one
-    array, in blocks of about _modal.EVAL_BLOCK (u, p, s) modes, and a moment
-    block is mapped to (u, p, s) as a whole, so only one block of (u, p, s)
-    modes exists at a time; each snapshot of a block passes the Hermitian
-    health check at its own scale.  The propagated modes are released on
-    return.
+    times is a 1-D array of ascending elapsed times from 0 or later, as
+    _modal.check_times takes it; the result has shape (len(times), 3, N).
+    Each row is from_modes of _propagated's modes at that time, so a leading
+    0 gives from_modes(initial), bit for bit and for every model alike.
+    Only the columns `initial` occupies are propagated, and every column is
+    synthesized, as consecutive slices of the one propagated array in blocks
+    of about _modal.EVAL_BLOCK modes; each snapshot of a block passes the
+    Hermitian health check at its own scale.  The propagated modes are
+    released on return.
     """
-    _require_rows(initial, 3, "trajectory")
-    n, times = initial.grid_size, np.asarray(times, dtype=float)
-    start = int(times.ndim == 1 and times.size > 0 and times[0] == 0.0)
-    if start and times.size == 1:
-        modes = ()
-    elif model is ModelId.MOMENT_REFERENCE:
-        modes = evolve_moments(from_hydro(initial), eps, eigenvalues, times[start:])
-    else:
-        modes = evolve(initial, model, eps, eigenvalues, times[start:])
-    fields = np.empty((times.size, 3, n))  # after propagation, so its peak holds no fields
-    if start:
-        fields[0] = from_modes(initial)
+    n = initial.grid_size
+    modes = _propagated(initial, model, eps, eigenvalues, times)
+    fields = np.empty((len(modes), 3, n))  # after propagation, so its peak holds no fields
     step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
     for lo in range(0, len(modes), step):
-        block = modes[lo : lo + step]
-        if model is ModelId.MOMENT_REFERENCE:
-            block = _hydro_modes(block)
-        fields[start + lo : start + lo + step] = _modal.inverse_modes(block, n)
+        fields[lo : lo + step] = _modal.inverse_modes(modes[lo : lo + step], n)
     return fields
 
 
@@ -191,45 +215,33 @@ def reference_gaps(
     """Grid L2 gap over (u, p, s) of each model from the moment truth: shape (T, M).
 
     Every model starts from the (u, p, s) modes `initial`, which must pass
-    _modal.require_real, and times are taken as trajectory takes them.  A
-    leading 0 is the start itself, the same for every model, so its row is
-    exact zeros with nothing computed.  The truth's (u, p, s) modes at the
-    positive times are propagated once and never synthesized.  For each
-    model in turn, they are subtracted in place from its evolve array, and
-    that difference is reduced by Parseval (_parseval_norms) in blocks of
-    about GAP_BLOCK modes, with no FFT; so one model's modes are alive at a
-    time, beside the truth's.  The second route is one synthesis of every
-    model's final-time difference (_check_final_gaps), which must agree with
-    the last row within SYNTHESIS_GAP_C, or InternalConsistencyError is
-    raised.  This matches trajectory(model) - trajectory(truth) synthesized
-    and subtracted, to roundoff.
+    _modal.require_real, and times are taken as trajectory takes them.  The
+    truth's (u, p, s) modes (_propagated) are copied once and never
+    synthesized.  For each model in turn, they are subtracted in place from
+    its _propagated array, and that difference is reduced by Parseval
+    (_parseval_norms) in blocks of about GAP_BLOCK modes, with no FFT; so
+    one model's modes are alive at a time, beside the truth's.  A leading 0
+    row is the start minus the start, exactly +0.0.  The second route is one
+    synthesis of every model's final-time difference (_check_final_gaps),
+    which must agree with the last row within SYNTHESIS_GAP_C, or
+    InternalConsistencyError is raised.  This matches trajectory(model) -
+    trajectory(truth) synthesized and subtracted, to roundoff.
     """
-    _require_rows(initial, 3, "reference_gaps")
-    n, times = initial.grid_size, np.asarray(times, dtype=float)
-    _modal.require_real(initial.modes, n)
-    start = int(times.ndim == 1 and times.size > 0 and times[0] == 0.0)
-    gaps = np.zeros((times.size, len(models)))
-    if start and times.size == 1:
-        return gaps
-
-    def modes(model: ModelId) -> np.ndarray:
-        if model is ModelId.MOMENT_REFERENCE:
-            moments = evolve_moments(from_hydro(initial), eps, eigenvalues, times[start:])
-            return _hydro_modes(moments)
-        return evolve(initial, model, eps, eigenvalues, times[start:])
-
-    truth = modes(ModelId.MOMENT_REFERENCE)
+    n = initial.grid_size
+    _modal.require_real(initial.modes, n)  # no difference shows a bad start
+    truth = _propagated(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times).copy()
+    gaps = np.empty((len(truth), len(models)))
     finals = np.empty((len(models),) + truth.shape[1:], dtype=complex)
     step = max(1, GAP_BLOCK // (3 * (n // 2 + 1)))
     for j, model in enumerate(models):
-        difference = modes(model)
+        difference = _propagated(initial, model, eps, eigenvalues, times)
         difference -= truth
         finals[j] = difference[-1]
         for lo in range(0, len(difference), step):
-            gaps[start + lo : start + lo + step, j] = _parseval_norms(difference[lo : lo + step], n)
+            gaps[lo : lo + step, j] = _parseval_norms(difference[lo : lo + step], n)
         del difference  # before the next model's modes are propagated
     if len(models):
-        _check_final_gaps(models, times[-1], gaps[-1], finals, n)
+        _check_final_gaps(models, np.asarray(times)[-1], gaps[-1], finals, n)
     return gaps
 
 

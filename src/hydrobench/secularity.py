@@ -36,6 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _modal
 from .coefficients import SOUND_SPEED, EigenvalueSet, transport_burnett, transport_ns
 from .dispersion import ModelId, symbol_matrix
 from .hydro_spectral import InternalConsistencyError
@@ -163,22 +164,19 @@ def _multiscale_ratios(
 def secular_ratio_series(
     ic: ICSpec, eps: float, eigenvalues: EigenvalueSet, times
 ) -> SecularSeries:
-    """Naive and multiscale correction ratios along an ascending time series.
+    """Naive and multiscale correction ratios along a time series.
 
-    The naive ratio eps*Ds*k^2*t compares the resonant envelope against the
-    undamped acoustic leading order, so it is exactly linear in t.  The
-    multiscale ratio is the closed form of the augmented propagator.  Both ratios
-    are those of the unit-amplitude wave: they do not depend on the amplitude
-    or phase of the IC term.  Times beyond 1/eps^2 are outside the validity horizon
-    and rejected.
+    times pass _modal.check_times: a nonempty 1-D array, ascending and
+    nonnegative.  The naive ratio eps*Ds*k^2*t compares the resonant
+    envelope against the undamped acoustic leading order, so it is exactly
+    linear in t.  The multiscale ratio is the closed form of the augmented
+    propagator.  Both ratios are those of the unit-amplitude wave: they do
+    not depend on the amplitude or phase of the IC term.  Times beyond
+    1/eps^2 are outside the validity horizon and rejected.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-D sequence")
-    if np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("times must be nonnegative and ascending")
+    times = _modal.check_times(times)
     if beyond_horizon(times[-1], eps):
         raise ValueError(
             f"max(times) = {times[-1]:g} exceeds the validity horizon "

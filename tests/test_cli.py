@@ -24,7 +24,7 @@ import hydrobench
 from hydrobench import _text, cli, moment_reference
 from hydrobench._modal import forward_modes, inverse_modes
 from hydrobench.cli import RunConfig, emit_outputs, main
-from hydrobench.coefficients import eigenvalue_set
+from hydrobench.coefficients import eigenvalue_set, transport_burnett
 from hydrobench.dispersion import ModelId, branches, symbol_matrix
 from hydrobench.hydro_spectral import SpectralState, riemann_join, riemann_split
 from hydrobench.initial_conditions import ICParseError, parse_initial_condition, spectrum
@@ -1115,8 +1115,9 @@ class TestEvolveCommand:
         # filled kept all of them alive and peaked at 82 (burnett 65.6).
         # With t and x coded (32-byte rows) and the trajectory started at
         # t = 0, burnett peaks at 56.4 and moment_reference at 67.8 when each
-        # moment snapshot is mapped on its own, and at 66.7 when each
-        # block of them is mapped at once (Python 3.11, numpy 2.4, x86-64).
+        # moment snapshot is mapped on its own, at 66.7 when each block of
+        # them is mapped at once, and at 66.5 with all of them mapped in
+        # place (Python 3.11, numpy 2.4, x86-64).
         # The bounds are 64 and 70 bytes per row.  The first call imports
         # numpy.fft's internals; the second is measured.
         config = RunConfig(
@@ -1222,16 +1223,18 @@ class TestCompareCommand:
         assert header == ["t", "l2_error_burnett", "l2_error_riemann_decoupled"]
 
     def test_peak_memory(self, tmp_path):
-        # The moment truth is propagated once as (u, p, s) modes and never
-        # synthesized; each model's modes less the truth's are squared in
-        # place and summed by Parseval, and only the final time of every model
-        # is synthesized.  At N = 16,384 with 21 times and four models the
-        # command peaks at 2.906 times the bytes of one (21, 3, N) field array,
-        # while the truth's five rows are mapped to (u, p, s), as it did when
-        # every difference was synthesized in blocks; synthesizing every
-        # trajectory, the truth's included, and subtracting the fields read
-        # 3.38 (Python 3.11, numpy 2.4, x86-64).  The first call imports
-        # numpy.fft's internals; the second is measured.
+        # The moment truth is propagated once as (u, p, s) modes, copied out
+        # of its five rows and never synthesized; each model's modes less the
+        # truth's are squared in place and summed by Parseval, and only the
+        # final time of every model is synthesized.  At N = 16,384 with 21
+        # times and four models the command peaks at 2.715 times the bytes of
+        # one (21, 3, N) field array, and at 2.953 with the truth held as a
+        # view of its five rows.  Mapping the five rows to a new (u, p, s)
+        # array read 2.906, as did synthesizing every difference in blocks;
+        # synthesizing every trajectory, the truth's included, and
+        # subtracting the fields read 3.38 (Python 3.11, numpy 2.4, x86-64).
+        # The first call imports numpy.fft's internals; the second is
+        # measured.
         n = 16384
         config = RunConfig(
             command="compare",
@@ -1250,7 +1253,7 @@ class TestCompareCommand:
         finally:
             tracemalloc.stop()
         assert len(rows) == 21
-        assert peak < 3.15 * (21 * 3 * n * 8)
+        assert peak < 2.95 * (21 * 3 * n * 8)
 
     def test_routes_that_disagree_exit_2(self, tmp_path, capsys, monkeypatch):
         # The final-time synthesis, off by 1e3 u, fails the Parseval route check.
@@ -2161,16 +2164,49 @@ class TestExitCodes:
         assert err.startswith("numerical failure in command: non-finite value (")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["secular"], ["evolve", "--model", "burnett"]])
-    def test_overflowing_rate_is_numerical_failure(self, tmp_path, capsys, command):
-        # A subnormal lambda02 makes the exact rates 1/lambda too large for a float.
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["secular", "--ic", "u:1:1", "--tmax", "1"],
+            ["evolve", "--model", "burnett", "--ic", "u:1:1", "--tmax", "1"],
+            ["evolve", "--model", "moment", "--ic", "u:1:1", "--tmax", "1"],
+            ["compare", "--model", "euler", "--ic", "u:1:1", "--tmax", "1"],
+            ["dispersion", "--model", "euler"],
+        ],
+    )
+    @pytest.mark.parametrize("lambda02", ["-5e-324", "-1e-320", "-1e-200", "-3.8e-155"])
+    def test_lambda02_without_finite_coefficients_is_a_usage_error(
+        self, tmp_path, capsys, command, lambda02
+    ):
+        # Below |lambda02| = 3.83e-155 beta_p = (19/72)/lambda02^2 is no
+        # finite float; such a run once exited 2 naming only an integer
+        # division, or 0 where its model needs no coefficient.
         out = tmp_path / "x.csv"
-        argv = [*command, "--ic", "u:1:1", "--tmax", "1", "--lambda02=-5e-324"]
-        assert main([*argv, "--out", str(out)]) == 2
+        assert main([*command, f"--lambda02={lambda02}", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("numerical failure in command: non-finite value (")
-        assert not out.exists()
+        bound = f"{cli.LAMBDA02_FLOOR:.3g}"
+        assert err == (
+            f"error: lambda02 must be negative, at most -{bound} for finite transport "
+            f"coefficients, got {float(lambda02)}\n"
+        )
+        assert bound == "3.83e-155" and not out.exists()
+
+    def test_lambda02_floor_is_the_overflow_point(self, tmp_path):
+        # At the floor beta_p is a finite float, and it is refused two ulps
+        # below, where the exact coefficient exceeds every double; the one
+        # value between is finite but refused.
+        ic, out = parse_initial_condition("u:1:1"), tmp_path / "x.csv"
+        below = [-cli.LAMBDA02_FLOOR]
+        for _ in range(2):
+            below.append(math.nextafter(below[-1], 0.0))
+        config = RunConfig(command="secular", lambda02=below[0], ic=ic, out_path=out)
+        assert math.isfinite(float(transport_burnett(config.eigenvalues).beta_p))
+        assert math.isfinite(float(transport_burnett(eigenvalue_set(below[1])).beta_p))
+        with pytest.raises(OverflowError):
+            float(transport_burnett(eigenvalue_set(below[2])).beta_p)
+        for lambda02 in below[1:]:
+            with pytest.raises(cli.UsageError, match=r"at most -3\.83e-155 for finite transport"):
+                RunConfig(command="secular", lambda02=lambda02, ic=ic, out_path=out)
 
     @pytest.mark.parametrize("lambda02", ["-1e-12", "-1e-11"])
     def test_phase_beyond_the_routes_names_the_route_check(self, tmp_path, capsys, lambda02):

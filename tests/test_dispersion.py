@@ -98,17 +98,43 @@ def _oracle_continued(previous, values, k):
     return assigned
 
 
+def _oracle_step(previous, k0, k1, row, model, eps, halfway=None):
+    """The labels of row, the raw eigenvalues at k1, continued from previous at k0.
+
+    A grid step may be too long for greedy continuation, so the interval is
+    bisected while its direct match and its match through the midpoint
+    differ, and the labels are carried through the refined points, whose
+    eigenvalues are _raw's as well; halfway, if given, is the midpoint's.
+    """
+    direct = _oracle_continued(previous, row, k1)
+    middle = 0.5 * (k0 + k1)
+    if not k0 < middle < k1:
+        return direct
+    if halfway is None:
+        halfway = _raw(model, np.array([middle]), eps)[0]
+    if _oracle_continued(_oracle_continued(previous, halfway, middle), row, k1) == direct:
+        return direct
+    first = _oracle_step(previous, k0, middle, halfway, model, eps)
+    return _oracle_step(first, middle, k1, row, model, eps)
+
+
 def _oracle_branches(model, grid, eps):
     """Seeded greedy continuation, one k after another, as the oracle of branches.
 
     It checks the labels, not LAPACK, so it reads the raw eigenvalues from
     the two _modal helpers that branches uses (_raw), bit for bit;
-    TestParityRealEigenvalues checks those.
+    TestParityRealEigenvalues checks those.  Between grid points it
+    continues through refined points where the match needs them
+    (_oracle_step), and a tie met at one of those is reported at the next
+    grid point, the first k whose labels it leaves undecided.
     """
-    values = _raw(model, grid, eps)
+    values, halfways = _raw(model, grid, eps), _raw(model, 0.5 * (grid[:-1] + grid[1:]), eps)
     matched = [_oracle_seeded(_oracle_seeds(model, float(grid[0]), eps), values[0])]
-    for k, row in zip(grid[1:], values[1:]):
-        matched.append(_oracle_continued(matched[-1], row, float(k)))
+    for k0, k1, row, halfway in zip(grid[:-1].tolist(), grid[1:].tolist(), values[1:], halfways):
+        try:
+            matched.append(_oracle_step(matched[-1], k0, k1, row, model, eps, halfway))
+        except OracleTie as tie:
+            raise OracleTie(k1, tie.candidates) from None
     labels = tuple(Branch)[: model.dimension]
     return np.array([[match[label] for label in labels] for match in matched], dtype=complex)
 
@@ -560,6 +586,10 @@ class TestTwoRoutes:
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=0.5, span=3.5, samples=60)
     @example(model=ModelId.MOMENT_REFERENCE, eps=0.1, kmin=5.0, span=1.0, samples=4)
     @example(model=ModelId.EULER, eps=0.1, kmin=1e-320, span=1e-300, samples=4)
+    # A two-point grid whose one step is too long for greedy continuation:
+    # from eps*k = 0.031 to 0.281, below the merge at 0.302, it swaps the
+    # kinetic branches unless it continues through points in between.
+    @example(model=ModelId.MOMENT_REFERENCE, eps=0.5, kmin=0.0625, span=0.5, samples=2)
     def test_batched_matches_sequential(self, model, eps, kmin, span, samples):
         grid = np.linspace(kmin, kmin + span, samples)
         counts = np.count_nonzero(_raw(model, grid, eps).imag == 0, axis=1)

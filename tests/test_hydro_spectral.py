@@ -202,10 +202,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"{model.value} needs a state of 3 rows, got 5"):
             evolve(spec, model, 0.1, EV, [1.0])
 
-    def test_nonpositive_dt_rejected(self):
-        spec = to_modes(make_state(16))
+    def test_zero_dt_is_the_start_and_negative_dt_rejected(self):
+        # exp(M 0) = I: a lone 0 returns the state's own modes, bit for bit.
+        spec = to_modes(make_state(16, u=np.sin(grid(16)), s=np.cos(3 * grid(16))))
+        (start,) = evolve(spec, ModelId.EULER, 0.0, EV, [0.0])
+        assert start.tobytes() == spec.modes.tobytes()
         with pytest.raises(ValueError):
-            evolve(spec, ModelId.EULER, 0.0, EV, [0.0])
+            evolve(spec, ModelId.EULER, 0.0, EV, [-0.5])
 
     @settings(max_examples=25, deadline=None)
     @given(

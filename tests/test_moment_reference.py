@@ -173,9 +173,14 @@ class TestEvolveMoments:
             SpectralState(np.zeros((5, 9), dtype=complex), 15)
 
     def test_dt_validation(self):
-        state = np.zeros((3, 8))
-        with pytest.raises(ValueError):
-            evolve(from_hydro(to_modes(state)), MOMENT, 0.1, EV, [0.0])
+        # A leading 0 is the moment start itself; a negative, repeated or
+        # descending time is refused.
+        moments = from_hydro(to_modes(np.random.default_rng(8).normal(size=(3, 8))))
+        (start,) = evolve(moments, MOMENT, 0.1, EV, [0.0])
+        assert start.tobytes() == moments.modes.tobytes()
+        for times in ([-0.5], [0.0, 0.0], [1.0, 0.5]):
+            with pytest.raises(ValueError):
+                evolve(moments, MOMENT, 0.1, EV, times)
 
 
 @st.composite
@@ -251,6 +256,27 @@ class TestHydroProjection:
         assert np.all(projection.fields[2] == 0)
         assert np.all(projection.stress == 0)
         assert np.all(projection.heat_flux == 0)
+
+    def test_hydro_modes_map_in_place(self):
+        # s = (3/2)p - (5/2)n is written over the Pi row with the bits of
+        # 1.5*p - 2.5*n, and rows 1 to 3 come back as a view, for one state
+        # and for a stack of them.
+        rng = np.random.default_rng(9)
+        for shape in [(5, 9), (4, 5, 9)]:
+            moments = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            n, u, p = (moments[..., row, :].copy() for row in range(3))
+            want = np.stack([u, p, 1.5 * p - 2.5 * n], axis=-2)
+            mapped = _hydro_modes(moments)
+            assert np.shares_memory(mapped, moments)
+            assert mapped.shape == want.shape and mapped.tobytes() == want.tobytes()
+
+    def test_projection_leaves_its_state_unchanged(self):
+        modes = np.random.default_rng(10).normal(size=(5, 9)) + 0j
+        modes[:, 0] = modes[:, 0].real
+        before = modes.copy()
+        projection = hydro_projection(SpectralState(modes, 17))
+        assert modes.tobytes() == before.tobytes()
+        assert np.array_equal(projection.stress, inverse_modes(before[3], 17))
 
     def test_round_trips_hydro_fields(self):
         n = 16
@@ -395,6 +421,19 @@ class TestReferenceGaps:
         assert gaps.shape == (1, len(HYDRO_MODELS)) and np.all(gaps == 0.0)
         assert reference_gaps(start, [], 0.1, EV, [0.0, 1.0]).shape == (2, 0)
 
+    def test_a_tolerated_nyquist_part_starts_at_exact_zero(self):
+        # The even grid's Nyquist mode may hold an imaginary part within
+        # HERMITIAN_TOL.  Propagation makes only the later rows' Nyquist mode
+        # real, so every model's t = 0 row is the start itself: its gap is the
+        # start less itself, and trajectory's row is from_modes of the start.
+        modes = to_modes(np.random.default_rng(11).normal(size=(3, 16))).modes
+        modes[:, -1] += 0.5 * _modal.HERMITIAN_TOL * np.abs(modes).max() * 1j
+        start, times = SpectralState(modes, 16), [0.0, 0.5, 1.0]
+        gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
+        assert np.all(gaps[0] == 0.0) and not np.signbit(gaps[0]).any()
+        for model in ModelId:
+            assert np.array_equal(trajectory(start, model, 0.1, EV, times)[0], from_modes(start))
+
     @pytest.mark.parametrize("n,column", [(16, 0), (17, 0), (16, 8), (16, 3), (17, 3), (17, 8)])
     def test_parseval_weights(self, n, column):
         # k = 0 and the even grid's Nyquist column (8 of N = 16) count once,
@@ -501,9 +540,9 @@ class TestTrajectory:
     @pytest.mark.parametrize("n", [16, 15])
     def test_moment_blocks_are_mapped_bit_for_bit(self, n):
         # On these grids one block holds 151 (N = 16) or 170 (N = 15)
-        # snapshots, so 400 times make three blocks.  Mapping a whole block
-        # of moment modes to (u, p, s) moves no bit of any row, with or
-        # without the start in front.
+        # snapshots, so 400 times make three blocks.  Mapping the moment
+        # modes to (u, p, s) in place, all times at once, moves no bit of any
+        # row, with or without the start in front.
         fields = np.random.default_rng(n).normal(size=(3, n))
         start = to_modes(fields)
         times = 0.05 * np.arange(1, 401)
@@ -512,14 +551,15 @@ class TestTrajectory:
         assert moments.shape == (times.size, 5, n // 2 + 1)
         later = trajectory(start, MOMENT, 0.1, EV, times)
         from_zero = trajectory(start, MOMENT, 0.1, EV, np.concatenate([[0.0], times]))
-        for i, modes in enumerate(moments):
+        for i, modes in enumerate(moments):  # each time's modes are mapped in place, once
             row = inverse_modes(_hydro_modes(modes), n)
             assert np.array_equal(later[i], row) and np.array_equal(from_zero[i + 1], row), i
 
     def test_peak_memory(self):
         # Snapshots are synthesized in blocks of about EVAL_BLOCK modes, as
-        # slices of evolve's one array; a moment block is mapped to (u, p, s)
-        # as a whole.  At N = 16,384 with 21 times the moment trajectory
+        # slices of evolve's one array; the moment modes are mapped to
+        # (u, p, s) in place, as they were a block at a time before, at the
+        # same peak.  At N = 16,384 with 21 times the moment trajectory
         # peaks at 3.51 times the fields' bytes, as it did when each snapshot
         # was a SpectralState mapped on its own; one synthesis call per time
         # read 3.42, and one np.stack of all snapshots' (u, p, s) modes

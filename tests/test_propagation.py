@@ -163,11 +163,39 @@ def test_nyquist_mode_evolves_as_aliased_pair_at_every_time():
         assert np.max(np.abs(out[1])) <= 1e-12
 
 
-@pytest.mark.parametrize("times", [[], [0.0, 1.0], [1.0, 0.5], [0.5, 0.5], [[0.5]], -1.0])
-def test_times_must_be_positive_and_ascending(times):
+@pytest.mark.parametrize(
+    "times", [[], [-0.5, 1.0], [1.0, 0.5], [0.5, 0.5], [[0.5]], -1.0, [0.0, np.nan]]
+)
+def test_times_must_be_nonnegative_and_ascending(times):
     spec = to_modes(np.zeros((3, 8)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="times must be a nonempty 1-D array, ascending"):
         evolve(spec, ModelId.EULER, 0.0, EV, np.asarray(times, dtype=float))
+
+
+@pytest.mark.parametrize("n", [16, 15])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_a_leading_zero_is_the_start(model, n):
+    # exp(M 0) = I with no arithmetic: row 0 is the modes bit for bit, and
+    # the later rows are those of the positive times alone.
+    spec = to_modes(np.random.default_rng(n).normal(size=(3, n)))
+    if model is ModelId.MOMENT_REFERENCE:
+        spec = from_hydro(spec)
+    moved = evolve(spec, model, 0.1, EV, np.concatenate([[0.0], TIMES]))
+    assert moved[0].tobytes() == spec.modes.tobytes()
+    assert moved[1:].tobytes() == evolve(spec, model, 0.1, EV, TIMES).tobytes()
+
+
+def test_the_start_keeps_its_nyquist_column():
+    # The even grid's Nyquist rule, Re(P x), is for propagated rows: a start
+    # whose Nyquist mode holds an imaginary part within HERMITIAN_TOL is
+    # returned as given.
+    spec = to_modes(np.random.default_rng(3).normal(size=(3, 16)))
+    modes = spec.modes.copy()
+    modes[:, -1] += 1e-3 * _modal.HERMITIAN_TOL * np.abs(modes).max() * 1j
+    scale = parity_scale(ModelId.BURNETT)
+    moved = mode_propagators(_symbol_stack(ModelId.BURNETT, 0.1), 16, [0.0, 1.0], modes, scale)
+    assert moved[0].tobytes() == modes.tobytes()
+    assert not moved[1, :, -1].imag.any()
 
 
 @pytest.mark.parametrize("model", list(ModelId))
