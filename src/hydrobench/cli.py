@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -210,17 +211,18 @@ def _load_config_file(path: Path) -> dict[str, object]:
 # CSV/SVG emission ----------------------------------------------------------
 
 
-#: Values turned into text at a time: the CSV writer takes WRITE_BLOCK //
-#: (number of columns) rows, the SVG's point text WRITE_BLOCK points.  A CSV
-#: block's numpy temporaries come to about 230 bytes per float64 real,
-#: fewer for a coded column, whose records are narrower; a
-#: point-text block's come to about 40 bytes per coordinate.  On the
-#: evolve, dispersion and secular benchmark tables, blocks of 2048, 8192 and
-#: 16384 values took 1.10-1.17, 0.93-0.98 and 0.90-0.97 times as long as
-#: 4096 with 48-byte records for every column, while the writer's peak
-#: allocation grows with the block: 0.71, 0.65 and 0.71 MB on those tables
-#: at 4096, and 1.39, 1.19 and 1.41 MB at 8192 (Python 3.11, numpy 2.4,
-#: x86-64).
+#: Reals turned into text at a time: the CSV writer takes WRITE_BLOCK //
+#: (number of float64 columns) rows, WRITE_BLOCK for a table of coded
+#: columns alone, since a coded column takes its records by code and
+#: formats no real; the SVG's point text is made WRITE_BLOCK points at a
+#: time.  A CSV block's numpy temporaries come to about 180 bytes per real,
+#: 290 and 370 with the coded records of the evolve and dispersion rows; a
+#: point-text block's to about 40 bytes per coordinate.  On the evolve,
+#: dispersion and secular benchmark tables, blocks of 2048 and 8192 reals
+#: took 1.12-1.14 and 0.91-1.21 times as long as 4096, while the writer's
+#: peak allocation grows with the block: 1.15, 1.45 and 0.71 MB on those
+#: tables at 4096, and 2.27, 2.81 and 1.42 MB at 8192 (Python 3.11, numpy
+#: 2.4, x86-64).
 WRITE_BLOCK = 4096
 
 _SVG_PALETTE = (
@@ -283,8 +285,9 @@ def _table(columns: dict[str, object]) -> np.ndarray:
 _BOX_BITS = np.float64(999.9995).view(np.uint64)
 
 
-def _point_text(points: np.ndarray) -> bytes:
-    """The bytes of '%.3f,%.3f' for each (x, y) row of points, joined by spaces.
+def _point_text(points: np.ndarray) -> list[bytes]:
+    """The bytes of '%.3f,%.3f' for each (x, y) row of points, joined by
+    spaces, as the list of chunks of WRITE_BLOCK points it is made in.
 
     Every coordinate's text must lie in [0, 1000), as the chart's do; a
     non-finite coordinate, a negative one, -0.0 included, or one that rounds
@@ -297,9 +300,9 @@ def _point_text(points: np.ndarray) -> bytes:
 
     Each coordinate becomes two uint32 words from the point tables: the
     separator before it (',' before y, ' ' before x) with its integer digits,
-    whose leading zeros are NUL bytes, and then ".ddd".  Deleting the NULs
-    and the first separator leaves the text.  The text is made WRITE_BLOCK
-    points at a time.
+    whose leading zeros are NUL bytes, and then ".ddd".  The first chunk's
+    first separator is made a NUL too, so deleting the NULs leaves each
+    chunk's text, and the chunks are never joined.
     """
     chunks = []
     for lo in range(0, len(points), WRITE_BLOCK):
@@ -318,8 +321,10 @@ def _point_text(points: np.ndarray) -> bytes:
         words = np.empty((len(v), 2), np.uint32)
         words[:, 0] = tables().point_whole[whole.astype(np.intp)]
         words[:, 1] = tables().point_fraction[frac.astype(np.intp)]
+        if lo == 0:
+            words.view(np.uint8)[0, 0] = 0
         chunks.append(words.tobytes().replace(b"\0", b""))
-    return b"".join(chunks)[1:]
+    return chunks
 
 
 def _axis_label(value: float) -> str:
@@ -349,9 +354,9 @@ def _span(columns: list[np.ndarray]) -> tuple[float, float]:
     return lo, hi
 
 
-def _svg_chart(rows: np.ndarray, title: str) -> bytes:
+def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
     """Deterministic 800x600 polyline chart of a table's float fields, as
-    UTF-8 bytes.
+    the list of UTF-8 byte parts that make up its text, never joined.
 
     The label fields, coded by str names, group the rows into separate
     series; the other fields are reals, plotted through their values when
@@ -360,7 +365,11 @@ def _svg_chart(rows: np.ndarray, title: str) -> bytes:
     (first label field first), each code ranked by its name among the
     column's sorted names, and each series' points in stable ascending x:
     rows with equal x keep their table order.  A series is tagged with its
-    names.  Axis labels come from _axis_label.
+    names.  Axis labels come from _axis_label.  A coded x is never decoded
+    row by row: rows sort by each code's dense rank among its values, equal
+    values (-0.0 and 0.0 among them) sharing one, the span comes from the
+    values the codes use, and those values alone are mapped to the screen,
+    each group taking its coordinates by code.
 
     Point coordinates are written byte for byte as '%.3f' writes them, by
     _point_text, from each group's slice of one sort order: a group's x
@@ -376,13 +385,25 @@ def _svg_chart(rows: np.ndarray, title: str) -> bytes:
         if isinstance(values, tuple):
             labels[name] = values
         else:
-            reals[name] = rows[name] if values is None else values.take(rows[name])
+            reals[name] = values
     if len(reals) < 2:
         raise ValueError("SVG chart needs an x column and at least one y column")
-    x_name, *y_names = reals
+    (x_name, x_values), *y_reals = reals.items()
+    x = rows[x_name]
+    y = {name: rows[name] if v is None else v.take(rows[name]) for name, v in y_reals}
+    if x_values is None:
+        x_key = x_used = x
+    else:
+        sort = np.argsort(x_values)
+        ordered = x_values[sort]
+        rank = np.zeros(len(x_values), np.int32)
+        rank[sort[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+        x_key = rank.take(x)
+        used = np.bincount(x, minlength=len(x_values)) > 0
+        x_used = x_values[used]
 
-    x_lo, x_hi = _span([reals[x_name]])
-    y_lo, y_hi = _span([reals[name] for name in y_names])
+    x_lo, x_hi = _span([x_used])
+    y_lo, y_hi = _span(list(y.values()))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -401,7 +422,7 @@ def _svg_chart(rows: np.ndarray, title: str) -> bytes:
         rank = {n: i for i, n in enumerate(sorted(set(names)))}
         series *= size
         series += np.take([rank[n] for n in names], rows[name])
-    order = np.lexsort((reals[x_name], series))
+    order = np.lexsort((x_key, series))
     series = series[order]
     starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
     firsts = order[starts]
@@ -432,33 +453,36 @@ def _svg_chart(rows: np.ndarray, title: str) -> bytes:
         "",
     ]
     parts = ["\n".join(header).encode()]
+
+    def screen_x(values):
+        return margin_left + (values - x_lo) / (x_hi - x_lo) * (width - margin_left - margin_right)
+
+    if x_values is not None:
+        # An unused value maps as x_lo does, so it can raise no fault of its own.
+        x_screen = screen_x(np.where(used, x_values, x_lo))
     index = 0
     for lo, hi, key in zip(starts, [*starts[1:], len(rows)], keys):
         tag = "/".join(key)
         group = order[lo:hi]
         points = np.empty((hi - lo, 2))
-        points[:, 0] = margin_left + (reals[x_name][group] - x_lo) / (x_hi - x_lo) * (
-            width - margin_left - margin_right
-        )
-        for name in y_names:
+        points[:, 0] = screen_x(x[group]) if x_values is None else x_screen.take(x[group])
+        for name, column in y.items():
             points[:, 1] = (
                 height
                 - margin_bottom
-                - (reals[name][group] - y_lo)
-                / (y_hi - y_lo)
-                * (height - margin_top - margin_bottom)
+                - (column[group] - y_lo) / (y_hi - y_lo) * (height - margin_top - margin_bottom)
             )
             color = _SVG_PALETTE[index % len(_SVG_PALETTE)]
             index += 1
             parts += [
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'.encode(),
-                _point_text(points),
+                *_point_text(points),
                 f'"/>\n<text x="{width - margin_right - 4}" y="{margin_top + 14 * index}" '
                 f'text-anchor="end" font-family="monospace" font-size="10" '
                 f'fill="{color}">{f"{name}[{tag}]" if tag else name}</text>\n'.encode(),
             ]
     parts.append(b"</svg>\n")
-    return b"".join(parts)
+    return parts
 
 
 def _block_text(columns: list[np.ndarray], coded: list) -> np.ndarray:
@@ -509,21 +533,27 @@ def emit_outputs(
     out_path whose SVG sibling would be itself.  Reals are written
     as '%.17g' writes them, 17 significant digits with '.' as decimal
     separator, so they round-trip through the file exactly, and labels as
-    the UTF-8 of their names.  The text is made in numpy, about WRITE_BLOCK
-    values at a time (_block_text): each real becomes a fixed-width record
-    of bytes and a mask of the bytes it keeps (_text.real_records), a coded
+    the UTF-8 of their names.  The text is made in numpy, a block of rows
+    at a time (_block_text): each real becomes a fixed-width record of
+    bytes and a mask of the bytes it keeps (_text.real_records), a coded
     column takes them by code from the records of its values, made once
     (_text.label_records for names, _text.real_records for reals), and one
     boolean compress of the block's records is its text.  A coded column's
     records are right-aligned in the width of their longest text
     (_text.right_aligned), so each block concatenates and compresses fewer
-    bytes.  The SVG charts rows unless another table is passed in chart;
-    field-snapshot tables use that to plot the final time block against x.
-    It is written as the bytes _svg_chart returns.
+    bytes.  A block holds WRITE_BLOCK reals, WRITE_BLOCK // (float64
+    columns) rows, or WRITE_BLOCK rows of coded columns alone: a coded
+    column formats no real, and a real_records call costs about 77 us
+    before its first value, so the coded columns do not shrink the block.
 
-    The chart and the CSV each run under the data commands' floating-point
-    rule (_phase), so a fault in either raises _PhaseFault naming it; a
-    fault or an OSError part way through the CSV removes the partial file.
+    The SVG charts rows unless another table is passed in chart;
+    field-snapshot tables use that to plot the final time block against x.
+    It is drawn before any file is opened and written after the CSV as the
+    byte parts _svg_chart returns, never joined.  The chart and the CSV
+    each run under the data commands' floating-point rule (_phase), so a
+    fault in either raises _PhaseFault naming it.  Any exception part way
+    through the CSV, an OSError among them, removes the partial file, and
+    one part way through the SVG removes it and the CSV.
     """
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
@@ -555,21 +585,33 @@ def emit_outputs(
                 coded.append(label_records(values))
             else:
                 coded.append(right_aligned(*real_records(values)))
-        step = max(1, WRITE_BLOCK // len(columns))
-        fh = open(out_path, "wb")
-        try:
-            with fh:
-                fh.write((",".join(names) + "\n").encode())
-                for lo in range(0, len(rows), step):
-                    fh.write(_block_text([column[lo : lo + step] for column in columns], coded))
-        except BaseException:  # a fault part way leaves no partial CSV
-            out_path.unlink()
-            raise
+        step = max(1, WRITE_BLOCK // max(1, coded.count(None)))
+        blocks = (
+            _block_text([column[lo : lo + step] for column in columns], coded)
+            for lo in range(0, len(rows), step)
+        )
+        _write_parts(out_path, itertools.chain([(",".join(names) + "\n").encode()], blocks))
     if svg is None:
         return [out_path]
     svg_path = out_path.with_suffix(".svg")
-    svg_path.write_bytes(svg)
+    try:
+        _write_parts(svg_path, svg)
+    except BaseException:  # nor a partial SVG beside its CSV
+        out_path.unlink()
+        raise
     return [out_path, svg_path]
+
+
+def _write_parts(path: Path, parts) -> None:
+    """Write the byte parts to path in turn; any exception part way, from the
+    file or from a part, removes the file before it is raised again."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.writelines(parts)
+    except BaseException:
+        path.unlink()
+        raise
 
 
 # Command implementations ---------------------------------------------------

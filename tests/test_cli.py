@@ -556,12 +556,43 @@ class TestEmitOutputs:
             emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "reals,coded", [(r, False) for r in (1, 2, 3)] + [(r, True) for r in (0, 1, 2, 3)]
+    )
+    def test_blocks_hold_write_block_reals(self, tmp_path, monkeypatch, reals, coded):
+        # A block takes WRITE_BLOCK // (real columns) rows, and WRITE_BLOCK
+        # rows for a table of coded columns alone: a label column and a coded
+        # real take their text by code and do not count.  Row counts on both
+        # sides of one and two blocks write the '%' route's bytes.
+        step = cli.WRITE_BLOCK // max(1, reals)
+        blocks = []
+        block_text = cli._block_text
+
+        def counted(columns, records):
+            blocks.append((len(columns[0]), records.count(None)))
+            return block_text(columns, records)
+
+        monkeypatch.setattr(cli, "_block_text", counted)
+        rng = np.random.default_rng(10 * reals + coded)
+        for n in (step - 1, step, step + 1, 2 * step + 1):
+            columns = {f"v{j}": rng.standard_normal(n) for j in range(reals)}
+            if coded:
+                columns = {"g": rng.choice(["a", "bé"], size=n), **columns}
+                columns["t"] = _coded(np.repeat(0.5 * np.arange(n // 7 + 1), 7)[:n])
+            del blocks[:]
+            _assert_same_csv(cli._table(columns), tmp_path)
+            sizes = [step] * (n // step) + ([n % step] if n % step else [])
+            assert [rows for rows, _ in blocks] == sizes
+            assert all(count == reals and rows * count <= cli.WRITE_BLOCK for rows, count in blocks)
+
     def test_coded_peak_memory(self, tmp_path):
         # An evolve table, t and x coded.  With t and x as float64 (40-byte
         # rows) the one-'%'-per-block writer peaked at 44 bytes per row, and
         # keeping one block's records while the next was made added 16.
-        # This writer peaks at 18-21 bytes per row, one block's temporaries
-        # (Python 3.11, numpy 2.4, x86-64).
+        # Blocks of WRITE_BLOCK // 5 rows, every column counted, peaked at
+        # 18-21 bytes per row; blocks of WRITE_BLOCK // 3 rows, the three
+        # real columns only, peak at 29.4, one block's temporaries (Python
+        # 3.11, numpy 2.4, x86-64).
         n, grid = 10 * cli.WRITE_BLOCK, 256
         rng = np.random.default_rng(17)
         times, x = 0.1 * np.arange(n // grid), 2.0 * np.pi * np.arange(grid) / grid
@@ -577,7 +608,7 @@ class TestEmitOutputs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 54 * len(rows)
+        assert peak < 34 * len(rows)
 
     def test_svg_over_the_csv_refused_before_any_output(self, tmp_path, monkeypatch):
         def no_chart(*args):
@@ -603,6 +634,66 @@ class TestEmitOutputs:
         assert root.attrib["width"] == "800"
         assert root.attrib["height"] == "600"
 
+    def test_svg_written_as_its_chunks(self, tmp_path, monkeypatch):
+        # The secular benchmark's table: 20,000 rows, two polylines.  The SVG
+        # is written as the parts _svg_chart makes, no larger than one
+        # WRITE_BLOCK of point text, and no copy of a whole polyline or of
+        # the whole chart is made.  The CSV alone peaks at 0.75 MB; with the
+        # chart 1.65 MB, 1.43 times the SVG's bytes above it.  Joining each
+        # polyline and then the chart, as the writer once did, peaked at
+        # 2.19 MB, 2.30 times (Python 3.11, numpy 2.4, x86-64).
+        config = RunConfig(
+            command="secular",
+            ic=parse_initial_condition("u:1:1"),
+            eps=0.01,
+            tmax=10000.0,
+            dt_out=0.5,
+            out_path=tmp_path / "secular.csv",
+        )
+        rows = cli._cmd_secular(config)
+        assert len(rows) == 20000
+        parts = []
+        write_parts = cli._write_parts
+
+        def kept(path, chunks):
+            if path.suffix == ".svg":
+                chunks = list(chunks)
+                parts.extend(chunks)
+            write_parts(path, chunks)
+
+        monkeypatch.setattr(cli, "_write_parts", kept)
+        peaks = {}
+        for svg in (False, True):
+            emit_outputs(rows, config.out_path, emit_svg=svg)
+            del parts[:]
+            tracemalloc.start()
+            try:
+                emit_outputs(rows, config.out_path, emit_svg=svg)
+                peaks[svg] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        svg = config.out_path.with_suffix(".svg").read_bytes()
+        assert b"".join(parts) == svg
+        assert max(map(len, parts)) <= 16 * cli.WRITE_BLOCK
+        assert peaks[True] - peaks[False] < 1.6 * len(svg)
+
+    def test_a_failed_svg_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # A fault after the first part, from the file or from a part, removes
+        # the partial SVG and the CSV written before it.
+        rows = cli._table({"t": np.arange(5.0), "y": np.arange(5.0) ** 2})
+        chart = cli._svg_chart
+
+        for fault in (OSError(28, "No space left on device"), RuntimeError("part")):
+
+            def failing(rows, title):
+                yield chart(rows, title)[0]
+                raise fault
+
+            monkeypatch.setattr(cli, "_svg_chart", failing)
+            with pytest.raises(type(fault)):
+                emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
+            assert list(tmp_path.iterdir()) == []
+
     @settings(max_examples=150, deadline=None)
     @given(rows=_chart_tables())
     @example(rows=cli._table({"g": ["b", "a", "c"], "x": [0.0, -0.0, 1.0], "y": [1.0, 2.0, 3.0]}))
@@ -613,7 +704,26 @@ class TestEmitOutputs:
         )
     )
     def test_svg_equals_mask_per_group_route(self, rows):
-        assert cli._svg_chart(rows, "t") == _svg_chart_by_masks(rows, "t").encode()
+        assert b"".join(cli._svg_chart(rows, "t")) == _svg_chart_by_masks(rows, "t").encode()
+
+    def test_coded_x_spans_the_values_its_codes_use(self):
+        # A coded x is sorted by rank and mapped value by value: values no
+        # code uses, a -0.0 beside a used 0.0 and non-finite ones among
+        # them, move neither the span nor the order and raise no fault, and
+        # equal values of two codes keep their rows in table order.
+        values = np.array([np.inf, 0.5, -0.0, np.nan, 0.0, 2.0, -np.inf, 0.5])
+        x = np.array([4, 7, 5, 4, 7, 7, 1]).astype(cli._coded_dtype(values))
+        rows = cli._table({"g": list("abababa"), "x": x, "y": np.arange(7.0)})
+        with np.errstate(all="raise"):
+            svg = b"".join(cli._svg_chart(rows, "t"))
+        assert svg == _svg_chart_by_masks(rows, "t").encode()
+        assert svg.count(b'font-size="10">0</text>') == 2  # x and y both start at +0
+        # An unused value whose distance to the span's low end overflows.
+        x = np.array([0, 1, 0, 1]).astype(cli._coded_dtype(np.array([-1e308, 1.0, 1.7e308])))
+        rows = cli._table({"x": x, "y": np.arange(4.0)})
+        with np.errstate(all="raise"):
+            svg = b"".join(cli._svg_chart(rows, "t"))
+        assert svg == _svg_chart_by_masks(rows, "t").encode()
 
     @pytest.mark.parametrize(
         "layout,rows",
@@ -637,7 +747,7 @@ class TestEmitOutputs:
             columns["z"] = y.copy()
         table = cli._table(columns)
         assert table.dtype.itemsize == (20 if layout == "label-x-y" else 24)
-        svg = cli._svg_chart(table, "t").decode()
+        svg = b"".join(cli._svg_chart(table, "t")).decode()
         assert cli._span([table["y"]]) == cli._span([table["x"]]) == (-0.0, 0.0)
         assert np.signbit(cli._span([table["y"]])).tolist() == [True, False]
         # Both axes read -0 at their low end; the high end is lo + 1.
@@ -668,7 +778,8 @@ class TestEmitOutputs:
         rows = cli._table({**{f"g{i}": labelled for i in range(4)}, "x": [0.0], "y": [1.0]})
         with pytest.raises(ValueError, match="too many label combinations"):
             cli._svg_chart(rows, "t")
-        assert cli._svg_chart(rows[["g0", "g1", "g2", "x", "y"]], "t").count(b"<polyline") == 1
+        svg = b"".join(cli._svg_chart(rows[["g0", "g1", "g2", "x", "y"]], "t"))
+        assert svg.count(b"<polyline") == 1
 
     def test_span_decides_zero_extremes_across_columns(self):
         zeros, negatives = np.zeros(3), np.full(3, -0.0)
@@ -831,13 +942,13 @@ class TestPointText:
     def test_bytes_equal_percent_format(self, values):
         # An odd list was padded by its last value; any even prefix is a series.
         points = np.array(values[: len(values) // 2 * 2], dtype=float).reshape(-1, 2)
-        assert cli._point_text(points) == _percent_route(points)
+        assert b"".join(cli._point_text(points)) == _percent_route(points)
 
     @pytest.mark.parametrize("n", [1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1])
     def test_series_lengths_across_the_block(self, n):
         rng = np.random.default_rng(n)
         points = rng.integers(0, 2000000, size=(n, 2)) / 2000
-        assert cli._point_text(points) == _percent_route(points)
+        assert b"".join(cli._point_text(points)) == _percent_route(points)
 
     @pytest.mark.parametrize(
         "bad",
@@ -994,9 +1105,11 @@ class TestDispersionCommand:
         # each series' points made from its slice of the sort order the peak
         # was 4.27 MB, the command's own.  With each model filling its own
         # slice of the table, k coded, the command peaks at 2.06 MB and the
-        # sweep at 4.05 MB, the 1.11 MB table and the 2.97 MB chart
-        # (Python 3.11, numpy 2.4, x86-64).  The first call fills the text
-        # tables.
+        # sweep at 4.05 MB, the 1.11 MB table and the 2.97 MB chart.  With
+        # the chart kept as its parts, never joined, it peaks at 2.02 MB,
+        # and the sweep at 3.60 MB while the CSV is written: the table, the
+        # 1.06 MB of parts and one block of 2,048 rows (Python 3.11, numpy
+        # 2.4, x86-64).  The first call fills the text tables.
         config = RunConfig(
             command="dispersion",
             models=cli._parse_models(["euler,ns,burnett,riemann,moment"]),
@@ -1021,7 +1134,7 @@ class TestDispersionCommand:
             tracemalloc.stop()
         assert len(rows) == 2048 * 17
         assert rows.dtype.itemsize <= 32
-        assert peak < 4.5 * 2**20
+        assert peak < 3.9 * 2**20
 
 
 @st.composite
@@ -2244,6 +2357,31 @@ class TestExitCodes:
         assert main(argv) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists() and not out.with_suffix(".svg").exists()
+
+    @pytest.mark.parametrize(
+        "fault,code,line",
+        [
+            (OSError(28, "No space left"), 1, "error: [Errno 28] No space left"),
+            (RuntimeError("lost"), 2, "internal failure: RuntimeError('lost')"),
+        ],
+    )
+    def test_svg_write_failure_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch, fault, code, line
+    ):
+        # The SVG is written part by part after the CSV; a failure after its
+        # first part removes both files and costs one stderr line.
+        chart = cli._svg_chart
+
+        def failing(rows, title):
+            yield chart(rows, title)[0]
+            raise fault
+
+        monkeypatch.setattr(cli, "_svg_chart", failing)
+        out = tmp_path / "x.csv"
+        argv = ["dispersion", "--model", "euler", "--samples", "4", "--svg", "--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", line + "\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "phase,target",
