@@ -365,11 +365,7 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
     (first label field first), each code ranked by its name among the
     column's sorted names, and each series' points in stable ascending x:
     rows with equal x keep their table order.  A series is tagged with its
-    names.  Axis labels come from _axis_label.  A coded x is never decoded
-    row by row: rows sort by each code's dense rank among its values, equal
-    values (-0.0 and 0.0 among them) sharing one, the span comes from the
-    values the codes use, and those values alone are mapped to the screen,
-    each group taking its coordinates by code.
+    names.  Axis labels come from _axis_label.
 
     Point coordinates are written byte for byte as '%.3f' writes them, by
     _point_text, from each group's slice of one sort order: a group's x
@@ -385,25 +381,13 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
         if isinstance(values, tuple):
             labels[name] = values
         else:
-            reals[name] = values
+            reals[name] = rows[name] if values is None else values.take(rows[name])
     if len(reals) < 2:
         raise ValueError("SVG chart needs an x column and at least one y column")
-    (x_name, x_values), *y_reals = reals.items()
-    x = rows[x_name]
-    y = {name: rows[name] if v is None else v.take(rows[name]) for name, v in y_reals}
-    if x_values is None:
-        x_key = x_used = x
-    else:
-        sort = np.argsort(x_values)
-        ordered = x_values[sort]
-        rank = np.zeros(len(x_values), np.int32)
-        rank[sort[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
-        x_key = rank.take(x)
-        used = np.bincount(x, minlength=len(x_values)) > 0
-        x_used = x_values[used]
+    x_name, *y_names = reals
 
-    x_lo, x_hi = _span([x_used])
-    y_lo, y_hi = _span(list(y.values()))
+    x_lo, x_hi = _span([reals[x_name]])
+    y_lo, y_hi = _span([reals[name] for name in y_names])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -422,7 +406,7 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
         rank = {n: i for i, n in enumerate(sorted(set(names)))}
         series *= size
         series += np.take([rank[n] for n in names], rows[name])
-    order = np.lexsort((x_key, series))
+    order = np.lexsort((reals[x_name], series))
     series = series[order]
     starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
     firsts = order[starts]
@@ -453,24 +437,21 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
         "",
     ]
     parts = ["\n".join(header).encode()]
-
-    def screen_x(values):
-        return margin_left + (values - x_lo) / (x_hi - x_lo) * (width - margin_left - margin_right)
-
-    if x_values is not None:
-        # An unused value maps as x_lo does, so it can raise no fault of its own.
-        x_screen = screen_x(np.where(used, x_values, x_lo))
     index = 0
     for lo, hi, key in zip(starts, [*starts[1:], len(rows)], keys):
         tag = "/".join(key)
         group = order[lo:hi]
         points = np.empty((hi - lo, 2))
-        points[:, 0] = screen_x(x[group]) if x_values is None else x_screen.take(x[group])
-        for name, column in y.items():
+        points[:, 0] = margin_left + (reals[x_name][group] - x_lo) / (x_hi - x_lo) * (
+            width - margin_left - margin_right
+        )
+        for name in y_names:
             points[:, 1] = (
                 height
                 - margin_bottom
-                - (column[group] - y_lo) / (y_hi - y_lo) * (height - margin_top - margin_bottom)
+                - (reals[name][group] - y_lo)
+                / (y_hi - y_lo)
+                * (height - margin_top - margin_bottom)
             )
             color = _SVG_PALETTE[index % len(_SVG_PALETTE)]
             index += 1

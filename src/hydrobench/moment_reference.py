@@ -130,27 +130,18 @@ def evolve_moments(
     return evolve(state, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
 
 
-def _hydro_modes(moments: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def _hydro_modes(moments: np.ndarray) -> np.ndarray:
     """(u, p, s) modes of (n, u, p, Pi, q) moment modes, mapped in place.
 
     s = (3/2)p - (5/2)n is written over the Pi row, with the two products
     and the difference that 1.5*p - 2.5*n takes, and the view of rows 1 to 3
     is returned; the rows are the second-to-last axis, so a (T, 5, m) stack
-    gives a (T, 3, m) view.  Given the (n0, u0, p0, Pi0, q0) modes the
-    moments started from, the row holds the change of s instead,
-    (3/2)(p - p0) - (5/2)(n - n0), for the caller to add to its start's s.
-    The n row is overwritten on the way, and no array of the view's size is
-    allocated.
+    gives a (T, 3, m) view.  The n row is overwritten on the way, and no
+    array of the view's size is allocated.
     """
-    n, p, s = moments[..., 0, :], moments[..., 2, :], moments[..., 3, :]
-    if start is None:
-        np.multiply(p, 1.5, out=s)
-    else:
-        np.subtract(p, start[2], out=s)
-        s *= 1.5
-        n -= start[0]
-    n *= 2.5
-    s -= n
+    np.multiply(moments[..., 2, :], 1.5, out=moments[..., 3, :])
+    moments[..., 0, :] *= 2.5
+    moments[..., 3, :] -= moments[..., 0, :]
     return moments[..., 1:4, :]
 
 
@@ -172,19 +163,15 @@ def _propagated(
 
     The one place a model's propagation is chosen: evolve for a hydro model,
     and evolve_moments of from_hydro(initial) for the moment model, whose
-    array is mapped back in place by _hydro_modes.  Its s is the start's s
-    plus the change _hydro_modes forms, since s does not survive
-    n = (3p - 2s)/5 and back bit for bit: a column no model moves keeps its
-    s exactly.  `initial` must hold 3 rows, which evolve and from_hydro
-    check.  times are taken as _modal.mode_propagators takes them, so a
-    leading 0 row is the start; the moment model's is reset to
-    initial.modes, since s0 + 0.0 turns a -0.0 into +0.0.
+    array is mapped back in place by _hydro_modes.  `initial` must hold 3
+    rows, which evolve and from_hydro check.  times are taken as
+    _modal.mode_propagators takes them, so a leading 0 row is the start; the
+    moment model's is reset to initial.modes, since s does not survive
+    n = (3p - 2s)/5 and back bit for bit.
     """
     if model is not ModelId.MOMENT_REFERENCE:
         return evolve(initial, model, eps, eigenvalues, times)
-    start = from_hydro(initial)
-    modes = _hydro_modes(evolve_moments(start, eps, eigenvalues, times), start.modes)
-    modes[:, 2] += initial.modes[2]
+    modes = _hydro_modes(evolve_moments(from_hydro(initial), eps, eigenvalues, times))
     if np.asarray(times)[0] == 0.0:
         modes[0] = initial.modes
     return modes

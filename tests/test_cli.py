@@ -707,10 +707,10 @@ class TestEmitOutputs:
         assert b"".join(cli._svg_chart(rows, "t")) == _svg_chart_by_masks(rows, "t").encode()
 
     def test_coded_x_spans_the_values_its_codes_use(self):
-        # A coded x is sorted by rank and mapped value by value: values no
-        # code uses, a -0.0 beside a used 0.0 and non-finite ones among
-        # them, move neither the span nor the order and raise no fault, and
-        # equal values of two codes keep their rows in table order.
+        # A coded x is decoded row by row before its sort: values no code
+        # uses, a -0.0 beside a used 0.0 and non-finite ones among them,
+        # move neither the span nor the order and raise no fault, and equal
+        # values of two codes keep their rows in table order.
         values = np.array([np.inf, 0.5, -0.0, np.nan, 0.0, 2.0, -np.inf, 0.5])
         x = np.array([4, 7, 5, 4, 7, 7, 1]).astype(cli._coded_dtype(values))
         rows = cli._table({"g": list("abababa"), "x": x, "y": np.arange(7.0)})
@@ -1106,7 +1106,7 @@ class TestDispersionCommand:
         # was 4.27 MB, the command's own.  With each model filling its own
         # slice of the table, k coded, the command peaks at 2.06 MB and the
         # sweep at 4.05 MB, the 1.11 MB table and the 2.97 MB chart.  With
-        # the chart kept as its parts, never joined, it peaks at 2.02 MB,
+        # the chart kept as its parts, never joined, it peaks at 2.09 MB,
         # and the sweep at 3.60 MB while the CSV is written: the table, the
         # 1.06 MB of parts and one block of 2,048 rows (Python 3.11, numpy
         # 2.4, x86-64).  The first call fills the text tables.

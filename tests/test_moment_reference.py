@@ -50,16 +50,6 @@ def grid(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _started_modes(start, moments):
-    """(u, p, s) of the moment modes grown from the (u, p, s) modes start,
-    by plain arithmetic: u and p are their rows, and s is the start's s plus
-    its change, s0 + ((3/2)(p - p0) - (5/2)(n - n0))."""
-    n0, _, p0 = from_hydro(start).modes[:3]
-    n, u, p = (moments[..., row, :] for row in range(3))
-    s = start.modes[2] + (1.5 * (p - p0) - 2.5 * (n - n0))
-    return np.stack([u, p, s], axis=-2)
-
-
 class TestMomentSymbol:
     def test_zero_k_pure_relaxation(self):
         eps = 0.25
@@ -269,22 +259,16 @@ class TestHydroProjection:
 
     def test_hydro_modes_map_in_place(self):
         # s = (3/2)p - (5/2)n is written over the Pi row with the bits of
-        # 1.5*p - 2.5*n, or its change from a start with the bits of
-        # 1.5*(p - p0) - 2.5*(n - n0), and rows 1 to 3 come back as a view,
-        # for one state and for a stack of them.
+        # 1.5*p - 2.5*n, and rows 1 to 3 come back as a view, for one state
+        # and for a stack of them.
         rng = np.random.default_rng(9)
-        origin = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
-        n0, p0 = origin[0].copy(), origin[2].copy()
         for shape in [(5, 9), (4, 5, 9)]:
-            for start in (None, origin):
-                moments = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                n, u, p = (moments[..., row, :].copy() for row in range(3))
-                s = 1.5 * p - 2.5 * n if start is None else 1.5 * (p - p0) - 2.5 * (n - n0)
-                want = np.stack([u, p, s], axis=-2)
-                mapped = _hydro_modes(moments, start)
-                assert np.shares_memory(mapped, moments)
-                assert mapped.shape == want.shape and mapped.tobytes() == want.tobytes()
-        assert origin.tobytes() == np.stack([n0, origin[1], p0, *origin[3:]]).tobytes()
+            moments = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            n, u, p = (moments[..., row, :].copy() for row in range(3))
+            want = np.stack([u, p, 1.5 * p - 2.5 * n], axis=-2)
+            mapped = _hydro_modes(moments)
+            assert np.shares_memory(mapped, moments)
+            assert mapped.shape == want.shape and mapped.tobytes() == want.tobytes()
 
     def test_projection_leaves_its_state_unchanged(self):
         modes = np.random.default_rng(10).normal(size=(5, 9)) + 0j
@@ -469,20 +453,6 @@ class TestReferenceGaps:
         unit = GAP_ROUTE_C * 2.0**-53
         assert np.allclose(gaps, want, rtol=unit, atol=unit * np.abs(modes).sum())
 
-    @pytest.mark.parametrize("n", [16, 17])
-    def test_a_column_no_model_moves_has_no_gap(self, n):
-        # A start occupying only k = 0, which no model moves: the truth's s
-        # is the start's plus a change of exactly 0, so every gap is 0 (it
-        # read 2.78e-16 at N = 17 while s went through n = (3p - 2s)/5 and
-        # back), and the moment trajectory is the start at every time.
-        modes = np.zeros((3, n // 2 + 1), dtype=complex)
-        modes[:, 0] = [0.3, -1.7, 2.9]
-        start, times = SpectralState(modes, n), 0.5 * np.arange(21)
-        gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
-        assert np.all(gaps == 0.0)
-        fields = trajectory(start, MOMENT, 0.1, EV, times)
-        assert np.all(fields == from_modes(start))
-
     @pytest.mark.parametrize("n", [16, 17, 4096, 4097])
     def test_the_routes_agree_within_the_constant(self, n):
         # The final-time differences, synthesized by hand, against the
@@ -492,7 +462,7 @@ class TestReferenceGaps:
             start = to_modes(rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3))
             t = rng.uniform(1.0, 20.0)
             gaps = reference_gaps(start, HYDRO_MODELS, eps, EV, [0.0, t])[-1]
-            truth = _started_modes(start, evolve_moments(from_hydro(start), eps, EV, [t])[0])
+            truth = _hydro_modes(evolve_moments(from_hydro(start), eps, EV, [t])[0])
             for model, gap in zip(HYDRO_MODELS, gaps):
                 difference = evolve(start, model, eps, EV, [t])[0] - truth
                 direct = np.sqrt(2.0 * np.pi / n * np.sum(inverse_modes(difference, n) ** 2))
@@ -529,12 +499,7 @@ class TestTrajectory:
         times = np.array([0.1, 1.0, 3.5])
         if model is ModelId.MOMENT_REFERENCE:
             evolved = evolve(from_hydro(start), model, eps, EV, times)
-            direct = [from_modes(SpectralState(_started_modes(start, m), n)) for m in evolved]
-            # u and p are the projection's; s differs from its 1.5p - 2.5n by roundoff.
-            for later, row in zip(evolved, direct):
-                projected = hydro_projection(SpectralState(later, n)).fields
-                assert np.array_equal(projected[:2], row[:2])
-                assert np.allclose(projected[2], row[2], rtol=0, atol=1e-14)
+            direct = [hydro_projection(SpectralState(later, n)).fields for later in evolved]
         else:
             direct = [from_modes(SpectralState(s, n)) for s in evolve(start, model, eps, EV, times)]
         shared = trajectory(start, model, eps, EV, times)
@@ -565,15 +530,6 @@ class TestTrajectory:
         row = trajectory(start, model, 0.1, EV, [0.0])[0]
         assert row.shape == (3, n) and np.array_equal(from_modes(start), row)
 
-    def test_the_moment_start_row_keeps_signed_zeros(self):
-        # The moment model's s is its start's plus a change, and s0 + 0.0
-        # would turn a -0.0 of the start into +0.0, so a leading 0 row is
-        # the start itself, bit for bit, signed zeros included.
-        modes = to_modes(np.random.default_rng(12).normal(size=(3, 16))).modes
-        modes[2, 2:5] = complex(-0.0, -0.0)
-        row = moment_reference._propagated(SpectralState(modes, 16), MOMENT, 0.1, EV, [0.0, 1.0])[0]
-        assert row.tobytes() == modes.tobytes()
-
     @pytest.mark.parametrize("times", [[], [0.0, 0.0], [0.5, 0.0], [0.0, -1.0], [[0.0]]])
     @pytest.mark.parametrize("model", [ModelId.BURNETT, MOMENT])
     def test_only_a_leading_time_may_be_zero(self, model, times):
@@ -585,9 +541,8 @@ class TestTrajectory:
     def test_moment_blocks_are_mapped_bit_for_bit(self, n):
         # On these grids one block holds 151 (N = 16) or 170 (N = 15)
         # snapshots, so 400 times make three blocks.  Mapping the moment
-        # modes to (u, p, s) in place, all times at once, and adding the
-        # start's s gives every row the bits of the plain arithmetic of
-        # _started_modes, with or without the start in front.
+        # modes to (u, p, s) in place, all times at once, moves no bit of any
+        # row, with or without the start in front.
         fields = np.random.default_rng(n).normal(size=(3, n))
         start = to_modes(fields)
         times = 0.05 * np.arange(1, 401)
@@ -596,8 +551,8 @@ class TestTrajectory:
         assert moments.shape == (times.size, 5, n // 2 + 1)
         later = trajectory(start, MOMENT, 0.1, EV, times)
         from_zero = trajectory(start, MOMENT, 0.1, EV, np.concatenate([[0.0], times]))
-        for i, modes in enumerate(moments):
-            row = inverse_modes(_started_modes(start, modes), n)
+        for i, modes in enumerate(moments):  # each time's modes are mapped in place, once
+            row = inverse_modes(_hydro_modes(modes), n)
             assert np.array_equal(later[i], row) and np.array_equal(from_zero[i + 1], row), i
 
     def test_peak_memory(self):
