@@ -1,11 +1,14 @@
-"""Exact decimal text of float64 and label names, computed in numpy.
+"""The CSV and SVG text of hydrobench's tables, computed in numpy.
 
+csv_text gives a table's CSV bytes, each float64 as '%.17g' writes it and
+each label as the UTF-8 of its name, and point_text an SVG polyline's
+'%.3f,%.3f' point text; they are the format's only entry points.
 real_records gives the bytes '%.17g' writes for each float64, and
 label_records the UTF-8 of each name, as fixed-width records of bytes with
 a mask of the bytes each keeps, so one boolean compress of a block of
-records is its text.  A coded column of cli takes its records by code from
-those of its values, made once and narrowed by right_aligned.  two_product
-and the point word tables also serve the SVG's '%.3f' point text in cli.
+records is its text (_block_text).  A coded column takes its records by
+code from those of its values, made once and narrowed by right_aligned.
+two_product and the point word tables serve the point text.
 """
 
 from __future__ import annotations
@@ -16,16 +19,21 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = [
-    "REAL_WIDTH",
-    "Tables",
-    "decimal17",
-    "label_records",
-    "real_records",
-    "right_aligned",
-    "tables",
-    "two_product",
-]
+__all__ = ["csv_text", "point_text"]
+
+
+#: Reals turned into text at a time: csv_text takes WRITE_BLOCK // (number
+#: of float64 columns) rows, WRITE_BLOCK for a table of coded columns alone,
+#: since a coded column takes its records by code and formats no real;
+#: point_text makes WRITE_BLOCK points at a time.  A CSV block's numpy
+#: temporaries come to about 180 bytes per real, 290 and 370 with the coded
+#: records of the evolve and dispersion rows; a point-text block's to about
+#: 40 bytes per coordinate.  On the evolve, dispersion and secular benchmark
+#: tables, blocks of 2048 and 8192 reals took 1.12-1.14 and 0.91-1.21 times
+#: as long as 4096, while the writer's peak allocation grows with the block:
+#: 1.15, 1.45 and 0.71 MB on those tables at 4096, and 2.27, 2.81 and 1.42
+#: MB at 8192 (Python 3.11, numpy 2.4, x86-64).
+WRITE_BLOCK = 4096
 
 
 #: frexp writes a finite nonzero double as f * 2**q with f in [0.5, 1) and q
@@ -295,3 +303,113 @@ def right_aligned(text: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.nd
     records = np.zeros(narrow.shape, np.uint8)
     records[narrow] = text[keep]
     return records, narrow
+
+
+def _block_text(columns: list[np.ndarray], coded: list) -> np.ndarray:
+    """The CSV bytes of one block of rows, from its slice of each column and,
+    for a coded column, the records of its values (text, keep), which its
+    codes index; None marks a real column.
+
+    The real columns are formatted together, in row order, so when they are
+    the whole table their records already are the rows; otherwise each
+    column's records are joined along the row.
+    """
+    plain = [c for c, records in zip(columns, coded) if records is None]
+    values = np.empty((len(columns[0]), len(plain)))
+    for j, column in enumerate(plain):
+        values[:, j] = column
+    text, keep = (
+        part.reshape(len(values), len(plain), REAL_WIDTH) for part in real_records(values.ravel())
+    )
+    formatted = zip(text.transpose(1, 0, 2), keep.transpose(1, 0, 2))
+    parts = []
+    for column, records in zip(columns, coded):
+        if records is None:
+            parts.append(next(formatted))
+        else:
+            parts.append(tuple(part.take(column, axis=0) for part in records))
+        parts[-1][0][:, -1] = ord(",")
+    parts[-1][0][:, -1] = ord("\n")
+    if len(plain) == len(columns):
+        return text.reshape(len(values), -1)[keep.reshape(len(values), -1)]
+    text, keep = (np.concatenate(part, axis=1) for part in zip(*parts))
+    return text[keep]
+
+
+def _coded_records(values: tuple[str, ...] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The records a coded column's codes index: label_records of a label
+    column's names, or real_records of a coded real column's values
+    narrowed by right_aligned."""
+    if isinstance(values, tuple):
+        return label_records(values)
+    return right_aligned(*real_records(values))
+
+
+def csv_text(names: Sequence[str], columns: Sequence[np.ndarray], values: Sequence):
+    """Yield the CSV text of a table: its header line of names, then the
+    bytes of each block of rows.
+
+    columns[j] is column j, float64 reals where values[j] is None and
+    otherwise int32 codes into values[j], the str names of a label column
+    as a tuple or the reals of a coded one as a float64 array.  Reals are
+    written as '%.17g' writes them and names as their UTF-8.  A coded
+    column's records are made once from its values (_coded_records), and
+    its codes take them.  A block holds WRITE_BLOCK reals, WRITE_BLOCK //
+    (float64 columns) rows, or WRITE_BLOCK rows of coded columns alone: a
+    coded column formats no real, and a real_records call costs about 77 us
+    before its first value, so the coded columns do not shrink the block.
+    """
+    yield (",".join(names) + "\n").encode()
+    coded = [None if v is None else _coded_records(v) for v in values]
+    step = max(1, WRITE_BLOCK // max(1, coded.count(None)))
+    for lo in range(0, len(columns[0]), step):
+        yield _block_text([column[lo : lo + step] for column in columns], coded)
+
+
+#: The bits of 999.9995, the least double that '%.3f' writes as 1000.000,
+#: since it lies above the decimal 999.9995: read as uint64, a double's
+#: text lies in [0.000, 999.999] exactly when its bits are below these, since
+#: a set sign bit or a NaN reads higher.
+_BOX_BITS = np.float64(999.9995).view(np.uint64)
+
+
+def point_text(points: np.ndarray) -> list[bytes]:
+    """The bytes of '%.3f,%.3f' for each (x, y) row of points, joined by
+    spaces, as the list of chunks of WRITE_BLOCK points it is made in.
+
+    Every coordinate's text must lie in [0, 1000), as the chart's do; a
+    non-finite coordinate, a negative one, -0.0 included, or one that rounds
+    to 1000.000 raises ValueError.  '%.3f' of v is the round-half-even of
+    the exact product v*1000.  rint of p = fl(v*1000) gives it unless p is a
+    half-integer: every half-integer below 2**52 is a double, so v*1000 and p
+    lie on the same side of any other.  At a half-integer p the sign of
+    Dekker's error term e = v*1000 - p (two_product) decides, and e == 0 is
+    a true tie, which rint already broke to even.
+
+    Each coordinate becomes two uint32 words from the point tables: the
+    separator before it (',' before y, ' ' before x) with its integer digits,
+    whose leading zeros are NUL bytes, and then ".ddd".  The first chunk's
+    first separator is made a NUL too, so deleting the NULs leaves each
+    chunk's text, and the chunks are never joined.
+    """
+    chunks = []
+    for lo in range(0, len(points), WRITE_BLOCK):
+        v = points[lo : lo + WRITE_BLOCK].ravel()
+        if not np.all(v.view(np.uint64) < _BOX_BITS):
+            raise ValueError("SVG coordinates must be finite and round into [0, 1000)")
+        p = v * 1000.0
+        n = np.rint(p)
+        ties = np.flatnonzero(np.abs(p - n) == 0.5)
+        if ties.size:
+            err = two_product(v[ties], 1000.0)[1]
+            n[ties] = np.rint(p[ties] + 0.5 * np.sign(err))
+        whole = np.floor(n * 0.001)  # exact: 0.001 rounds up, and n < 2**53
+        frac = n - 1000.0 * whole
+        whole[1::2] += 1000.0  # y follows ','
+        words = np.empty((len(v), 2), np.uint32)
+        words[:, 0] = tables().point_whole[whole.astype(np.intp)]
+        words[:, 1] = tables().point_fraction[frac.astype(np.intp)]
+        if lo == 0:
+            words.view(np.uint8)[0, 0] = 0
+        chunks.append(words.tobytes().replace(b"\0", b""))
+    return chunks

@@ -275,10 +275,10 @@ def h1_flux_bridge() -> list[Measurement]:
     # The two routes inside h1_fluxes agree to 1e-10 or it raises.
     n = 64
     x = 2.0 * np.pi * np.arange(n) / n
-    stress, heat = hydro_spectral.h1_fluxes([np.sin(x), 0 * x, 0 * x], EV, 0.1)
+    stress, heat = hydro_spectral.h1_fluxes([np.sin(x), 0 * x, 0 * x], EV)
     # T = sin x needs p + s = (5/2) sin x.
     fields_t = [0 * x, 2.5 * np.sin(x), 0 * x]
-    _, heat_t = hydro_spectral.h1_fluxes(fields_t, EV, 0.1)
+    _, heat_t = hydro_spectral.h1_fluxes(fields_t, EV)
     stress_gap = _max_gap(stress, (-4.0 / 3.0) * np.cos(x))
     temperature_gap = _max_gap(hydro_spectral._gradients(fields_t)[0], np.sin(x))
     heat_gap = _max_gap(heat_t, (-15.0 / 4.0) * np.cos(x))

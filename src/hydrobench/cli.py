@@ -10,8 +10,8 @@ Commands:
 
 Every command is deterministic: identical configuration produces
 byte-identical CSV and SVG output.  A CSV real is the text '%.17g' gives
-it, and an SVG point the text '%.3f' gives it, both computed in numpy (see
-emit_outputs, _point_text and the _text module).  Exit codes: 0 success, 1
+it, and an SVG point the text '%.3f' gives it, both computed in numpy by
+the _text module, which cli hands its columns and points.  Exit codes: 0 success, 1
 usage error, 2 numerical or internal-consistency failure; a floating-point
 fault names its phase (run).
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -32,12 +31,19 @@ from typing import Sequence
 import numpy as np
 
 from . import moment_reference, secularity
-from ._modal import MIN_GRID_SIZE
-from ._text import REAL_WIDTH, label_records, real_records, right_aligned, tables, two_product
+from ._modal import check_grid_size
+from ._text import csv_text, point_text
 from .coefficients import EigenvalueSet, eigenvalue_set
 from .dispersion import BranchCollisionError, ModelId, branches
 from .hydro_spectral import HermitianSymmetryError, InternalConsistencyError
-from .initial_conditions import ICParseError, ICSpec, ICTerm, parse_initial_condition, spectrum
+from .initial_conditions import (
+    ICParseError,
+    ICSpec,
+    ICTerm,
+    check_modes,
+    parse_initial_condition,
+    spectrum,
+)
 
 __all__ = [
     "ICSpec",
@@ -79,6 +85,15 @@ class UsageError(ValueError):
     """Configuration that cannot be run."""
 
 
+def _usage(check, *args) -> None:
+    """Run a rule that the module owning it states, check(*args), and raise
+    its ValueError again as a UsageError of the same message."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration for one CLI invocation."""
@@ -109,8 +124,8 @@ class RunConfig:
             raise UsageError(f"lambda02 must be {bound}, got {self.lambda02}")
         # Only evolve and compare take the IC's spectrum on a grid; secular needs none.
         on_grid = self.command in ("evolve", "compare")
-        if on_grid and self.grid_size < MIN_GRID_SIZE:
-            raise UsageError(f"grid size must be at least {MIN_GRID_SIZE}, got {self.grid_size}")
+        if on_grid:
+            _usage(check_grid_size, self.grid_size)
         if self.command in ("evolve", "compare", "secular"):
             if self.tmax <= 0:
                 raise UsageError(f"tmax must be positive, got {self.tmax}")
@@ -128,11 +143,8 @@ class RunConfig:
                 raise UsageError(f"need 0 < kmin < kmax, got [{self.kmin}, {self.kmax}]")
             if not (2 <= self.samples <= MAX_ARRAY_ENTRIES):
                 raise UsageError(f"need 2 to {MAX_ARRAY_ENTRIES:,} k samples, got {self.samples}")
-        for term in self.ic.terms if on_grid else ():
-            if term.mode >= self.grid_size // 2:
-                raise UsageError(
-                    f"mode {term.mode} is not resolvable on a grid of size {self.grid_size}"
-                )
+        if on_grid:
+            _usage(check_modes, self.ic, self.grid_size)
         if self.command in ("dispersion", "evolve", "compare", "secular"):
             if not self.models and self.command in ("dispersion", "evolve", "compare"):
                 raise UsageError("at least one --model is required")
@@ -211,20 +223,6 @@ def _load_config_file(path: Path) -> dict[str, object]:
 # CSV/SVG emission ----------------------------------------------------------
 
 
-#: Reals turned into text at a time: the CSV writer takes WRITE_BLOCK //
-#: (number of float64 columns) rows, WRITE_BLOCK for a table of coded
-#: columns alone, since a coded column takes its records by code and
-#: formats no real; the SVG's point text is made WRITE_BLOCK points at a
-#: time.  A CSV block's numpy temporaries come to about 180 bytes per real,
-#: 290 and 370 with the coded records of the evolve and dispersion rows; a
-#: point-text block's to about 40 bytes per coordinate.  On the evolve,
-#: dispersion and secular benchmark tables, blocks of 2048 and 8192 reals
-#: took 1.12-1.14 and 0.91-1.21 times as long as 4096, while the writer's
-#: peak allocation grows with the block: 1.15, 1.45 and 0.71 MB on those
-#: tables at 4096, and 2.27, 2.81 and 1.42 MB at 8192 (Python 3.11, numpy
-#: 2.4, x86-64).
-WRITE_BLOCK = 4096
-
 _SVG_PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -278,55 +276,6 @@ def _table(columns: dict[str, object]) -> np.ndarray:
     return rows
 
 
-#: The bits of 999.9995, the least double that '%.3f' writes as 1000.000,
-#: since it lies above the decimal 999.9995: read as uint64, a double's
-#: text lies in [0.000, 999.999] exactly when its bits are below these, since
-#: a set sign bit or a NaN reads higher.
-_BOX_BITS = np.float64(999.9995).view(np.uint64)
-
-
-def _point_text(points: np.ndarray) -> list[bytes]:
-    """The bytes of '%.3f,%.3f' for each (x, y) row of points, joined by
-    spaces, as the list of chunks of WRITE_BLOCK points it is made in.
-
-    Every coordinate's text must lie in [0, 1000), as the chart's do; a
-    non-finite coordinate, a negative one, -0.0 included, or one that rounds
-    to 1000.000 raises ValueError.  '%.3f' of v is the round-half-even of
-    the exact product v*1000.  rint of p = fl(v*1000) gives it unless p is a
-    half-integer: every half-integer below 2**52 is a double, so v*1000 and p
-    lie on the same side of any other.  At a half-integer p the sign of
-    Dekker's error term e = v*1000 - p (two_product) decides, and e == 0 is
-    a true tie, which rint already broke to even.
-
-    Each coordinate becomes two uint32 words from the point tables: the
-    separator before it (',' before y, ' ' before x) with its integer digits,
-    whose leading zeros are NUL bytes, and then ".ddd".  The first chunk's
-    first separator is made a NUL too, so deleting the NULs leaves each
-    chunk's text, and the chunks are never joined.
-    """
-    chunks = []
-    for lo in range(0, len(points), WRITE_BLOCK):
-        v = points[lo : lo + WRITE_BLOCK].ravel()
-        if not np.all(v.view(np.uint64) < _BOX_BITS):
-            raise ValueError("SVG coordinates must be finite and round into [0, 1000)")
-        p = v * 1000.0
-        n = np.rint(p)
-        ties = np.flatnonzero(np.abs(p - n) == 0.5)
-        if ties.size:
-            err = two_product(v[ties], 1000.0)[1]
-            n[ties] = np.rint(p[ties] + 0.5 * np.sign(err))
-        whole = np.floor(n * 0.001)  # exact: 0.001 rounds up, and n < 2**53
-        frac = n - 1000.0 * whole
-        whole[1::2] += 1000.0  # y follows ','
-        words = np.empty((len(v), 2), np.uint32)
-        words[:, 0] = tables().point_whole[whole.astype(np.intp)]
-        words[:, 1] = tables().point_fraction[frac.astype(np.intp)]
-        if lo == 0:
-            words.view(np.uint8)[0, 0] = 0
-        chunks.append(words.tobytes().replace(b"\0", b""))
-    return chunks
-
-
 def _axis_label(value: float) -> str:
     """value to 17 significant digits, cut to 10 characters.
 
@@ -368,7 +317,7 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
     names.  Axis labels come from _axis_label.
 
     Point coordinates are written byte for byte as '%.3f' writes them, by
-    _point_text, from each group's slice of one sort order: a group's x
+    _text.point_text, from each group's slice of one sort order: a group's x
     coordinates are computed once and shared by its series.  That needs
     every coordinate in [0, 1000), which the 800x600 geometry gives for
     finite data; a non-finite or out-of-box one raises ValueError.
@@ -457,44 +406,13 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
             index += 1
             parts += [
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'.encode(),
-                *_point_text(points),
+                *point_text(points),
                 f'"/>\n<text x="{width - margin_right - 4}" y="{margin_top + 14 * index}" '
                 f'text-anchor="end" font-family="monospace" font-size="10" '
                 f'fill="{color}">{f"{name}[{tag}]" if tag else name}</text>\n'.encode(),
             ]
     parts.append(b"</svg>\n")
     return parts
-
-
-def _block_text(columns: list[np.ndarray], coded: list) -> np.ndarray:
-    """The CSV bytes of one block of rows, from its slice of each column and,
-    for a coded column, the records of its values (text, keep), which its
-    codes index; None marks a real column.
-
-    The real columns are formatted together, in row order, so when they are
-    the whole table their records already are the rows; otherwise each
-    column's records are joined along the row.
-    """
-    plain = [c for c, records in zip(columns, coded) if records is None]
-    values = np.empty((len(columns[0]), len(plain)))
-    for j, column in enumerate(plain):
-        values[:, j] = column
-    text, keep = (
-        part.reshape(len(values), len(plain), REAL_WIDTH) for part in real_records(values.ravel())
-    )
-    formatted = zip(text.transpose(1, 0, 2), keep.transpose(1, 0, 2))
-    parts = []
-    for column, records in zip(columns, coded):
-        if records is None:
-            parts.append(next(formatted))
-        else:
-            parts.append(tuple(part.take(column, axis=0) for part in records))
-        parts[-1][0][:, -1] = ord(",")
-    parts[-1][0][:, -1] = ord("\n")
-    if len(plain) == len(columns):
-        return text.reshape(len(values), -1)[keep.reshape(len(values), -1)]
-    text, keep = (np.concatenate(part, axis=1) for part in zip(*parts))
-    return text[keep]
 
 
 def emit_outputs(
@@ -504,83 +422,60 @@ def emit_outputs(
     title: str = "",
     chart: np.ndarray | None = None,
 ) -> list[Path]:
-    """Write the CSV (and optional sibling SVG); returns the written paths.
+    """Write the CSV (and optional sibling SVG); returns the written paths,
+    the CSV's first.
 
     rows is a structured array: one record per CSV row, one field per
     column, float64 reals or coded int32 (_coded_dtype), codes into label
     names or reals.  A column of any other dtype, or a coded one with a code
     outside its values, raises ValueError before anything is drawn or
     written, since '%.17g' would round an int64 above 2**53, and so does an
-    out_path whose SVG sibling would be itself.  Reals are written
-    as '%.17g' writes them, 17 significant digits with '.' as decimal
-    separator, so they round-trip through the file exactly, and labels as
-    the UTF-8 of their names.  The text is made in numpy, a block of rows
-    at a time (_block_text): each real becomes a fixed-width record of
-    bytes and a mask of the bytes it keeps (_text.real_records), a coded
-    column takes them by code from the records of its values, made once
-    (_text.label_records for names, _text.real_records for reals), and one
-    boolean compress of the block's records is its text.  A coded column's
-    records are right-aligned in the width of their longest text
-    (_text.right_aligned), so each block concatenates and compresses fewer
-    bytes.  A block holds WRITE_BLOCK reals, WRITE_BLOCK // (float64
-    columns) rows, or WRITE_BLOCK rows of coded columns alone: a coded
-    column formats no real, and a real_records call costs about 77 us
-    before its first value, so the coded columns do not shrink the block.
+    out_path whose SVG sibling would be itself.  The CSV's bytes are
+    _text.csv_text's, made a block of rows at a time from the columns and
+    the values of the coded ones: reals as '%.17g' writes them, so they
+    round-trip through the file exactly, and labels as the UTF-8 of their
+    names.
 
     The SVG charts rows unless another table is passed in chart;
     field-snapshot tables use that to plot the final time block against x.
-    It is drawn before any file is opened and written after the CSV as the
-    byte parts _svg_chart returns, never joined.  The chart and the CSV
-    each run under the data commands' floating-point rule (_phase), so a
-    fault in either raises _PhaseFault naming it.  Any exception part way
-    through the CSV, an OSError among them, removes the partial file, and
-    one part way through the SVG removes it and the CSV.
+    It is drawn before any file is opened, written before the CSV as the
+    byte parts _svg_chart returns, never joined, and dropped before the
+    CSV's first block is made.  The chart and the CSV each run under the
+    data commands' floating-point rule (_phase), so a fault in either raises
+    _PhaseFault naming it.  Any exception part way through the SVG, an
+    OSError among them, removes it and writes no CSV, and one part way
+    through the CSV removes the CSV and the SVG.
     """
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
-    for name in rows.dtype.names:
-        dtype, values = rows.dtype[name], _coded_values(rows.dtype[name])
-        if values is None and dtype != np.float64:
-            raise ValueError(f"column {name!r} has dtype {dtype}, not float64 or coded")
-        codes = rows[name]
-        if values is not None and not 0 <= codes.min() <= codes.max() < len(values):
-            raise ValueError(f"column {name!r} has codes outside its {len(values)} values")
+    names = rows.dtype.names
+    columns = [rows[name] for name in names]
+    values = [_coded_values(column.dtype) for column in columns]
+    for name, column, coded in zip(names, columns, values):
+        if coded is None and column.dtype != np.float64:
+            raise ValueError(f"column {name!r} has dtype {column.dtype}, not float64 or coded")
+        if coded is not None and not 0 <= column.min() <= column.max() < len(coded):
+            raise ValueError(f"column {name!r} has codes outside its {len(coded)} values")
     out_path = Path(out_path)
     if emit_svg and out_path.suffix == ".svg":
         raise ValueError(f"the SVG would be written over the CSV at {out_path}")
-    # The chart is drawn before any file is opened, so a fault in its
-    # arithmetic leaves no CSV behind.
-    svg = None
+    written = [out_path]
     if emit_svg:
+        # Drawn before any file is opened, so a fault in its arithmetic
+        # leaves no file behind.
         with _phase("chart"):
             svg = _svg_chart(rows if chart is None else chart, title or out_path.stem)
-    names = rows.dtype.names
-    columns = [rows[name] for name in names]
-    with _phase("CSV"):
-        coded = []
-        for column in columns:
-            values = _coded_values(column.dtype)
-            if values is None:
-                coded.append(None)
-            elif isinstance(values, tuple):
-                coded.append(label_records(values))
-            else:
-                coded.append(right_aligned(*real_records(values)))
-        step = max(1, WRITE_BLOCK // max(1, coded.count(None)))
-        blocks = (
-            _block_text([column[lo : lo + step] for column in columns], coded)
-            for lo in range(0, len(rows), step)
-        )
-        _write_parts(out_path, itertools.chain([(",".join(names) + "\n").encode()], blocks))
-    if svg is None:
-        return [out_path]
-    svg_path = out_path.with_suffix(".svg")
+        written.append(out_path.with_suffix(".svg"))
+        _write_parts(written[1], svg)
+        del svg  # its parts are freed before the CSV's first block is made
     try:
-        _write_parts(svg_path, svg)
-    except BaseException:  # nor a partial SVG beside its CSV
-        out_path.unlink()
+        with _phase("CSV"):
+            _write_parts(out_path, csv_text(names, columns, values))
+    except BaseException:  # nor an SVG without its CSV
+        for path in written[1:]:
+            path.unlink()
         raise
-    return [out_path, svg_path]
+    return written
 
 
 def _write_parts(path: Path, parts) -> None:

@@ -19,7 +19,6 @@ density n = (3p - 2s)/5 that moment_reference.from_hydro forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,9 +227,7 @@ def _correction(
     )
 
 
-def h1_fluxes(
-    fields, eigenvalues: EigenvalueSet, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
+def h1_fluxes(fields, eigenvalues: EigenvalueSet) -> tuple[np.ndarray, np.ndarray]:
     """Viscous stress and heat flux carried by the first kinetic correction.
 
     fields is a (3, N) array, rows u, p and s.  Returns (stress, heat_flux)
@@ -245,8 +242,6 @@ def h1_fluxes(
     eigenfunction algebra.  The two routes must agree to ROUTE_CONSISTENCY_TOL
     or the build is internally inconsistent and an error is raised.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     _, du_dx, dt_dx = _gradients(fields)
     correction = _correction(du_dx, dt_dx, eigenvalues)
 

@@ -25,6 +25,7 @@ __all__ = [
     "ICParseError",
     "ICSpec",
     "ICTerm",
+    "check_modes",
     "parse_initial_condition",
     "spectrum",
 ]
@@ -106,6 +107,13 @@ def _finite(text: str, name: str, position: int) -> float:
     return value
 
 
+def check_modes(spec: ICSpec, grid_size: int) -> None:
+    """Refuse a term whose mode is at or above half the grid size."""
+    for term in spec.terms:
+        if term.mode >= grid_size // 2:
+            raise ValueError(f"mode {term.mode} is not resolvable on a grid of size {grid_size}")
+
+
 def spectrum(spec: ICSpec, grid_size: int) -> SpectralState:
     """Exact (u, p, s) half spectrum of the initial condition on a grid of grid_size points.
 
@@ -114,14 +122,13 @@ def spectrum(spec: ICSpec, grid_size: int) -> SpectralState:
     a sin(m x + phi) = a e^{i phi}/(2i) e^{i m x} + c.c., a term puts
     a e^{i phi}/(2i) = (a/2)(sin phi - i cos phi) in its field's row and
     column m, and repeated (field, mode) terms add.  Every other column is
-    exactly zero.  A grid below MIN_GRID_SIZE is refused, and so is a mode
-    at or above half the grid size.
+    exactly zero.  A grid below MIN_GRID_SIZE is refused (check_grid_size),
+    and so is a mode at or above half the grid size (check_modes).
     """
     check_grid_size(grid_size)
+    check_modes(spec, grid_size)
     modes = np.zeros((len(FIELDS), grid_size // 2 + 1), dtype=complex)
     for term in spec.terms:
-        if term.mode >= grid_size // 2:
-            raise ValueError(f"mode {term.mode} is not resolvable on a grid of size {grid_size}")
         half = 0.5 * term.amplitude
         modes[FIELDS.index(term.field), term.mode] += complex(
             half * math.sin(term.phase), -half * math.cos(term.phase)

@@ -438,8 +438,8 @@ def _percent_csv(rows, path):
     line = ",".join("%s" if rows.dtype[name].kind == "U" else "%.17g" for name in names) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for lo in range(0, len(rows), cli.WRITE_BLOCK):
-            block = rows[lo : lo + cli.WRITE_BLOCK].tolist()
+        for lo in range(0, len(rows), _text.WRITE_BLOCK):
+            block = rows[lo : lo + _text.WRITE_BLOCK].tolist()
             fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
@@ -474,8 +474,9 @@ def _coded_tables(draw):
     column has 1 to n distinct bit patterns, drawn from _SPECIAL_BITS and
     random bits, at random rows, and is a coded column of codes into them
     or, now and then, those values written out as a float64 column."""
-    n = draw(st.sampled_from([1, 2, 3, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]))
-    n = draw(st.sampled_from([n, 2 * cli.WRITE_BLOCK + 1]))
+    block = _text.WRITE_BLOCK
+    n = draw(st.sampled_from([1, 2, 3, block - 1, block, block + 1]))
+    n = draw(st.sampled_from([n, 2 * block + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
     for i in range(draw(st.integers(0, 2))):
@@ -517,7 +518,7 @@ class TestEmitOutputs:
         # come out exactly as format(v, ".17g"), every label as str(v).
         tricky = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 2.0**53 + 2]
         tricky += [math.nan, math.inf, -math.inf]
-        count = 2 * cli.WRITE_BLOCK + 1
+        count = 2 * _text.WRITE_BLOCK + 1
         labels = [f"row{i}" for i in range(count)]
         a = [tricky[i % len(tricky)] for i in range(count)]
         b = [tricky[(i * 5 + 3) % len(tricky)] for i in range(count)]
@@ -564,15 +565,15 @@ class TestEmitOutputs:
         # rows for a table of coded columns alone: a label column and a coded
         # real take their text by code and do not count.  Row counts on both
         # sides of one and two blocks write the '%' route's bytes.
-        step = cli.WRITE_BLOCK // max(1, reals)
+        step = _text.WRITE_BLOCK // max(1, reals)
         blocks = []
-        block_text = cli._block_text
+        block_text = _text._block_text
 
         def counted(columns, records):
             blocks.append((len(columns[0]), records.count(None)))
             return block_text(columns, records)
 
-        monkeypatch.setattr(cli, "_block_text", counted)
+        monkeypatch.setattr(_text, "_block_text", counted)
         rng = np.random.default_rng(10 * reals + coded)
         for n in (step - 1, step, step + 1, 2 * step + 1):
             columns = {f"v{j}": rng.standard_normal(n) for j in range(reals)}
@@ -583,7 +584,9 @@ class TestEmitOutputs:
             _assert_same_csv(cli._table(columns), tmp_path)
             sizes = [step] * (n // step) + ([n % step] if n % step else [])
             assert [rows for rows, _ in blocks] == sizes
-            assert all(count == reals and rows * count <= cli.WRITE_BLOCK for rows, count in blocks)
+            assert all(
+                count == reals and rows * count <= _text.WRITE_BLOCK for rows, count in blocks
+            )
 
     def test_coded_peak_memory(self, tmp_path):
         # An evolve table, t and x coded.  With t and x as float64 (40-byte
@@ -593,7 +596,7 @@ class TestEmitOutputs:
         # 18-21 bytes per row; blocks of WRITE_BLOCK // 3 rows, the three
         # real columns only, peak at 29.4, one block's temporaries (Python
         # 3.11, numpy 2.4, x86-64).
-        n, grid = 10 * cli.WRITE_BLOCK, 256
+        n, grid = 10 * _text.WRITE_BLOCK, 256
         rng = np.random.default_rng(17)
         times, x = 0.1 * np.arange(n // grid), 2.0 * np.pi * np.arange(grid) / grid
         fields = [("t", cli._coded_dtype(times)), ("x", cli._coded_dtype(x))]
@@ -674,12 +677,12 @@ class TestEmitOutputs:
                 tracemalloc.stop()
         svg = config.out_path.with_suffix(".svg").read_bytes()
         assert b"".join(parts) == svg
-        assert max(map(len, parts)) <= 16 * cli.WRITE_BLOCK
+        assert max(map(len, parts)) <= 16 * _text.WRITE_BLOCK
         assert peaks[True] - peaks[False] < 1.6 * len(svg)
 
     def test_a_failed_svg_write_leaves_no_file(self, tmp_path, monkeypatch):
         # A fault after the first part, from the file or from a part, removes
-        # the partial SVG and the CSV written before it.
+        # the partial SVG, and no CSV is written after it.
         rows = cli._table({"t": np.arange(5.0), "y": np.arange(5.0) ** 2})
         chart = cli._svg_chart
 
@@ -937,18 +940,18 @@ class TestPointText:
     @example(values=_ties([m / 16 for m in range(0, 16000, 997)]) + [0.0])
     @example(values=_ties([(2 * j + 1) / 2000 for j in range(0, 1000000, 4999)]) + [0.0])
     @example(values=_EDGES + _EDGES[::-1])
-    @example(values=(_ties([0.0005, 0.0125, 1.0625]) * 2000)[: 2 * cli.WRITE_BLOCK])
-    @example(values=(_ties([0.0015, 12.3455, 999.9985]) * 2000)[: 2 * cli.WRITE_BLOCK + 2])
+    @example(values=(_ties([0.0005, 0.0125, 1.0625]) * 2000)[: 2 * _text.WRITE_BLOCK])
+    @example(values=(_ties([0.0015, 12.3455, 999.9985]) * 2000)[: 2 * _text.WRITE_BLOCK + 2])
     def test_bytes_equal_percent_format(self, values):
         # An odd list was padded by its last value; any even prefix is a series.
         points = np.array(values[: len(values) // 2 * 2], dtype=float).reshape(-1, 2)
-        assert b"".join(cli._point_text(points)) == _percent_route(points)
+        assert b"".join(_text.point_text(points)) == _percent_route(points)
 
-    @pytest.mark.parametrize("n", [1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, _text.WRITE_BLOCK, _text.WRITE_BLOCK + 1])
     def test_series_lengths_across_the_block(self, n):
         rng = np.random.default_rng(n)
         points = rng.integers(0, 2000000, size=(n, 2)) / 2000
-        assert b"".join(cli._point_text(points)) == _percent_route(points)
+        assert b"".join(_text.point_text(points)) == _percent_route(points)
 
     @pytest.mark.parametrize(
         "bad",
@@ -957,10 +960,10 @@ class TestPointText:
         + [999.9995, float(np.nextafter(999.9995, 1e3)), float(np.nextafter(1e3, 0.0))],
     )
     def test_out_of_box_coordinate_raises(self, bad):
-        points = np.full((cli.WRITE_BLOCK + 2, 2), 500.0)
+        points = np.full((_text.WRITE_BLOCK + 2, 2), 500.0)
         points[-1, 1] = bad
         with pytest.raises(ValueError, match=r"\[0, 1000\)"):
-            cli._point_text(points)
+            _text.point_text(points)
 
     def test_non_finite_chart_raises_before_any_file(self, tmp_path):
         rows = cli._table({"t": [0.0, 1.0, 2.0], "y": [1.0, math.nan, 3.0]})
@@ -1108,8 +1111,10 @@ class TestDispersionCommand:
         # sweep at 4.05 MB, the 1.11 MB table and the 2.97 MB chart.  With
         # the chart kept as its parts, never joined, it peaks at 2.09 MB,
         # and the sweep at 3.60 MB while the CSV is written: the table, the
-        # 1.06 MB of parts and one block of 2,048 rows (Python 3.11, numpy
-        # 2.4, x86-64).  The first call fills the text tables.
+        # 1.06 MB of parts and one block of 2,048 rows.  With the SVG written
+        # and its parts dropped before the CSV, the sweep peaks at 3.17 MB
+        # while the chart is drawn, and the CSV at 2.53 MB (Python 3.11,
+        # numpy 2.4, x86-64).  The first call fills the text tables.
         config = RunConfig(
             command="dispersion",
             models=cli._parse_models(["euler,ns,burnett,riemann,moment"]),
@@ -1134,7 +1139,7 @@ class TestDispersionCommand:
             tracemalloc.stop()
         assert len(rows) == 2048 * 17
         assert rows.dtype.itemsize <= 32
-        assert peak < 3.9 * 2**20
+        assert peak < 3.4 * 2**20
 
 
 @st.composite
@@ -2162,6 +2167,13 @@ class TestMinimumGridSize:
         )
 
 
+#: Faults of a file write, the exit code each costs and its one stderr line.
+_WRITE_FAULTS = [
+    (OSError(28, "No space left"), 1, "error: [Errno 28] No space left"),
+    (RuntimeError("lost"), 2, "internal failure: RuntimeError('lost')"),
+]
+
+
 class TestExitCodes:
     def test_usage_error_bad_model(self, tmp_path):
         code = main(
@@ -2358,18 +2370,12 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists() and not out.with_suffix(".svg").exists()
 
-    @pytest.mark.parametrize(
-        "fault,code,line",
-        [
-            (OSError(28, "No space left"), 1, "error: [Errno 28] No space left"),
-            (RuntimeError("lost"), 2, "internal failure: RuntimeError('lost')"),
-        ],
-    )
+    @pytest.mark.parametrize("fault,code,line", _WRITE_FAULTS)
     def test_svg_write_failure_leaves_no_file(
         self, tmp_path, capsys, monkeypatch, fault, code, line
     ):
-        # The SVG is written part by part after the CSV; a failure after its
-        # first part removes both files and costs one stderr line.
+        # The SVG is written part by part before the CSV; a failure after its
+        # first part removes it, writes no CSV and costs one stderr line.
         chart = cli._svg_chart
 
         def failing(rows, title):
@@ -2384,17 +2390,23 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "phase,target",
-        [("command", "_cmd_dispersion"), ("chart", "_svg_chart"), ("CSV", "_block_text")],
+        "phase,owner,target",
+        [
+            ("command", cli, "_cmd_dispersion"),
+            ("chart", cli, "_svg_chart"),
+            ("CSV", _text, "_block_text"),
+        ],
+        ids=["command-_cmd_dispersion", "chart-_svg_chart", "CSV-_block_text"],
     )
     def test_fault_names_its_phase_and_leaves_no_file(
-        self, tmp_path, capsys, monkeypatch, phase, target
+        self, tmp_path, capsys, monkeypatch, phase, owner, target
     ):
-        # The CSV fault strikes after the file is opened and its header written.
+        # The CSV fault strikes after the SVG is written and the CSV opened
+        # with its header written.
         def fault(*args):
             raise FloatingPointError("overflow encountered in multiply")
 
-        monkeypatch.setattr(cli, target, fault)
+        monkeypatch.setattr(owner, target, fault)
         out = tmp_path / "x.csv"
         argv = ["dispersion", "--model", "euler", "--samples", "4", "--svg", "--out", str(out)]
         assert main(argv) == 2
@@ -2402,6 +2414,27 @@ class TestExitCodes:
             "",
             f"numerical failure in {phase}: non-finite value (overflow encountered in multiply)\n",
         )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault,code,line", _WRITE_FAULTS)
+    def test_csv_write_failure_after_the_svg_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch, fault, code, line
+    ):
+        # The SVG is written whole before the CSV's first block is made; a
+        # failure part way through the CSV removes the CSV and the SVG and
+        # costs one stderr line.
+        out = tmp_path / "x.csv"
+        seen = []
+
+        def failing(columns, coded):
+            seen.append((out.exists(), out.with_suffix(".svg").read_bytes()[-7:]))
+            raise fault
+
+        monkeypatch.setattr(_text, "_block_text", failing)
+        argv = ["dispersion", "--model", "euler", "--samples", "4", "--svg", "--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", line + "\n")
+        assert seen == [(True, b"</svg>\n")]
         assert list(tmp_path.iterdir()) == []
 
     def test_out_path_that_is_its_own_svg_is_usage_error(self, tmp_path, capsys):

@@ -409,7 +409,7 @@ class TestFluxBridge:
         n = 64
         x = grid(n)
         state = make_state(n, u=np.sin(x))
-        stress, heat = h1_fluxes(state, EV, 0.1)
+        stress, heat = h1_fluxes(state, EV)
         assert np.max(np.abs(stress - (-4.0 / 3.0) * np.cos(x))) <= 1e-10
         assert np.max(np.abs(heat)) <= 1e-12
 
@@ -420,13 +420,13 @@ class TestFluxBridge:
         x = grid(n)
         state = make_state(n, p=2.5 * np.sin(x))
         assert _gradients(state)[0] == pytest.approx(np.sin(x))
-        _, heat = h1_fluxes(state, EV, 0.1)
+        _, heat = h1_fluxes(state, EV)
         assert np.max(np.abs(heat - (-15.0 / 4.0) * np.cos(x))) <= 1e-10
 
     def test_constant_state_zero_fluxes(self):
         n = 16
         state = make_state(n, u=np.full(n, 0.8), p=np.full(n, -0.1), s=np.full(n, 0.4))
-        stress, heat = h1_fluxes(state, EV, 0.1)
+        stress, heat = h1_fluxes(state, EV)
         assert np.max(np.abs(stress)) <= 1e-13
         assert np.max(np.abs(heat)) <= 1e-13
 
@@ -437,15 +437,6 @@ class TestFluxBridge:
         correction = first_order_correction(state, EV)
         assert correction.a_velocity == pytest.approx(-np.cos(x), abs=1e-12)
         assert correction.a_temperature == pytest.approx(np.zeros(n), abs=1e-12)
-
-    def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            h1_fluxes(make_state(16), EV, 0.0)
-
-    @pytest.mark.parametrize("eps", [np.nan, np.inf])
-    def test_non_finite_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps"):
-            h1_fluxes(make_state(16), EV, eps)
 
     def test_route_disagreement_raises(self, monkeypatch):
         import hydrobench.hydro_spectral as hs
@@ -462,7 +453,7 @@ class TestFluxBridge:
         n = 32
         state = make_state(n, u=np.sin(grid(n)))
         with pytest.raises(InternalConsistencyError):
-            hs.h1_fluxes(state, EV, 0.1)
+            hs.h1_fluxes(state, EV)
 
 
 def _ragged(n):
@@ -474,7 +465,7 @@ class TestFieldArrays:
 
     ROUTES = {
         "to_modes": to_modes,
-        "h1_fluxes": lambda fields: h1_fluxes(fields, EV, 0.1),
+        "h1_fluxes": lambda fields: h1_fluxes(fields, EV),
         "first_order_correction": lambda fields: first_order_correction(fields, EV),
     }
 
@@ -496,7 +487,7 @@ class TestFieldArrays:
         x = grid(16)
         rows = [np.sin(x), 0.5 * np.cos(2 * x), 0.25 * np.sin(3 * x + 0.1)]
         assert np.array_equal(to_modes(rows).modes, to_modes(np.stack(rows)).modes)
-        for got, want in zip(h1_fluxes(rows, EV, 0.1), h1_fluxes(np.stack(rows), EV, 0.1)):
+        for got, want in zip(h1_fluxes(rows, EV), h1_fluxes(np.stack(rows), EV)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -508,7 +499,7 @@ class TestFieldArrays:
         routes = (
             to_modes,
             spectral_derivative,
-            lambda f: h1_fluxes(f, EV, 0.1),
+            lambda f: h1_fluxes(f, EV),
             lambda f: first_order_correction(f, EV),
         )
         for route in routes:
