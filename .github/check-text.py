@@ -1,7 +1,8 @@
 """Check the text of every CSV and SVG under a directory, recursively.
 
-Every real in a CSV, each cell of a column other than the label columns
-model and branch, must be its own '%.17g' text.  Every SVG must parse as
+Every CSV row must have as many cells as its header, and every real in a
+CSV, each cell of a column other than the label columns model and branch,
+must be its own '%.17g' text.  Every SVG must parse as
 XML, and every polyline coordinate must be its own '%.3f' text, so no
 separator is lost or doubled where the point text's chunks meet.  Only the
 standard library is used.
@@ -22,9 +23,13 @@ def check(root: Path) -> int:
     """Assert the text of every file under root; returns how many were checked."""
     count = 0
     for path in sorted(root.rglob("*.csv")):
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                for name, cell in row.items():
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows)
+            for number, row in enumerate(rows, start=2):
+                cells = f"{path}: row {number} has {len(row)} cells, its header {len(header)}"
+                assert len(row) == len(header), cells
+                for name, cell in zip(header, row):
                     if name not in LABELS:
                         assert format(float(cell), ".17g") == cell, (path, name, cell)
         count += 1

@@ -105,16 +105,20 @@ def check_grid_size(n: int) -> None:
 
 
 def check_times(times) -> np.ndarray:
-    """times as a 1-D float array: nonempty, strictly ascending and nonnegative.
+    """times as a 1-D float array: nonempty, finite, strictly ascending and
+    nonnegative.
 
-    Anything else raises ValueError, a scalar, a 2-D array, a repeated time
-    and a NaN included.  This is the package's one time contract:
-    mode_propagators and secularity.secular_ratio_series take their times
-    through it.
+    Anything else raises ValueError, a scalar, a 2-D array, a repeated time,
+    a NaN and an infinity included.  This is the package's one time
+    contract: mode_propagators and secularity.secular_ratio_series take
+    their times through it.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not (times[0] >= 0 and np.all(np.diff(times) > 0)):
-        raise ValueError(f"times must be a nonempty 1-D array, ascending from t >= 0, got {times}")
+    ok = times.ndim == 1 and times.size and 0 <= times[0] and times[-1] < np.inf
+    if not (ok and np.all(np.diff(times) > 0)):
+        raise ValueError(
+            f"times must be a nonempty 1-D array, ascending from t >= 0 and finite, got {times}"
+        )
     return times
 
 

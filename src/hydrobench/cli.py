@@ -8,12 +8,14 @@ Commands:
     secular      naive versus multiscale correction-ratio series
     selftest     run the built-in invariant suite
 
-Every command is deterministic: identical configuration produces
-byte-identical CSV and SVG output.  A CSV real is the text '%.17g' gives
-it, and an SVG point the text '%.3f' gives it, both computed in numpy by
-the _text module, which cli hands its columns and points.  Exit codes: 0 success, 1
-usage error, 2 numerical or internal-consistency failure; a floating-point
-fault names its phase (run).
+Every data command builds its result as one Table of names, columns and
+values, float64 reals or int32 codes into label names or reals, which
+emit_outputs writes.  Every command is deterministic: identical
+configuration produces byte-identical CSV and SVG output.  A CSV real is
+the text '%.17g' gives it, and an SVG point the text '%.3f' gives it, both
+computed in numpy by the _text module, which cli hands the table and the
+chart's points.  Exit codes: 0 success, 1 usage error, 2 numerical or
+internal-consistency failure; a floating-point fault names its phase (run).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "ICSpec",
     "ICTerm",
     "RunConfig",
+    "Table",
     "UsageError",
     "emit_outputs",
     "main",
@@ -235,45 +238,38 @@ _SVG_PALETTE = (
 )
 
 
-def _coded_dtype(values: Sequence[str] | np.ndarray) -> np.dtype:
-    """The dtype of a coded column: int32 codes, each an index into values,
-    which the dtype carries as its metadata (h5py's enum idiom).  The values
-    are the str names of a label column, kept as a tuple, or the reals of a
-    column that repeats few of them, such as a grid, kept as a read-only
-    float64 array.  Field access, multi-field selection, slicing, take and
-    concatenation of structured arrays keep them."""
-    if isinstance(values, np.ndarray):
-        values = np.array(values, dtype=np.float64)
-        values.flags.writeable = False
-    else:
-        values = tuple(values)
-    return np.dtype(np.int32, metadata={"values": values})
+@dataclass(frozen=True)
+class Table:
+    """A table as its column names, columns and each column's values; its
+    len() is its row count, the length of its first column.
 
-
-def _coded_values(dtype: np.dtype) -> tuple[str, ...] | np.ndarray | None:
-    """The values a coded column's dtype carries, or None for any other dtype."""
-    values = (dtype.metadata or {}).get("values")
-    return values if values is not None and dtype == np.int32 else None
-
-
-def _table(columns: dict[str, object]) -> np.ndarray:
-    """Structured array with one record per row and one field per column.
-
-    A column of str becomes a coded one, coded once into its sorted distinct
-    names (_coded_dtype); every other column, a coded one included, keeps
-    its dtype.
+    A column whose value is None holds float64 reals.  Any other column is
+    coded: int32 codes, each an index into its value, the str names of a
+    label column as a tuple, or the reals of a column that repeats few of
+    them, such as a grid, as a float64 array.
     """
-    arrays = []
+
+    names: tuple[str, ...]
+    columns: tuple[np.ndarray, ...]
+    values: tuple[tuple[str, ...] | np.ndarray | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _table(columns: dict[str, object]) -> Table:
+    """The Table of the named columns.  A column of str becomes a coded one,
+    coded into its sorted distinct names; every other column keeps its dtype
+    and has the value None."""
+    arrays, values = [], []
     for column in columns.values():
-        array = np.asarray(column)
+        array, names = np.asarray(column), None
         if array.dtype.kind == "U":
             names, codes = np.unique(array, return_inverse=True)
-            array = codes.astype(_coded_dtype(names.tolist()))
+            array, names = codes.astype(np.int32), tuple(names.tolist())
         arrays.append(array)
-    rows = np.empty(len(arrays[0]), [(name, a.dtype) for name, a in zip(columns, arrays)])
-    for name, array in zip(columns, arrays):
-        rows[name] = array
-    return rows
+        values.append(names)
+    return Table(tuple(columns), tuple(arrays), tuple(values))
 
 
 def _axis_label(value: float) -> str:
@@ -303,18 +299,27 @@ def _span(columns: list[np.ndarray]) -> tuple[float, float]:
     return lo, hi
 
 
-def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
-    """Deterministic 800x600 polyline chart of a table's float fields, as
+def _xml_text(text: str) -> str:
+    """text as XML character data: '&', '<' and '>' escaped, as
+    xml.sax.saxutils.escape escapes them.  That module imports
+    urllib.request, which cost each process that drew a chart 25 ms and
+    1.1-1.7 MB of peak RSS on the benchmark's chart workloads."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _svg_chart(rows: Table, title: str) -> list[bytes]:
+    """Deterministic 800x600 polyline chart of a table's real columns, as
     the list of UTF-8 byte parts that make up its text, never joined.
 
-    The label fields, coded by str names, group the rows into separate
-    series; the other fields are reals, plotted through their values when
-    coded.  The first real field is the x axis and every remaining one
+    The label columns, coded by str names, group the rows into separate
+    series; the other columns are reals, plotted through their values when
+    coded.  The first real column is the x axis and every remaining one
     yields one polyline per group.  Series come in sorted label-tuple order
-    (first label field first), each code ranked by its name among the
+    (first label column first), each code ranked by its name among the
     column's sorted names, and each series' points in stable ascending x:
     rows with equal x keep their table order.  A series is tagged with its
-    names.  Axis labels come from _axis_label.
+    names.  Axis labels come from _axis_label; the title, the x name and
+    the tags are escaped as XML text.
 
     Point coordinates are written byte for byte as '%.3f' writes them, by
     _text.point_text, from each group's slice of one sort order: a group's x
@@ -324,13 +329,12 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
     """
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
-    labels, reals = {}, {}
-    for name in rows.dtype.names:
-        values = _coded_values(rows.dtype[name])
+    labels, reals = [], {}
+    for name, column, values in zip(rows.names, rows.columns, rows.values):
         if isinstance(values, tuple):
-            labels[name] = values
+            labels.append((column, values))
         else:
-            reals[name] = rows[name] if values is None else values.take(rows[name])
+            reals[name] = column if values is None else values.take(column)
     if len(reals) < 2:
         raise ValueError("SVG chart needs an x column and at least one y column")
     x_name, *y_names = reals
@@ -347,19 +351,19 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
     # share a rank, and the ranks in mixed radix, first label column most
     # significant.  One stable lexsort by series, then x, puts every series
     # in one contiguous run.
-    sizes = [len(set(names)) for names in labels.values()]
+    sizes = [len(set(names)) for _, names in labels]
     if math.prod(sizes) > np.iinfo(np.intp).max:
         raise ValueError("SVG chart has too many label combinations to number")
     series = np.zeros(len(rows), dtype=np.intp)
-    for size, (name, names) in zip(sizes, labels.items()):
+    for size, (codes, names) in zip(sizes, labels):
         rank = {n: i for i, n in enumerate(sorted(set(names)))}
         series *= size
-        series += np.take([rank[n] for n in names], rows[name])
+        series += np.take([rank[n] for n in names], codes)
     order = np.lexsort((reals[x_name], series))
     series = series[order]
     starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
     firsts = order[starts]
-    keys = zip(*([names[c] for c in rows[name][firsts].tolist()] for name, names in labels.items()))
+    keys = zip(*([names[c] for c in codes[firsts].tolist()] for codes, names in labels))
     keys = keys if labels else [()]
 
     header = [
@@ -367,13 +371,13 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-family="monospace" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">{_xml_text(title)}</text>',
         f'<line x1="{margin_left}" y1="{height - margin_bottom}" x2="{width - margin_right}" '
         f'y2="{height - margin_bottom}" stroke="black"/>',
         f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" '
         f'y2="{height - margin_bottom}" stroke="black"/>',
         f'<text x="{(margin_left + width - margin_right) // 2}" y="{height - 12}" '
-        f'text-anchor="middle" font-family="monospace" font-size="12">{x_name}</text>',
+        f'text-anchor="middle" font-family="monospace" font-size="12">{_xml_text(x_name)}</text>',
         f'<text x="{margin_left}" y="{height - margin_bottom + 16}" text-anchor="middle" '
         f'font-family="monospace" font-size="10">{_axis_label(x_lo)}</text>',
         f'<text x="{width - margin_right}" y="{height - margin_bottom + 16}" '
@@ -409,32 +413,33 @@ def _svg_chart(rows: np.ndarray, title: str) -> list[bytes]:
                 *point_text(points),
                 f'"/>\n<text x="{width - margin_right - 4}" y="{margin_top + 14 * index}" '
                 f'text-anchor="end" font-family="monospace" font-size="10" '
-                f'fill="{color}">{f"{name}[{tag}]" if tag else name}</text>\n'.encode(),
+                f'fill="{color}">{_xml_text(f"{name}[{tag}]" if tag else name)}</text>\n'.encode(),
             ]
     parts.append(b"</svg>\n")
     return parts
 
 
 def emit_outputs(
-    rows: np.ndarray,
+    rows: Table,
     out_path: Path,
     emit_svg: bool = False,
     title: str = "",
-    chart: np.ndarray | None = None,
+    chart: Table | None = None,
 ) -> list[Path]:
     """Write the CSV (and optional sibling SVG); returns the written paths,
     the CSV's first.
 
-    rows is a structured array: one record per CSV row, one field per
-    column, float64 reals or coded int32 (_coded_dtype), codes into label
-    names or reals.  A column of any other dtype, or a coded one with a code
-    outside its values, raises ValueError before anything is drawn or
-    written, since '%.17g' would round an int64 above 2**53, and so does an
-    out_path whose SVG sibling would be itself.  The CSV's bytes are
-    _text.csv_text's, made a block of rows at a time from the columns and
-    the values of the coded ones: reals as '%.17g' writes them, so they
-    round-trip through the file exactly, and labels as the UTF-8 of their
-    names.
+    rows is a Table: its names are the CSV's header and its columns the CSV
+    columns, float64 reals or int32 codes into label names or reals.  These
+    raise ValueError before anything is drawn or written: a column of
+    unequal length; a real column of any other dtype, since '%.17g' would
+    round an int64 above 2**53; a coded one with a code outside its values;
+    a column or label name that holds a comma, a double quote, CR or LF,
+    which the CSV would split or run on; and an out_path whose SVG sibling
+    would be itself.  The CSV's bytes are _text.csv_text's, made a block of
+    rows at a time from the names, columns and values: reals as '%.17g'
+    writes them, so they round-trip through the file exactly, and labels
+    as the UTF-8 of their names.
 
     The SVG charts rows unless another table is passed in chart;
     field-snapshot tables use that to plot the final time block against x.
@@ -448,14 +453,18 @@ def emit_outputs(
     """
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
-    names = rows.dtype.names
-    columns = [rows[name] for name in names]
-    values = [_coded_values(column.dtype) for column in columns]
-    for name, column, coded in zip(names, columns, values):
-        if coded is None and column.dtype != np.float64:
-            raise ValueError(f"column {name!r} has dtype {column.dtype}, not float64 or coded")
+    for name, column, coded in zip(rows.names, rows.columns, rows.values):
+        dtype = np.dtype(np.float64 if coded is None else np.int32)
+        if len(column) != len(rows):
+            raise ValueError(f"column {name!r} has {len(column)} rows, not {len(rows)}")
+        if column.dtype != dtype:
+            raise ValueError(f"column {name!r} has dtype {column.dtype}, not {dtype}")
         if coded is not None and not 0 <= column.min() <= column.max() < len(coded):
             raise ValueError(f"column {name!r} has codes outside its {len(coded)} values")
+    labels = [label for coded in rows.values if isinstance(coded, tuple) for label in coded]
+    for name in (*rows.names, *labels):
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"name {name!r} holds a comma, a quote or a line break")
     out_path = Path(out_path)
     if emit_svg and out_path.suffix == ".svg":
         raise ValueError(f"the SVG would be written over the CSV at {out_path}")
@@ -470,7 +479,7 @@ def emit_outputs(
         del svg  # its parts are freed before the CSV's first block is made
     try:
         with _phase("CSV"):
-            _write_parts(out_path, csv_text(names, columns, values))
+            _write_parts(out_path, csv_text(rows.names, rows.columns, rows.values))
     except BaseException:  # nor an SVG without its CSV
         for path in written[1:]:
             path.unlink()
@@ -493,7 +502,7 @@ def _write_parts(path: Path, parts) -> None:
 # Command implementations ---------------------------------------------------
 
 
-def _cmd_dispersion(config: RunConfig) -> np.ndarray:
+def _cmd_dispersion(config: RunConfig) -> Table:
     k_grid = np.linspace(config.kmin, config.kmax, config.samples)
     if np.any(np.diff(k_grid) <= 0):
         raise UsageError(
@@ -502,32 +511,23 @@ def _cmd_dispersion(config: RunConfig) -> np.ndarray:
     models = sorted(config.models, key=lambda m: m.value)
     tables = [branches(model, k_grid, config.eps, config.eigenvalues) for model in models]
     # Rows in (model, k, branch) order: models come sorted, k ascends, and
-    # each model fills its own (k, branch) block with its branches in name
-    # order.  Labels and k travel as int32 codes to the written bytes.  The
-    # record is aligned, so sigma's float64 fields sit at multiples of 8
-    # bytes: the chart's per-series gathers of packed ones took 4 times as
-    # long (Python 3.11, numpy 2.4, x86-64).
+    # each model's (k, branch) block has its branches in name order.  Labels
+    # and k travel as int32 codes to the written bytes.
     branch_names = sorted({label.value for t in tables for label in t.labels})
-    fields = [
-        ("model", _coded_dtype([model.value for model in models])),
-        ("k", _coded_dtype(k_grid)),
-        ("branch", _coded_dtype(branch_names)),
-        ("re_sigma", np.float64),
-        ("im_sigma", np.float64),
-    ]
-    rows = np.empty(sum(t.sigma.size for t in tables), np.dtype(fields, align=True))
-    lo = 0
-    for code, table in enumerate(tables):
+    k, branch, sigma = [], [], []
+    for table in tables:
         names = [label.value for label in table.labels]
-        order = np.argsort(names)
-        block = rows[lo : lo + table.sigma.size].reshape(len(k_grid), len(names))
-        block["model"] = code
-        block["k"] = np.arange(len(k_grid))[:, None]
-        block["branch"] = [branch_names.index(name) for name in sorted(names)]
-        block["re_sigma"] = table.sigma.real[:, order]
-        block["im_sigma"] = table.sigma.imag[:, order]
-        lo += table.sigma.size
-    return rows
+        codes = np.searchsorted(branch_names, sorted(names)).astype(np.int32)
+        k.append(np.repeat(np.arange(len(k_grid), dtype=np.int32), len(names)))
+        branch.append(np.tile(codes, len(k_grid)))
+        sigma.append(table.sigma[:, np.argsort(names)].ravel())
+    model = np.arange(len(models), dtype=np.int32).repeat([t.sigma.size for t in tables])
+    sigma = np.concatenate(sigma)
+    return Table(
+        ("model", "k", "branch", "re_sigma", "im_sigma"),
+        (model, np.concatenate(k), np.concatenate(branch), sigma.real, sigma.imag),
+        (tuple(m.value for m in models), k_grid, tuple(branch_names), None, None),
+    )
 
 
 def _output_times(config: RunConfig) -> np.ndarray:
@@ -535,7 +535,7 @@ def _output_times(config: RunConfig) -> np.ndarray:
     return config.dt_out * np.arange(config.output_steps + 1)
 
 
-def _cmd_evolve(config: RunConfig) -> np.ndarray:
+def _cmd_evolve(config: RunConfig) -> Table:
     if len(config.models) != 1:
         raise UsageError("evolve takes exactly one --model")
     n = config.grid_size
@@ -543,16 +543,17 @@ def _cmd_evolve(config: RunConfig) -> np.ndarray:
     evolved = moment_reference.trajectory(
         spectrum(config.ic, n), config.models[0], config.eps, config.eigenvalues, times
     )
-    fields = [("t", _coded_dtype(times)), ("x", _coded_dtype(2.0 * np.pi * np.arange(n) / n))]
-    rows = np.empty(times.size * n, fields + [(name, np.float64) for name in "ups"])
-    table = rows.reshape(times.size, n)  # a view: one row per time, one column per x
-    table["t"], table["x"] = np.arange(times.size)[:, None], np.arange(n)
-    for i, name in enumerate("ups"):
-        table[name] = evolved[:, i]
-    return rows
+    # One row per (time, x), t and x as int32 codes into the times and the grid.
+    t = np.repeat(np.arange(times.size, dtype=np.int32), n)
+    x = np.tile(np.arange(n, dtype=np.int32), times.size)
+    return Table(
+        ("t", "x", "u", "p", "s"),
+        (t, x, *(evolved[:, i].ravel() for i in range(3))),
+        (times, 2.0 * np.pi * np.arange(n) / n, None, None, None),
+    )
 
 
-def _cmd_compare(config: RunConfig) -> np.ndarray:
+def _cmd_compare(config: RunConfig) -> Table:
     models = [m for m in config.models if m is not ModelId.MOMENT_REFERENCE]
     if not models:
         raise UsageError("compare needs at least one hydrodynamic model")
@@ -563,7 +564,7 @@ def _cmd_compare(config: RunConfig) -> np.ndarray:
     return _table({"t": times, **{f"l2_error_{m.value}": g for m, g in zip(models, gaps.T)}})
 
 
-def _cmd_secular(config: RunConfig) -> np.ndarray:
+def _cmd_secular(config: RunConfig) -> Table:
     if secularity.beyond_horizon(config.tmax, config.eps):
         raise UsageError(
             f"tmax {config.tmax:g} exceeds the validity horizon "
@@ -642,7 +643,8 @@ def run(config: RunConfig) -> int:
         chart = None
         if config.command == "evolve":
             # Chart the final-time snapshot against x, not everything vs t.
-            chart = rows[["x", "u", "p", "s"]][-config.grid_size :]
+            last = [column[-config.grid_size :] for column in rows.columns[1:]]
+            chart = Table(rows.names[1:], tuple(last), rows.values[1:])
         written = emit_outputs(
             rows, config.out_path, config.emit_svg, title=config.command, chart=chart
         )

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,10 +14,10 @@ import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
-from numpy.lib.recfunctions import repack_fields
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,14 +33,28 @@ from hydrobench.initial_conditions import ICParseError, parse_initial_condition,
 ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
 
 
+def _table(columns):
+    """cli._table of the named columns, where a (codes, values) pair is a
+    coded column as it stands."""
+    names, arrays, values = [], [], []
+    for name, column in columns.items():
+        if not isinstance(column, tuple):
+            table = cli._table({name: column})
+            column = table.columns[0], table.values[0]
+        names.append(name)
+        arrays.append(column[0])
+        values.append(column[1])
+    return cli.Table(tuple(names), tuple(arrays), tuple(values))
+
+
 def _decoded(rows):
-    """rows with each coded column as its values, per row: the str of its
-    names or its reals, read from the field dtype's metadata and indexed by
-    code."""
-    columns = {}
-    for name in rows.dtype.names:
-        values = (rows.dtype[name].metadata or {}).get("values")
-        columns[name] = rows[name] if values is None else np.asarray(values)[rows[name]]
+    """A Table as a structured array of one field per column, each coded
+    column as its values, per row: the str of its names or its reals,
+    indexed by code."""
+    columns = {
+        name: column if values is None else np.asarray(values)[column]
+        for name, column, values in zip(rows.names, rows.columns, rows.values)
+    }
     decoded = np.empty(len(rows), [(name, column.dtype) for name, column in columns.items()])
     for name, column in columns.items():
         decoded[name] = column
@@ -47,10 +62,22 @@ def _decoded(rows):
 
 
 def _coded(column):
-    """A float64 column as codes into its distinct bit patterns, so -0.0 and
-    0.0, and NaNs of other payloads, stay apart."""
+    """A float64 column as a (codes, values) pair: int32 codes into its
+    distinct bit patterns, so -0.0 and 0.0, and NaNs of other payloads, stay
+    apart."""
     bits, codes = np.unique(np.asarray(column, np.float64).view(np.uint64), return_inverse=True)
-    return codes.reshape(-1).astype(cli._coded_dtype(bits.view(np.float64)))
+    return codes.reshape(-1).astype(np.int32), bits.view(np.float64)
+
+
+def _strided(column, stride, offset=0):
+    """A copy of column as a view at the given byte stride and offset into
+    a larger buffer: unaligned when either is not a multiple of its item
+    size."""
+    column = np.asarray(column)
+    buffer = np.zeros(offset + stride * len(column) + column.itemsize, np.uint8)
+    view = np.ndarray(len(column), column.dtype, buffer, offset, (stride,))
+    view[:] = column
+    return view
 
 
 def _signed_span(values):
@@ -66,12 +93,12 @@ def _svg_chart_by_masks(rows, title):
     come from Python's min and max of (value, sign) pairs, which order -0.0
     below 0.0.  Coded reals are decoded to their values like the labels.
     Axis labels share cli._axis_label, which TestAxisLabels checks on its
-    own."""
+    own, and text is escaped by xml.sax.saxutils.escape."""
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     decoded = _decoded(rows)
-    labels = [name for name in rows.dtype.names if decoded.dtype[name].kind == "U"]
-    numeric = [name for name in rows.dtype.names if name not in labels]
+    labels = [name for name in rows.names if decoded.dtype[name].kind == "U"]
+    numeric = [name for name in rows.names if name not in labels]
     x_name, y_names = numeric[0], numeric[1:]
     x_lo, x_hi = _signed_span(decoded[x_name].tolist())
     y_lo, y_hi = _signed_span([v for name in y_names for v in decoded[name].tolist()])
@@ -93,19 +120,19 @@ def _svg_chart_by_masks(rows, title):
             sy = height - margin_bottom - (group[name] - y_lo) / (y_hi - y_lo) * (
                 height - margin_top - margin_bottom
             )
-            series.append((f"{name}[{tag}]" if tag else name, sx, sy))
+            series.append((escape(f"{name}[{tag}]" if tag else name), sx, sy))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-family="monospace" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">{escape(title)}</text>',
         f'<line x1="{margin_left}" y1="{height - margin_bottom}" x2="{width - margin_right}" '
         f'y2="{height - margin_bottom}" stroke="black"/>',
         f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" '
         f'y2="{height - margin_bottom}" stroke="black"/>',
         f'<text x="{(margin_left + width - margin_right) // 2}" y="{height - 12}" '
-        f'text-anchor="middle" font-family="monospace" font-size="12">{x_name}</text>',
+        f'text-anchor="middle" font-family="monospace" font-size="12">{escape(x_name)}</text>',
         f'<text x="{margin_left}" y="{height - margin_bottom + 16}" text-anchor="middle" '
         f'font-family="monospace" font-size="10">{cli._axis_label(x_lo)}</text>',
         f'<text x="{width - margin_right}" y="{height - margin_bottom + 16}" '
@@ -135,10 +162,10 @@ def _svg_chart_by_masks(rows, title):
 @st.composite
 def _chart_tables(draw):
     """Tables of 0-2 label columns and 2-3 float columns, each coded or not,
-    in a drawn field order, with tied, unsorted and signed-zero x and absent
-    label pairs."""
+    in a drawn column order, with tied, unsorted and signed-zero x, absent
+    label pairs and labels that XML text escapes."""
     n = draw(st.integers(1, 14))
-    labels = st.text(alphabet="abé", max_size=2)
+    labels = st.text(alphabet="abé&<", max_size=2)
     reals = st.floats(-1e3, 1e3, allow_subnormal=False)
     columns = {
         f"g{i}": draw(st.lists(labels, min_size=n, max_size=n))
@@ -152,37 +179,19 @@ def _chart_tables(draw):
         if draw(st.booleans()):
             columns[name] = _coded(columns[name])
     order = draw(st.permutations(list(columns)))
-    return cli._table({name: columns[name] for name in order})
+    return _table({name: columns[name] for name in order})
 
 
 def _layouts(rows):
-    """rows with the same fields in the same order in other record layouts:
-    a padded multi-field view of a wider, aligned table, a packed copy of
-    that view, and records whose labelled fields sit before or after the
-    reals, in a width rounded up to 8 bytes.  numpy's min and max choose
-    their loop by stride and alignment, so these reach both kinds.  A coded
-    real counts as labelled here: its field is int32 codes too."""
-    names = list(rows.dtype.names)
-    fields = [("_pad", "f8"), *[(n, rows.dtype[n]) for n in names], ("_tail", "i4")]
-    wide = np.zeros(len(rows), np.dtype(fields, align=True))
-    for name in names:
-        wide[name] = rows[name]
-    layouts = {"table": rows, "padded": wide[names], "packed": repack_fields(wide[names])}
-    labelled = [n for n in names if cli._coded_values(rows.dtype[n]) is not None]
-    reals = [n for n in names if n not in labelled]
-    for how, placed in (("labels first", labelled + reals), ("labels last", reals + labelled)):
-        offsets = np.cumsum([0] + [rows.dtype[n].itemsize for n in placed]).tolist()
-        at = dict(zip(placed, offsets))
-        dtype = {
-            "names": names,
-            "formats": [rows.dtype[n] for n in names],
-            "offsets": [at[n] for n in names],
-            "itemsize": -(-offsets[-1] // 8) * 8,
-        }
-        moved = np.zeros(len(rows), np.dtype(dtype))
-        for name in names:
-            moved[name] = rows[name]
-        layouts[how] = moved
+    """rows with each column copied into other memory layouts: views at a
+    16-byte stride, where the reals of a complex array sit, and at the
+    20- and 28-byte strides of packed records, float64 unaligned.  numpy's
+    min and max choose their loop by stride and alignment, so these reach
+    both kinds."""
+    layouts = {"table": rows}
+    for stride, offset in ((16, 8), (20, 4), (28, 0)):
+        columns = tuple(_strided(column, stride, offset) for column in rows.columns)
+        layouts[f"stride {stride}"] = cli.Table(rows.names, columns, rows.values)
     return layouts
 
 
@@ -293,7 +302,7 @@ def _dispersion_rows_by_string_sort(config):
     }
     order = np.lexsort((columns["branch"], columns["k"], columns["model"]))
     columns = {name: column[order] for name, column in columns.items()}
-    return cli._table({**columns, "k": _coded(columns["k"])})
+    return _table({**columns, "k": _coded(columns["k"])})
 
 
 class TestICGrammar:
@@ -488,9 +497,9 @@ def _coded_tables(draw):
         picks = rng.permutation(np.concatenate([np.arange(count), rng.integers(0, count, n - count)]))
         values = pool.view(np.float64)
         coded = draw(st.sampled_from([True, True, False]))
-        columns[f"v{i}"] = picks.astype(cli._coded_dtype(values)) if coded else values[picks]
+        columns[f"v{i}"] = (picks.astype(np.int32), values) if coded else values[picks]
     order = draw(st.permutations(list(columns)))
-    return cli._table({name: columns[name] for name in order})
+    return _table({name: columns[name] for name in order})
 
 
 class TestEmitOutputs:
@@ -581,7 +590,7 @@ class TestEmitOutputs:
                 columns = {"g": rng.choice(["a", "bé"], size=n), **columns}
                 columns["t"] = _coded(np.repeat(0.5 * np.arange(n // 7 + 1), 7)[:n])
             del blocks[:]
-            _assert_same_csv(cli._table(columns), tmp_path)
+            _assert_same_csv(_table(columns), tmp_path)
             sizes = [step] * (n // step) + ([n % step] if n % step else [])
             assert [rows for rows, _ in blocks] == sizes
             assert all(
@@ -599,12 +608,13 @@ class TestEmitOutputs:
         n, grid = 10 * _text.WRITE_BLOCK, 256
         rng = np.random.default_rng(17)
         times, x = 0.1 * np.arange(n // grid), 2.0 * np.pi * np.arange(grid) / grid
-        fields = [("t", cli._coded_dtype(times)), ("x", cli._coded_dtype(x))]
-        rows = np.empty(n, fields + [(name, float) for name in ("u", "p", "s")])
-        rows["t"] = np.repeat(np.arange(n // grid), grid)
-        rows["x"] = np.tile(np.arange(grid), n // grid)
-        for name in ("u", "p", "s"):
-            rows[name] = rng.standard_normal(n)
+        t_codes = np.repeat(np.arange(n // grid, dtype=np.int32), grid)
+        x_codes = np.tile(np.arange(grid, dtype=np.int32), n // grid)
+        rows = cli.Table(
+            ("t", "x", "u", "p", "s"),
+            (t_codes, x_codes, *(rng.standard_normal(n) for _ in range(3))),
+            (times, x, None, None, None),
+        )
         tracemalloc.start()
         try:
             emit_outputs(rows, tmp_path / "evolve.csv")
@@ -715,15 +725,15 @@ class TestEmitOutputs:
         # move neither the span nor the order and raise no fault, and equal
         # values of two codes keep their rows in table order.
         values = np.array([np.inf, 0.5, -0.0, np.nan, 0.0, 2.0, -np.inf, 0.5])
-        x = np.array([4, 7, 5, 4, 7, 7, 1]).astype(cli._coded_dtype(values))
-        rows = cli._table({"g": list("abababa"), "x": x, "y": np.arange(7.0)})
+        x = np.array([4, 7, 5, 4, 7, 7, 1], np.int32), values
+        rows = _table({"g": list("abababa"), "x": x, "y": np.arange(7.0)})
         with np.errstate(all="raise"):
             svg = b"".join(cli._svg_chart(rows, "t"))
         assert svg == _svg_chart_by_masks(rows, "t").encode()
         assert svg.count(b'font-size="10">0</text>') == 2  # x and y both start at +0
         # An unused value whose distance to the span's low end overflows.
-        x = np.array([0, 1, 0, 1]).astype(cli._coded_dtype(np.array([-1e308, 1.0, 1.7e308])))
-        rows = cli._table({"x": x, "y": np.arange(4.0)})
+        x = np.array([0, 1, 0, 1], np.int32), np.array([-1e308, 1.0, 1.7e308])
+        rows = _table({"x": x, "y": np.arange(4.0)})
         with np.errstate(all="raise"):
             svg = b"".join(cli._svg_chart(rows, "t"))
         assert svg == _svg_chart_by_masks(rows, "t").encode()
@@ -731,28 +741,28 @@ class TestEmitOutputs:
     @pytest.mark.parametrize(
         "layout,rows",
         [
-            ("label-x-y", 9),  # a 20-byte record: int32 and two float64
-            ("x-y-z", 9),  # a 24-byte record
+            ("label-x-y", 9),  # reals at the stride of a 20-byte record: int32 and two float64
+            ("x-y-z", 9),  # at the stride of a 24-byte record
             ("label-x-y", 16),
             ("x-y-z", 16),
         ],
     )
     def test_signed_zero_axis_labels_do_not_depend_on_the_layout(self, layout, rows):
         # Eight -0.0 then one 0.0: numpy's min and max return either zero of
-        # such a column by the loop its record width and length select.  The
-        # chart orders -0.0 below 0.0 in every layout.
+        # such a column by the loop its stride, alignment and length select.
+        # The chart orders -0.0 below 0.0 in every layout.
         y = np.array([-0.0] * 8 + [0.0] * (rows - 8))
-        x = y.copy()
+        stride, offset = (20, 4) if layout == "label-x-y" else (24, 0)
+        x, y = _strided(y, stride, offset), _strided(y, stride, offset + 8)
         columns = {"x": x, "y": y}
         if layout == "label-x-y":
-            columns = {"g": ["a"] * rows, **columns}
+            columns = {"g": (np.zeros(rows, np.int32), ("a",)), **columns}
         else:
-            columns["z"] = y.copy()
-        table = cli._table(columns)
-        assert table.dtype.itemsize == (20 if layout == "label-x-y" else 24)
+            columns["z"] = _strided(y, stride, offset + 16)
+        table = _table(columns)
         svg = b"".join(cli._svg_chart(table, "t")).decode()
-        assert cli._span([table["y"]]) == cli._span([table["x"]]) == (-0.0, 0.0)
-        assert np.signbit(cli._span([table["y"]])).tolist() == [True, False]
+        assert cli._span([y]) == cli._span([x]) == (-0.0, 0.0)
+        assert np.signbit(cli._span([y])).tolist() == [True, False]
         # Both axes read -0 at their low end; the high end is lo + 1.
         assert svg.count('font-size="10">-0</text>') == 2
         assert svg.count('font-size="10">1</text>') == 2
@@ -762,14 +772,13 @@ class TestEmitOutputs:
     @given(rows=_chart_tables())
     @example(rows=cli._table({"g": ["a"] * 9, "x": [-0.0] * 8 + [0.0], "y": [-0.0] * 8 + [0.0]}))
     @example(rows=cli._table({"g": ["b", "a"] * 10, "x": [0.5] * 20, "y": np.arange(20.0)}))
-    def test_bytes_do_not_depend_on_the_record_layout(self, rows, tmp_path_factory):
-        # The CSV's levelled and labelled records and the chart's spans,
-        # sort and points read the fields, never the record's width, padding
-        # or field offsets.  The second example's x is levelled.
+    def test_bytes_do_not_depend_on_the_column_layout(self, rows, tmp_path_factory):
+        # The CSV's records and the chart's spans, sort and points read the
+        # columns' values, never their strides or alignment.  The second
+        # example's x is levelled.
         work = tmp_path_factory.mktemp("layout")
         written = {}
         for how, table in _layouts(rows).items():
-            assert table.dtype.names == rows.dtype.names
             paths = emit_outputs(table, work / f"{how}.csv", emit_svg=True, title="t")
             written[how] = tuple(path.read_bytes() for path in paths)
         assert all(both == written["table"] for both in written.values())
@@ -777,11 +786,12 @@ class TestEmitOutputs:
     def test_label_combinations_beyond_an_intp_refused(self):
         # Four label columns of 2**16 names number 2**64 series, past what
         # the chart's one integer per series can hold.
-        labelled = np.zeros(1, cli._coded_dtype([f"n{i}" for i in range(2**16)]))
-        rows = cli._table({**{f"g{i}": labelled for i in range(4)}, "x": [0.0], "y": [1.0]})
+        labelled = np.zeros(1, np.int32), tuple(f"n{i}" for i in range(2**16))
+        columns = {**{f"g{i}": labelled for i in range(4)}, "x": [0.0], "y": [1.0]}
         with pytest.raises(ValueError, match="too many label combinations"):
-            cli._svg_chart(rows, "t")
-        svg = b"".join(cli._svg_chart(rows[["g0", "g1", "g2", "x", "y"]], "t"))
+            cli._svg_chart(_table(columns), "t")
+        del columns["g3"]
+        svg = b"".join(cli._svg_chart(_table(columns), "t"))
         assert svg.count(b"<polyline") == 1
 
     def test_span_decides_zero_extremes_across_columns(self):
@@ -798,40 +808,49 @@ class TestEmitOutputs:
             raise AssertionError("the chart was drawn")
 
         monkeypatch.setattr(cli, "_svg_chart", no_chart)
-        labels = np.array(codes, np.int32).view(cli._coded_dtype(["a", "b"]))
-        rows = cli._table({"g": labels, "x": [0.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0]})
+        labels = np.array(codes, np.int32), ("a", "b")
+        rows = _table({"g": labels, "x": [0.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0]})
         with pytest.raises(ValueError, match="column 'g' has codes outside its 2 values"):
             emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
 
-    def test_label_names_survive_structured_operations(self):
-        # The writer reads a coded column's values from its field dtype, so
-        # every way the commands take rows apart must keep them: the names
-        # of the label column g and the reals of the coded column t, whose
-        # signed zeros stay apart.
-        times = np.array([0.0, -0.0, 0.25])
-        t = np.array([2, 0, 1, 2]).astype(cli._coded_dtype(times))
-        rows = cli._table({"g": ["b", "a", "b", "c"], "x": np.arange(4.0), "t": t})
-        assert rows["g"].tolist() == [1, 0, 1, 2]
-        for field in ("g", "t"):
-            kept = {
-                "field": rows[field].dtype,
-                "fields": rows[["x", field]].dtype[field],
-                "slice": rows[1:3].dtype[field],
-                "fields then slice": rows[["x", field]][-2:][field].dtype,
-                "take": rows[[3, 0]].dtype[field],
-                "reshape": rows.reshape(2, 2)[field].dtype,
-                "copy": rows.copy().dtype[field],
-                "concatenate": np.concatenate([rows, rows[::-1]]).dtype[field],
-            }
-            for how, dtype in kept.items():
-                values = cli._coded_values(dtype)
-                if field == "g":
-                    assert values == ("a", "b", "c"), how
-                else:
-                    assert values.view(np.uint64).tolist() == times.view(np.uint64).tolist(), how
-        assert cli._coded_values(rows["x"].dtype) is None
-        assert cli._coded_values(np.dtype(np.int32)) is None
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            ({"t,x": [0.0, 1.0], "y": [1.0, 2.0]}, "name 't,x' holds"),
+            ({"t": [0.0, 1.0], 'y"': [1.0, 2.0]}, """name 'y"' holds"""),
+            ({"t": [0.0, 1.0], "g": ["a,b", "c"]}, "name 'a,b' holds"),
+            ({"t": [0.0, 1.0], "g": ["a", "c\nd"]}, "name 'c\\nd' holds"),
+            ({"t": [0.0, 1.0], "g": ["a\rb", "c"]}, "name 'a\\rb' holds"),
+            ({"t": [0.0, 1.0, 2.0], "y": [1.0, 2.0]}, "column 'y' has 2 rows, not 3"),
+            ({"t": [0.0, 1.0], "y": [1.0, 2.0, 3.0]}, "column 'y' has 3 rows, not 2"),
+        ],
+        ids=["comma-column", "quote-column", "comma-label", "lf-label", "cr-label"]
+        + ["short", "long"],
+    )
+    def test_tables_the_csv_cannot_hold_refused_before_any_output(
+        self, tmp_path, monkeypatch, columns, message
+    ):
+        # A comma, quote or line break in a name would split or run on the
+        # CSV's cells and rows, and columns of unequal length have no rows.
+        def no_chart(*args):
+            raise AssertionError("the chart was drawn")
+
+        monkeypatch.setattr(cli, "_svg_chart", no_chart)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            emit_outputs(cli._table(columns), tmp_path / "out.csv", emit_svg=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        # The title, by default the out path's stem, the x name and each
+        # series tag are XML text: the SVG parses and reads the names back.
+        columns = {"g": ["a<b", "c&d"] * 2, "x&y": [0.0, 0.0, 1.0, 1.0], "v>": [1.0, 2, 3, 4]}
+        rows = cli._table(columns)
+        csv_path, svg_path = emit_outputs(rows, tmp_path / "a&b.csv", emit_svg=True)
+        texts = [el.text for el in ET.parse(svg_path).getroot() if el.tag.endswith("text")]
+        assert texts[0] == "a&b" and texts[1] == "x&y"
+        assert texts[-2:] == ["v>[a<b]", "v>[c&d]"]
+        assert csv_path.read_text().splitlines()[:2] == ["g,x&y,v>", "a<b,0,1"]
 
 
 def _real_text(values):
@@ -1069,16 +1088,12 @@ class TestDispersionCommand:
             out_path=tmp_path / "x.csv",
         )
         got, want = cli._cmd_dispersion(config), _dispersion_rows_by_string_sort(config)
-        # The command's record is aligned, so fields are compared one by one.
-        assert got.dtype.names == want.dtype.names
-        for name in got.dtype.names:
-            assert got.dtype[name] == want.dtype[name]
-            assert got[name].tobytes() == want[name].tobytes()
-        # dtype equality ignores metadata, so the values are compared on their own.
-        assert cli._coded_values(got.dtype["model"]) == cli._coded_values(want.dtype["model"])
-        assert cli._coded_values(got.dtype["branch"]) == cli._coded_values(want.dtype["branch"])
-        k_got, k_want = (cli._coded_values(rows.dtype["k"]) for rows in (got, want))
-        assert k_got.view(np.uint64).tolist() == k_want.view(np.uint64).tolist()
+        assert got.names == want.names
+        for name, a, b in zip(got.names, got.columns, want.columns):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.values[0] == want.values[0] and got.values[2] == want.values[2]
+        assert got.values[1].tobytes() == want.values[1].tobytes()
+        assert got.values[3:] == want.values[3:] == (None, None)
 
     def test_sweep_bytes_equal_string_route(self, tmp_path):
         # All five models end to end: the coded rows' CSV and SVG bytes equal
@@ -1113,8 +1128,10 @@ class TestDispersionCommand:
         # and the sweep at 3.60 MB while the CSV is written: the table, the
         # 1.06 MB of parts and one block of 2,048 rows.  With the SVG written
         # and its parts dropped before the CSV, the sweep peaks at 3.17 MB
-        # while the chart is drawn, and the CSV at 2.53 MB (Python 3.11,
-        # numpy 2.4, x86-64).  The first call fills the text tables.
+        # while the chart is drawn, and the CSV at 2.53 MB.  As five columns,
+        # the codes int32 and sigma's reals and imaginaries two views of one
+        # complex array, the sweep peaks at 3.18 MB (Python 3.11, numpy 2.4,
+        # x86-64).  The first call fills the text tables.
         config = RunConfig(
             command="dispersion",
             models=cli._parse_models(["euler,ns,burnett,riemann,moment"]),
@@ -1138,7 +1155,6 @@ class TestDispersionCommand:
         finally:
             tracemalloc.stop()
         assert len(rows) == 2048 * 17
-        assert rows.dtype.itemsize <= 32
         assert peak < 3.4 * 2**20
 
 
@@ -1235,7 +1251,8 @@ class TestEvolveCommand:
         # t = 0, burnett peaks at 56.4 and moment_reference at 67.8 when each
         # moment snapshot is mapped on its own, at 66.7 when each block of
         # them is mapped at once, and at 66.5 with all of them mapped in
-        # place (Python 3.11, numpy 2.4, x86-64).
+        # place.  As five columns of a Table, t and x int32 codes, they peak
+        # at 56.5 and 66.5 (Python 3.11, numpy 2.4, x86-64).
         # The bounds are 64 and 70 bytes per row.  The first call imports
         # numpy.fft's internals; the second is measured.
         config = RunConfig(
@@ -2074,12 +2091,11 @@ class TestSvgShapes:
         # table order, and every point computed as scalar Python arithmetic.
         rng = np.random.default_rng(3)
         x = rng.integers(0, 6, 40) * 0.3
-        rows = cli._table(
-            {"g": rng.choice(["b", "a"], 40), "x": x, "y": rng.normal(size=40), "z": x * x}
-        )
+        columns = {"g": rng.choice(["b", "a"], 40), "x": x, "y": rng.normal(size=40), "z": x * x}
+        rows = cli._table(columns)
         emit_outputs(rows, tmp_path / "c.csv", emit_svg=True)
-        x_lo, x_hi = min(rows["x"].tolist()), max(rows["x"].tolist())
-        ys = rows["y"].tolist() + rows["z"].tolist()
+        x_lo, x_hi = min(x.tolist()), max(x.tolist())
+        ys = columns["y"].tolist() + columns["z"].tolist()
         y_lo, y_hi = min(ys), max(ys)
         expected = []
         decoded = _decoded(rows).tolist()
