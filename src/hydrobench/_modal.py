@@ -16,15 +16,16 @@ matrix exponential of the symbol at -m.  Only the columns a spectrum
 occupies are propagated, since exp(M t) 0 = 0: the (m, d, d) symbol stack
 of a run's m occupied columns (d = 3 for a hydro model, 5 for the moment
 system) is built at those wavenumbers and exponentiated once for every time
-of a 1-D array.  Every time series of the package follows one contract,
-check_times: nonempty, ascending and nonnegative.  A leading t = 0 is the
-start itself, since exp(M 0) = I: mode_propagators returns its row as the
-input modes, bit for bit, and exponentiates for the later times.  An
-initial condition's exact spectrum occupies only the modes its terms name,
-so a run builds and exponentiates a few matrices whatever N is; the empty
-columns stay exactly 0 and are only synthesized.
-A spectrum with every column occupied takes the same path, indexed by the
-same column array.
+of a 1-D array, and mode_propagators returns the pair (columns, values) of
+their indices and their (T, d, m) modes.  Every time series of the package
+follows one contract, check_times: nonempty, ascending and nonnegative.  A
+leading t = 0 is the start itself, since exp(M 0) = I: mode_propagators
+returns its row as the input modes, bit for bit, and exponentiates for the
+later times.  An initial condition's exact spectrum occupies only the modes
+its terms name, so a run builds, exponentiates, checks and sums a few
+columns whatever N is; the empty columns stay exactly 0 and are written
+only by scatter_modes, for synthesis.  A spectrum with every column
+occupied takes the same path, indexed by the same column array.
 Given a unitary diagonal S for which A = S^-1 M S is real, as
 dispersion.parity_scale gives for every model but the Riemann-decoupled
 one, real_coordinates forms A and refuses it unless it is exactly real;
@@ -49,8 +50,9 @@ for the spectrum):
   eigvals call.
 
 The only coefficients with no conjugate partner are k = 0 and, for even N,
-the Nyquist column k = N/2; both are real for a real field, and their
-imaginary parts are the one non-physical content a half spectrum can hold.
+the Nyquist column k = N/2 (self_conjugate finds them among any columns);
+both are real for a real field, and their imaginary parts are the one
+non-physical content a half spectrum can hold.
 The Nyquist coefficient is the aliased sum of the +-N/2 pair, and the exact
 band-limited propagator sampled on the grid is the real part of the N/2
 propagator, so that column is advanced as Re(P x) and stays real; a start
@@ -77,6 +79,8 @@ __all__ = [
     "mode_propagators",
     "real_coordinates",
     "require_real",
+    "scatter_modes",
+    "self_conjugate",
     "wavenumbers",
 ]
 
@@ -140,44 +144,78 @@ def forward_modes(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(values, axis=-1) / values.shape[-1]
 
 
-def hermitian_violation(modes: np.ndarray, n: int) -> float:
+def self_conjugate(columns: np.ndarray, n: int) -> list[int]:
+    """Positions in `columns` of the k = 0 and (even n) Nyquist columns.
+
+    columns holds ascending rfft column indices of a grid of n points, as
+    mode_propagators returns them, so only its first and last positions can
+    hold one.  Those two are the coefficients with no conjugate partner,
+    which a real field keeps real.
+    """
+    ends = (0, len(columns) - 1)[: len(columns)]
+    return [i for i in ends if columns[i] == 0 or 2 * columns[i] == n]
+
+
+def hermitian_violation(modes: np.ndarray, n: int, columns: np.ndarray | None = None) -> float:
     """Worst |Im| of the k = 0 and (even n) Nyquist modes, relative to max |mode|.
 
     Those are the coefficients a real field of n samples keeps real.  modes
-    is one (d, n//2 + 1) spectrum or a stack of them, or one 1-D row of
-    n//2 + 1 coefficients, which is measured as a one-row spectrum: each
-    spectrum of the last two axes is measured against its own maximum, and
-    the worst of them is returned, so a small spectrum is judged at its own
-    scale beside a large one.  The scale is floored at the smallest normal
-    double, since subnormal values carry no relative precision; an all-zero
-    spectrum gives 0.
+    is one (d, m) spectrum or a stack of them, or one 1-D row of m
+    coefficients, which is measured as a one-row spectrum; its last axis
+    holds the rfft columns `columns` of a grid of n points, all n//2 + 1 of
+    them by default, so the occupied columns of mode_propagators are
+    measured where they are.  Each spectrum of the last two axes is measured
+    against its own maximum, and the worst of them is returned, so a small
+    spectrum is judged at its own scale beside a large one; the empty
+    columns, exactly 0, change neither.  The scale is floored at the
+    smallest normal double, since subnormal values carry no relative
+    precision; an all-zero spectrum, or one without either column, gives 0.
     """
     modes = np.asarray(modes, dtype=complex)
-    if modes.ndim == 0 or modes.shape[-1] != n // 2 + 1:
+    columns = wavenumbers(n) if columns is None else np.asarray(columns)
+    if modes.ndim == 0 or modes.shape[-1] != columns.size:
         raise ValueError(f"modes of shape {modes.shape} do not fit grid size {n}")
     if modes.ndim == 1:
         modes = modes[None]
-    self_conjugate = modes[..., [0, n // 2] if n % 2 == 0 else [0]]
+    at = self_conjugate(columns, n)
+    if not at:
+        return 0.0
     scale = np.maximum(np.abs(modes).max(axis=(-2, -1)), np.finfo(float).tiny)
-    return float((np.abs(self_conjugate.imag).max(axis=(-2, -1)) / scale).max())
+    return float((np.abs(modes[..., at].imag).max(axis=(-2, -1)) / scale).max())
 
 
-def require_real(modes: np.ndarray, n: int) -> None:
+def require_real(modes: np.ndarray, n: int, columns: np.ndarray | None = None) -> None:
     """Refuse modes that describe no real field of n samples.
 
     A non-finite coefficient raises FloatingPointError, and a k = 0 or
     Nyquist mode whose hermitian_violation exceeds HERMITIAN_TOL raises
-    HermitianSymmetryError.  modes has any shape hermitian_violation takes.
+    HermitianSymmetryError.  modes and columns are as hermitian_violation
+    takes them.
     """
     modes = np.asarray(modes, dtype=complex)
     if not np.isfinite(modes).all():
         raise FloatingPointError("non-finite spectrum; cannot synthesize a real field")
-    violation = hermitian_violation(modes, n)
+    violation = hermitian_violation(modes, n, columns)
     if violation > HERMITIAN_TOL:
         raise HermitianSymmetryError(
             f"k = 0 or Nyquist mode is not real (violation {violation:.3e}); "
             "cannot synthesize a real field"
         )
+
+
+def scatter_modes(
+    columns: np.ndarray, values: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Dense (..., n//2 + 1) modes of the values (..., m) of the rfft columns `columns`.
+
+    The pair is what mode_propagators returns; every other column is 0.
+    out, if given, is a complex array of the dense shape whose other columns
+    are already 0: only `columns` are written, and out is returned.
+    """
+    if out is None:
+        out = np.zeros(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    out[..., columns] = values
+    return out
 
 
 def inverse_modes(modes: np.ndarray, n: int) -> np.ndarray:
@@ -356,41 +394,50 @@ def mode_propagators(
     times: np.ndarray,
     modes: np.ndarray,
     scale: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectrum field modes (d, n//2 + 1) carried exactly to every time.
 
-    Returns shape (T, d, n//2 + 1).  times passes check_times: a 1-D
-    ascending array of nonnegative elapsed times.  A leading 0 is the start
-    itself, exp(M 0) = I: row 0 is `modes`, bit for bit, with no
-    arithmetic, and exp_action evaluates the later times.  Only the occupied
-    columns, those with a nonzero entry, are propagated, on one path
-    whatever their count: symbol_stack maps the array of their plane
-    wavenumbers -k to the symbol stack M at those k, and every other column
-    of the result is exactly 0, as exp(M t) 0 is.  An all-zero spectrum
-    builds an empty stack, so the symbol still checks its arguments.  Each
-    occupied column gets the bits the whole stack's propagation gives it.
-    scale, if given, is the diagonal of a unitary diagonal S for which
-    A = S^-1 M S is real (dispersion.parity_scale): the modes are then
-    propagated as S exp(A t) S^-1 x with the real stack A of
-    real_coordinates, which refuses a nonzero imaginary part, and S is
-    applied to each block of exp_action as it is scattered, so no
-    whole-array copy is rescaled.  For even n the real Nyquist coefficient
-    of each propagated row is advanced as Re(P x), with P in the original
+    Returns (columns, values): columns holds the ascending indices of the
+    occupied columns of `modes`, those with a nonzero entry, and values the
+    C-contiguous (T, d, m) complex array of their modes at each time, for
+    the m = len(columns) occupied columns.  Every other column is exactly 0
+    at every time, as exp(M t) 0 is, and is not returned; scatter_modes
+    makes the dense (T, d, n//2 + 1) array of the pair.  times passes
+    check_times: a 1-D ascending array of nonnegative elapsed times.  A
+    leading 0 is the start itself, exp(M 0) = I: row 0 is the occupied
+    columns of `modes`, bit for bit, with no arithmetic, and exp_action
+    evaluates the later times, each block written in place into values.
+    The occupied columns are propagated on one path whatever their count:
+    symbol_stack maps the array of their plane wavenumbers -k to the symbol
+    stack M at those k.  An all-zero spectrum gives no columns and a
+    (T, d, 0) values array, and still builds its empty stack, so the symbol
+    checks its arguments.  Each occupied column gets the bits the whole
+    stack's propagation gives it.  scale, if given, is the diagonal of a
+    unitary diagonal S for which A = S^-1 M S is real
+    (dispersion.parity_scale): the modes are then propagated as
+    S exp(A t) S^-1 x with the real stack A of real_coordinates, which
+    refuses a nonzero imaginary part, and S is applied to each block of
+    exp_action as it is written.  For even n an occupied Nyquist column of
+    each propagated row is advanced as Re(P x), with P in the original
     coordinates; the start keeps its own.
     """
     times = check_times(times)
-    occupied = np.flatnonzero(np.any(modes, axis=0))
-    mats = real_coordinates(symbol_stack(-wavenumbers(n)[occupied].astype(float)), scale)
-    vectors = modes[:, occupied]
+    columns = np.flatnonzero(np.any(modes, axis=0))
+    mats = real_coordinates(symbol_stack(-wavenumbers(n)[columns].astype(float)), scale)
+    vectors = modes[:, columns]
+    values = np.empty((times.size, len(modes), columns.size), dtype=complex)
+    start = int(times[0] == 0.0)
+    values[:start] = vectors
+    later = values[start:]
+    if not columns.size:  # exp_action sizes its blocks by the column count
+        return columns, values
     if scale is not None:
         vectors = vectors * scale.conj()[:, None]
-    out = np.zeros((times.size, len(modes), n // 2 + 1), dtype=complex)
-    start = int(times[0] == 0.0)
-    out[:start] = modes
-    later = out[start:]
-    if occupied.size:  # exp_action sizes its blocks by the column count
-        for rows, block in exp_action(mats, vectors, times[start:]):
-            later[rows, :, occupied] = block if scale is None else block * scale[:, None]
-    if n % 2 == 0:
+    for rows, block in exp_action(mats, vectors, times[start:]):
+        if scale is None:
+            later[rows] = block
+        else:
+            np.multiply(block, scale[:, None], out=later[rows])
+    if 2 * columns[-1] == n:
         later[:, :, -1] = later[:, :, -1].real
-    return out
+    return columns, values

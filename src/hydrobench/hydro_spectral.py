@@ -8,13 +8,14 @@ sampling choice.  evolve takes a 1-D array of output times and exponentiates
 the symbol stack once for all of them, for any model whose model.dimension
 is the row count of the state: 3 for (u, p, s), 5 for the moments (n, u, p,
 Pi, q).  States carry no time: evolve returns the modes at every elapsed
-time asked for as one (T, d, N//2 + 1) array, and a leading t = 0 gives
-the state's own modes, bit for bit (_modal.check_times states the
-contract).  Real fields are one (3, N) float array, rows u, p and s, as
-each row of moment_reference.trajectory is; to_modes and from_modes go
-between it and a 3-row SpectralState.  The temperature perturbation is
-derived, never stored: T = (2/5)(p + s), which is T = p - n with the
-density n = (3p - 2s)/5 that moment_reference.from_hydro forms.
+time asked for as one pair, the occupied columns and their (T, d, m)
+modes, and a leading t = 0 gives the state's own modes, bit for bit
+(_modal.check_times states the contract).  Real fields are one (3, N)
+float array, rows u, p and s, as each row of moment_reference.trajectory
+is; to_modes and from_modes go between it and a 3-row SpectralState.  The
+temperature perturbation is derived, never stored: T = (2/5)(p + s), which
+is T = p - n with the density n = (3p - 2s)/5 that
+moment_reference.from_hydro forms.
 """
 
 from __future__ import annotations
@@ -123,21 +124,22 @@ def evolve(
     eps: float,
     eigenvalues: EigenvalueSet,
     times: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance every occupied mode by the exact exponential of its model symbol.
 
     times is a 1-D ascending array of nonnegative elapsed times
-    (_modal.check_times), and the result is the modes at all of them in one
-    (T, d, grid_size//2 + 1) array, as _modal.mode_propagators returns it; a
-    leading 0 is the start, spec.modes bit for bit.  Wrap a row in
+    (_modal.check_times), and the result is the pair (columns, values) that
+    _modal.mode_propagators returns: the indices of the columns with a
+    nonzero entry, and their modes at every time as one (T, d, m) array.
+    The other columns stay exactly zero and are not returned, so a state
+    with a few occupied wavenumbers, as an initial condition's spectrum is,
+    costs those few; _modal.scatter_modes makes the dense modes, and a
+    leading 0 is the start, spec.modes bit for bit.  Wrap a dense row in
     SpectralState to evolve it further.  The state must have
-    d = model.dimension rows.  Only the columns with a nonzero entry are
-    propagated, and the others stay exactly zero, so a state with a few
-    occupied wavenumbers, as an initial condition's spectrum is, costs those
-    few.  The modes are propagated in
-    the real coordinates of the model's parity scale
-    (dispersion.parity_scale; none for the diagonal Riemann-decoupled
-    symbol), as _modal.mode_propagators describes: in closed form for the
+    d = model.dimension rows.  The modes are propagated in the real
+    coordinates of the model's parity scale (dispersion.parity_scale; none
+    for the diagonal Riemann-decoupled symbol), as
+    _modal.mode_propagators describes: in closed form for the
     acoustic pair of Euler, Navier-Stokes and Burnett, by one real
     eigendecomposition for the moment system, and with no eig for the
     diagonal Riemann-decoupled symbol.  Spatial means (the k = 0 modes) are

@@ -17,9 +17,9 @@ Its three slow eigenvalue branches converge to the Burnett-level dispersion
 relation at rate O(k (eps k)^3), which is the module's central validation.
 The generator is built, like every model's, by dispersion.symbol_matrix,
 and a moment state is a 5-row hydro_spectral.SpectralState that
-hydro_spectral.evolve advances like any other, into one (T, 5, N//2 + 1)
-array of modes.  The density n = (3p - 2s)/5 is formed only here, by
-from_hydro, and mapped back only by _hydro_modes.
+hydro_spectral.evolve advances like any other, into the pair of its
+occupied columns and their (T, 5, m) modes.  The density n = (3p - 2s)/5
+is formed only here, by from_hydro, and mapped back only by _hydro_modes.
 
 trajectory and reference_gaps are the package's two runs of one initial
 condition, and both are a propagation followed by a reduction.  Both start
@@ -29,18 +29,19 @@ propagation: hydro_spectral.evolve, or evolve_moments of from_hydro mapped
 back to (u, p, s).  The moment start is formed from the (u, p, s) modes
 themselves, so an initial condition's exact spectrum
 (initial_conditions.spectrum) reaches every model with the same occupied
-columns, and only those are propagated.  Times follow
-_modal.check_times, and a leading t = 0 is the start itself, the modes
-bit for bit for every model alike.  trajectory synthesizes every row into
-real fields, in the package's one layout, a (3, N) array of u, p and s per
-time, as hydro_spectral.from_modes returns them and HydroProjection holds
-them; its t = 0 row is from_modes of the start.  reference_gaps, the one
-comparison with the moment truth that compare and the Burnett-deviation
-criterion share, never synthesizes the truth: it subtracts the truth's
-(u, p, s) modes from each model's and sums the squares of the difference
-by Parseval, with no FFT, so its t = 0 row is exact zeros.  One synthesis
-of every model's final-time difference is its second route.  Callers that
-hold (3, N) fields pass hydro_spectral.to_modes of them.
+columns, and only those are propagated, mapped back, compared and summed.
+Times follow _modal.check_times, and a leading t = 0 is the start itself,
+the modes bit for bit for every model alike.  trajectory synthesizes every
+row into real fields, in the package's one layout, a (3, N) array of u, p
+and s per time, as hydro_spectral.from_modes returns them and
+HydroProjection holds them; its t = 0 row is from_modes of the start.
+reference_gaps, the one comparison with the moment truth that compare and
+the Burnett-deviation criterion share, never synthesizes the truth: it
+subtracts the truth's (u, p, s) modes from each model's and sums the
+squares of the difference by Parseval, with no FFT, so its t = 0 row is
+exact zeros.  One synthesis of every model's final-time difference is its
+second route.  Callers that hold (3, N) fields pass
+hydro_spectral.to_modes of them.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ __all__ = [
     "trajectory",
 ]
 
-#: Difference modes per block that reference_gaps reduces at once: 20 output
-#: times of a 512-point grid make one block.
+#: Difference modes per block that reference_gaps reduces at once, over the
+#: occupied columns: up to 7,281 times of an initial condition's three
+#: columns make one block.
 GAP_BLOCK = 1 << 16
 
 #: Largest accepted gap between a model's final-time Parseval gap and the grid
@@ -115,8 +117,8 @@ def from_hydro(state: SpectralState) -> SpectralState:
 
 def evolve_moments(
     state: SpectralState, eps: float, eigenvalues: EigenvalueSet, times: np.ndarray
-) -> np.ndarray:
-    """hydro_spectral.evolve under the moment model: a (T, 5, N//2 + 1) array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """hydro_spectral.evolve under the moment model: (columns, (T, 5, m) values).
 
     Times are taken as evolve takes them, so a leading 0 gives the moment
     start itself as row 0.
@@ -158,23 +160,33 @@ def hydro_projection(state: SpectralState) -> HydroProjection:
 
 def _propagated(
     initial: SpectralState, model: ModelId, eps: float, eigenvalues: EigenvalueSet, times
-) -> np.ndarray:
-    """The (u, p, s) modes `initial` under `model` at every time: (T, 3, N//2 + 1).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, p, s) modes `initial` under `model` at every time, as (columns, values).
 
-    The one place a model's propagation is chosen: evolve for a hydro model,
-    and evolve_moments of from_hydro(initial) for the moment model, whose
-    array is mapped back in place by _hydro_modes.  `initial` must hold 3
-    rows, which evolve and from_hydro check.  times are taken as
-    _modal.mode_propagators takes them, so a leading 0 row is the start; the
-    moment model's is reset to initial.modes, since s does not survive
-    n = (3p - 2s)/5 and back bit for bit.
+    columns holds the columns `initial` occupies, for every model alike, and
+    values their (T, 3, m) modes; every other column is exactly 0.  The one
+    place a model's propagation is chosen: evolve for a hydro model, and
+    evolve_moments of from_hydro(initial) for the moment model, whose values
+    are mapped back in place by _hydro_modes, on the m columns only.
+    `initial` must hold 3 rows, which evolve and from_hydro check.  times
+    are taken as _modal.mode_propagators takes them, so a leading 0 row is
+    the start; the moment model's is reset to initial.modes[:, columns],
+    since s does not survive n = (3p - 2s)/5 and back bit for bit.  A
+    column holding only a subnormal s can lose its n to underflow, so the
+    moment start occupies fewer columns; its values are then widened to
+    `initial`'s columns, the lost one exactly 0 as the dense array had it.
     """
     if model is not ModelId.MOMENT_REFERENCE:
         return evolve(initial, model, eps, eigenvalues, times)
-    modes = _hydro_modes(evolve_moments(from_hydro(initial), eps, eigenvalues, times))
+    columns, moments = evolve_moments(from_hydro(initial), eps, eigenvalues, times)
+    modes = _hydro_modes(moments)
+    occupied = np.flatnonzero(np.any(initial.modes, axis=0))
+    if occupied.size != columns.size:
+        dense = _modal.scatter_modes(columns, modes, initial.grid_size)
+        columns, modes = occupied, np.ascontiguousarray(dense[..., occupied])
     if np.asarray(times)[0] == 0.0:
-        modes[0] = initial.modes
-    return modes
+        modes[0] = initial.modes[:, columns]
+    return columns, modes
 
 
 def trajectory(
@@ -190,18 +202,22 @@ def trajectory(
     _modal.check_times takes it; the result has shape (len(times), 3, N).
     Each row is from_modes of _propagated's modes at that time, so a leading
     0 gives from_modes(initial), bit for bit and for every model alike.
-    Only the columns `initial` occupies are propagated, and every column is
-    synthesized, as consecutive slices of the one propagated array in blocks
-    of about _modal.EVAL_BLOCK modes; each snapshot of a block passes the
-    Hermitian health check at its own scale.  The propagated modes are
-    released on return.
+    Only the columns `initial` occupies are propagated.  The snapshots are
+    synthesized in blocks of about _modal.EVAL_BLOCK dense modes: each
+    block's values are scattered into one zeroed (block, 3, N//2 + 1)
+    buffer, reused for every block, since the same columns are written each
+    time, and each snapshot of a block passes the Hermitian health check at
+    its own scale.  The propagated values are released on return.
     """
     n = initial.grid_size
-    modes = _propagated(initial, model, eps, eigenvalues, times)
+    columns, modes = _propagated(initial, model, eps, eigenvalues, times)
     fields = np.empty((len(modes), 3, n))  # after propagation, so its peak holds no fields
     step = max(1, _modal.EVAL_BLOCK // (3 * (n // 2 + 1)))
+    spectra = np.zeros((min(step, len(modes)), 3, n // 2 + 1), dtype=complex)
     for lo in range(0, len(modes), step):
-        fields[lo : lo + step] = _modal.inverse_modes(modes[lo : lo + step], n)
+        block = modes[lo : lo + step]
+        dense = _modal.scatter_modes(columns, block, n, out=spectra[: len(block)])
+        fields[lo : lo + step] = _modal.inverse_modes(dense, n)
     return fields
 
 
@@ -215,70 +231,84 @@ def reference_gaps(
     """Grid L2 gap over (u, p, s) of each model from the moment truth: shape (T, M).
 
     Every model starts from the (u, p, s) modes `initial`, which must pass
-    _modal.require_real, and times are taken as trajectory takes them.  The
-    truth's (u, p, s) modes (_propagated) are copied once and never
-    synthesized.  For each model in turn, they are subtracted in place from
-    its _propagated array, and that difference is reduced by Parseval
-    (_parseval_norms) in blocks of about GAP_BLOCK modes, with no FFT; so
-    one model's modes are alive at a time, beside the truth's.  A leading 0
-    row is the start minus the start, exactly +0.0.  The second route is one
-    synthesis of every model's final-time difference (_check_final_gaps),
-    which must agree with the last row within SYNTHESIS_GAP_C, or
-    InternalConsistencyError is raised.  This matches trajectory(model) -
-    trajectory(truth) synthesized and subtracted, to roundoff.
+    _modal.require_real, and times are taken as trajectory takes them.  All
+    the work is done on the m columns `initial` occupies, where _propagated
+    returns every model's modes; the other columns are 0 for every model,
+    and so is their difference.  The truth's (u, p, s) values are copied
+    once and never synthesized.  For each model in turn, they are
+    subtracted in place from its values, and that difference is reduced by
+    Parseval (_parseval_norms) in blocks of about GAP_BLOCK modes, with no
+    FFT; so one model's values are alive at a time, beside the truth's.  A
+    leading 0 row is the start minus the start, exactly +0.0.  The second
+    route is one synthesis of every model's final-time difference,
+    scattered to dense modes (_check_final_gaps), which must agree with the
+    last row within SYNTHESIS_GAP_C, or InternalConsistencyError is raised.
+    This matches trajectory(model) - trajectory(truth) synthesized and
+    subtracted, to roundoff.
     """
     n = initial.grid_size
     _modal.require_real(initial.modes, n)  # no difference shows a bad start
-    truth = _propagated(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times).copy()
+    columns, truth = _propagated(initial, ModelId.MOMENT_REFERENCE, eps, eigenvalues, times)
+    truth = truth.copy()
     gaps = np.empty((len(truth), len(models)))
     finals = np.empty((len(models),) + truth.shape[1:], dtype=complex)
-    step = max(1, GAP_BLOCK // (3 * (n // 2 + 1)))
+    step = max(1, GAP_BLOCK // max(1, truth[0].size))
     for j, model in enumerate(models):
-        difference = _propagated(initial, model, eps, eigenvalues, times)
+        _, difference = _propagated(initial, model, eps, eigenvalues, times)
         difference -= truth
         finals[j] = difference[-1]
         for lo in range(0, len(difference), step):
-            gaps[lo : lo + step, j] = _parseval_norms(difference[lo : lo + step], n)
+            gaps[lo : lo + step, j] = _parseval_norms(difference[lo : lo + step], n, columns)
         del difference  # before the next model's modes are propagated
     if len(models):
-        _check_final_gaps(models, np.asarray(times)[-1], gaps[-1], finals, n)
+        _check_final_gaps(models, np.asarray(times)[-1], gaps[-1], columns, finals, n)
     return gaps
 
 
-def _parseval_norms(block: np.ndarray, n: int) -> np.ndarray:
-    """Grid L2 norm over the rows of each spectrum of a (B, 3, n//2 + 1) block.
+def _parseval_norms(block: np.ndarray, n: int, columns: np.ndarray) -> np.ndarray:
+    """Grid L2 norm over the rows of each spectrum of a (B, 3, m) block.
 
-    The block must pass _modal.require_real, which checks each spectrum at
-    its own scale; it is then squared in place, so no temporary of its size
-    is made.  For the fields f(x) that irfft synthesizes on n points,
-    sum_x f(x)^2 dx = 2 pi sum_k w_k |c_k|^2 with dx = 2 pi / n, where w_k
-    is 2 for a column standing for the pair +-k and 1 for k = 0 and the even
-    grid's Nyquist column.  irfft reads only the real part of those two, so
-    their imaginary parts are dropped, and their squares are halved so that
-    every column counts at w_k / 2 beside a factor of 4 pi.  The sum over a
-    spectrum is numpy's pairwise one, so its error does not grow with n.
+    The last axis of the C-contiguous block holds the rfft columns
+    `columns` of a grid of n points; the other columns are 0 and add
+    nothing.  The block must pass _modal.require_real, which checks each
+    spectrum at its own scale; it is then squared in place, so no temporary
+    of its size is made.  For the fields f(x) that
+    irfft synthesizes on n points, sum_x f(x)^2 dx = 2 pi sum_k w_k |c_k|^2
+    with dx = 2 pi / n, where w_k is 2 for a column standing for the pair
+    +-k and 1 for k = 0 and the even grid's Nyquist column
+    (_modal.self_conjugate).  irfft reads only the real part of those two,
+    so their imaginary parts are dropped, and their squares are halved so
+    that every column counts at w_k / 2 beside a factor of 4 pi.  The sum
+    over a spectrum is numpy's pairwise one, so its error does not grow
+    with m.
     """
-    _modal.require_real(block, n)
-    self_conjugate = [0, -1] if n % 2 == 0 else [0]
-    block.imag[..., self_conjugate] = 0.0
+    _modal.require_real(block, n, columns)
+    at = _modal.self_conjugate(columns, n)
+    block.imag[..., at] = 0.0
     squares = block.view(float)  # re, im, re, im, ... of each row
     np.square(squares, out=squares)
-    squares[..., [2 * k for k in self_conjugate]] *= 0.5
+    squares[..., [2 * i for i in at]] *= 0.5
     return np.sqrt(4.0 * np.pi * np.sum(squares.reshape(len(block), -1), axis=1))
 
 
 def _check_final_gaps(
-    models: Sequence[ModelId], time: float, gaps: np.ndarray, finals: np.ndarray, n: int
+    models: Sequence[ModelId],
+    time: float,
+    gaps: np.ndarray,
+    columns: np.ndarray,
+    finals: np.ndarray,
+    n: int,
 ) -> None:
     """Check the final-time gaps against the grid L2 of one synthesis of `finals`.
 
-    finals is the (M, 3, n//2 + 1) stack of every model's difference modes at
-    the final time, and gaps is their Parseval row.  Each model's two values
-    must agree within SYNTHESIS_GAP_C units of u * sum |difference modes|
-    (u = 2^-53); otherwise InternalConsistencyError names the first model
-    that disagrees.
+    finals is the (M, 3, m) stack of every model's difference modes at the
+    final time, on the rfft columns `columns`, and gaps is their Parseval
+    row.  finals is scattered to dense (M, 3, n//2 + 1) modes and
+    synthesized once.  Each model's two values must agree within
+    SYNTHESIS_GAP_C units of u * sum |difference modes| (u = 2^-53);
+    otherwise InternalConsistencyError names the first model that disagrees.
     """
-    fields = _modal.inverse_modes(finals, n)
+    fields = _modal.inverse_modes(_modal.scatter_modes(columns, finals, n), n)
     direct = np.sqrt(2.0 * np.pi / n * np.sum(np.sum(fields**2, axis=1), axis=-1))
     bounds = SYNTHESIS_GAP_C * 2.0**-53 * np.abs(finals).sum(axis=(1, 2))
     for model, parseval, synthesized, bound in zip(models, gaps, direct, bounds):

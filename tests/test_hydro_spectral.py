@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hydrobench._modal import scatter_modes
 from hydrobench.coefficients import SOUND_SPEED, eigenvalue_set
 from hydrobench.dispersion import ModelId
 from hydrobench.hydro_spectral import (
@@ -105,7 +106,8 @@ class TestEvolve:
     def test_euler_full_period_returns(self):
         n = 16
         state = make_state(n, u=np.sin(grid(n)))
-        (modes,) = evolve(to_modes(state), ModelId.EULER, 0.0, EV, [ACOUSTIC_PERIOD])
+        moved = evolve(to_modes(state), ModelId.EULER, 0.0, EV, [ACOUSTIC_PERIOD])
+        (modes,) = scatter_modes(*moved, n)
         back = from_modes(SpectralState(modes, n))
         assert np.max(np.abs(back[0] - state[0])) <= 1e-10
         assert np.max(np.abs(back[1])) <= 1e-10
@@ -120,23 +122,23 @@ class TestEvolve:
             n, u=1.0 + np.sin(grid(n)), p=np.full(n, -0.3), s=np.full(n, 0.7)
         )
         spec = to_modes(state)
-        (out,) = evolve(spec, model, 0.1, EV, [2.0])
+        (out,) = scatter_modes(*evolve(spec, model, 0.1, EV, [2.0]), n)
         assert np.array_equal(out[:, 0], spec.modes[:, 0])
 
     def test_burnett_at_zero_eps_equals_euler(self):
         n = 16
         spec = to_modes(make_state(n, u=np.sin(grid(n)), p=np.cos(grid(n))))
-        (a,) = evolve(spec, ModelId.BURNETT, 0.0, EV, [1.3])
-        (b,) = evolve(spec, ModelId.EULER, 0.0, EV, [1.3])
+        (a,) = scatter_modes(*evolve(spec, ModelId.BURNETT, 0.0, EV, [1.3]), n)
+        (b,) = scatter_modes(*evolve(spec, ModelId.EULER, 0.0, EV, [1.3]), n)
         assert np.max(np.abs(a - b)) == 0.0
 
     def test_semigroup(self):
         n = 16
         spec = to_modes(make_state(n, u=np.sin(grid(n)), s=np.cos(2 * grid(n))))
         for model in (ModelId.EULER, ModelId.NAVIER_STOKES, ModelId.BURNETT):
-            (one,) = evolve(spec, model, 0.1, EV, [1.7])
-            (half,) = evolve(spec, model, 0.1, EV, [0.9])
-            (two,) = evolve(SpectralState(half, n), model, 0.1, EV, [0.8])
+            (one,) = scatter_modes(*evolve(spec, model, 0.1, EV, [1.7]), n)
+            (half,) = scatter_modes(*evolve(spec, model, 0.1, EV, [0.9]), n)
+            (two,) = scatter_modes(*evolve(SpectralState(half, n), model, 0.1, EV, [0.8]), n)
             assert np.max(np.abs(one - two)) <= 1e-11
 
     def test_euler_conserves_energy_and_entropy_norm(self):
@@ -147,7 +149,8 @@ class TestEvolve:
         e0 = total_energy(state)
         s_norm0 = float(np.sum(state[2] ** 2))
         for _ in range(100):
-            spec = SpectralState(evolve(spec, ModelId.EULER, 0.0, EV, [0.05])[0], n)
+            (modes,) = scatter_modes(*evolve(spec, ModelId.EULER, 0.0, EV, [0.05]), n)
+            spec = SpectralState(modes, n)
             now = from_modes(spec)
             assert abs(total_energy(now) - e0) <= 1e-10 * e0
             assert abs(float(np.sum(now[2] ** 2)) - s_norm0) <= 1e-10 * s_norm0
@@ -155,7 +158,7 @@ class TestEvolve:
     def test_euler_adiabatic_s_constant(self):
         n = 16
         state = make_state(n, u=np.sin(grid(n)), s=np.cos(grid(n)))
-        (modes,) = evolve(to_modes(state), ModelId.EULER, 0.0, EV, [2.7])
+        (modes,) = scatter_modes(*evolve(to_modes(state), ModelId.EULER, 0.0, EV, [2.7]), n)
         out = from_modes(SpectralState(modes, n))
         assert np.max(np.abs(out[2] - state[2])) <= 1e-12
 
@@ -166,7 +169,7 @@ class TestEvolve:
         spec = to_modes(make_state(n, u=np.sin(x) + 0.2 * np.sin(5 * x), p=np.cos(2 * x)))
         previous = total_energy(from_modes(spec))
         for _ in range(60):
-            spec = SpectralState(evolve(spec, model, 0.15, EV, [0.2])[0], n)
+            spec = SpectralState(scatter_modes(*evolve(spec, model, 0.15, EV, [0.2]), n)[0], n)
             now = total_energy(from_modes(spec))
             assert now <= previous * (1.0 + 1e-12)
             previous = now
@@ -177,13 +180,14 @@ class TestEvolve:
         state = make_state(n, u=np.sin(x), p=0.4 * np.sin(2 * x + 0.5))
         eps, t = 0.1, 4.0
 
-        (modes,) = evolve(to_modes(state), ModelId.BURNETT, eps, EV, [t])
+        (modes,) = scatter_modes(*evolve(to_modes(state), ModelId.BURNETT, eps, EV, [t]), n)
         evolved = from_modes(SpectralState(modes, n))
         rp_direct, rm_direct = riemann_split(evolved[0], evolved[1])
 
         rp0, rm0 = riemann_split(state[0], state[1])
         riemann_state = make_state(n, u=rp0, p=rm0)
-        (modes,) = evolve(to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, [t])
+        moved = evolve(to_modes(riemann_state), ModelId.RIEMANN_DECOUPLED, eps, EV, [t])
+        (modes,) = scatter_modes(*moved, n)
         riemann_out = from_modes(SpectralState(modes, n))
         assert np.max(np.abs(riemann_out[0] - rp_direct)) <= 1e-10
         assert np.max(np.abs(riemann_out[1] - rm_direct)) <= 1e-10
@@ -205,7 +209,7 @@ class TestEvolve:
     def test_zero_dt_is_the_start_and_negative_dt_rejected(self):
         # exp(M 0) = I: a lone 0 returns the state's own modes, bit for bit.
         spec = to_modes(make_state(16, u=np.sin(grid(16)), s=np.cos(3 * grid(16))))
-        (start,) = evolve(spec, ModelId.EULER, 0.0, EV, [0.0])
+        (start,) = scatter_modes(*evolve(spec, ModelId.EULER, 0.0, EV, [0.0]), 16)
         assert start.tobytes() == spec.modes.tobytes()
         with pytest.raises(ValueError):
             evolve(spec, ModelId.EULER, 0.0, EV, [-0.5])
@@ -226,7 +230,8 @@ class TestEvolve:
         # The k = 0 and Nyquist modes stay real under propagation for
         # arbitrary real data; from_modes would reject otherwise.
         state = make_state(16, u=values[0], p=values[1], s=values[2])
-        out = from_modes(SpectralState(evolve(to_modes(state), model, 0.1, EV, [dt])[0], 16))
+        (modes,) = scatter_modes(*evolve(to_modes(state), model, 0.1, EV, [dt]), 16)
+        out = from_modes(SpectralState(modes, 16))
         assert out.shape == (3, 16)
 
 
@@ -234,7 +239,7 @@ class TestModalMachinery:
     def test_defective_symbol_falls_back_to_expm(self):
         import scipy.linalg
 
-        from hydrobench._modal import mode_propagators
+        from hydrobench._modal import mode_propagators, scatter_modes
 
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # defective
 
@@ -243,7 +248,10 @@ class TestModalMachinery:
 
         # Column j of every per-mode propagator is the image of basis vector j.
         props = np.stack(
-            [mode_propagators(stack, 5, [0.5], np.outer(e, np.ones(3)))[0] for e in np.eye(2)],
+            [
+                scatter_modes(*mode_propagators(stack, 5, [0.5], np.outer(e, np.ones(3))), 5)[0]
+                for e in np.eye(2)
+            ],
             axis=-1,
         )
         expected = scipy.linalg.expm(jordan * 0.5)
@@ -258,7 +266,7 @@ class TestModalMachinery:
         x = grid(n)
         state = make_state(n, u=np.cos((n // 2) * x))
         t = 0.37
-        (modes,) = evolve(to_modes(state), ModelId.EULER, 0.0, EV, [t])
+        (modes,) = scatter_modes(*evolve(to_modes(state), ModelId.EULER, 0.0, EV, [t]), n)
         out = from_modes(SpectralState(modes, n))
         expected = np.cos(SOUND_SPEED * (n // 2) * t) * np.cos((n // 2) * x)
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
@@ -337,6 +345,8 @@ class TestHermitianCheck:
             inverse_modes(row, n)
         with pytest.raises(ValueError, match="grid size"):
             hermitian_violation(np.zeros(()), n)
+        with pytest.raises(ValueError, match="grid size"):  # two values, three columns
+            hermitian_violation(np.zeros((3, 2)), n, [0, 1, 2])
 
     def test_column_count_must_fit_grid_size(self):
         # Nine columns describe a grid of 16 or 17 points, never 15.
@@ -376,9 +386,10 @@ class TestHermitianCheck:
             ModelId.BURNETT,
             ModelId.RIEMANN_DECOUPLED,
         ):
-            for later in evolve(spec, model, 0.1, EV, times):
+            for later in scatter_modes(*evolve(spec, model, 0.1, EV, times), n):
                 from_modes(SpectralState(later, n))
-        for later in evolve(from_hydro(spec), ModelId.MOMENT_REFERENCE, 0.1, EV, times):
+        moved = evolve(from_hydro(spec), ModelId.MOMENT_REFERENCE, 0.1, EV, times)
+        for later in scatter_modes(*moved, n):
             hydro_projection(SpectralState(later, n))
 
 

@@ -16,6 +16,7 @@ from hydrobench._modal import (
     forward_modes,
     hermitian_violation,
     inverse_modes,
+    scatter_modes,
     wavenumbers,
 )
 from hydrobench.coefficients import eigenvalue_set
@@ -29,6 +30,7 @@ from hydrobench.hydro_spectral import (
     from_modes,
     to_modes,
 )
+from hydrobench.initial_conditions import parse_initial_condition, spectrum
 from hydrobench.moment_reference import (
     SYNTHESIS_GAP_C,
     _hydro_modes,
@@ -116,7 +118,7 @@ class TestEvolveMoments:
         modes[3, 0] = 0.7  # uniform stress moment
         moments = SpectralState(modes, n)
         t = 0.42
-        (out,) = evolve(moments, MOMENT, eps, EV, [t])
+        (out,) = scatter_modes(*evolve(moments, MOMENT, eps, EV, [t]), n)
         assert out[3, 0] == pytest.approx(0.7 * np.exp(-t / eps), rel=1e-12)
 
     def test_conserved_means(self):
@@ -124,16 +126,16 @@ class TestEvolveMoments:
         x = grid(n)
         state = np.stack([0.3 + np.sin(x), np.full(n, 0.2), np.full(n, -0.1)])
         moments = from_hydro(to_modes(state))
-        (out,) = evolve(moments, MOMENT, 0.1, EV, [3.0])
+        (out,) = scatter_modes(*evolve(moments, MOMENT, 0.1, EV, [3.0]), n)
         assert np.array_equal(out[:3, 0], moments.modes[:3, 0])
 
     def test_semigroup(self):
         n = 16
         state = np.stack([np.sin(grid(n)), np.zeros(n), np.zeros(n)])
         moments = from_hydro(to_modes(state))
-        (one,) = evolve(moments, MOMENT, 0.1, EV, [1.1])
-        (half,) = evolve(moments, MOMENT, 0.1, EV, [0.6])
-        (two,) = evolve(SpectralState(half, n), MOMENT, 0.1, EV, [0.5])
+        (one,) = scatter_modes(*evolve(moments, MOMENT, 0.1, EV, [1.1]), n)
+        (half,) = scatter_modes(*evolve(moments, MOMENT, 0.1, EV, [0.6]), n)
+        (two,) = scatter_modes(*evolve(SpectralState(half, n), MOMENT, 0.1, EV, [0.5]), n)
         assert np.max(np.abs(one - two)) <= 1e-11
 
     def test_hermitian_preserved(self):
@@ -142,7 +144,7 @@ class TestEvolveMoments:
         n = 16
         x = grid(n)
         state = np.stack([np.sin(x) + 0.2 * np.sin(5 * x), np.cos(2 * x), 0 * x])
-        (out,) = evolve(from_hydro(to_modes(state)), MOMENT, 0.05, EV, [2.3])
+        (out,) = scatter_modes(*evolve(from_hydro(to_modes(state)), MOMENT, 0.05, EV, [2.3]), n)
         assert hermitian_violation(out, n) <= 1e-12
 
     def test_relaxation_toward_ns_closure(self):
@@ -153,7 +155,7 @@ class TestEvolveMoments:
         state = np.stack([np.sin(x), np.zeros(n), np.zeros(n)])
         residuals = []
         for eps in (0.1, 0.05):
-            (out,) = evolve(from_hydro(to_modes(state)), MOMENT, eps, EV, [3.0])
+            (out,) = scatter_modes(*evolve(from_hydro(to_modes(state)), MOMENT, eps, EV, [3.0]), n)
             projection = hydro_projection(SpectralState(out, n))
             du_dx = np.fft.ifft(
                 1j * np.fft.fftfreq(n, d=1.0 / n) * np.fft.fft(projection.fields[0])
@@ -176,7 +178,7 @@ class TestEvolveMoments:
         # A leading 0 is the moment start itself; a negative, repeated or
         # descending time is refused.
         moments = from_hydro(to_modes(np.random.default_rng(8).normal(size=(3, 8))))
-        (start,) = evolve(moments, MOMENT, 0.1, EV, [0.0])
+        (start,) = scatter_modes(*evolve(moments, MOMENT, 0.1, EV, [0.0]), moments.grid_size)
         assert start.tobytes() == moments.modes.tobytes()
         for times in ([-0.5], [0.0, 0.0], [1.0, 0.5]):
             with pytest.raises(ValueError):
@@ -197,9 +199,10 @@ class TestEvolveMomentsProperties:
     @given(drawn=moment_states(), t1=st.floats(0.01, 5.0), t2=st.floats(0.01, 5.0))
     def test_semigroup(self, drawn, t1, t2):
         moments, eps = drawn
-        (direct,) = evolve(moments, MOMENT, eps, EV, [t1 + t2])
-        (first,) = evolve(moments, MOMENT, eps, EV, [t1])
-        (composed,) = evolve(SpectralState(first, moments.grid_size), MOMENT, eps, EV, [t2])
+        n = moments.grid_size
+        (direct,) = scatter_modes(*evolve(moments, MOMENT, eps, EV, [t1 + t2]), n)
+        (first,) = scatter_modes(*evolve(moments, MOMENT, eps, EV, [t1]), n)
+        (composed,) = scatter_modes(*evolve(SpectralState(first, n), MOMENT, eps, EV, [t2]), n)
         # The Nyquist mode of an even grid takes the real part of its
         # propagator at every time, which does not compose; skip it.
         others = 2 * wavenumbers(moments.grid_size) != moments.grid_size
@@ -210,14 +213,14 @@ class TestEvolveMomentsProperties:
     @given(drawn=moment_states(), t=st.floats(0.01, 10.0))
     def test_hermitian_preserved(self, drawn, t):
         moments, eps = drawn
-        (out,) = evolve(moments, MOMENT, eps, EV, [t])
+        (out,) = scatter_modes(*evolve(moments, MOMENT, eps, EV, [t]), moments.grid_size)
         assert hermitian_violation(out, moments.grid_size) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(drawn=moment_states(), t=st.floats(0.01, 10.0))
     def test_conserved_rows_exact_at_zero_k(self, drawn, t):
         moments, eps = drawn
-        (out,) = evolve(moments, MOMENT, eps, EV, [t])
+        (out,) = scatter_modes(*evolve(moments, MOMENT, eps, EV, [t]), moments.grid_size)
         assert np.array_equal(out[:3, 0], moments.modes[:3, 0])
 
 
@@ -333,8 +336,9 @@ class TestBurnettDeviation:
             for n in (32, 31):
                 fields = np.random.default_rng(n).normal(size=(3, n))
                 start = to_modes(fields)
-                direct = from_modes(SpectralState(evolve(start, model, eps, EV, [t])[0], n))
-                (moments,) = evolve(from_hydro(start), MOMENT, eps, EV, [t])
+                (modes,) = scatter_modes(*evolve(start, model, eps, EV, [t]), n)
+                direct = from_modes(SpectralState(modes, n))
+                (moments,) = scatter_modes(*evolve(from_hydro(start), MOMENT, eps, EV, [t]), n)
                 projection = hydro_projection(SpectralState(moments, n)).fields
                 dx = 2.0 * np.pi / n
                 gap = np.sqrt(
@@ -446,7 +450,9 @@ class TestReferenceGaps:
         block = np.stack([modes, 2.0 * modes])
         fields = inverse_modes(block, n)
         want = np.sqrt(2.0 * np.pi / n * np.sum(fields**2, axis=(1, 2)))
-        assert np.allclose(_parseval_norms(block, n), want, rtol=1e-15, atol=0)
+        columns = wavenumbers(n)[[column]]
+        occupied = np.ascontiguousarray(block[..., columns])
+        assert np.allclose(_parseval_norms(occupied, n, columns), want, rtol=1e-15, atol=0)
         start, times = SpectralState(modes, n), 0.5 * np.arange(9)
         gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
         want = _synthesized_gaps(start, HYDRO_MODELS, 0.1, times)
@@ -462,9 +468,10 @@ class TestReferenceGaps:
             start = to_modes(rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3))
             t = rng.uniform(1.0, 20.0)
             gaps = reference_gaps(start, HYDRO_MODELS, eps, EV, [0.0, t])[-1]
-            truth = _hydro_modes(evolve_moments(from_hydro(start), eps, EV, [t])[0])
+            (moments,) = scatter_modes(*evolve_moments(from_hydro(start), eps, EV, [t]), n)
+            truth = _hydro_modes(moments)
             for model, gap in zip(HYDRO_MODELS, gaps):
-                difference = evolve(start, model, eps, EV, [t])[0] - truth
+                difference = scatter_modes(*evolve(start, model, eps, EV, [t]), n)[0] - truth
                 direct = np.sqrt(2.0 * np.pi / n * np.sum(inverse_modes(difference, n) ** 2))
                 bound = SYNTHESIS_GAP_C * 2.0**-53 * np.abs(difference).sum()
                 assert abs(gap - direct) <= bound, (model, eps)
@@ -488,6 +495,44 @@ class TestReferenceGaps:
         pattern += rf"{number} at t = 10, more than {bound} = {number} apart"
         assert re.fullmatch(pattern, str(refused.value))
 
+    def test_a_column_the_moment_start_loses_is_compared_as_zero(self):
+        # s = 5e-324 (-i) alone in column 3 gives n = (3p - 2s)/5 = 0 there,
+        # so the moment start occupies column 1 only; the truth is widened to
+        # the columns the start occupies, with column 3 exactly 0, as the
+        # dense truth had it, and is not broadcast over them.
+        start = spectrum(parse_initial_condition("u:1:1,s:3:1e-323"), 16)
+        assert np.array_equal(np.flatnonzero(start.modes.any(axis=0)), [1, 3])
+        assert np.array_equal(np.flatnonzero(from_hydro(start).modes.any(axis=0)), [1])
+        times = 0.5 * np.arange(9)
+        gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
+        want = _synthesized_gaps(start, HYDRO_MODELS, 0.1, times)
+        assert np.max(np.abs(gaps - want)) <= GAP_ROUTE_C * 2.0**-53 * np.abs(start.modes).sum()
+        truth = trajectory(start, MOMENT, 0.1, EV, times)
+        assert np.array_equal(truth[0], from_modes(start))
+
+    @pytest.mark.parametrize("n", [16384, 65536])
+    def test_peak_memory(self, n):
+        # Every model's modes, the truth's and their differences are held,
+        # checked and summed on the three columns the IC occupies, and only
+        # the final-time differences are scattered to dense modes, for the
+        # one synthesis.  With 21 times and the four hydro models the peak
+        # is 0.572 times the bytes of one (21, 3, N) field array at N =
+        # 16,384 and at 65,536, the synthesis of the four final spectra;
+        # propagating, checking and summing every column read 2.667 at both
+        # (Python 3.11, numpy 2.4, x86-64).  The first call imports
+        # numpy.fft's internals; the second is measured.
+        start = spectrum(parse_initial_condition("u:1:1,p:3:0.5:0.2,s:2:0.3"), n)
+        times = 0.5 * np.arange(21)
+        reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
+        tracemalloc.start()
+        try:
+            gaps = reference_gaps(start, HYDRO_MODELS, 0.1, EV, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gaps.shape == (21, len(HYDRO_MODELS))
+        assert peak < 0.65 * (21 * 3 * n * 8)
+
 
 class TestTrajectory:
     @pytest.mark.parametrize("n", [16, 15])
@@ -498,10 +543,11 @@ class TestTrajectory:
         start = to_modes(fields)
         times = np.array([0.1, 1.0, 3.5])
         if model is ModelId.MOMENT_REFERENCE:
-            evolved = evolve(from_hydro(start), model, eps, EV, times)
+            evolved = scatter_modes(*evolve(from_hydro(start), model, eps, EV, times), n)
             direct = [hydro_projection(SpectralState(later, n)).fields for later in evolved]
         else:
-            direct = [from_modes(SpectralState(s, n)) for s in evolve(start, model, eps, EV, times)]
+            evolved = scatter_modes(*evolve(start, model, eps, EV, times), n)
+            direct = [from_modes(SpectralState(s, n)) for s in evolved]
         shared = trajectory(start, model, eps, EV, times)
         assert shared.shape == (times.size, 3, n) and shared.dtype == np.float64
         for a, b, t in zip(shared, direct, times):
@@ -547,7 +593,7 @@ class TestTrajectory:
         start = to_modes(fields)
         times = 0.05 * np.arange(1, 401)
         assert EVAL_BLOCK // (3 * (n // 2 + 1)) < times.size // 2
-        moments = evolve_moments(from_hydro(start), 0.1, EV, times)
+        moments = scatter_modes(*evolve_moments(from_hydro(start), 0.1, EV, times), n)
         assert moments.shape == (times.size, 5, n // 2 + 1)
         later = trajectory(start, MOMENT, 0.1, EV, times)
         from_zero = trajectory(start, MOMENT, 0.1, EV, np.concatenate([[0.0], times]))
@@ -556,17 +602,20 @@ class TestTrajectory:
             assert np.array_equal(later[i], row) and np.array_equal(from_zero[i + 1], row), i
 
     def test_peak_memory(self):
-        # Snapshots are synthesized in blocks of about EVAL_BLOCK modes, as
-        # slices of evolve's one array; the moment modes are mapped to
-        # (u, p, s) in place, as they were a block at a time before, at the
-        # same peak.  At N = 16,384 with 21 times the moment trajectory
-        # peaks at 3.51 times the fields' bytes, as it did when each snapshot
-        # was a SpectralState mapped on its own; one synthesis call per time
-        # read 3.42, and one np.stack of all snapshots' (u, p, s) modes
-        # synthesized at once 4.67 (Python 3.11, numpy 2.4, x86-64).  The
-        # propagation's own peak sets it, so the fields must be allocated
-        # after it: allocating them first read 4.51.  The first call imports
-        # numpy.fft's internals; the second is measured.
+        # Snapshots are synthesized in blocks of about EVAL_BLOCK modes,
+        # each scattered from the occupied columns' values into one reused
+        # buffer; the moment modes are mapped to (u, p, s) in place, as they
+        # were a block at a time before, at the same peak.  These fields'
+        # analysis leaves roundoff in every column, so all are occupied.  At
+        # N = 16,384 with 21 times the moment trajectory peaks at 3.51 times
+        # the fields' bytes, as it did when each snapshot was a
+        # SpectralState mapped on its own and when evolve returned a dense
+        # array; one synthesis call per time read 3.42, and one np.stack of
+        # all snapshots' (u, p, s) modes synthesized at once 4.67 (Python
+        # 3.11, numpy 2.4, x86-64).  The propagation's own peak sets it, so
+        # the fields must be allocated after it: allocating them first read
+        # 4.51.  The first call imports numpy.fft's internals; the second is
+        # measured.
         n = 16384
         x = grid(n)
         state = np.stack([np.sin(x), 0.5 * np.cos(3 * x), 0.3 * np.sin(2 * x + 0.1)])
@@ -581,6 +630,29 @@ class TestTrajectory:
             tracemalloc.stop()
         assert fields.shape == (21, 3, n)
         assert peak < 3.8 * fields.nbytes
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_peak_memory_at_large_n(self, model):
+        # An IC's spectrum occupies three columns, and only those are
+        # propagated and held; each block of snapshots is scattered into one
+        # zeroed (block, 3, N//2 + 1) buffer before its synthesis.  At N =
+        # 65,536 with 21 times every model peaks at 1.143 times its fields'
+        # bytes; with the dense (21, d, N//2 + 1) spectrum held while
+        # synthesizing, the hydro models read 2.095 and the moment model
+        # 2.762 (Python 3.11, numpy 2.4, x86-64).  The first call imports
+        # numpy.fft's internals; the second is measured.
+        n = 65536
+        start = spectrum(parse_initial_condition("u:1:1,p:3:0.5:0.2,s:2:0.3"), n)
+        times = 0.5 * np.arange(21)
+        trajectory(start, model, 0.1, EV, times)
+        tracemalloc.start()
+        try:
+            fields = trajectory(start, model, 0.1, EV, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fields.shape == (21, 3, n)
+        assert peak < 1.25 * fields.nbytes
 
     def test_moment_model_is_refused_by_hydro_evolve(self):
         state = np.zeros((3, 8))

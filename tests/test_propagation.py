@@ -27,6 +27,8 @@ from hydrobench._modal import (
     forward_modes,
     inverse_modes,
     mode_propagators,
+    real_coordinates,
+    scatter_modes,
     wavenumbers,
 )
 from hydrobench.cli import main
@@ -67,7 +69,8 @@ def test_every_time_matches_expm_per_mode(model, eps):
     d = model.dimension
     for n in (16, 15):
         fields = np.random.default_rng(3).normal(size=(d, n))
-        got = mode_propagators(_symbol_stack(model, eps), n, TIMES, forward_modes(fields))
+        pair = mode_propagators(_symbol_stack(model, eps), n, TIMES, forward_modes(fields))
+        got = scatter_modes(*pair, n)
         assert got.shape == (TIMES.size, d, n // 2 + 1)
         full = np.fft.fft(fields, axis=-1) / n
         k_full = np.fft.fftfreq(n, d=1.0 / n)
@@ -96,7 +99,7 @@ def test_every_time_matches_dop853(model, eps):
     )
     assert sol.success
     want = sol.y.T.reshape(TIMES.size, *x0.shape)
-    got = mode_propagators(_symbol_stack(model, eps), n, TIMES, x0)
+    got = scatter_modes(*mode_propagators(_symbol_stack(model, eps), n, TIMES, x0), n)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= ODE_TOL * scale
 
@@ -110,10 +113,10 @@ def test_times_array_equals_composed_steps(model, eps):
     current = to_modes(rng.normal(size=(3, n)))
     if model is ModelId.MOMENT_REFERENCE:
         current = from_hydro(current)
-    series = evolve(current, model, eps, EV, TIMES)
+    series = scatter_modes(*evolve(current, model, eps, EV, TIMES), n)
 
     def step(s, dt):
-        (later,) = evolve(s, model, eps, EV, [dt])
+        (later,) = scatter_modes(*evolve(s, model, eps, EV, [dt]), n)
         return SpectralState(later, n)
 
     assert series.shape == (TIMES.size, *current.modes.shape)
@@ -133,7 +136,7 @@ def test_scalar_time_is_refused():
             evolve(spec, ModelId.BURNETT, 0.1, EV, times)
         with pytest.raises(ValueError, match="times"):
             mode_propagators(_symbol_stack(ModelId.BURNETT, 0.1), n, times, spec.modes)
-    (later,) = evolve(spec, ModelId.BURNETT, 0.1, EV, [1.3])
+    (later,) = scatter_modes(*evolve(spec, ModelId.BURNETT, 0.1, EV, [1.3]), n)
     assert later.shape == spec.modes.shape
 
 
@@ -144,7 +147,7 @@ def test_defective_symbol_falls_back_to_expm_at_every_time():
     def stack(kappa):
         return np.broadcast_to(jordan, (kappa.size, 2, 2))
 
-    got = mode_propagators(stack, 5, TIMES, x0)
+    got = scatter_modes(*mode_propagators(stack, 5, TIMES, x0), 5)
     for row, t in enumerate(TIMES):
         want = scipy.linalg.expm(jordan * t) @ x0
         assert np.max(np.abs(got[row] - want)) <= 1e-12 * float(np.max(np.abs(want)))
@@ -156,7 +159,7 @@ def test_nyquist_mode_evolves_as_aliased_pair_at_every_time():
     n = 16
     x = 2.0 * np.pi * np.arange(n) / n
     spec = to_modes(np.stack([np.cos((n // 2) * x), np.zeros(n), np.zeros(n)]))
-    for t, later in zip(TIMES, evolve(spec, ModelId.EULER, 0.0, EV, TIMES)):
+    for t, later in zip(TIMES, scatter_modes(*evolve(spec, ModelId.EULER, 0.0, EV, TIMES), n)):
         out = from_modes(SpectralState(later, n))
         expected = np.cos(SOUND_SPEED * (n // 2) * t) * np.cos((n // 2) * x)
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
@@ -184,9 +187,10 @@ def test_a_leading_zero_is_the_start(model, n):
     spec = to_modes(np.random.default_rng(n).normal(size=(3, n)))
     if model is ModelId.MOMENT_REFERENCE:
         spec = from_hydro(spec)
-    moved = evolve(spec, model, 0.1, EV, np.concatenate([[0.0], TIMES]))
+    moved = scatter_modes(*evolve(spec, model, 0.1, EV, np.concatenate([[0.0], TIMES])), n)
     assert moved[0].tobytes() == spec.modes.tobytes()
-    assert moved[1:].tobytes() == evolve(spec, model, 0.1, EV, TIMES).tobytes()
+    later = scatter_modes(*evolve(spec, model, 0.1, EV, TIMES), n)
+    assert moved[1:].tobytes() == later.tobytes()
 
 
 def test_the_start_keeps_its_nyquist_column():
@@ -197,7 +201,8 @@ def test_the_start_keeps_its_nyquist_column():
     modes = spec.modes.copy()
     modes[:, -1] += 1e-3 * _modal.HERMITIAN_TOL * np.abs(modes).max() * 1j
     scale = parity_scale(ModelId.BURNETT)
-    moved = mode_propagators(_symbol_stack(ModelId.BURNETT, 0.1), 16, [0.0, 1.0], modes, scale)
+    pair = mode_propagators(_symbol_stack(ModelId.BURNETT, 0.1), 16, [0.0, 1.0], modes, scale)
+    moved = scatter_modes(*pair, 16)
     assert moved[0].tobytes() == modes.tobytes()
     assert not moved[1, :, -1].imag.any()
 
@@ -239,7 +244,8 @@ NEAR_EPS = tuple(EXCEPTIONAL_EPS_K + np.array([-1e-3, -4e-4, -1e-5, 1e-5, 1e-4, 
 def _expm_gaps(model, eps, n, seed):
     """Each mode's gap from expm(M t) x per time, in units of u*||expm(M t)||*||x||."""
     x = forward_modes(np.random.default_rng(seed).normal(size=(model.dimension, n)))
-    got = mode_propagators(_symbol_stack(model, eps), n, TIMES, x, parity_scale(model))
+    pair = mode_propagators(_symbol_stack(model, eps), n, TIMES, x, parity_scale(model))
+    got = scatter_modes(*pair, n)
     mats = symbol_matrix(model, -wavenumbers(n).astype(float), eps, EV)
     gaps = np.empty((TIMES.size, n // 2 + 1))
     for row, t in enumerate(TIMES):
@@ -300,7 +306,7 @@ def test_real_defective_stack_falls_back_to_expm_of_the_real_matrix(monkeypatch)
         return expm(matrix)
 
     monkeypatch.setattr(scipy.linalg, "expm", recording)
-    got = mode_propagators(stack, 5, TIMES, x0, scale)
+    got = scatter_modes(*mode_propagators(stack, 5, TIMES, x0, scale), 5)
     assert calls == [np.dtype(float)] * (3 * TIMES.size)
     monkeypatch.undo()
     for row, t in enumerate(TIMES):
@@ -327,7 +333,7 @@ def test_real_jordan_pair_takes_the_closed_form_without_expm(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(scipy.linalg, "expm", refused)
         patch.setattr(np.linalg, "eig", refused)
-        got = mode_propagators(stack, 5, TIMES, x0, scale)
+        got = scatter_modes(*mode_propagators(stack, 5, TIMES, x0, scale), 5)
     assert calls == []
     for row, t in enumerate(TIMES):
         want = scipy.linalg.expm(symbol * t) @ x0
@@ -367,7 +373,7 @@ def test_diagonal_riemann_stack_gives_the_eig_route_bit_for_bit(n):
     want = _eig_route(mats, x, TIMES)
     if n % 2 == 0:
         want[:, :, -1] = want[:, :, -1].real
-    got = mode_propagators(_symbol_stack(model, 0.1), n, TIMES, x)
+    got = scatter_modes(*mode_propagators(_symbol_stack(model, 0.1), n, TIMES, x), n)
     assert np.array_equal(got, want)
     # array_equal takes -0.0 for 0.0, and a CSV does not.
     assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
@@ -414,7 +420,8 @@ def test_closed_form_matches_expm_per_mode(model, eps, n):
     mats = _scaled_stack(model, -wavenumbers(n).astype(float), eps)
     assert acoustic_frequency(mats) is not None
     x = forward_modes(np.random.default_rng(5).normal(size=(3, n)))
-    got = mode_propagators(_symbol_stack(model, eps), n, LONG_TIMES, x, parity_scale(model))
+    pair = mode_propagators(_symbol_stack(model, eps), n, LONG_TIMES, x, parity_scale(model))
+    got = scatter_modes(*pair, n)
     mats = symbol_matrix(model, -wavenumbers(n).astype(float), eps, EV)
     assert _pair_gap(got, mats, x, LONG_TIMES, nyquist=n % 2 == 0) <= PAIR_C
 
@@ -519,18 +526,91 @@ def test_cli_run_with_a_flat_k0_column_raises_nothing(tmp_path, model, n):
 # Propagating only the occupied columns --------------------------------------
 
 
+def _dense_propagators(symbol_stack, n, times, modes, scale=None):
+    """The dense (T, d, N//2 + 1) array mode_propagators returned before it
+    returned the occupied columns alone: the same arithmetic on the occupied
+    columns, scattered into exact zeros."""
+    times = _modal.check_times(times)
+    occupied = np.flatnonzero(np.any(modes, axis=0))
+    mats = real_coordinates(symbol_stack(-wavenumbers(n)[occupied].astype(float)), scale)
+    vectors = modes[:, occupied]
+    if scale is not None:
+        vectors = vectors * scale.conj()[:, None]
+    out = np.zeros((times.size, len(modes), n // 2 + 1), dtype=complex)
+    start = int(times[0] == 0.0)
+    out[:start] = modes
+    later = out[start:]
+    if occupied.size:
+        for rows, block in exp_action(mats, vectors, times[start:]):
+            later[rows, :, occupied] = block if scale is None else block * scale[:, None]
+    if n % 2 == 0:
+        later[:, :, -1] = later[:, :, -1].real
+    return out
+
+
+def _sparse_modes(d, n, seed, share):
+    """Random complex modes on about `share` of the columns; a complex k = 0
+    column keeps its imaginary part at every time, for the Hermitian check."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(n // 2 + 1) < share, _random_modes(d, n, seed), 0)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 63, 64, 255, 256, 511, 512])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_the_pair_scatters_to_the_dense_result_bit_for_bit(model, n):
+    # columns are the occupied columns of the start, values the C-contiguous
+    # (T, d, m) modes there, and their scatter is the dense array, -0.0
+    # included; the Hermitian check of the pair reads what the dense check
+    # reads.
+    d, symbol, scale = model.dimension, _symbol_stack(model, 0.1), parity_scale(model)
+    for seed, share in enumerate((0.05, 0.3, 1.0)):
+        modes = _sparse_modes(d, n, seed=[n, d, seed], share=share)
+        for times in (TIMES, np.concatenate([[0.0], TIMES])):
+            columns, values = mode_propagators(symbol, n, times, modes, scale)
+            assert np.array_equal(columns, np.flatnonzero(np.any(modes, axis=0)))
+            assert values.shape == (times.size, d, columns.size)
+            assert values.flags.c_contiguous
+            got = scatter_modes(columns, values, n)
+            want = _dense_propagators(symbol, n, times, modes, scale)
+            assert got.tobytes() == want.tobytes(), (seed, times[0])
+            violation = _modal.hermitian_violation(values, n, columns)
+            assert violation == _modal.hermitian_violation(want, n)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_the_occupied_columns_are_those_with_a_nonzero_entry(model, n):
+    # k = 0 alone, the even grid's Nyquist column occupied and empty, and a
+    # column occupied by one row only.
+    d, last = model.dimension, n // 2
+    for occupied in ([0], [0, last], [3, last], [1, 3], [last]):
+        modes = np.zeros((d, n // 2 + 1), dtype=complex)
+        modes[-1, occupied] = 0.5
+        modes[0, 3] = 0.25
+        columns, values = mode_propagators(
+            _symbol_stack(model, 0.1), n, TIMES, modes, parity_scale(model)
+        )
+        assert np.array_equal(columns, np.flatnonzero(np.any(modes, axis=0)))
+        assert (last in columns) == (last in occupied)
+        if n % 2 == 0 and last in columns:  # the Nyquist rule Re(P x)
+            assert not values[:, :, -1].imag.any()
+
+
 @pytest.mark.parametrize("n", [15, 16, 64])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_empty_columns_are_skipped_and_the_rest_keep_their_bits(n, model):
     # Zeroing columns of a dense spectrum leaves every other column's bits
     # as the dense propagation made them, whatever route the smaller stack
     # takes (a lone k = 0 column is diagonal for every model), and the
-    # zeroed columns come out exactly 0.  The symbol is built at the
+    # zeroed columns are not returned.  The symbol is built at the
     # occupied wavenumbers only.
     d = model.dimension
     dense = _random_modes(d, n, seed=n)
     for eps in EPS:
-        full = mode_propagators(_symbol_stack(model, eps), n, TIMES, dense, parity_scale(model))
+        every, full = mode_propagators(
+            _symbol_stack(model, eps), n, TIMES, dense, parity_scale(model)
+        )
+        assert np.array_equal(every, wavenumbers(n))
         rng = np.random.default_rng([n, d, int(1e5 * eps)])
         subsets = [rng.random(n // 2 + 1) < share for share in (0.1, 0.5, 0.9)]
         subsets += [wavenumbers(n) == 0, wavenumbers(n) == n // 2]
@@ -541,13 +621,11 @@ def test_empty_columns_are_skipped_and_the_rest_keep_their_bits(n, model):
                 built.append(kappa)
                 return symbol_matrix(model, kappa, eps, EV)
 
-            got = mode_propagators(stack, n, TIMES, np.where(keep, dense, 0), parity_scale(model))
-            assert got.shape == full.shape
+            start = np.where(keep, dense, 0)
+            columns, got = mode_propagators(stack, n, TIMES, start, parity_scale(model))
+            assert np.array_equal(columns, np.flatnonzero(keep))
             assert np.array_equal(built[0], -wavenumbers(n)[keep].astype(float))
-            assert np.array_equal(got[..., keep], full[..., keep]), (eps, keep)
-            assert np.array_equal(np.signbit(got[..., keep].real), np.signbit(full[..., keep].real))
-            assert np.array_equal(np.signbit(got[..., keep].imag), np.signbit(full[..., keep].imag))
-            assert not got[..., ~keep].any()
+            assert got.tobytes() == np.ascontiguousarray(full[..., keep]).tobytes(), (eps, keep)
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -560,20 +638,25 @@ def test_all_zero_modes_propagate_to_zeros_without_exp_action(monkeypatch, n, mo
 
     monkeypatch.setattr(_modal, "exp_action", refused)
     zeros = np.zeros((model.dimension, n // 2 + 1), dtype=complex)
-    got = mode_propagators(_symbol_stack(model, 0.1), n, TIMES, zeros, parity_scale(model))
-    assert got.shape == (TIMES.size, model.dimension, n // 2 + 1)
-    assert not got.any()
+    for times in (TIMES, np.concatenate([[0.0], TIMES])):
+        columns, values = mode_propagators(
+            _symbol_stack(model, 0.1), n, times, zeros, parity_scale(model)
+        )
+        assert columns.size == 0
+        assert values.shape == (times.size, model.dimension, 0)
+        assert not scatter_modes(columns, values, n).any()
     with pytest.raises(ValueError, match="eps"):
         mode_propagators(_symbol_stack(model, np.nan), n, TIMES, zeros, parity_scale(model))
 
 
 def test_one_empty_column_costs_the_full_spectrum_memory():
     # Every column but one occupied takes the same column path as a full
-    # spectrum, with S applied to each block as it is scattered.  At N =
-    # 16,384 with 21 times a Burnett propagation peaked at 1.40 times its
-    # output either way; rescaling the scattered columns of the whole array
-    # at once copied them twice and read 2.26 with one column empty (Python
-    # 3.11, numpy 2.4, x86-64).  The first calls warm numpy up.
+    # spectrum, with S applied to each block as it is written into values.
+    # At N = 16,384 with 21 times a Burnett propagation peaks at 1.40 times
+    # its output either way, as it did when it returned a dense array;
+    # rescaling the scattered columns of the whole array at once copied them
+    # twice and read 2.26 with one column empty (Python 3.11, numpy 2.4,
+    # x86-64).  The first calls warm numpy up.
     n, model = 16384, ModelId.BURNETT
     times = 0.25 * np.arange(1, 22)
     dense = _random_modes(3, n, seed=23)
@@ -590,8 +673,8 @@ def test_one_empty_column_costs_the_full_spectrum_memory():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    full, got = outs
-    assert not got[..., 7].any()
-    assert np.array_equal(np.delete(got, 7, axis=-1), np.delete(full, 7, axis=-1))
+    (_, full), (columns, got) = outs
+    assert np.array_equal(columns, np.delete(wavenumbers(n), 7))
+    assert np.array_equal(got, np.delete(full, 7, axis=-1))
     assert peaks[1] < 1.5 * got.nbytes
     assert peaks[1] <= 1.02 * peaks[0]
