@@ -1,11 +1,13 @@
 """Check the text of every CSV and SVG under a directory, recursively.
 
-Every CSV row must have as many cells as its header, and every real in a
-CSV, each cell of a column other than the label columns model and branch,
-must be its own '%.17g' text.  Every SVG must parse as
-XML, and every polyline coordinate must be its own '%.3f' text, so no
-separator is lost or doubled where the point text's chunks meet.  Only the
-standard library is used.
+No CSV or SVG may hold a NUL byte: the writer deletes the NULs of its
+records, so one left behind would mean a record kept a byte it never
+wrote.  Every CSV row must have as many cells as its header, and every real
+in a CSV, each cell of a column other than the label columns model and
+branch, must be its own '%.17g' text.  Every SVG must parse as XML, and
+every polyline coordinate must be its own '%.3f' text, so no separator is
+lost or doubled where the point text's chunks meet.  Only the standard
+library is used.
 
 Usage: python .github/check-text.py DIR
 """
@@ -23,6 +25,7 @@ def check(root: Path) -> int:
     """Assert the text of every file under root; returns how many were checked."""
     count = 0
     for path in sorted(root.rglob("*.csv")):
+        assert b"\0" not in path.read_bytes(), f"{path} holds a NUL byte"
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
             header = next(rows)
@@ -34,6 +37,7 @@ def check(root: Path) -> int:
                         assert format(float(cell), ".17g") == cell, (path, name, cell)
         count += 1
     for path in sorted(root.rglob("*.svg")):
+        assert b"\0" not in path.read_bytes(), f"{path} holds a NUL byte"
         for line in ET.parse(path).getroot().iter(POLYLINE):
             for point in line.get("points").split(" "):
                 x, y = point.split(",")

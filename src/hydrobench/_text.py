@@ -3,12 +3,14 @@
 csv_text gives a table's CSV bytes, each float64 as '%.17g' writes it and
 each label as the UTF-8 of its name, and point_text an SVG polyline's
 '%.3f,%.3f' point text; they are the format's only entry points.
-real_records gives the bytes '%.17g' writes for each float64, and
-label_records the UTF-8 of each name, as fixed-width records of bytes with
-a mask of the bytes each keeps, so one boolean compress of a block of
-records is its text (_block_text).  A coded column takes its records by
-code from those of its values, made once and narrowed by right_aligned.
-two_product and the point word tables serve the point text.
+real_records gives the bytes '%.17g' writes for each float64 as
+fixed-width records of bytes with a mask of the bytes each keeps, and
+label_records the UTF-8 of each name right-aligned after NUL bytes.  A block
+zeroes what its real records do not keep, so its rows' bytes with the NULs
+deleted, one bytes.translate, are its text (_block_text); no kept byte is
+NUL, and emit_outputs refuses a NUL in a name.  A coded column takes its
+records by code from those of its values, made once and narrowed by
+right_aligned.  two_product and the point word tables serve the point text.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ __all__ = ["csv_text", "point_text"]
 #: of float64 columns) rows, WRITE_BLOCK for a table of coded columns alone,
 #: since a coded column takes its records by code and formats no real;
 #: point_text makes WRITE_BLOCK points at a time.  A CSV block's numpy
-#: temporaries come to about 180 bytes per real, 290 and 370 with the coded
-#: records of the evolve and dispersion rows; a point-text block's to about
-#: 40 bytes per coordinate.  On the evolve, dispersion and secular benchmark
-#: tables, blocks of 2048 and 8192 reals took 1.12-1.14 and 0.91-1.21 times
-#: as long as 4096, while the writer's peak allocation grows with the block:
-#: 1.15, 1.45 and 0.71 MB on those tables at 4096, and 2.27, 2.81 and 1.42
-#: MB at 8192 (Python 3.11, numpy 2.4, x86-64).
+#: temporaries come to 170-180 bytes per real, most of them while
+#: real_records runs; a point-text block's to about 40 bytes per coordinate.
+#: On the evolve, dispersion and secular benchmark tables, blocks of 2048
+#: took 1.14, 0.98 and 1.41 times as long as 4096 and blocks of 8192 0.96,
+#: 1.01 and 1.08 times (medians of 10 alternating pairs), while the
+#: writer's peak allocation grows with the block: 0.35, 0.47 and 0.34 MiB
+#: on those tables at 2048, 0.67, 0.71 and 0.67 MiB at 4096 and 1.33, 1.36
+#: and 1.32 MiB at 8192 (Python 3.11, numpy 2.4, x86-64).
 WRITE_BLOCK = 4096
 
 
@@ -244,7 +247,9 @@ def _spelled(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The '%.17g' text of each float64 as a record of REAL_WIDTH bytes and
-    the mask of the bytes it keeps; the last byte is left for a separator.
+    the mask of the bytes it keeps; the last byte is left for a separator,
+    and the bytes a record does not keep hold anything, the exponent bytes
+    of a fixed-point record unwritten.  No kept byte is NUL.
 
     decimal17 gives the 17 digits and the exponent X, and _spelled their
     ASCII.  '%g' writes fixed-point for -4 <= X < 17 and e-notation
@@ -266,7 +271,8 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text[:, 2] = ord("-")
     text[:, 20:22] = np.frombuffer(b"0.", np.uint8)
     text[:, 22:42] = digits
-    text[:, 42:47] = np.take(tables().exponent, x + np.int64(324), axis=0)
+    e_rows = np.flatnonzero(layout >= 21)
+    text[e_rows, 42:47] = np.take(tables().exponent, x[e_rows] + np.int64(324), axis=0)
     for i in np.flatnonzero(special | unsure).tolist():
         exact = b"%.17g" % values[i]
         text[i, : len(exact)] = np.frombuffer(exact, np.uint8)
@@ -274,75 +280,73 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, keep
 
 
-def label_records(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def label_records(names: Sequence[str]) -> np.ndarray:
     """The UTF-8 bytes of each name, right-aligned in a record one byte wider
-    than the longest, and the mask of the bytes it keeps; the last byte is
-    left for a separator."""
+    than the longest, and NUL bytes before them; the last byte is left for a
+    separator.  A name must hold no NUL, or its text would lose it."""
     encoded = [name.encode("utf-8") for name in names]
     width = max(map(len, encoded), default=0) + 1
     text = np.zeros((len(encoded), width), np.uint8)
-    keep = np.zeros(text.shape, bool)
-    keep[:, -1] = True
     for i, raw in enumerate(encoded):
         text[i, width - 1 - len(raw) : -1] = np.frombuffer(raw, np.uint8)
-        keep[i, width - 1 - len(raw) : -1] = True
-    return text, keep
+    return text
 
 
-def right_aligned(text: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The same records and masks with each record's kept bytes moved to its
-    end, in the width of the longest kept text.
+def right_aligned(text: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The records with each one's kept bytes moved to its end, in the width
+    of the longest kept text, and NUL bytes before them.
 
-    A record's last byte stays its last, so a separator slot stays in place;
-    its kept bytes become one run, and a record no wider than its text
-    costs a block's concatenation and compress the fewest bytes.
+    A record's last byte stays its last, so a separator slot stays in place,
+    and a record no wider than its text costs a block's concatenation and
+    NUL delete the fewest bytes.
     """
     lengths = np.count_nonzero(keep, axis=1)
     width = int(lengths.max(initial=1))
-    narrow = np.arange(width) >= width - lengths[:, None]
-    records = np.zeros(narrow.shape, np.uint8)
-    records[narrow] = text[keep]
-    return records, narrow
+    records = np.zeros((len(text), width), np.uint8)
+    records[np.arange(width) >= width - lengths[:, None]] = text[keep]
+    return records
 
 
-def _block_text(columns: list[np.ndarray], coded: list) -> np.ndarray:
+def _block_text(columns: list[np.ndarray], coded: list) -> bytes:
     """The CSV bytes of one block of rows, from its slice of each column and,
-    for a coded column, the records of its values (text, keep), which its
-    codes index; None marks a real column.
+    for a coded column, the records of its values (_coded_records), which
+    its codes index; None marks a real column.
 
-    The real columns are formatted together, in row order, so when they are
-    the whole table their records already are the rows; otherwise each
-    column's records are joined along the row.
+    The real columns are formatted together, in row order, and the bytes
+    their records do not keep are zeroed, so when they are the whole table
+    their records already are the rows; otherwise each column's records are
+    joined along the row.  No kept byte is NUL, so the rows' bytes with
+    their NULs deleted are the text.
     """
     plain = [c for c, records in zip(columns, coded) if records is None]
     values = np.empty((len(columns[0]), len(plain)))
     for j, column in enumerate(plain):
         values[:, j] = column
-    text, keep = (
-        part.reshape(len(values), len(plain), REAL_WIDTH) for part in real_records(values.ravel())
-    )
-    formatted = zip(text.transpose(1, 0, 2), keep.transpose(1, 0, 2))
-    parts = []
-    for column, records in zip(columns, coded):
-        if records is None:
-            parts.append(next(formatted))
-        else:
-            parts.append(tuple(part.take(column, axis=0) for part in records))
-        parts[-1][0][:, -1] = ord(",")
-    parts[-1][0][:, -1] = ord("\n")
-    if len(plain) == len(columns):
-        return text.reshape(len(values), -1)[keep.reshape(len(values), -1)]
-    text, keep = (np.concatenate(part, axis=1) for part in zip(*parts))
-    return text[keep]
+    text, keep = real_records(values.ravel())
+    np.multiply(text, keep, out=text)
+    del keep
+    text[:, -1] = ord(",")
+    if len(plain) < len(columns):
+        reals = list(text.reshape(len(values), len(plain), REAL_WIDTH).transpose(1, 0, 2))
+        parts = [reals.pop(0) if r is None else r.take(c, axis=0) for c, r in zip(columns, coded)]
+        text = np.concatenate(parts, axis=1)
+        del parts  # its views of the real records
+    text = text.reshape(len(values), -1)
+    text[:, -1] = ord("\n")
+    text = text.tobytes()  # the records are freed before the NULs are deleted
+    return text.translate(None, b"\0")
 
 
-def _coded_records(values: tuple[str, ...] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The records a coded column's codes index: label_records of a label
-    column's names, or real_records of a coded real column's values
-    narrowed by right_aligned."""
+def _coded_records(values: tuple[str, ...] | np.ndarray) -> np.ndarray:
+    """The records a coded column's codes index, each ending in a ',':
+    label_records of a label column's names, or real_records of a coded
+    real column's values narrowed by right_aligned."""
     if isinstance(values, tuple):
-        return label_records(values)
-    return right_aligned(*real_records(values))
+        records = label_records(values)
+    else:
+        records = right_aligned(*real_records(values))
+    records[:, -1] = ord(",")
+    return records
 
 
 def csv_text(names: Sequence[str], columns: Sequence[np.ndarray], values: Sequence):
@@ -352,16 +356,18 @@ def csv_text(names: Sequence[str], columns: Sequence[np.ndarray], values: Sequen
     columns[j] is column j, float64 reals where values[j] is None and
     otherwise int32 codes into values[j], the str names of a label column
     as a tuple or the reals of a coded one as a float64 array.  Reals are
-    written as '%.17g' writes them and names as their UTF-8.  A coded
-    column's records are made once from its values (_coded_records), and
-    its codes take them.  A block holds WRITE_BLOCK reals, WRITE_BLOCK //
-    (float64 columns) rows, or WRITE_BLOCK rows of coded columns alone: a
-    coded column formats no real, and a real_records call costs about 77 us
-    before its first value, so the coded columns do not shrink the block.
+    written as '%.17g' writes them and names as their UTF-8, which must hold
+    no NUL, since a block's text is its records' bytes with the NULs
+    deleted (_block_text).  A coded column's records are made once from its
+    values (_coded_records), and its codes take them.  A block holds
+    WRITE_BLOCK reals, WRITE_BLOCK // (float64 columns) rows, or WRITE_BLOCK
+    rows of coded columns alone: a coded column formats no real, and a
+    real_records call costs about 77 us before its first value, so the
+    coded columns do not shrink the block.
     """
     yield (",".join(names) + "\n").encode()
     coded = [None if v is None else _coded_records(v) for v in values]
-    step = max(1, WRITE_BLOCK // max(1, coded.count(None)))
+    step = max(1, WRITE_BLOCK // max(1, sum(v is None for v in values)))
     for lo in range(0, len(columns[0]), step):
         yield _block_text([column[lo : lo + step] for column in columns], coded)
 

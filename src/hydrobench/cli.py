@@ -258,18 +258,10 @@ class Table:
 
 
 def _table(columns: dict[str, object]) -> Table:
-    """The Table of the named columns.  A column of str becomes a coded one,
-    coded into its sorted distinct names; every other column keeps its dtype
-    and has the value None."""
-    arrays, values = [], []
-    for column in columns.values():
-        array, names = np.asarray(column), None
-        if array.dtype.kind == "U":
-            names, codes = np.unique(array, return_inverse=True)
-            array, names = codes.astype(np.int32), tuple(names.tolist())
-        arrays.append(array)
-        values.append(names)
-    return Table(tuple(columns), tuple(arrays), tuple(values))
+    """The Table of the named columns, each kept in its dtype with the value
+    None, as a real column."""
+    arrays = tuple(np.asarray(column) for column in columns.values())
+    return Table(tuple(columns), arrays, (None,) * len(arrays))
 
 
 def _axis_label(value: float) -> str:
@@ -435,7 +427,8 @@ def emit_outputs(
     unequal length; a real column of any other dtype, since '%.17g' would
     round an int64 above 2**53; a coded one with a code outside its values;
     a column or label name that holds a comma, a double quote, CR or LF,
-    which the CSV would split or run on; and an out_path whose SVG sibling
+    which the CSV would split or run on, or a NUL, which its text would
+    lose; and an out_path whose SVG sibling
     would be itself.  The CSV's bytes are _text.csv_text's, made a block of
     rows at a time from the names, columns and values: reals as '%.17g'
     writes them, so they round-trip through the file exactly, and labels
@@ -463,8 +456,8 @@ def emit_outputs(
             raise ValueError(f"column {name!r} has codes outside its {len(coded)} values")
     labels = [label for coded in rows.values if isinstance(coded, tuple) for label in coded]
     for name in (*rows.names, *labels):
-        if any(c in name for c in ',"\r\n'):
-            raise ValueError(f"name {name!r} holds a comma, a quote or a line break")
+        if any(c in name for c in ',"\r\n\0'):
+            raise ValueError(f"name {name!r} holds a comma, a quote, a line break or a NUL")
     out_path = Path(out_path)
     if emit_svg and out_path.suffix == ".svg":
         raise ValueError(f"the SVG would be written over the CSV at {out_path}")

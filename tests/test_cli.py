@@ -34,13 +34,18 @@ ACOUSTIC_PERIOD = 2.0 * math.pi / math.sqrt(5.0 / 3.0)
 
 
 def _table(columns):
-    """cli._table of the named columns, where a (codes, values) pair is a
-    coded column as it stands."""
+    """The Table of the named columns: a (codes, values) pair is a coded
+    column as it stands, a column of str is coded into its sorted distinct
+    names, and any other column keeps its dtype as a real column."""
     names, arrays, values = [], [], []
     for name, column in columns.items():
         if not isinstance(column, tuple):
-            table = cli._table({name: column})
-            column = table.columns[0], table.values[0]
+            array = np.asarray(column)
+            if array.dtype.kind == "U":
+                labels, codes = np.unique(array, return_inverse=True)
+                column = codes.reshape(-1).astype(np.int32), tuple(labels.tolist())
+            else:
+                column = array, None
         names.append(name)
         arrays.append(column[0])
         values.append(column[1])
@@ -505,7 +510,7 @@ def _coded_tables(draw):
 class TestEmitOutputs:
     def test_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_outputs(cli._table({"a": [1.5], "b": ["x"]}), path)
+        emit_outputs(_table({"a": [1.5], "b": ["x"]}), path)
         assert path.read_text() == "a,b\n1.5,x\n"
 
     def test_reals_round_trip(self, tmp_path):
@@ -523,16 +528,20 @@ class TestEmitOutputs:
         assert not (tmp_path / "no.csv").exists()
 
     def test_blocks_match_per_value_format(self, tmp_path):
-        # Tricky doubles across two write-block boundaries: every value must
-        # come out exactly as format(v, ".17g"), every label as str(v).
-        tricky = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 2.0**53 + 2]
+        # Tricky doubles across two write-block boundaries, fixed-point and
+        # e-notation, subnormal, signed zero and non-finite, beside a label
+        # column: every value must come out exactly as format(v, ".17g"),
+        # every label as str(v).
+        tricky = [-0.0, 0.0, 5e-324, -2.5e-320, 1e-310, 2.2250738585072014e-308]
+        tricky += [0.1, -123.456, 1e16, 2.0**53 + 2, 1e-5, -1.2345678901234567e-100]
+        tricky += [1e17, 6.02214076e23, -1.7976931348623157e308]
         tricky += [math.nan, math.inf, -math.inf]
         count = 2 * _text.WRITE_BLOCK + 1
         labels = [f"row{i}" for i in range(count)]
         a = [tricky[i % len(tricky)] for i in range(count)]
         b = [tricky[(i * 5 + 3) % len(tricky)] for i in range(count)]
         path = tmp_path / "oracle.csv"
-        emit_outputs(cli._table({"a": a, "label": labels, "b": b}), path)
+        emit_outputs(_table({"a": a, "label": labels, "b": b}), path)
         lines = ["a,label,b"]
         lines += [
             f"{format(x, '.17g')},{name},{format(y, '.17g')}" for x, name, y in zip(a, labels, b)
@@ -561,7 +570,7 @@ class TestEmitOutputs:
             raise AssertionError("the chart was drawn")
 
         monkeypatch.setattr(cli, "_svg_chart", no_chart)
-        rows = cli._table({"x": np.arange(4.0), "bad": column, "label": ["a"] * 4})
+        rows = _table({"x": np.arange(4.0), "bad": column, "label": ["a"] * 4})
         with pytest.raises(ValueError, match=f"column 'bad' has dtype {column.dtype}"):
             emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
@@ -579,7 +588,7 @@ class TestEmitOutputs:
         block_text = _text._block_text
 
         def counted(columns, records):
-            blocks.append((len(columns[0]), records.count(None)))
+            blocks.append((len(columns[0]), sum(r is None for r in records)))
             return block_text(columns, records)
 
         monkeypatch.setattr(_text, "_block_text", counted)
@@ -709,10 +718,10 @@ class TestEmitOutputs:
 
     @settings(max_examples=150, deadline=None)
     @given(rows=_chart_tables())
-    @example(rows=cli._table({"g": ["b", "a", "c"], "x": [0.0, -0.0, 1.0], "y": [1.0, 2.0, 3.0]}))
+    @example(rows=_table({"g": ["b", "a", "c"], "x": [0.0, -0.0, 1.0], "y": [1.0, 2.0, 3.0]}))
     @example(rows=cli._table({"x": [0.0, -1.0, -0.0, 0.0], "y": [1.0, 2.0, 3.0, 4.0]}))
     @example(
-        rows=cli._table(
+        rows=_table(
             {"a": ["q", "p", "q"], "x": [2.0, 1.0, 2.0], "b": ["s", "r", "r"], "y": [0.0, 1, 2]}
         )
     )
@@ -770,8 +779,8 @@ class TestEmitOutputs:
 
     @settings(max_examples=60, deadline=None)
     @given(rows=_chart_tables())
-    @example(rows=cli._table({"g": ["a"] * 9, "x": [-0.0] * 8 + [0.0], "y": [-0.0] * 8 + [0.0]}))
-    @example(rows=cli._table({"g": ["b", "a"] * 10, "x": [0.5] * 20, "y": np.arange(20.0)}))
+    @example(rows=_table({"g": ["a"] * 9, "x": [-0.0] * 8 + [0.0], "y": [-0.0] * 8 + [0.0]}))
+    @example(rows=_table({"g": ["b", "a"] * 10, "x": [0.5] * 20, "y": np.arange(20.0)}))
     def test_bytes_do_not_depend_on_the_column_layout(self, rows, tmp_path_factory):
         # The CSV's records and the chart's spans, sort and points read the
         # columns' values, never their strides or alignment.  The second
@@ -822,30 +831,33 @@ class TestEmitOutputs:
             ({"t": [0.0, 1.0], "g": ["a,b", "c"]}, "name 'a,b' holds"),
             ({"t": [0.0, 1.0], "g": ["a", "c\nd"]}, "name 'c\\nd' holds"),
             ({"t": [0.0, 1.0], "g": ["a\rb", "c"]}, "name 'a\\rb' holds"),
+            ({"t\0x": [0.0, 1.0], "y": [1.0, 2.0]}, "name 't\\x00x' holds"),
+            ({"t": [0.0, 1.0], "g": ["a", "c\0d"]}, "name 'c\\x00d' holds"),
             ({"t": [0.0, 1.0, 2.0], "y": [1.0, 2.0]}, "column 'y' has 2 rows, not 3"),
             ({"t": [0.0, 1.0], "y": [1.0, 2.0, 3.0]}, "column 'y' has 3 rows, not 2"),
         ],
         ids=["comma-column", "quote-column", "comma-label", "lf-label", "cr-label"]
-        + ["short", "long"],
+        + ["nul-column", "nul-label", "short", "long"],
     )
     def test_tables_the_csv_cannot_hold_refused_before_any_output(
         self, tmp_path, monkeypatch, columns, message
     ):
         # A comma, quote or line break in a name would split or run on the
-        # CSV's cells and rows, and columns of unequal length have no rows.
+        # CSV's cells and rows, the text would lose a NUL, and columns of
+        # unequal length have no rows.
         def no_chart(*args):
             raise AssertionError("the chart was drawn")
 
         monkeypatch.setattr(cli, "_svg_chart", no_chart)
         with pytest.raises(ValueError, match=re.escape(message)):
-            emit_outputs(cli._table(columns), tmp_path / "out.csv", emit_svg=True)
+            emit_outputs(_table(columns), tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
 
     def test_svg_text_is_escaped(self, tmp_path):
         # The title, by default the out path's stem, the x name and each
         # series tag are XML text: the SVG parses and reads the names back.
         columns = {"g": ["a<b", "c&d"] * 2, "x&y": [0.0, 0.0, 1.0, 1.0], "v>": [1.0, 2, 3, 4]}
-        rows = cli._table(columns)
+        rows = _table(columns)
         csv_path, svg_path = emit_outputs(rows, tmp_path / "a&b.csv", emit_svg=True)
         texts = [el.text for el in ET.parse(svg_path).getroot() if el.tag.endswith("text")]
         assert texts[0] == "a&b" and texts[1] == "x&y"
@@ -854,9 +866,12 @@ class TestEmitOutputs:
 
 
 def _real_text(values):
-    """_text.real_records' text of each value, one string per value."""
+    """_text.real_records' text of each value, one string per value; no kept
+    byte may be NUL, since the CSV's text is its records' bytes with the NULs
+    deleted."""
     text, keep = _text.real_records(np.asarray(values, dtype=np.float64))
     text[:, -1] = ord("\n")
+    assert text[keep].all()
     return text[keep].tobytes().decode("ascii").splitlines()
 
 
@@ -927,6 +942,34 @@ class TestRealText:
         values = np.array(bits, dtype=np.uint64).view(np.float64)
         with np.errstate(all="raise"):
             assert _real_text(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+class TestCodedRecords:
+    @pytest.mark.parametrize(
+        "texts,records",
+        [
+            (["a", "bé", "", "model_x", "ü" * 3], _text.label_records),
+            (
+                [
+                    format(v, ".17g")
+                    for v in [0.5, -0.0, 1e-300, math.nan, -math.inf, 2.0**-1074, 123456.789, 1e22]
+                ],
+                lambda texts: _text.right_aligned(*_text.real_records(np.array(texts, float))),
+            ),
+        ],
+        ids=["label_records", "right_aligned"],
+    )
+    def test_nul_exactly_where_a_record_keeps_nothing(self, texts, records):
+        # A block's text is its records' bytes with the NULs deleted, so a
+        # coded column's record holds NUL before its right-aligned text and
+        # nowhere in it; its last byte is the separator slot.
+        made = records(texts)
+        encoded = [t.encode() for t in texts]
+        assert made.shape == (len(texts), max(map(len, encoded)) + 1)
+        for row, raw in zip(made, encoded):
+            lead = made.shape[1] - 1 - len(raw)
+            assert not row[:lead].any()
+            assert row[lead:-1].tobytes() == raw and row[lead:-1].all()
 
 
 def _ties(values):
@@ -2098,7 +2141,7 @@ class TestSvgShapes:
         rng = np.random.default_rng(3)
         x = rng.integers(0, 6, 40) * 0.3
         columns = {"g": rng.choice(["b", "a"], 40), "x": x, "y": rng.normal(size=40), "z": x * x}
-        rows = cli._table(columns)
+        rows = _table(columns)
         emit_outputs(rows, tmp_path / "c.csv", emit_svg=True)
         x_lo, x_hi = min(x.tolist()), max(x.tolist())
         ys = columns["y"].tolist() + columns["z"].tolist()
