@@ -2,15 +2,13 @@
 
 csv_text gives a table's CSV bytes, each float64 as '%.17g' writes it and
 each label as the UTF-8 of its name, and point_text an SVG polyline's
-'%.3f,%.3f' point text; they are the format's only entry points.
-real_records gives the bytes '%.17g' writes for each float64 as
-fixed-width records of bytes with a mask of the bytes each keeps, and
-label_records the UTF-8 of each name right-aligned after NUL bytes.  A block
-zeroes what its real records do not keep, so its rows' bytes with the NULs
-deleted, one bytes.translate, are its text (_block_text); no kept byte is
-NUL, and emit_outputs refuses a NUL in a name.  A coded column takes its
-records by code from those of its values, made once and narrowed by
-right_aligned.  two_product and the point word tables serve the point text.
+'%.3f,%.3f' point text; they are the format's only entry points.  Both
+are made as fixed-width records of bytes that hold NUL wherever they keep
+nothing, so the text is the records' bytes with the NULs deleted; no kept
+byte is NUL, and emit_outputs refuses a NUL in a name.  real_records gives
+the record of each float64 and _packed the records of a coded column's
+texts, made once from its values (_coded_records), each ending in ','.
+two_product and the point word tables serve the point text.
 """
 
 from __future__ import annotations
@@ -245,18 +243,17 @@ def _spelled(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take(tables().digits.view(np.uint32), groups.T).view(np.uint8), sig
 
 
-def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The '%.17g' text of each float64 as a record of REAL_WIDTH bytes and
-    the mask of the bytes it keeps; the last byte is left for a separator,
-    and the bytes a record does not keep hold anything, the exponent bytes
-    of a fixed-point record unwritten.  No kept byte is NUL.
+def real_records(values: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each float64 as a record of REAL_WIDTH bytes,
+    NUL wherever it keeps nothing and ',' in its last byte.
 
     decimal17 gives the 17 digits and the exponent X, and _spelled their
     ASCII.  '%g' writes fixed-point for -4 <= X < 17 and e-notation
     otherwise, without trailing zeros or a bare '.', so what a record keeps
     depends only on that layout, on the count of significant digits and on
-    the sign, and comes from one row of the keep table.  nan, inf and every value
-    decimal17 is unsure of are written by '%.17g' itself.
+    the sign: one row of the keep table zeroes the rest.  nan, inf and
+    every value decimal17 is unsure of are written by '%.17g' itself, at the
+    start of a zeroed record.
     """
     special = ~np.isfinite(values)
     a = np.abs(values)
@@ -265,7 +262,6 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits, sig = _spelled(n)
     layout = np.where((x >= -4) & (x < 17), x + np.int64(4), np.int64(21) + (np.abs(x) >= 100))
     key = (layout * np.int64(18) + sig) * np.int64(2) + np.signbit(values)
-    keep = np.take(tables().keep, key, axis=0)
     text = np.empty((len(values), REAL_WIDTH), np.uint8)
     text[:, :20] = digits
     text[:, 2] = ord("-")
@@ -273,37 +269,21 @@ def real_records(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text[:, 22:42] = digits
     e_rows = np.flatnonzero(layout >= 21)
     text[e_rows, 42:47] = np.take(tables().exponent, x[e_rows] + np.int64(324), axis=0)
+    np.multiply(text, np.take(tables().keep, key, axis=0), out=text)
+    text[:, -1] = ord(",")
     for i in np.flatnonzero(special | unsure).tolist():
         exact = b"%.17g" % values[i]
+        text[i, :-1] = 0
         text[i, : len(exact)] = np.frombuffer(exact, np.uint8)
-        keep[i, :-1] = np.arange(REAL_WIDTH - 1) < len(exact)
-    return text, keep
-
-
-def label_records(names: Sequence[str]) -> np.ndarray:
-    """The UTF-8 bytes of each name, right-aligned in a record one byte wider
-    than the longest, and NUL bytes before them; the last byte is left for a
-    separator.  A name must hold no NUL, or its text would lose it."""
-    encoded = [name.encode("utf-8") for name in names]
-    width = max(map(len, encoded), default=0) + 1
-    text = np.zeros((len(encoded), width), np.uint8)
-    for i, raw in enumerate(encoded):
-        text[i, width - 1 - len(raw) : -1] = np.frombuffer(raw, np.uint8)
     return text
 
 
-def right_aligned(text: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The records with each one's kept bytes moved to its end, in the width
-    of the longest kept text, and NUL bytes before them.
-
-    A record's last byte stays its last, so a separator slot stays in place,
-    and a record no wider than its text costs a block's concatenation and
-    NUL delete the fewest bytes.
-    """
-    lengths = np.count_nonzero(keep, axis=1)
-    width = int(lengths.max(initial=1))
-    records = np.zeros((len(text), width), np.uint8)
-    records[np.arange(width) >= width - lengths[:, None]] = text[keep]
+def _packed(texts: list[bytes]) -> np.ndarray:
+    """Each text in a record one byte wider than the longest, NUL after it
+    and ',' in its last byte.  A text must hold no NUL or ','."""
+    width = max(map(len, texts), default=0) + 1
+    records = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+    records[:, -1] = ord(",")
     return records
 
 
@@ -312,20 +292,17 @@ def _block_text(columns: list[np.ndarray], coded: list) -> bytes:
     for a coded column, the records of its values (_coded_records), which
     its codes index; None marks a real column.
 
-    The real columns are formatted together, in row order, and the bytes
-    their records do not keep are zeroed, so when they are the whole table
-    their records already are the rows; otherwise each column's records are
-    joined along the row.  No kept byte is NUL, so the rows' bytes with
-    their NULs deleted are the text.
+    The real columns are formatted together, in row order, so when they are
+    the whole table their records already are the rows; otherwise each
+    column's records are joined along the row.  The last ',' of a row
+    becomes its line break, and the rows' bytes with their NULs deleted are
+    the text.
     """
     plain = [c for c, records in zip(columns, coded) if records is None]
     values = np.empty((len(columns[0]), len(plain)))
     for j, column in enumerate(plain):
         values[:, j] = column
-    text, keep = real_records(values.ravel())
-    np.multiply(text, keep, out=text)
-    del keep
-    text[:, -1] = ord(",")
+    text = real_records(values.ravel())
     if len(plain) < len(columns):
         reals = list(text.reshape(len(values), len(plain), REAL_WIDTH).transpose(1, 0, 2))
         parts = [reals.pop(0) if r is None else r.take(c, axis=0) for c, r in zip(columns, coded)]
@@ -338,15 +315,12 @@ def _block_text(columns: list[np.ndarray], coded: list) -> bytes:
 
 
 def _coded_records(values: tuple[str, ...] | np.ndarray) -> np.ndarray:
-    """The records a coded column's codes index, each ending in a ',':
-    label_records of a label column's names, or real_records of a coded
-    real column's values narrowed by right_aligned."""
+    """The records a coded column's codes index, packed (_packed) from the
+    UTF-8 of a label column's names or the text of a coded real column's
+    values, which never holds ','."""
     if isinstance(values, tuple):
-        records = label_records(values)
-    else:
-        records = right_aligned(*real_records(values))
-    records[:, -1] = ord(",")
-    return records
+        return _packed([name.encode() for name in values])
+    return _packed(real_records(values).tobytes().translate(None, b"\0").split(b",")[:-1])
 
 
 def csv_text(names: Sequence[str], columns: Sequence[np.ndarray], values: Sequence):
@@ -357,13 +331,13 @@ def csv_text(names: Sequence[str], columns: Sequence[np.ndarray], values: Sequen
     otherwise int32 codes into values[j], the str names of a label column
     as a tuple or the reals of a coded one as a float64 array.  Reals are
     written as '%.17g' writes them and names as their UTF-8, which must hold
-    no NUL, since a block's text is its records' bytes with the NULs
-    deleted (_block_text).  A coded column's records are made once from its
-    values (_coded_records), and its codes take them.  A block holds
-    WRITE_BLOCK reals, WRITE_BLOCK // (float64 columns) rows, or WRITE_BLOCK
-    rows of coded columns alone: a coded column formats no real, and a
-    real_records call costs about 77 us before its first value, so the
-    coded columns do not shrink the block.
+    no NUL: every record holds NUL wherever it keeps nothing, and a block's
+    text is its records' bytes with the NULs deleted (_block_text).  A coded
+    column's records are made once from its values (_coded_records), and
+    its codes take them.  A block holds WRITE_BLOCK reals, WRITE_BLOCK //
+    (float64 columns) rows, or WRITE_BLOCK rows of coded columns alone: a
+    coded column formats no real, and a real_records call costs about 77 us
+    before its first value, so the coded columns do not shrink the block.
     """
     yield (",".join(names) + "\n").encode()
     coded = [None if v is None else _coded_records(v) for v in values]
@@ -417,5 +391,7 @@ def point_text(points: np.ndarray) -> list[bytes]:
         words[:, 1] = tables().point_fraction[frac.astype(np.intp)]
         if lo == 0:
             words.view(np.uint8)[0, 0] = 0
+        # A chart's NULs are sparse, a few percent of a chunk's bytes: replace
+        # jumps from one to the next, where translate walks every byte.
         chunks.append(words.tobytes().replace(b"\0", b""))
     return chunks

@@ -423,16 +423,16 @@ def emit_outputs(
 
     rows is a Table: its names are the CSV's header and its columns the CSV
     columns, float64 reals or int32 codes into label names or reals.  These
-    raise ValueError before anything is drawn or written: a column of
-    unequal length; a real column of any other dtype, since '%.17g' would
-    round an int64 above 2**53; a coded one with a code outside its values;
-    a column or label name that holds a comma, a double quote, CR or LF,
-    which the CSV would split or run on, or a NUL, which its text would
-    lose; and an out_path whose SVG sibling
-    would be itself.  The CSV's bytes are _text.csv_text's, made a block of
-    rows at a time from the names, columns and values: reals as '%.17g'
-    writes them, so they round-trip through the file exactly, and labels
-    as the UTF-8 of their names.
+    raise ValueError before anything is drawn or written: no columns, or
+    unequal counts of names, columns and values; a column of unequal
+    length; a real column of any other dtype, since '%.17g' would round an
+    int64 above 2**53; a coded one with a code outside its values; a column
+    or label name that holds a comma, a double quote, CR or LF, which the
+    CSV would split or run on, or a NUL, which its text would lose; and an
+    out_path whose SVG sibling would be itself.  The CSV's bytes are
+    _text.csv_text's, made a block of rows at a time from the names,
+    columns and values: reals as '%.17g' writes them, so they round-trip
+    through the file exactly, and labels as the UTF-8 of their names.
 
     The SVG charts rows unless another table is passed in chart;
     field-snapshot tables use that to plot the final time block against x.
@@ -444,6 +444,9 @@ def emit_outputs(
     OSError among them, removes it and writes no CSV, and one part way
     through the CSV removes the CSV and the SVG.
     """
+    counts = len(rows.names), len(rows.columns), len(rows.values)
+    if len(set(counts)) != 1 or counts[0] == 0:
+        raise ValueError("a table's names, columns and values number %d, %d and %d" % counts)
     if len(rows) == 0:
         raise ValueError("refusing to write an empty table")
     for name, column, coded in zip(rows.names, rows.columns, rows.values):

@@ -83,10 +83,6 @@ class VelocityPolynomial:
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
     @classmethod
-    def zero(cls) -> "VelocityPolynomial":
-        return cls({})
-
-    @classmethod
     def monomial(cls, a: int, b: int, coeff: Scalar = 1) -> "VelocityPolynomial":
         return cls({(a, b): coeff})
 

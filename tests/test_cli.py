@@ -469,12 +469,14 @@ def _bits(value):
 
 #: Bit patterns every drawn float column may take: signed zeros, the
 #: smallest subnormal and normal, NaNs of both signs and two payloads, the
-#: infinities and integers where 17 digits are not the shortest form.
+#: infinities, integers where 17 digits are not the shortest form and exact
+#: ties of the 17th digit (_TIES), which '%.17g' itself writes.
 _SPECIAL_BITS = np.unique(
     np.concatenate(
         [
             _bits([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
             _bits([math.nan, -math.nan, math.inf, -math.inf, 1e16, 2.0**53 + 2, 0.1]),
+            _bits([1 + 2**-17, -(1e15 + 0.25), 1e15 + 401 / 4]),
             np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64),
         ]
     )
@@ -505,6 +507,10 @@ def _coded_tables(draw):
         columns[f"v{i}"] = (picks.astype(np.int32), values) if coded else values[picks]
     order = draw(st.permutations(list(columns)))
     return _table({name: columns[name] for name in order})
+
+
+#: A real column of two rows.
+_X = np.array([0.0, 1.0])
 
 
 class TestEmitOutputs:
@@ -835,22 +841,28 @@ class TestEmitOutputs:
             ({"t": [0.0, 1.0], "g": ["a", "c\0d"]}, "name 'c\\x00d' holds"),
             ({"t": [0.0, 1.0, 2.0], "y": [1.0, 2.0]}, "column 'y' has 2 rows, not 3"),
             ({"t": [0.0, 1.0], "y": [1.0, 2.0, 3.0]}, "column 'y' has 3 rows, not 2"),
+            (cli.Table(("a", "b"), (_X,), (None, None)), "number 2, 1 and 2"),
+            (cli.Table(("a",), (_X, _X), (None, None)), "number 1, 2 and 2"),
+            (cli.Table((), (), ()), "number 0, 0 and 0"),
         ],
         ids=["comma-column", "quote-column", "comma-label", "lf-label", "cr-label"]
-        + ["nul-column", "nul-label", "short", "long"],
+        + ["nul-column", "nul-label", "short", "long"]
+        + ["more-names", "more-columns", "no-columns"],
     )
     def test_tables_the_csv_cannot_hold_refused_before_any_output(
         self, tmp_path, monkeypatch, columns, message
     ):
         # A comma, quote or line break in a name would split or run on the
-        # CSV's cells and rows, the text would lose a NUL, and columns of
-        # unequal length have no rows.
+        # CSV's cells and rows, the text would lose a NUL, columns of
+        # unequal length have no rows, and a header needs one name per
+        # column.
         def no_chart(*args):
             raise AssertionError("the chart was drawn")
 
         monkeypatch.setattr(cli, "_svg_chart", no_chart)
+        rows = columns if isinstance(columns, cli.Table) else _table(columns)
         with pytest.raises(ValueError, match=re.escape(message)):
-            emit_outputs(_table(columns), tmp_path / "out.csv", emit_svg=True)
+            emit_outputs(rows, tmp_path / "out.csv", emit_svg=True)
         assert list(tmp_path.iterdir()) == []
 
     def test_svg_text_is_escaped(self, tmp_path):
@@ -866,13 +878,12 @@ class TestEmitOutputs:
 
 
 def _real_text(values):
-    """_text.real_records' text of each value, one string per value; no kept
-    byte may be NUL, since the CSV's text is its records' bytes with the NULs
-    deleted."""
-    text, keep = _text.real_records(np.asarray(values, dtype=np.float64))
-    text[:, -1] = ord("\n")
-    assert text[keep].all()
-    return text[keep].tobytes().decode("ascii").splitlines()
+    """_text.real_records' text of each value, one string per value: each
+    record's bytes with the NULs deleted, up to the ',' in its last byte."""
+    records = _text.real_records(np.asarray(values, dtype=np.float64))
+    assert records.shape == (len(values), _text.REAL_WIDTH)
+    assert (records[:, -1] == ord(",")).all()
+    return records.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
 
 
 def _neighbours(values, ulps):
@@ -946,30 +957,30 @@ class TestRealText:
 
 class TestCodedRecords:
     @pytest.mark.parametrize(
-        "texts,records",
+        "values",
         [
-            (["a", "bé", "", "model_x", "ü" * 3], _text.label_records),
-            (
-                [
-                    format(v, ".17g")
-                    for v in [0.5, -0.0, 1e-300, math.nan, -math.inf, 2.0**-1074, 123456.789, 1e22]
-                ],
-                lambda texts: _text.right_aligned(*_text.real_records(np.array(texts, float))),
+            ("a", "bé", "", "model_x", "ü" * 3),
+            ("",),
+            np.array(
+                [0.5, -0.0, 1e-300, math.nan, -math.inf, 2.0**-1074, 123456.789, 1e22]
+                + [1 + 2**-17, -(1e15 + 0.25)]
             ),
         ],
-        ids=["label_records", "right_aligned"],
+        ids=["labels", "empty-label", "reals"],
     )
-    def test_nul_exactly_where_a_record_keeps_nothing(self, texts, records):
+    def test_nul_exactly_where_a_record_keeps_nothing(self, values):
         # A block's text is its records' bytes with the NULs deleted, so a
-        # coded column's record holds NUL before its right-aligned text and
-        # nowhere in it; its last byte is the separator slot.
-        made = records(texts)
-        encoded = [t.encode() for t in texts]
-        assert made.shape == (len(texts), max(map(len, encoded)) + 1)
+        # coded column's record holds its text, then NUL, then the ',' in
+        # its last byte.
+        if isinstance(values, tuple):
+            encoded = [name.encode() for name in values]
+        else:
+            encoded = [format(v, ".17g").encode() for v in values.tolist()]
+        made = _text._coded_records(values)
+        assert made.shape == (len(values), max(map(len, encoded)) + 1)
         for row, raw in zip(made, encoded):
-            lead = made.shape[1] - 1 - len(raw)
-            assert not row[:lead].any()
-            assert row[lead:-1].tobytes() == raw and row[lead:-1].all()
+            assert row[: len(raw)].tobytes() == raw and row[: len(raw)].all()
+            assert not row[len(raw) : -1].any() and row[-1] == ord(",")
 
 
 def _ties(values):
